@@ -41,10 +41,15 @@ lint-escape:
 # frame, and the elastic-membership schedule (drain under load, mid-job
 # join, permanent-death redistribution, kill mid-migration) on live
 # 3-node clusters, plus the serving-layer smoke slice (submit, complete,
-# cache hit, SIGTERM drain against the real gpsa-serve binary). The full
-# randomized schedules are `make torture` and `make chaos` (nightly CI).
+# cache hit, SIGTERM drain against the real gpsa-serve binary). The
+# repository benchmark is its own module (benchmark/go.mod), which the
+# root ./... patterns do not reach: it is vetted and tested here so an
+# API change that breaks it fails this gate, not the benchmark run. The
+# full randomized schedules are `make torture` and `make chaos` (nightly
+# CI).
 check:
 	$(GO) vet ./...
+	$(GO) -C benchmark vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/core
@@ -53,6 +58,7 @@ check:
 	$(GO) test -count=1 -run 'TestChaosSmoke|TestChaosMigrationSmoke|TestChaosElastic|TestChaosCorruptFrameDetected' ./internal/chaostest
 	$(GO) test -count=1 -run 'TestServeSmoke' ./internal/servetest
 	$(GO) test -count=1 -run 'TestDiskSmoke|TestDiskReadFaultsTyped' ./internal/disktest
+	$(GO) -C benchmark test ./...
 	$(MAKE) bench-smoke
 
 # Kill-torture: run cmd/gpsa as a subprocess, SIGKILL it at >=20
@@ -92,10 +98,10 @@ vet:
 	$(GO) vet ./...
 	gofmt -l .
 
-# Message hot-path benchmark trajectory: every algorithm x accumulator
-# mode on a generated R-MAT power-law graph, written as a
-# machine-readable BENCH_<rev>.json so successive revisions can be
-# compared (msgs/sec, supersteps/sec, alloc/msg, wall time per cell).
+# Message hot-path benchmark trajectory: every algorithm on a generated
+# R-MAT power-law graph, written as a machine-readable BENCH_<rev>.json
+# so successive revisions can be compared (msgs/sec, supersteps/sec,
+# alloc/msg, wall time per cell).
 bench:
 	$(GO) run ./cmd/gpsa-bench -exp hotpath -rev $(REV) -json BENCH_$(REV).json
 
@@ -113,7 +119,7 @@ bench-diff:
 bench-scale:
 	$(GO) run ./cmd/gpsa-bench -exp scale -rev $(REV) -cost-json COST_$(REV).json
 
-# Fast correctness gate over the full hotpath matrix at toy scale.
+# Fast correctness gate over the hotpath benchmark at toy scale.
 bench-smoke:
 	$(GO) test -count=1 -run TestHotPathSmoke ./internal/bench
 

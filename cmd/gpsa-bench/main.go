@@ -324,11 +324,6 @@ func main() {
 			fmt.Printf("%-14s %-8s %12.3f %14.0f %14d %9.1fB\n",
 				c.Algo, c.Mode, c.Seconds, c.MsgsPerSec, c.Delivered, c.AllocPerMsg)
 		}
-		for _, algo := range []string{"pagerank", "deltapagerank", "bfs", "cc", "sssp"} {
-			if s, ok := rep.Speedup[algo]; ok {
-				fmt.Printf("speedup %-14s %.2fx vs legacy\n", algo, s)
-			}
-		}
 		if *jsonPath != "" {
 			if err := rep.WriteJSON(*jsonPath); err != nil {
 				fmt.Fprintf(os.Stderr, "gpsa-bench: hotpath: %v\n", err)

@@ -21,15 +21,15 @@ func cell(algo, mode string, msgsPerSec, allocPerMsg float64) HotPathCell {
 func TestDiffHotPathGates(t *testing.T) {
 	oldRep := diffReport("old",
 		cell("pagerank", "dense", 1e6, 0.01),
-		cell("pagerank", "off", 2e5, 2.0),
-		cell("cc", "sparse", 5e5, 0.05),
-		cell("bfs", "auto", 3e5, 0.02),
+		cell("deltapagerank", "dense", 2e5, 2.0),
+		cell("cc", "dense", 5e5, 0.05),
+		cell("bfs", "auto", 3e5, 0.02), // a mode only old artifacts carry
 	)
 	newRep := diffReport("new",
-		cell("pagerank", "dense", 0.95e6, 0.05), // -5%, +0.04B: within both gates
-		cell("pagerank", "off", 1.5e5, 2.0),     // -25%: throughput regression
-		cell("cc", "sparse", 5.2e5, 0.40),       // +0.35B: alloc regression
-		cell("sssp", "dense", 1e5, 0.01),        // only in new: skipped
+		cell("pagerank", "dense", 0.95e6, 0.05),    // -5%, +0.04B: within both gates
+		cell("deltapagerank", "dense", 1.5e5, 2.0), // -25%: throughput regression
+		cell("cc", "dense", 5.2e5, 0.40),           // +0.35B: alloc regression
+		cell("sssp", "dense", 1e5, 0.01),           // only in new: skipped
 	)
 	diffs := DiffHotPath(oldRep, newRep)
 	if len(diffs) != 3 {
@@ -42,11 +42,11 @@ func TestDiffHotPathGates(t *testing.T) {
 	if d := got["pagerank/dense"]; d.Regression {
 		t.Fatalf("pagerank/dense flagged within tolerance: %q", d.Reason)
 	}
-	if d := got["pagerank/off"]; !d.Regression || !strings.Contains(d.Reason, "throughput") {
-		t.Fatalf("pagerank/off throughput drop not flagged: %+v", d)
+	if d := got["deltapagerank/dense"]; !d.Regression || !strings.Contains(d.Reason, "throughput") {
+		t.Fatalf("deltapagerank/dense throughput drop not flagged: %+v", d)
 	}
-	if d := got["cc/sparse"]; !d.Regression || !strings.Contains(d.Reason, "alloc") {
-		t.Fatalf("cc/sparse alloc rise not flagged: %+v", d)
+	if d := got["cc/dense"]; !d.Regression || !strings.Contains(d.Reason, "alloc") {
+		t.Fatalf("cc/dense alloc rise not flagged: %+v", d)
 	}
 	if _, ok := got["bfs/auto"]; ok {
 		t.Fatal("bfs/auto present in old only must be skipped, not diffed")
@@ -61,7 +61,7 @@ func TestDiffHotPathGates(t *testing.T) {
 func TestDiffHotPathSelfIsClean(t *testing.T) {
 	rep := diffReport("same",
 		cell("pagerank", "dense", 1e6, 0.01),
-		cell("cc", "auto", 4e5, 0.02),
+		cell("cc", "dense", 4e5, 0.02),
 	)
 	for _, d := range DiffHotPath(rep, rep) {
 		if d.Regression {

@@ -14,10 +14,10 @@ import (
 	"repro/internal/vertexfile"
 )
 
-// HotPathOptions configures the message hot-path benchmark: the same
-// algorithm on the same generated power-law graph, once per accumulator
-// mode, entirely in memory so the measurement isolates the
-// dispatcher→computer path rather than disk.
+// HotPathOptions configures the message hot-path benchmark: each
+// algorithm on the same generated power-law graph, entirely in memory so
+// the measurement isolates the dispatcher→computer path rather than
+// disk.
 type HotPathOptions struct {
 	Vertices   int64 // default 1<<17
 	EdgeFactor int64 // edges per vertex, default 16
@@ -25,11 +25,9 @@ type HotPathOptions struct {
 	Supersteps int      // per run, default 5
 	Runs       int      // best-of runs per cell, default 3
 	Algos      []string // default pagerank, deltapagerank, bfs, cc, sssp
-	Modes      []core.AccumMode
 	// Worker pools (0 = engine defaults).
 	Dispatchers int
 	Computers   int
-	AccumBudget int // bytes (0 = engine default)
 	Rev         string
 }
 
@@ -49,13 +47,16 @@ func (o HotPathOptions) withDefaults() HotPathOptions {
 	if len(o.Algos) == 0 {
 		o.Algos = []string{"pagerank", "deltapagerank", "bfs", "cc", "sssp"}
 	}
-	if len(o.Modes) == 0 {
-		o.Modes = []core.AccumMode{core.AccumOff, core.AccumDense, core.AccumSparse, core.AccumAuto}
-	}
 	return o
 }
 
-// HotPathCell is one (algorithm, accumulator mode) measurement.
+// hotPathMode is the Mode every cell carries. All five algorithms are
+// combiner programs and so take the dense slab path; the key is kept so
+// gpsa-compare still pairs these cells with the <algo>/dense cells of
+// artifacts recorded when the engine had four modes.
+const hotPathMode = "dense"
+
+// HotPathCell is one algorithm's measurement.
 type HotPathCell struct {
 	Algo        string  `json:"algo"`
 	Mode        string  `json:"mode"`
@@ -80,9 +81,6 @@ type HotPathReport struct {
 	Supersteps int           `json:"supersteps"`
 	Runs       int           `json:"runs"`
 	Cells      []HotPathCell `json:"cells"`
-	// Speedup maps algorithm -> best accumulator msgs/sec over the legacy
-	// (off) msgs/sec; the headline message-throughput improvement.
-	Speedup map[string]float64 `json:"speedup_vs_legacy"`
 }
 
 type hotPathWorkload struct {
@@ -127,7 +125,7 @@ func hotPathWorkloadFor(algo string, directed, sym, weighted *graph.CSR) (hotPat
 
 // runHotPathOnce executes one in-memory run and returns the result plus
 // the heap bytes it allocated.
-func runHotPathOnce(w hotPathWorkload, mode core.AccumMode, opts HotPathOptions) (*core.Result, uint64, error) {
+func runHotPathOnce(w hotPathWorkload, opts HotPathOptions) (*core.Result, uint64, error) {
 	gf, err := graph.NewMemoryFile(w.g)
 	if err != nil {
 		return nil, 0, err
@@ -141,8 +139,6 @@ func runHotPathOnce(w hotPathWorkload, mode core.AccumMode, opts HotPathOptions)
 		MaxSupersteps: opts.Supersteps,
 		Dispatchers:   opts.Dispatchers,
 		Computers:     opts.Computers,
-		AccumMode:     mode,
-		AccumBudget:   opts.AccumBudget,
 		DisableSync:   true,
 	})
 	if err != nil {
@@ -159,8 +155,8 @@ func runHotPathOnce(w hotPathWorkload, mode core.AccumMode, opts HotPathOptions)
 	return res, after.TotalAlloc - before.TotalAlloc, nil
 }
 
-// RunHotPath measures every (algorithm, mode) cell on one generated
-// power-law graph and assembles the report.
+// RunHotPath measures every algorithm on one generated power-law graph
+// and assembles the report.
 func RunHotPath(opts HotPathOptions) (*HotPathReport, error) {
 	opts = opts.withDefaults()
 	directed, sym, weighted, err := hotPathGraphs(opts)
@@ -177,46 +173,35 @@ func RunHotPath(opts HotPathOptions) (*HotPathReport, error) {
 		Seed:       opts.Seed,
 		Supersteps: opts.Supersteps,
 		Runs:       opts.Runs,
-		Speedup:    map[string]float64{},
 	}
-	legacy := map[string]float64{} // algo -> msgs/sec with AccumOff
 	for _, algo := range opts.Algos {
 		w, err := hotPathWorkloadFor(algo, directed, sym, weighted)
 		if err != nil {
 			return nil, err
 		}
-		for _, mode := range opts.Modes {
-			cell := HotPathCell{Algo: algo, Mode: mode.String()}
-			for r := 0; r < opts.Runs; r++ {
-				start := time.Now()
-				res, alloc, err := runHotPathOnce(w, mode, opts)
-				wall := time.Since(start).Seconds()
-				if err != nil {
-					return nil, fmt.Errorf("bench: %s/%s: %w", algo, mode, err)
-				}
-				if r == 0 || wall < cell.Seconds {
-					cell.Seconds = wall
-					cell.Supersteps = res.Supersteps
-					cell.Messages = res.Messages
-					cell.Delivered = res.Delivered
-					if res.Messages > 0 {
-						cell.AllocPerMsg = float64(alloc) / float64(res.Messages)
-					}
-				}
+		cell := HotPathCell{Algo: algo, Mode: hotPathMode}
+		for r := 0; r < opts.Runs; r++ {
+			start := time.Now()
+			res, alloc, err := runHotPathOnce(w, opts)
+			wall := time.Since(start).Seconds()
+			if err != nil {
+				return nil, fmt.Errorf("bench: %s: %w", algo, err)
 			}
-			if cell.Seconds > 0 {
-				cell.MsgsPerSec = float64(cell.Messages) / cell.Seconds
-				cell.StepsPerSec = float64(cell.Supersteps) / cell.Seconds
-			}
-			rep.Cells = append(rep.Cells, cell)
-			if mode == core.AccumOff {
-				legacy[algo] = cell.MsgsPerSec
-			} else if base := legacy[algo]; base > 0 {
-				if s := cell.MsgsPerSec / base; s > rep.Speedup[algo] {
-					rep.Speedup[algo] = s
+			if r == 0 || wall < cell.Seconds {
+				cell.Seconds = wall
+				cell.Supersteps = res.Supersteps
+				cell.Messages = res.Messages
+				cell.Delivered = res.Delivered
+				if res.Messages > 0 {
+					cell.AllocPerMsg = float64(alloc) / float64(res.Messages)
 				}
 			}
 		}
+		if cell.Seconds > 0 {
+			cell.MsgsPerSec = float64(cell.Messages) / cell.Seconds
+			cell.StepsPerSec = float64(cell.Supersteps) / cell.Seconds
+		}
+		rep.Cells = append(rep.Cells, cell)
 	}
 	return rep, nil
 }

@@ -5,14 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/core"
 )
 
-// TestHotPathSmoke runs the full hot-path matrix at a tiny scale: every
-// algorithm on every mode must complete, produce consistent counters,
-// and the report must round-trip through JSON. This is the make
-// bench-smoke gate; the real measurement is make bench.
+// TestHotPathSmoke runs the hot-path benchmark at a tiny scale: every
+// algorithm must complete, produce consistent counters, and the report
+// must round-trip through JSON. This is the make bench-smoke gate; the
+// real measurement is make bench.
 func TestHotPathSmoke(t *testing.T) {
 	rep, err := RunHotPath(HotPathOptions{
 		Vertices:   1 << 10,
@@ -25,11 +23,10 @@ func TestHotPathSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCells := 5 * 4 // algorithms x modes
+	wantCells := 5 // one per algorithm
 	if len(rep.Cells) != wantCells {
 		t.Fatalf("got %d cells, want %d", len(rep.Cells), wantCells)
 	}
-	perAlgoMsgs := map[string]int64{}
 	for _, c := range rep.Cells {
 		if c.Supersteps <= 0 || c.Seconds <= 0 {
 			t.Fatalf("%s/%s: empty measurement %+v", c.Algo, c.Mode, c)
@@ -40,31 +37,22 @@ func TestHotPathSmoke(t *testing.T) {
 		if c.Delivered > c.Messages {
 			t.Fatalf("%s/%s: delivered %d > generated %d", c.Algo, c.Mode, c.Delivered, c.Messages)
 		}
-		// All modes generate the same messages for the same workload: the
-		// message path must not change what the program emits.
-		if prev, ok := perAlgoMsgs[c.Algo]; ok && prev != c.Messages {
-			t.Fatalf("%s: mode %s generated %d messages, earlier mode %d", c.Algo, c.Mode, c.Messages, prev)
+		if c.Mode != hotPathMode {
+			t.Fatalf("%s: cell keyed %q, want %q (gpsa-compare pairs cells by algo/mode)", c.Algo, c.Mode, hotPathMode)
 		}
-		perAlgoMsgs[c.Algo] = c.Messages
-	}
-	// PageRank keeps every vertex active, so dense accumulation must
-	// combine at the source: strictly fewer deliveries than messages.
-	for _, c := range rep.Cells {
-		if c.Algo == "pagerank" && c.Mode == core.AccumDense.String() && c.Delivered >= c.Messages {
-			t.Fatalf("pagerank/dense delivered %d of %d messages; no source combining happened", c.Delivered, c.Messages)
+		// PageRank keeps every vertex active, so the slab must combine at
+		// the source: strictly fewer deliveries than messages.
+		if c.Algo == "pagerank" && c.Delivered >= c.Messages {
+			t.Fatalf("pagerank delivered %d of %d messages; no source combining happened", c.Delivered, c.Messages)
 		}
-	}
-	// Allocation ceiling: the arena-pooled accumulator path measures
-	// under 1.3 B/msg even at this toy scale (where per-run fixed costs —
-	// actor spawn, mailboxes — dominate the short bfs message counts; at
-	// paper scale it is <0.01 B). An unpooled path re-allocates slabs and
-	// sparse tables every flush and lands in the tens of B/msg here, so a
-	// 4 B gate catches a pooling regression without tripping on GC noise.
-	const allocCeiling = 4.0 // bytes per message
-	for _, c := range rep.Cells {
-		if c.Mode == core.AccumOff.String() {
-			continue // legacy sort path is not arena-pooled
-		}
+		// Allocation ceiling: the arena-pooled slab path measures under
+		// 1.3 B/msg even at this toy scale (where per-run fixed costs —
+		// actor spawn, mailboxes — dominate the short bfs message counts;
+		// at paper scale it is <0.01 B). An unpooled path re-allocates a
+		// slab every hand-off and lands in the tens of B/msg here, so a
+		// 4 B gate catches a pooling regression without tripping on GC
+		// noise.
+		const allocCeiling = 4.0 // bytes per message
 		if c.AllocPerMsg > allocCeiling {
 			t.Fatalf("%s/%s: %.2f B/msg exceeds the %.1f B pooled-path ceiling",
 				c.Algo, c.Mode, c.AllocPerMsg, allocCeiling)

@@ -167,12 +167,7 @@ func memCapped(limit int64, fn func() error) error {
 }
 
 // runGPSAScale is one out-of-core GPSA run: CSR opened from disk,
-// values in a fresh on-disk file, prefetch per opts, and an
-// accumulator budget of one flush per (dispatcher, computer) pair per
-// superstep — at multi-million-vertex scale, per-flush dense slabs
-// queueing in the mailboxes would dwarf the memory cap, so the budget
-// is raised to the slab size and each pair hands over exactly one
-// segment at the barrier.
+// values in a fresh on-disk file, prefetch per opts.
 func runGPSAScale(a *Artifacts, alg Algo, cores int, opts ScaleOptions) (*core.Result, uint64, error) {
 	prog, path := gpsaProgram(a, alg)
 	gf, err := graph.OpenFile(path, mmap.ModeAuto)
@@ -192,12 +187,10 @@ func runGPSAScale(a *Artifacts, alg Algo, cores int, opts ScaleOptions) (*core.R
 	if workers < 1 {
 		workers = 1
 	}
-	maxOwned := (gf.NumVertices + int64(workers) - 1) / int64(workers)
 	eng, err := core.New(gf, vf, prog, core.Config{
 		MaxSupersteps: opts.Supersteps,
 		Dispatchers:   workers,
 		Computers:     workers,
-		AccumBudget:   int(maxOwned * 16),
 		Prefetch:      !opts.NoPrefetch,
 	})
 	if err != nil {

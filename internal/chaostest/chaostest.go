@@ -24,7 +24,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/gen"
-	"repro/internal/graph"
+	"repro/internal/harness"
 )
 
 // Fixture holds the torture graphs and memoizes undisturbed baseline
@@ -53,16 +53,12 @@ func NewFixture() (*Fixture, error) {
 		os.RemoveAll(dir)
 		return nil, err
 	}
-	f.directed = filepath.Join(dir, "chaos.gpsa")
-	if err := graph.WriteFile(f.directed, g); err != nil {
+	directed, symmetric, err := harness.WriteGraphPair(dir, "chaos", g)
+	if err != nil {
 		os.RemoveAll(dir)
 		return nil, err
 	}
-	f.symmetric = filepath.Join(dir, "chaos-sym.gpsa")
-	if err := graph.WriteFile(f.symmetric, g.Symmetrize()); err != nil {
-		os.RemoveAll(dir)
-		return nil, err
-	}
+	f.directed, f.symmetric = filepath.Join(dir, directed), filepath.Join(dir, symmetric)
 	return f, nil
 }
 

@@ -1,15 +1,21 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/metrics"
 )
 
-// Combiner-enabled copies of the test programs (the real ones live in
-// internal/algorithms, which imports this package).
+// Every test program comes as a twin pair (the real ones live in
+// internal/algorithms, which imports this package): the plain program
+// has no CombineMsg and so takes the per-message batch path, its
+// Combiner twin embeds it and takes the dense slab path. The message
+// path is selected by nothing else, so running both twins is what
+// covers both paths.
 
 type prComb struct{ prProg }
 
@@ -28,8 +34,10 @@ func (bfsComb) CombineMsg(a, b uint64) uint64 {
 
 // dprProg is a local copy of the delta-PageRank program: the payload
 // packs (rank, pending residual) as float32s, messages carry float64
-// deltas and combine by summation.
+// deltas; dprComb combines them by summation.
 type dprProg struct{}
+
+type dprComb struct{ dprProg }
 
 func dprPack(rank, delta float32) uint64 {
 	return uint64(math.Float32bits(rank))<<31 | uint64(math.Float32bits(delta))>>1
@@ -61,25 +69,28 @@ func (dprProg) Compute(dst int64, cur, msg uint64, first bool) (uint64, bool) {
 	return dprPack(rank+m, delta+m), true
 }
 
-func (dprProg) CombineMsg(a, b uint64) uint64 {
+func (dprComb) CombineMsg(a, b uint64) uint64 {
 	return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
 }
 
-// ssspComb is a weighted shortest-paths program with a min combiner.
-type ssspComb struct{ root graph.VertexID }
+// ssspProg is a weighted shortest-paths program; ssspComb adds the min
+// combiner.
+type ssspProg struct{ root graph.VertexID }
 
-func (s ssspComb) Init(v int64) (uint64, bool) {
+type ssspComb struct{ ssspProg }
+
+func (s ssspProg) Init(v int64) (uint64, bool) {
 	if v == int64(s.root) {
 		return math.Float64bits(0), true
 	}
 	return math.Float64bits(math.Inf(1)), false
 }
 
-func (ssspComb) GenMsg(src int64, payload uint64, deg uint32, dst graph.VertexID, w float32) (uint64, bool) {
+func (ssspProg) GenMsg(src int64, payload uint64, deg uint32, dst graph.VertexID, w float32) (uint64, bool) {
 	return math.Float64bits(math.Float64frombits(payload) + math.Abs(float64(w))), true
 }
 
-func (ssspComb) Compute(dst int64, cur, msg uint64, first bool) (uint64, bool) {
+func (ssspProg) Compute(dst int64, cur, msg uint64, first bool) (uint64, bool) {
 	if math.Float64frombits(msg) < math.Float64frombits(cur) {
 		return msg, true
 	}
@@ -111,307 +122,230 @@ func weightedGraph(t testing.TB, seed, v int64, e int) *graph.CSR {
 	return g
 }
 
-// runMode executes prog over g with the given accumulator mode layered
-// on base and returns the final vertex payloads plus the run result.
-func runMode(t *testing.T, g *graph.CSR, prog Program, base Config, mode AccumMode) ([]uint64, *Result) {
+// runOn executes prog over g and returns the final vertex payloads plus
+// the run result.
+func runOn(t *testing.T, g *graph.CSR, prog Program, cfg Config) ([]uint64, *Result) {
 	t.Helper()
-	cfg := base
-	cfg.AccumMode = mode
 	eng, vf := setup(t, g, prog, cfg)
 	res, err := eng.Run()
 	if err != nil {
-		t.Fatalf("mode %v: %v", mode, err)
+		t.Fatalf("%T: %v", prog, err)
 	}
 	return vf.Values(), res
 }
 
-// assertIdentical requires every mode to produce bit-identical payloads.
-func assertIdentical(t *testing.T, g *graph.CSR, prog Program, base Config, modes []AccumMode) map[AccumMode]*Result {
+func assertSame(t *testing.T, what string, got, want []uint64) {
 	t.Helper()
-	results := map[AccumMode]*Result{}
-	var refVals []uint64
-	var refMode AccumMode
-	for i, mode := range modes {
-		vals, res := runMode(t, g, prog, base, mode)
-		results[mode] = res
-		if i == 0 {
-			refVals, refMode = vals, mode
-			continue
-		}
-		for v := range vals {
-			if vals[v] != refVals[v] {
-				t.Fatalf("vertex %d: mode %v got %#x, mode %v got %#x", v, mode, vals[v], refMode, refVals[v])
-			}
-		}
-		if res.Supersteps != results[refMode].Supersteps || res.Messages != results[refMode].Messages {
-			t.Fatalf("mode %v ran %d supersteps / %d messages, mode %v %d / %d",
-				mode, res.Supersteps, res.Messages, refMode, results[refMode].Supersteps, results[refMode].Messages)
-		}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
 	}
-	return results
-}
-
-// Float-sum programs fold messages in generation order on every path; a
-// single dispatcher/computer pair with barrier-only flushes makes the
-// per-vertex fold grouping identical too, so even PageRank's float sums
-// must come out bit-identical across the legacy, dense and sparse paths.
-func TestAccumEquivalenceFloatPrograms(t *testing.T) {
-	g := randomGraph(t, 71, 220, 1400)
-	base := Config{
-		Dispatchers: 1, Computers: 1,
-		BatchSize:   1 << 20, // one combined batch per superstep on the legacy path
-		AccumBudget: 1 << 30, // barrier-only accumulator flushes
-		DisableSync: true,
-	}
-	t.Run("pagerank", func(t *testing.T) {
-		cfg := base
-		cfg.MaxSupersteps = 8
-		assertIdentical(t, g, prComb{}, cfg, []AccumMode{AccumOff, AccumDense, AccumSparse})
-	})
-	t.Run("deltapagerank", func(t *testing.T) {
-		cfg := base
-		cfg.MaxSupersteps = 20
-		assertIdentical(t, g, dprProg{}, cfg, []AccumMode{AccumOff, AccumDense, AccumSparse})
-	})
-}
-
-// Dense and sparse accumulators share flush-boundary accounting and both
-// emit segments in ascending vertex order, so they stay bit-identical
-// even with aggressive incremental flushing and multiple computers —
-// including for order-sensitive float sums.
-func TestAccumEquivalenceFloatIncrementalFlush(t *testing.T) {
-	g := randomGraph(t, 72, 300, 2400)
-	base := Config{
-		Dispatchers: 1, Computers: 3,
-		AccumBudget:   512, // 32 entries per accumulator: many mid-dispatch flushes
-		MaxSupersteps: 6,
-		DisableSync:   true,
-	}
-	res := assertIdentical(t, g, prComb{}, base, []AccumMode{AccumDense, AccumSparse})
-	if r := res[AccumDense]; r.Delivered >= r.Messages {
-		t.Fatalf("dense accumulation delivered %d of %d generated messages; expected source-side combining", r.Delivered, r.Messages)
+	for v := range got {
+		if got[v] != want[v] {
+			t.Fatalf("%s: vertex %d got %#x, want %#x", what, v, got[v], want[v])
+		}
 	}
 }
 
-// Min-fold programs are order- and grouping-insensitive, so every path
-// must agree bit for bit even under full parallelism, tiny batches and
-// eager incremental flushes — and match the serial reference executor.
-func TestAccumEquivalenceMinPrograms(t *testing.T) {
-	dg := randomGraph(t, 73, 300, 1800)
-	base := Config{
-		Dispatchers: 3, Computers: 2,
-		BatchSize:   32,
-		AccumBudget: 512,
-		DisableSync: true,
+// assertPaths runs the batch twin and the slab twin over g and requires
+// each to equal refRun of itself bit for bit, and each to have taken the
+// path its type selects.
+func assertPaths(t *testing.T, g *graph.CSR, batch, slab Program, cfg Config) (batchVals, slabVals []uint64) {
+	t.Helper()
+	steps := cfg.MaxSupersteps
+	if steps == 0 {
+		steps = DefaultMaxSupersteps
 	}
-	modes := []AccumMode{AccumOff, AccumDense, AccumSparse, AccumAuto}
-	t.Run("bfs", func(t *testing.T) {
-		want := refRun(dg, bfsProg{root: 0}, 100)
-		res := assertIdentical(t, dg, bfsComb{bfsProg{root: 0}}, base, modes)
-		vals, _ := runMode(t, dg, bfsComb{bfsProg{root: 0}}, base, AccumAuto)
-		for v := range vals {
-			if vals[v] != want[v] {
-				t.Fatalf("vertex %d: engine %#x, reference %#x", v, vals[v], want[v])
-			}
-		}
-		if res[AccumOff].Supersteps == 0 {
-			t.Fatal("bfs did not run")
-		}
-	})
-	t.Run("cc", func(t *testing.T) {
-		sym := dg.Symmetrize()
-		want := refRun(sym, ccProg{}, 100)
-		assertIdentical(t, sym, ccCombining{}, base, modes)
-		vals, _ := runMode(t, sym, ccCombining{}, base, AccumDense)
-		for v := range vals {
-			if vals[v] != want[v] {
-				t.Fatalf("vertex %d: engine %#x, reference %#x", v, vals[v], want[v])
-			}
-		}
-	})
-	t.Run("sssp", func(t *testing.T) {
-		wg := weightedGraph(t, 74, 250, 1500)
-		assertIdentical(t, wg, ssspComb{root: 0}, base, modes)
-	})
+	if _, ok := batch.(Combiner); ok {
+		t.Fatalf("%T implements Combiner: it would not take the batch path", batch)
+	}
+	batchVals, bres := runOn(t, g, batch, cfg)
+	assertSame(t, "batch path vs refRun", batchVals, refRun(g, batch, steps))
+	if bres.Delivered != bres.Messages {
+		t.Fatalf("batch path delivered %d of %d messages", bres.Delivered, bres.Messages)
+	}
+	slabVals, sres := runOn(t, g, slab, cfg)
+	assertSame(t, "slab path vs refRun", slabVals, refRun(g, slab, steps))
+	if sres.Delivered > sres.Messages {
+		t.Fatalf("slab path delivered %d of %d messages", sres.Delivered, sres.Messages)
+	}
+	if sres.Supersteps != bres.Supersteps || sres.Messages != bres.Messages {
+		t.Fatalf("slab path ran %d supersteps / %d messages, batch path %d / %d",
+			sres.Supersteps, sres.Messages, bres.Supersteps, bres.Messages)
+	}
+	return batchVals, slabVals
 }
 
-// The adaptive switch must pick the sparse table while the active
-// fraction is low (BFS's early frontier) and the dense slab once the
-// frontier widens past 1/denseActiveDenom of the graph.
-func TestAccumAutoSwitches(t *testing.T) {
-	g := randomGraph(t, 75, 400, 4000)
-	var seen []AccumMode
-	cfg := Config{
-		Dispatchers: 2, Computers: 2,
-		DisableSync: true,
-		Progress:    func(s StepStats) { seen = append(seen, s.Accum) },
-	}
-	eng, _ := setup(t, g, bfsComb{bfsProg{root: 0}}, cfg)
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) == 0 {
-		t.Fatal("no supersteps ran")
-	}
-	if seen[0] != AccumSparse {
-		t.Fatalf("superstep 0 (single active root) used %v, want sparse", seen[0])
-	}
-	var dense bool
-	for _, m := range seen {
-		if m == AccumAuto || m == AccumOff {
-			t.Fatalf("auto resolved to %v", m)
-		}
-		if m == AccumDense {
-			dense = true
-		}
-	}
-	if !dense {
-		t.Fatalf("frontier never triggered the dense slab (modes: %v)", seen)
-	}
+// shape is one graph the dense-only engine has to get right.
+type shape struct {
+	name string
+	g    *graph.CSR
 }
 
-// Programs without a combiner — and explicit AccumOff — must stay on the
-// legacy batch path: every generated message is delivered.
-func TestAccumRequiresCombiner(t *testing.T) {
-	g := randomGraph(t, 76, 150, 900)
-	cfg := Config{AccumMode: AccumDense, DisableSync: true}
-	var modes []AccumMode
-	cfg.Progress = func(s StepStats) { modes = append(modes, s.Accum) }
-	eng, _ := setup(t, g, ccProg{}, cfg) // no CombineMsg
-	res, err := eng.Run()
+func fromEdges(t *testing.T, edges []graph.Edge, v int64) *graph.CSR {
+	t.Helper()
+	g, err := graph.FromEdges(edges, v, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Delivered != res.Messages {
-		t.Fatalf("no combiner but delivered %d != generated %d", res.Delivered, res.Messages)
+	return g
+}
+
+// adversarialShapes are the inputs where slab geometry is at its edges:
+// nothing to fold, everything folding into one slot, a partial last
+// bitmap word, and workers that own no vertex at all.
+func adversarialShapes(t *testing.T) []shape {
+	t.Helper()
+	var hub []graph.Edge
+	for v := 1; v < 150; v++ {
+		hub = append(hub, graph.Edge{Src: 0, Dst: graph.VertexID(v)}, graph.Edge{Src: graph.VertexID(v), Dst: 0})
 	}
-	for _, m := range modes {
-		if m != AccumOff {
-			t.Fatalf("non-combinable program ran with accumulator mode %v", m)
+	// 200 vertices over 3 computers: maxOwned = 67, so the bitmap's last
+	// word holds 3 live bits — and the ring makes sure the last vertices
+	// (197, 198, 199: one per computer) all receive messages.
+	var ring []graph.Edge
+	for v := 0; v < 200; v++ {
+		ring = append(ring, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID((v + 1) % 200)},
+			graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID((v + 197) % 200)})
+	}
+	return []shape{
+		{"no-edges", fromEdges(t, nil, 10)},
+		{"isolated-but-one-edge", fromEdges(t, []graph.Edge{{Src: 0, Dst: 63}}, 130)},
+		{"single-hub", fromEdges(t, hub, 150)},
+		{"ragged-last-word", fromEdges(t, ring, 200)},
+		{"three-vertices", fromEdges(t, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 0, Dst: 2}}, 3)},
+		{"random", randomGraph(t, 73, 300, 1800)},
+	}
+}
+
+// Min-fold programs are order- and grouping-insensitive, so both paths
+// must agree with the serial reference — and so with each other — bit
+// for bit at any worker geometry, including computers that own a ragged
+// share of the vertices or none (Computers > |V|).
+func TestPathsMatchReferenceMinPrograms(t *testing.T) {
+	geometries := []struct{ d, c int }{{1, 1}, {3, 2}, {2, 3}, {1, 8}, {4, 7}}
+	for _, sh := range adversarialShapes(t) {
+		for _, geo := range geometries {
+			cfg := Config{Dispatchers: geo.d, Computers: geo.c, BatchSize: 32, DisableSync: true}
+			t.Run(fmt.Sprintf("%s/%dx%d", sh.name, geo.d, geo.c), func(t *testing.T) {
+				b, s := assertPaths(t, sh.g, bfsProg{root: 0}, bfsComb{bfsProg{root: 0}}, cfg)
+				assertSame(t, "bfs slab vs batch", s, b)
+				sym := sh.g.Symmetrize()
+				b, s = assertPaths(t, sym, ccProg{}, ccCombining{}, cfg)
+				assertSame(t, "cc slab vs batch", s, b)
+			})
+		}
+	}
+	t.Run("sssp", func(t *testing.T) {
+		wg := weightedGraph(t, 74, 250, 1500)
+		cfg := Config{Dispatchers: 3, Computers: 2, BatchSize: 32, DisableSync: true}
+		b, s := assertPaths(t, wg, ssspProg{root: 0}, ssspComb{ssspProg{root: 0}}, cfg)
+		assertSame(t, "sssp slab vs batch", s, b)
+	})
+}
+
+// Float sums are order-sensitive, but with one dispatcher every vertex's
+// messages arrive in generation order on both paths — whatever the
+// number of computers — so each path must still equal its reference bit
+// for bit: the batch path applies Compute per message, the slab path
+// folds with CombineMsg first. The two groupings round differently, so
+// across paths the ranks agree to float tolerance only.
+func TestPathsMatchReferenceFloatPrograms(t *testing.T) {
+	for _, sh := range adversarialShapes(t) {
+		for _, computers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/1x%d", sh.name, computers), func(t *testing.T) {
+				cfg := Config{Dispatchers: 1, Computers: computers, BatchSize: 64, MaxSupersteps: 8, DisableSync: true}
+				b, s := assertPaths(t, sh.g, prProg{}, prComb{}, cfg)
+				for v := range b {
+					x, y := math.Float64frombits(b[v]), math.Float64frombits(s[v])
+					if math.Abs(x-y) > 1e-9*math.Max(1, math.Abs(x)) {
+						t.Fatalf("vertex %d: batch path rank %v, slab path %v", v, x, y)
+					}
+				}
+				cfg.MaxSupersteps = 20
+				assertPaths(t, sh.g, dprProg{}, dprComb{}, cfg)
+			})
 		}
 	}
 }
 
-// A custom owner function cannot use the dense slab's mod indexing; the
-// engine must quietly fall back to the sparse table and still be correct.
-func TestAccumDenseCustomOwnerFallsBack(t *testing.T) {
-	g := randomGraph(t, 77, 200, 1200)
-	want := refRun(g, bfsProg{root: 0}, 100)
-	var modes []AccumMode
+// The hand-off rule is derived from slab geometry, not configured: a
+// slab has a slot for every vertex its computer owns, so it is handed
+// off exactly once, when its dispatcher finishes the interval. Each
+// superstep therefore moves at most Dispatchers × Computers segments,
+// whatever the graph size — this graph's slabs hold 20000 slots each.
+func TestSlabHandedOffOncePerPair(t *testing.T) {
+	g := randomGraph(t, 79, 40000, 200000)
+	const d, c = 2, 2
+	dense0, sparse0 := metrics.Counter(metrics.CtrAccumDenseSegs), metrics.Counter(metrics.CtrAccumSparseSegs)
+	last := dense0
 	cfg := Config{
-		AccumMode: AccumDense,
-		Owner:     BlockOwner(g.NumVertices),
-		Computers: 3,
-		Progress:  func(s StepStats) { modes = append(modes, s.Accum) },
+		Dispatchers: d, Computers: c, MaxSupersteps: 4, DisableSync: true,
+		Progress: func(s StepStats) {
+			now := metrics.Counter(metrics.CtrAccumDenseSegs)
+			if segs := now - last; segs < 1 || segs > d*c {
+				t.Errorf("superstep %d handed off %d segments, want 1..%d", s.Step, segs, d*c)
+			}
+			last = now
+		},
 	}
-	eng, vf := setup(t, g, bfsComb{bfsProg{root: 0}}, cfg)
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
+	_, res := runOn(t, g, prComb{}, cfg)
+	segs := metrics.Counter(metrics.CtrAccumDenseSegs) - dense0
+	if max := int64(res.Supersteps * d * c); segs > max {
+		t.Fatalf("%d segments over %d supersteps, want at most %d", segs, res.Supersteps, max)
 	}
-	for _, m := range modes {
-		if m != AccumSparse {
-			t.Fatalf("custom owner ran mode %v, want sparse fallback", m)
-		}
+	// Every delivered message is one slab entry, and a slab holds at most
+	// one entry per vertex its computer owns.
+	maxOwned := (g.NumVertices + c - 1) / c
+	if res.Delivered > segs*maxOwned {
+		t.Fatalf("delivered %d messages in %d segments of at most %d entries", res.Delivered, segs, maxOwned)
 	}
-	for v := int64(0); v < g.NumVertices; v++ {
-		if vf.Value(v) != want[v] {
-			t.Fatalf("vertex %d: %d, want %d", v, vf.Value(v), want[v])
-		}
+	if res.Delivered >= res.Messages {
+		t.Fatalf("delivered %d of %d generated messages; expected source-side folding", res.Delivered, res.Messages)
 	}
-}
-
-// Unit coverage of the open-addressing table: fold-on-collision, growth
-// past the load factor, and a sorted, emptying drain.
-func TestSparseAccTable(t *testing.T) {
-	s := newSparseAcc()
-	c := minComb{}
-	const n = 500
-	for i := 0; i < n; i++ {
-		dst := graph.VertexID(i * 7 % 311)
-		if s.insert(dst, uint64(1000+i), c) {
-			// folded: table must already hold this dst
-			continue
-		}
-	}
-	if s.n != 311 {
-		t.Fatalf("table holds %d entries, want 311 distinct", s.n)
-	}
-	if len(s.keys) < 311*4/3 {
-		t.Fatalf("table did not grow (cap %d for %d entries)", len(s.keys), s.n)
-	}
-	out := s.drain(nil, nil)
-	if len(out) != 311 {
-		t.Fatalf("drained %d entries, want 311", len(out))
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i-1].Dst >= out[i].Dst {
-			t.Fatalf("drain not sorted: %d before %d", out[i-1].Dst, out[i].Dst)
-		}
-	}
-	if s.n != 0 {
-		t.Fatalf("drain left %d entries", s.n)
-	}
-	for _, k := range s.keys {
-		if k != 0 {
-			t.Fatal("drain left a non-zero key")
-		}
-	}
-	// min-fold correctness: re-insert two values for one dst
-	s.insert(5, 9, c)
-	s.insert(5, 3, c)
-	s.insert(5, 7, c)
-	out = s.drain(nil, nil)
-	if len(out) != 1 || out[0].Val != 3 {
-		t.Fatalf("min fold produced %+v, want single entry val 3", out)
+	if n := metrics.Counter(metrics.CtrAccumSparseSegs) - sparse0; n != 0 {
+		t.Fatalf("%d sparse segments counted; the sparse path no longer exists", n)
 	}
 }
 
 // Pool recycling must be invisible to results: running a computation as
-// two Run calls on ONE engine — where the second half draws only slabs,
-// tables and batches that were already used, released and (with poison
-// forced on) overwritten with the poison pattern — must produce a
-// vertex file bit-identical to a fresh engine running straight through.
-// Any read of recycled state that escapes the presence metadata would
-// fold poison into a value and diverge loudly.
+// two Run calls on ONE engine — where the second half draws only slabs
+// and batches that were already used, released and (with poison forced
+// on) overwritten with the poison pattern — must produce a vertex file
+// bit-identical to a fresh engine running straight through. Any read of
+// recycled state that escapes the presence metadata would fold poison
+// into a value and diverge loudly.
 func TestAccumPoolRecycleEquivalence(t *testing.T) {
 	restore := poisonReleases
 	poisonReleases = true
 	defer func() { poisonReleases = restore }()
 
 	g := randomGraph(t, 78, 260, 2000)
-	for _, mode := range []AccumMode{AccumOff, AccumDense, AccumSparse, AccumAuto} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		path string
+		prog Program
+	}{{"batch", prProg{}}, {"slab", prComb{}}} {
+		t.Run(tc.path, func(t *testing.T) {
 			// One dispatcher keeps per-computer arrival order deterministic,
 			// so even PageRank's float sums must match bit for bit. The tiny
-			// budget and batch force heavy mid-dispatch recycle traffic.
+			// batch forces heavy mid-dispatch recycle traffic.
 			base := Config{
 				Dispatchers: 1, Computers: 2,
 				BatchSize:   64,
-				AccumBudget: 512,
-				AccumMode:   mode,
 				DisableSync: true,
 			}
 			const steps = 8
 			ref := base
 			ref.MaxSupersteps = steps
-			refEng, refVf := setup(t, g, prComb{}, ref)
-			if _, err := refEng.Run(); err != nil {
-				t.Fatal(err)
-			}
+			want, _ := runOn(t, g, tc.prog, ref)
 			half := base
 			half.MaxSupersteps = steps / 2
-			eng, vf := setup(t, g, prComb{}, half)
+			eng, vf := setup(t, g, tc.prog, half)
 			for part := 0; part < 2; part++ {
 				if _, err := eng.Run(); err != nil {
 					t.Fatalf("run %d: %v", part, err)
 				}
 			}
-			want, got := refVf.Values(), vf.Values()
-			for v := range got {
-				if got[v] != want[v] {
-					t.Fatalf("vertex %d: recycled engine %#x, fresh engine %#x", v, got[v], want[v])
-				}
-			}
+			assertSame(t, "recycled engine vs fresh engine", vf.Values(), want)
 		})
 	}
 }

@@ -39,18 +39,6 @@ func TestCombiningPreservesResults(t *testing.T) {
 	}
 }
 
-func TestDisableCombining(t *testing.T) {
-	g := randomGraph(t, 32, 100, 600)
-	eng, _ := setup(t, g, ccCombining{}, Config{DisableCombining: true})
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delivered != res.Messages {
-		t.Fatalf("combining disabled but delivered %d != generated %d", res.Delivered, res.Messages)
-	}
-}
-
 func TestNonCombinableProgramDeliversEverything(t *testing.T) {
 	g := randomGraph(t, 33, 100, 600)
 	eng, _ := setup(t, g, ccProg{}, Config{})
@@ -108,50 +96,6 @@ func TestCombineBatchProperty(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBlockOwnerPartitioning(t *testing.T) {
-	g := randomGraph(t, 34, 300, 1500)
-	want := refRun(g, bfsProg{root: 0}, 100)
-	eng, vf := setup(t, g, bfsProg{root: 0}, Config{
-		Owner:     BlockOwner(g.NumVertices),
-		Computers: 4,
-	})
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for v := int64(0); v < g.NumVertices; v++ {
-		if vf.Value(v) != want[v]&vertexfile.PayloadMask {
-			t.Fatalf("vertex %d mismatch under BlockOwner", v)
-		}
-	}
-	// Sanity of the owner function itself.
-	for _, v := range []graph.VertexID{0, 150, 299} {
-		w := BlockOwner(300)(v, 4)
-		if w < 0 || w >= 4 {
-			t.Fatalf("BlockOwner(%d) = %d out of range", v, w)
-		}
-	}
-	if BlockOwner(300)(0, 4) != 0 || BlockOwner(300)(299, 4) != 3 {
-		t.Fatal("BlockOwner endpoints wrong")
-	}
-}
-
-func TestIntervalsByVertices(t *testing.T) {
-	g := randomGraph(t, 35, 400, 2000).Symmetrize()
-	want := refRun(g, ccProg{}, 100)
-	eng, vf := setup(t, g, ccProg{}, Config{
-		Intervals:   IntervalsByVertices,
-		Dispatchers: 4,
-	})
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for v := int64(0); v < g.NumVertices; v++ {
-		if vf.Value(v) != want[v] {
-			t.Fatalf("vertex %d mismatch under vertex-balanced intervals", v)
-		}
 	}
 }
 

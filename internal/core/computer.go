@@ -10,8 +10,9 @@ import (
 // computer is the paper's computing worker (Algorithm 3). It owns the
 // vertices v with v mod Computers == id and folds incoming messages into
 // their values, message-driven, concurrently with dispatching. Messages
-// arrive either as legacy batches (kindData) or as dense accumulator
-// segments (kindSegment) carrying one pre-combined message per vertex.
+// arrive either as per-message batches (kindData, programs without a
+// Combiner) or as dense slabs (kindSegment, combiner programs) carrying
+// one pre-combined message per vertex.
 type computer struct {
 	id  int
 	eng *Engine

@@ -4,44 +4,12 @@ import (
 	"fmt"
 	"runtime"
 	"time"
-
-	"repro/internal/graph"
 )
-
-// OwnerFunc maps a destination vertex to the computing worker that owns
-// it (must be a pure function).
-type OwnerFunc func(dst graph.VertexID, workers int) int
-
-// ModOwner is the default vertex-to-worker assignment (dst mod workers).
-func ModOwner(dst graph.VertexID, workers int) int { return int(dst) % workers }
-
-// BlockOwner assigns contiguous vertex blocks to workers, an alternative
-// with better locality but potentially unbalanced write load.
-func BlockOwner(numVertices int64) OwnerFunc {
-	return func(dst graph.VertexID, workers int) int {
-		w := int(int64(dst) * int64(workers) / numVertices)
-		if w >= workers {
-			w = workers - 1
-		}
-		return w
-	}
-}
 
 // DefaultMaxSupersteps is the superstep cap when Config.MaxSupersteps is
 // zero. Exported so resume logic can interpret "no explicit cap" as the
 // same total budget the original run had.
 const DefaultMaxSupersteps = 100
-
-// IntervalStrategy selects dispatcher interval balancing.
-type IntervalStrategy int
-
-const (
-	// IntervalsByEdges balances dispatcher intervals by edge count
-	// (default).
-	IntervalsByEdges IntervalStrategy = iota
-	// IntervalsByVertices balances by vertex count.
-	IntervalsByVertices
-)
 
 // Config tunes the engine. The zero value selects sensible defaults.
 type Config struct {
@@ -57,6 +25,7 @@ type Config struct {
 
 	// BatchSize is the number of messages accumulated per destination
 	// worker before the batch is put into its mailbox (default 512).
+	// Only programs without a Combiner send batches.
 	BatchSize int
 
 	// MailboxCap is the per-worker mailbox capacity in batches
@@ -83,23 +52,6 @@ type Config struct {
 	// trading the paper's lightweight fault tolerance for speed.
 	DisableSync bool
 
-	// DisableCombining turns off dispatcher-side message combining even
-	// when the program implements Combiner. For ablation experiments.
-	DisableCombining bool
-
-	// AccumMode selects the message path for combiner-enabled programs:
-	// source-side accumulation (dense slab / sparse table, adaptive by
-	// default) or the legacy per-message batch path (AccumOff). Programs
-	// without a Combiner always use the legacy path regardless.
-	AccumMode AccumMode
-
-	// AccumBudget is the byte budget of one (dispatcher, computer)
-	// accumulator before it is flushed to the computing worker as a
-	// segment mid-dispatch (default 256 KiB). Smaller budgets flush more
-	// eagerly, preserving more of the dispatch/compute overlap; larger
-	// budgets combine more messages at the source.
-	AccumBudget int
-
 	// Prefetch spawns one async prefetch actor per dispatcher. Each
 	// walks ahead of its dispatcher's edge cursor issuing windowed
 	// madvise(WILLNEED) on the CSR mapping and releases consumed pages
@@ -112,19 +64,6 @@ type Config struct {
 	// prefetch actor keeps ahead of its dispatcher's cursor (default
 	// 8 MiB). The DONTNEED trail follows one window behind the cursor.
 	PrefetchWindow int
-
-	// Owner assigns each destination vertex to a computing worker. The
-	// default is the paper's "average assignment by mod according to the
-	// vertex id" (§V-A); any pure function of (vertex, workers) works —
-	// ownership only has to be deterministic so no two workers ever
-	// write the same vertex.
-	Owner OwnerFunc
-
-	// Intervals selects how the edge file is split across dispatchers:
-	// balanced by edge count (default; the paper's "assign vertices to
-	// the dispatcher worker by the average edges") or by vertex count
-	// (the paper's "simple mod algorithm" alternative).
-	Intervals IntervalStrategy
 
 	// MaxStepRetries is how many times the manager retries a failed
 	// superstep (worker panic or failure, watchdog timeout, failed
@@ -181,12 +120,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSupersteps <= 0 {
 		c.MaxSupersteps = DefaultMaxSupersteps
 	}
-	if c.Owner == nil {
-		c.Owner = ModOwner
-	}
-	if c.AccumBudget <= 0 {
-		c.AccumBudget = 256 << 10
-	}
 	if c.StepRetryBackoff <= 0 {
 		c.StepRetryBackoff = 25 * time.Millisecond
 	}
@@ -206,12 +139,11 @@ func (c Config) validate() error {
 // StepStats records one superstep's activity.
 type StepStats struct {
 	Step      int64
-	Accum     AccumMode // effective message path this superstep (never Auto)
-	Messages  int64     // messages generated by dispatchers
-	Delivered int64     // messages delivered after combining (== Messages without a Combiner)
-	Updates   int64     // vertex values written
-	Aggregate float64   // the program's global aggregate (programs implementing Aggregator)
-	Digest    uint64    // FNV-1a of the committed column (Config.Digests)
+	Messages  int64   // messages generated by dispatchers
+	Delivered int64   // messages delivered after combining (== Messages without a Combiner)
+	Updates   int64   // vertex values written
+	Aggregate float64 // the program's global aggregate (programs implementing Aggregator)
+	Digest    uint64  // FNV-1a of the committed column (Config.Digests)
 	Duration  time.Duration
 }
 

@@ -16,44 +16,35 @@ import (
 // interval of the CSR edge file and, each superstep, streams it
 // sequentially, generating messages for the out-edges of fresh vertices.
 //
-// For combiner-enabled programs the dispatcher folds messages at the
-// source into per-computer accumulators (dense slab or sparse table,
-// chosen by the manager per superstep) and hands whole segments to the
-// computing workers; without a combiner it falls back to the legacy
-// per-message batch path, whose semantics the durability contract is
+// For a program with a Combiner the dispatcher folds messages at the
+// source into one dense slab per computing worker and hands each slab
+// off whole when its interval is done; without a combiner it sends
+// per-message batches, whose semantics the durability contract is
 // stated against.
 type dispatcher struct {
 	id       int
 	eng      *Engine
 	interval graph.Interval
 
-	// per-computer outgoing batches (legacy path), arena-pooled
+	// per-computer outgoing batches (programs without a Combiner),
+	// arena-pooled
 	bufs []([]Message)
 
-	// scratch is the dispatcher-owned merge-sort workspace for sparse
-	// drains and legacy combining, sized max(BatchSize, sizeEntries)
-	// and recycled to the arena when the actor exits.
-	scratch []Message
+	// per-computer dense slabs (combiner programs), handed off at the
+	// end of the interval
+	dense []*denseSeg
 
-	// owner fast path, hoisted out of the per-edge loop: with the
-	// default mod assignment the Owner call is replaced by a mod (or a
-	// mask when the worker count is a power of two).
+	// owner fast path, hoisted out of the per-edge loop: dst mod workers
+	// is a mask (and the slab index a shift) when the worker count is a
+	// power of two.
 	workers  int
-	isMod    bool
-	ownMask  graph.VertexID // workers-1 when isMod and workers is a power of two
+	ownMask  graph.VertexID // workers-1 when workers is a power of two
 	ownShift uint           // log2(workers) for the dense index
 	usesMask bool
 
-	// accumulator state (combiner programs)
-	dense         []*denseSeg  // per computer, handed off at flush
-	sparse        []*sparseAcc // per computer, drained at flush, reused
-	budgetEntries int          // entries per accumulator before an incremental flush
-	sizeEntries   int          // budgetEntries clamped by maxOwned: buffer sizing bound
-
-	delivered  int64 // messages delivered this superstep (post-combining)
-	folded     int64 // messages combined into an existing accumulator entry
-	denseSegs  int64 // dense segments handed off this superstep
-	sparseSegs int64 // sparse segments handed off this superstep
+	delivered int64 // messages delivered this superstep (post-combining)
+	folded    int64 // messages combined into an existing slab entry
+	denseSegs int64 // slabs handed off this superstep
 }
 
 // Execute is the dispatcher's actor loop: block on a command, run the
@@ -72,23 +63,11 @@ func (d *dispatcher) Execute() (err error) {
 	d.workers = len(d.eng.toComp)
 	d.bufs = make([][]Message, d.workers)
 	d.dense = make([]*denseSeg, d.workers)
-	d.sparse = make([]*sparseAcc, d.workers)
-	d.isMod = d.eng.ownerIsMod
-	if d.isMod && d.workers&(d.workers-1) == 0 {
+	if d.workers&(d.workers-1) == 0 {
 		d.usesMask = true
 		d.ownMask = graph.VertexID(d.workers - 1)
 		d.ownShift = uint(bits.TrailingZeros(uint(d.workers)))
 	}
-	d.budgetEntries = d.eng.cfg.AccumBudget / 16 // 16 bytes per (dst, val) entry
-	if d.budgetEntries < 1 {
-		d.budgetEntries = 1
-	}
-	d.sizeEntries = d.eng.accumEntries()
-	scratchCap := d.eng.cfg.BatchSize
-	if d.eng.combiner != nil && d.eng.cfg.AccumMode != AccumOff && d.sizeEntries > scratchCap {
-		scratchCap = d.sizeEntries
-	}
-	d.scratch = d.eng.pool.getBuf(scratchCap)
 	// Return every locally owned buffer to the arena on the way out
 	// (normal exit or panic — a restarted incarnation draws fresh ones).
 	defer d.releasePooled()
@@ -100,14 +79,14 @@ func (d *dispatcher) Execute() (err error) {
 		if cmd.kind != kindIterationStart {
 			return fmt.Errorf("core: dispatcher %d: unexpected command %v", d.id, cmd.kind)
 		}
-		d.delivered, d.folded, d.denseSegs, d.sparseSegs = 0, 0, 0, 0
+		d.delivered, d.folded, d.denseSegs = 0, 0, 0
 		if d.eng.prefetchOn {
 			// Announce the new superstep to the prefetch actor: its
 			// WILLNEED window rewinds to the interval top with us.
 			d.eng.dispPos[d.id].Store(d.interval.StartWord)
 			d.eng.dispStep[d.id].Store(cmd.step)
 		}
-		sent, err := d.runSuperstep(cmd.step, cmd.accum)
+		sent, err := d.runSuperstep(cmd.step)
 		if err != nil {
 			if d.aborting(err) {
 				// The manager is already tearing this superstep down;
@@ -134,16 +113,12 @@ func (d *dispatcher) aborting(err error) bool {
 
 // dropAccumulators discards partially filled accumulator state after an
 // aborted superstep, so no entry from the failed attempt can leak into a
-// retried one. Slabs return to the arena (putSlab clears their bitmap);
-// sparse tables are reset in place and kept for the next superstep.
+// retried one. Slabs return to the arena (putSlab clears their bitmap).
 func (d *dispatcher) dropAccumulators() {
 	for w := range d.dense {
 		if s := d.dense[w]; s != nil {
 			d.eng.pool.putSlab(s)
 			d.dense[w] = nil
-		}
-		if s := d.sparse[w]; s != nil && s.n > 0 {
-			s.reset()
 		}
 		if len(d.bufs[w]) > 0 {
 			d.bufs[w] = d.bufs[w][:0]
@@ -152,9 +127,8 @@ func (d *dispatcher) dropAccumulators() {
 }
 
 // releasePooled returns every buffer the dispatcher still owns — partial
-// slabs, sparse tables, legacy batches, sort scratch — to the arena.
-// Runs once when the actor exits; buffers already handed to computers
-// are theirs to release.
+// slabs and batches — to the arena. Runs once when the actor exits;
+// buffers already handed to computers are theirs to release.
 func (d *dispatcher) releasePooled() {
 	pool := d.eng.pool
 	for w := range d.dense {
@@ -163,38 +137,24 @@ func (d *dispatcher) releasePooled() {
 			d.dense[w] = nil
 		}
 	}
-	for w := range d.sparse {
-		if s := d.sparse[w]; s != nil {
-			pool.putTable(s)
-			d.sparse[w] = nil
-		}
-	}
 	for w := range d.bufs {
 		if b := d.bufs[w]; b != nil {
 			pool.putBuf(b)
 			d.bufs[w] = nil
 		}
 	}
-	if d.scratch != nil {
-		pool.putBuf(d.scratch)
-		d.scratch = nil
-	}
 }
 
-// owner resolves the computing worker owning dst, using the hoisted mod
-// fast path when the configuration allows it.
+// owner resolves the computing worker owning dst (dst mod workers, the
+// paper's §V-A assignment).
 func (d *dispatcher) owner(dst graph.VertexID) int {
 	if d.usesMask {
 		return int(dst & d.ownMask)
 	}
-	if d.isMod {
-		return int(dst) % d.workers
-	}
-	return d.eng.cfg.Owner(dst, d.workers)
+	return int(dst) % d.workers
 }
 
-// denseIndex maps dst to its slot in the owning computer's dense slab
-// (only valid under mod ownership).
+// denseIndex maps dst to its slot in the owning computer's dense slab.
 func (d *dispatcher) denseIndex(dst graph.VertexID) int64 {
 	if d.usesMask {
 		return int64(dst >> d.ownShift)
@@ -203,12 +163,13 @@ func (d *dispatcher) denseIndex(dst graph.VertexID) int64 {
 }
 
 //gpsa:noalloc
-func (d *dispatcher) runSuperstep(step int64, mode AccumMode) (sent int64, err error) {
+func (d *dispatcher) runSuperstep(step int64) (sent int64, err error) {
 	eng := d.eng
 	col := vertexfile.DispatchCol(step)
 	weighted := eng.gf.Weighted()
 	cur := eng.gf.Cursor(d.interval)
 	prefetch := eng.prefetchOn
+	combining := eng.combiner != nil
 	for {
 		v, deg, edges, ok := cur.Next()
 		if !ok {
@@ -236,15 +197,9 @@ func (d *dispatcher) runSuperstep(step int64, mode AccumMode) (sent int64, err e
 			//lint:noalloc the injection site's PanicValue materializes only when a chaos-run fault fires; production paths allocate nothing
 			fault.Panic(fault.SiteDispatcherMsg)
 			wk := d.owner(dst)
-			switch mode {
-			case AccumDense:
-				err = d.accumDense(wk, dst, msgVal)
-			case AccumSparse:
-				err = d.accumSparse(wk, dst, msgVal)
-			default:
-				err = d.send(wk, dst, msgVal)
-			}
-			if err != nil {
+			if combining {
+				d.accumDense(wk, dst, msgVal)
+			} else if err := d.send(wk, dst, msgVal); err != nil {
 				return sent, err
 			}
 			sent++
@@ -256,23 +211,28 @@ func (d *dispatcher) runSuperstep(step int64, mode AccumMode) (sent int64, err e
 	if err := cur.Err(); err != nil {
 		return sent, err
 	}
-	if err := d.flush(mode); err != nil {
+	if err := d.flush(); err != nil {
 		return sent, err
 	}
-	if mode != AccumOff {
+	if combining {
 		metrics.Add(metrics.CtrAccumFolded, d.folded)
 		metrics.Add(metrics.CtrAccumDelivered, d.delivered)
 		metrics.Add(metrics.CtrAccumDenseSegs, d.denseSegs)
-		metrics.Add(metrics.CtrAccumSparseSegs, d.sparseSegs)
 	}
 	return sent, nil
 }
 
-// accumDense folds a message into the dense slab of computer wk, handing
-// the slab off as a segment once it reaches the byte budget.
+// accumDense folds a message into the dense slab of computer wk. The
+// slab is handed off only when the dispatcher finishes its interval
+// (flush): a slab has one slot per owned vertex, so it can never
+// overflow, and holding it to the end folds the most messages at the
+// source — on the repository benchmark (R-MAT 2^18 / 4M edges,
+// GOMAXPROCS=2) PageRank's job wall went 0.92 s → 0.65 s and its fold
+// ratio 0.47 → 0.04 against handing off every 16 Ki entries (DESIGN.md
+// "Message path").
 //
 //gpsa:noalloc
-func (d *dispatcher) accumDense(wk int, dst graph.VertexID, val uint64) error {
+func (d *dispatcher) accumDense(wk int, dst graph.VertexID, val uint64) {
 	s := d.dense[wk]
 	if s == nil {
 		s = d.eng.getSlab()
@@ -283,44 +243,17 @@ func (d *dispatcher) accumDense(wk int, dst graph.VertexID, val uint64) error {
 	if s.bits[word]&bit != 0 {
 		s.vals[idx] = d.eng.combiner.CombineMsg(s.vals[idx], val)
 		d.folded++
-		return nil
+		return
 	}
 	s.bits[word] |= bit
 	s.vals[idx] = val
 	s.count++
-	if s.count >= d.budgetEntries {
-		return d.flushDense(wk)
-	}
-	return nil
-}
-
-// accumSparse folds a message into the sparse table of computer wk,
-// draining it as a sorted batch once it reaches the byte budget.
-//
-//gpsa:noalloc
-func (d *dispatcher) accumSparse(wk int, dst graph.VertexID, val uint64) error {
-	s := d.sparse[wk]
-	if s == nil {
-		// Pre-sized so the table never grows before the flush budget
-		// drains it: acquisition is the only allocation point, and the
-		// arena makes even that a free-list pop after warm-up.
-		s = d.eng.pool.getTable(d.sizeEntries)
-		d.sparse[wk] = s
-	}
-	if s.insert(dst, val, d.eng.combiner) {
-		d.folded++
-		return nil
-	}
-	if s.n >= d.budgetEntries {
-		return d.flushSparse(wk)
-	}
-	return nil
 }
 
 //gpsa:noalloc
 func (d *dispatcher) flushDense(wk int) error {
 	s := d.dense[wk]
-	if s == nil || s.count == 0 {
+	if s == nil {
 		return nil
 	}
 	d.dense[wk] = nil
@@ -329,20 +262,8 @@ func (d *dispatcher) flushDense(wk int) error {
 	return d.eng.toComp[wk].Put(workerMsg{kind: kindSegment, seg: s})
 }
 
-//gpsa:noalloc
-func (d *dispatcher) flushSparse(wk int) error {
-	s := d.sparse[wk]
-	if s == nil || s.n == 0 {
-		return nil
-	}
-	batch := s.drain(d.eng.pool.getBuf(d.sizeEntries), d.scratch)
-	d.delivered += int64(len(batch))
-	d.sparseSegs++
-	return d.eng.toComp[wk].Put(workerMsg{kind: kindData, batch: batch})
-}
-
 // send buffers a message for the computing worker owning dst on the
-// legacy path, flushing the batch when full.
+// batch path, putting the batch in the worker's mailbox when full.
 //
 //gpsa:noalloc
 func (d *dispatcher) send(wk int, dst graph.VertexID, val uint64) error {
@@ -361,30 +282,21 @@ func (d *dispatcher) send(wk int, dst graph.VertexID, val uint64) error {
 func (d *dispatcher) dispatchBatch(w int) error {
 	b := d.bufs[w]
 	d.bufs[w] = nil
-	if c := d.eng.combiner; c != nil {
-		b = combineScratch(b, d.scratch, c)
-	}
 	d.delivered += int64(len(b))
 	return d.eng.toComp[w].Put(workerMsg{kind: kindData, batch: b})
 }
 
-// flush hands over every partial accumulator or batch at the end of the
+// flush hands over every slab and partial batch at the end of the
 // interval, in worker order (deterministic).
-func (d *dispatcher) flush(mode AccumMode) error {
+func (d *dispatcher) flush() error {
 	for w := 0; w < d.workers; w++ {
-		var err error
-		switch mode {
-		case AccumDense:
-			err = d.flushDense(w)
-		case AccumSparse:
-			err = d.flushSparse(w)
-		default:
-			if len(d.bufs[w]) > 0 {
-				err = d.dispatchBatch(w)
-			}
-		}
-		if err != nil {
+		if err := d.flushDense(w); err != nil {
 			return err
+		}
+		if len(d.bufs[w]) > 0 {
+			if err := d.dispatchBatch(w); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

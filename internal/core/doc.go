@@ -28,9 +28,13 @@
 //     values are written fresh; unchanged vertices stay stale and are
 //     skipped by dispatchers next superstep (selective scheduling).
 //
-// Messages are batched between dispatchers and computing workers
-// (Config.BatchSize); this is an implementation constant, not a model
-// change — mailboxes remain asynchronous and FIFO, and the barrier
-// message is only sent after all dispatcher sends have completed, so
-// FIFO ordering guarantees computing workers observe it last.
+// Messages are not mailed one by one. A program that implements Combiner
+// has them folded at the dispatcher into one dense slab per computing
+// worker, handed off whole at the end of the dispatcher's interval; any
+// other program has them batched (Config.BatchSize). Which of the two
+// paths runs is a property of the program, never of configuration (see
+// accum.go). Neither changes the model — mailboxes remain asynchronous
+// and FIFO, and the barrier message is only sent after all dispatcher
+// sends have completed, so FIFO ordering guarantees computing workers
+// observe it last.
 package core

@@ -32,7 +32,6 @@ const (
 type workerMsg struct {
 	kind   msgKind
 	step   int64
-	accum  AccumMode // iterationStart: effective accumulator mode
 	batch  []Message // kindData
 	seg    *denseSeg // kindSegment
 	from   int       // sender worker id
@@ -49,7 +48,7 @@ type Engine struct {
 	prog Program
 	cfg  Config
 
-	combiner   Combiner   // non-nil when the program combines and combining is enabled
+	combiner   Combiner   // non-nil when the program combines: selects the slab message path
 	aggregator Aggregator // non-nil when the program aggregates
 	system     *actor.System
 	toManager  *actor.Mailbox[workerMsg]
@@ -67,17 +66,13 @@ type Engine struct {
 	dispPos    []atomic.Int64
 	dispStep   []atomic.Int64
 
-	// ownerIsMod records that Config.Owner was left at the default mod
-	// assignment, enabling the dispatcher's mask/stride owner fast path
-	// and the dense accumulator's vertex→slab-index mapping.
-	ownerIsMod bool
 	// maxOwned is the largest number of vertices any computing worker
-	// owns under mod assignment — the dense slab size.
+	// owns (ceil(|V| / Computers)) — the dense slab size.
 	maxOwned int64
 
-	// pool is the engine-owned arena behind slabs, sparse tables and
-	// message buffers — explicit free lists (prewarmed in New) so the
-	// steady-state hot path never allocates. See pool.go.
+	// pool is the engine-owned arena behind slabs and message buffers —
+	// explicit free lists (prewarmed in New) so the steady-state hot
+	// path never allocates. See pool.go.
 	pool *arena
 
 	// per-superstep statistics scratch, reused across runStep calls.
@@ -130,21 +125,19 @@ func New(gf *graph.File, vf *vertexfile.File, prog Program, cfg Config) (*Engine
 	if prog == nil {
 		return nil, fmt.Errorf("core: nil program")
 	}
-	ownerIsMod := cfg.Owner == nil
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	e := &Engine{
-		gf:         gf,
-		vf:         vf,
-		prog:       prog,
-		cfg:        cfg,
-		ownerIsMod: ownerIsMod,
-		maxOwned:   (gf.NumVertices + int64(cfg.Computers) - 1) / int64(cfg.Computers),
+		gf:       gf,
+		vf:       vf,
+		prog:     prog,
+		cfg:      cfg,
+		maxOwned: (gf.NumVertices + int64(cfg.Computers) - 1) / int64(cfg.Computers),
 	}
-	e.pool = newArena(e.maxOwned)
-	if c, ok := prog.(Combiner); ok && !cfg.DisableCombining {
+	e.pool = newArena(e.maxOwned, cfg.BatchSize)
+	if c, ok := prog.(Combiner); ok {
 		e.combiner = c
 	}
 	if a, ok := prog.(Aggregator); ok {
@@ -163,66 +156,33 @@ func CreateValueFile(path string, gf *graph.File, prog Program) (*vertexfile.Fil
 	return vertexfile.Create(path, gf.NumVertices, prog.Init)
 }
 
-func (e *Engine) getBatch() []Message  { return e.pool.getBuf(e.cfg.BatchSize) }
+func (e *Engine) getBatch() []Message  { return e.pool.getBuf() }
 func (e *Engine) putBatch(b []Message) { e.pool.putBuf(b) }
 func (e *Engine) getSlab() *denseSeg   { return e.pool.getSlab() }
 func (e *Engine) putSlab(s *denseSeg)  { e.pool.putSlab(s) }
 
-// accumEntries is the per-accumulator sizing bound: the flush budget in
-// entries, clamped by maxOwned — a per-(dispatcher, computer)
-// accumulator can never hold more distinct destinations than the
-// computer owns, so an oversized AccumBudget must not balloon the
-// pooled sparse tables and drain buffers.
-func (e *Engine) accumEntries() int {
-	be := e.cfg.AccumBudget / 16 // 16 bytes per (dst, val) entry
-	if be < 1 {
-		be = 1
-	}
-	if int64(be) > e.maxOwned {
-		be = int(e.maxOwned)
-	}
-	return be
-}
-
 // prewarmPool stocks the arena with the steady-state working set at
 // construction time, so even the first superstep runs without hot-path
-// allocation. Counts model each buffer kind's in-flight bound — how
-// many can simultaneously sit between a dispatcher's handoff and a
-// computer's release: the computer mailboxes bound the queue (flushed
-// segments block the dispatcher once a mailbox is full), plus one
-// being filled per pair and one being processed per computer. A
-// per-kind byte cap keeps pathological shapes (huge slabs × deep
-// mailboxes) from turning warm-up into a memory hog; past the cap the
-// ramp allocates lazily, which at that scale is noise per message.
+// allocation. A combiner program needs one slab per (dispatcher,
+// computer) pair: each pair hands its slab off once per superstep and
+// the barrier returns every slab before the next superstep fills one.
+// The batch path's in-flight bound is what the computer mailboxes can
+// queue (a full mailbox blocks the dispatcher), plus one batch being
+// filled per pair and one blocked in Put per dispatcher. A byte cap
+// keeps pathological shapes (huge slabs × many pairs) from turning
+// warm-up into a memory hog; past the cap the ramp allocates lazily,
+// which at that scale is noise per message.
 func (e *Engine) prewarmPool() {
 	cfg := e.cfg
 	pairs := cfg.Dispatchers * cfg.Computers
 	const warmBytesCap = 256 << 20
-	accum := e.combiner != nil && cfg.AccumMode != AccumOff
-
-	scratchCap := cfg.BatchSize
-	if accum {
-		entries := e.accumEntries()
-		if entries > scratchCap {
-			scratchCap = entries
-		}
-		inFlight := cfg.Computers*cfg.MailboxCap + pairs + cfg.Computers
-		denseOK := e.ownerIsMod && (cfg.AccumMode == AccumAuto || cfg.AccumMode == AccumDense)
-		sparseOK := !denseOK || cfg.AccumMode == AccumAuto
-		if denseOK {
-			slabBytes := int(e.maxOwned*8 + (e.maxOwned+63)/64*8)
-			e.pool.warmSlabs(warmCount(inFlight, slabBytes, warmBytesCap))
-		}
-		if sparseOK {
-			e.pool.warmTables(pairs, entries)
-			e.pool.warmBufs(warmCount(inFlight, entries*16, warmBytesCap), entries)
-		}
+	if e.combiner != nil {
+		slabBytes := int(e.maxOwned*8 + (e.maxOwned+63)/64*8)
+		e.pool.warmSlabs(warmCount(pairs, slabBytes, warmBytesCap))
+		return
 	}
-	// Legacy batch path (non-combiner programs, off mode) plus one sort
-	// scratch per dispatcher.
 	nb := cfg.Computers*cfg.MailboxCap + pairs + cfg.Dispatchers
-	e.pool.warmBufs(warmCount(nb, cfg.BatchSize*16, warmBytesCap), cfg.BatchSize)
-	e.pool.warmBufs(cfg.Dispatchers, scratchCap)
+	e.pool.warmBufs(warmCount(nb, cfg.BatchSize*16, warmBytesCap))
 }
 
 // warmCount caps a prewarm count so n buffers of bytesEach stay within
@@ -235,36 +195,6 @@ func warmCount(n, bytesEach, budget int) int {
 		return max
 	}
 	return n
-}
-
-// denseActiveDenom is the adaptive switch threshold: AccumAuto picks the
-// dense slab when at least 1/denom of all vertices are active this
-// superstep, the sparse table otherwise. At 16 bytes per slab slot vs
-// ~21 bytes per occupied sparse entry (key+value at ≤75% load), dense
-// wins comfortably above this fraction and the slab's O(|V|/Computers)
-// flush scan stays amortised.
-const denseActiveDenom = 8
-
-// accumModeFor resolves the effective accumulator mode for the superstep
-// about to run. Must be called after vf.Begin (it reads the active-set
-// count Begin just snapshotted). Never returns AccumAuto.
-func (e *Engine) accumModeFor() AccumMode {
-	if e.combiner == nil || e.cfg.AccumMode == AccumOff {
-		return AccumOff
-	}
-	switch e.cfg.AccumMode {
-	case AccumDense:
-		if e.ownerIsMod {
-			return AccumDense
-		}
-		return AccumSparse // dense indexing requires mod ownership
-	case AccumSparse:
-		return AccumSparse
-	}
-	if e.ownerIsMod && e.vf.ActiveCount()*denseActiveDenom >= e.vf.NumVertices() {
-		return AccumDense
-	}
-	return AccumSparse
 }
 
 // spawn builds a fresh worker crew: manager mailbox, per-worker
@@ -376,11 +306,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	}
 	e.runCtx = ctx
 	cfg := e.cfg
-	if cfg.Intervals == IntervalsByVertices {
-		e.intervals = e.gf.PartitionByVertices(cfg.Dispatchers)
-	} else {
-		e.intervals = e.gf.Partition(cfg.Dispatchers)
-	}
+	e.intervals = e.gf.Partition(cfg.Dispatchers)
 	res := &Result{
 		DispatcherMessages: make([]int64, len(e.intervals)),
 		ComputerUpdates:    make([]int64, cfg.Computers),
@@ -520,12 +446,9 @@ func (e *Engine) runStep(step int64, res *Result) (converged bool, err error) {
 	}
 	t0 := now()
 
-	// ITERATION_START to every dispatcher, carrying the message-path
-	// decision for this superstep (adaptive dense/sparse accumulation,
-	// resolved from the active-set count Begin just snapshotted).
-	mode := e.accumModeFor()
+	// ITERATION_START to every dispatcher.
 	for _, mb := range e.toDisp {
-		if err := mb.Put(workerMsg{kind: kindIterationStart, step: step, accum: mode}); err != nil {
+		if err := mb.Put(workerMsg{kind: kindIterationStart, step: step}); err != nil {
 			return false, &stepError{step: step, phase: "dispatch", err: err, retryable: false}
 		}
 	}
@@ -619,7 +542,7 @@ func (e *Engine) runStep(step int64, res *Result) (converged bool, err error) {
 		digest = e.digest(step)
 	}
 
-	st := StepStats{Step: step, Accum: mode, Messages: messages, Delivered: delivered, Updates: updates, Aggregate: aggVal, Digest: digest, Duration: now().Sub(t0)}
+	st := StepStats{Step: step, Messages: messages, Delivered: delivered, Updates: updates, Aggregate: aggVal, Digest: digest, Duration: now().Sub(t0)}
 	res.Steps = append(res.Steps, st)
 	res.Supersteps++
 	res.Messages += messages

@@ -109,43 +109,70 @@ func randomGraph(t testing.TB, seed int64, v int64, e int) *graph.CSR {
 
 // refRun is a deterministic serial executor with engine semantics (a
 // duplicate of algorithms.ReferenceRun, local to avoid an import cycle).
+// A program that implements Combiner is executed as it declares itself:
+// each destination's messages are folded with CombineMsg in generation
+// order and Compute sees the one combined message — which is what the
+// slab path delivers, bit for bit, when a single dispatcher generates
+// them. For min-folds the two executions are indistinguishable.
 func refRun(g *graph.CSR, p Program, maxSteps int) []uint64 {
 	n := g.NumVertices
+	comb, _ := p.(Combiner)
 	vals := make([]uint64, n)
 	active := make([]bool, n)
 	upd := make([]uint64, n)
 	touched := make([]bool, n)
+	acc := make([]uint64, n)
+	present := make([]bool, n)
 	for v := int64(0); v < n; v++ {
 		vals[v], active[v] = p.Init(v)
 	}
 	for s := 0; s < maxSteps; s++ {
 		var msgs, updates int64
 		for i := range touched {
-			touched[i] = false
+			touched[i], present[i] = false, false
+		}
+		apply := func(d int64, mv uint64) {
+			first := !touched[d]
+			cur := vals[d]
+			if !first {
+				cur = upd[d]
+			}
+			nv, changed := p.Compute(d, cur, mv, first)
+			if changed {
+				upd[d] = nv
+				touched[d] = true
+				updates++
+			}
 		}
 		for v := int64(0); v < n; v++ {
 			if !active[v] {
 				continue
 			}
 			deg := g.OutDegree(graph.VertexID(v))
-			for _, dst := range g.Neighbors(graph.VertexID(v)) {
-				mv, send := p.GenMsg(v, vals[v], deg, dst, 0)
+			ws := g.EdgeWeights(graph.VertexID(v))
+			for i, dst := range g.Neighbors(graph.VertexID(v)) {
+				var w float32
+				if ws != nil {
+					w = ws[i]
+				}
+				mv, send := p.GenMsg(v, vals[v], deg, dst, w)
 				if !send {
 					continue
 				}
 				msgs++
-				d := int64(dst)
-				first := !touched[d]
-				cur := vals[d]
-				if !first {
-					cur = upd[d]
+				switch d := int64(dst); {
+				case comb == nil:
+					apply(d, mv)
+				case present[d]:
+					acc[d] = comb.CombineMsg(acc[d], mv)
+				default:
+					acc[d], present[d] = mv, true
 				}
-				nv, changed := p.Compute(d, cur, mv, first)
-				if changed {
-					upd[d] = nv
-					touched[d] = true
-					updates++
-				}
+			}
+		}
+		for d := int64(0); d < n; d++ {
+			if present[d] {
+				apply(d, acc[d])
 			}
 		}
 		for v := int64(0); v < n; v++ {

@@ -19,7 +19,6 @@ func TestPrefetchEquivalence(t *testing.T) {
 		Dispatchers:   1,
 		Computers:     2,
 		BatchSize:     64,
-		AccumBudget:   1 << 10,
 		MaxSupersteps: 6,
 		DisableSync:   true,
 	}

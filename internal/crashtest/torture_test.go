@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/harness"
 	"repro/internal/vertexfile"
 )
 
@@ -37,12 +38,14 @@ func TestMain(m *testing.M) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if gpsaBin, err = buildGPSA(dir); err != nil {
+		if gpsaBin, err = harness.Build(dir, "gpsa"); err != nil {
 			fatal(err)
 		}
-		if directedGraph, symmetricGraph, err = writeGraphs(dir); err != nil {
+		directed, symmetric, err := harness.WriteTortureGraphs(dir)
+		if err != nil {
 			fatal(err)
 		}
+		directedGraph, symmetricGraph = filepath.Join(dir, directed), filepath.Join(dir, symmetric)
 	}
 	code := m.Run()
 	if dir != "" {
@@ -76,7 +79,7 @@ func resumable(path string) bool {
 
 // runBaseline executes one uninterrupted run into its own value file and
 // returns the sealed state every tortured run must reproduce exactly.
-func runBaseline(t *testing.T, graphPath string, algoArgs []string, dir string) fileState {
+func runBaseline(t *testing.T, graphPath string, algoArgs []string, dir string) harness.FileState {
 	t.Helper()
 	values := filepath.Join(dir, "baseline.gpvf")
 	args := append([]string{"-graph", graphPath, "-dispatchers", "1", "-values", values}, algoArgs...)
@@ -87,7 +90,7 @@ func runBaseline(t *testing.T, graphPath string, algoArgs []string, dir string) 
 	if res.exitCode != 0 {
 		t.Fatalf("baseline run exited %d\nstdout:\n%s\nstderr:\n%s", res.exitCode, res.stdout, res.stderr)
 	}
-	state, err := readState(values)
+	state, err := harness.ReadState(values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +101,9 @@ func runBaseline(t *testing.T, graphPath string, algoArgs []string, dir string) 
 // shipped algorithm it SIGKILLs the gpsa binary at randomized supersteps
 // and commit-protocol phases (plus wall-clock jitter kills), resumes
 // with -resume, and requires the surviving value file to end bit-identical
-// to the uninterrupted baseline. 5 cases x 7 kills = 35 randomized
-// kill points per run of the harness. The pagerank case runs the default
-// message path (adaptive source-side accumulation — dense, since
-// PageRank keeps every vertex active); pagerank-sparse pins the sparse
-// accumulator so both segment paths face the kill schedule;
+// to the uninterrupted baseline. 4 cases x 7 kills = 28 randomized
+// kill points per run of the harness. All three algorithms are combiner
+// programs, so every case runs the dense slab message path;
 // pagerank-prefetch forces the async CSR prefetcher on, so kills land
 // while madvise windows are in flight ahead of the edge cursor.
 func TestTortureKillResume(t *testing.T) {
@@ -116,7 +117,6 @@ func TestTortureKillResume(t *testing.T) {
 		seed  int64
 	}{
 		{"pagerank", func() string { return directedGraph }, []string{"-algo", "pagerank", "-supersteps", "12"}, 101},
-		{"pagerank-sparse", func() string { return directedGraph }, []string{"-algo", "pagerank", "-supersteps", "12", "-accum", "sparse"}, 404},
 		{"pagerank-prefetch", func() string { return directedGraph }, []string{"-algo", "pagerank", "-supersteps", "12", "-prefetch"}, 505},
 		{"bfs", func() string { return directedGraph }, []string{"-algo", "bfs", "-root", "0"}, 202},
 		{"cc", func() string { return symmetricGraph }, []string{"-algo", "cc"}, 303},
@@ -168,13 +168,13 @@ func tortureCase(t *testing.T, graphPath string, algoArgs []string, wantKills in
 		case res.exitCode == 0:
 			// Finished before the kill fired. The completed state must
 			// already match the baseline; restart fresh for more kills.
-			state, rerr := readState(values)
+			state, rerr := harness.ReadState(values)
 			if rerr != nil {
 				t.Fatal(rerr)
 			}
-			if !state.equal(baseline) {
+			if !state.Equal(baseline) {
 				t.Fatalf("completed torture run diverged from baseline: epoch %d vs %d, converged %v vs %v",
-					state.epoch, baseline.epoch, state.converged, baseline.converged)
+					state.Epoch, baseline.Epoch, state.Converged, baseline.Converged)
 			}
 			os.Remove(values)
 		default:
@@ -204,15 +204,15 @@ func tortureCase(t *testing.T, graphPath string, algoArgs []string, wantKills in
 		}
 		finished = true
 	}
-	state, err := readState(values)
+	state, err := harness.ReadState(values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !state.equal(baseline) {
+	if !state.Equal(baseline) {
 		t.Fatalf("after %d kills and %d resumes: final state diverged from baseline (epoch %d vs %d, converged %v vs %v)",
-			kills, resumes, state.epoch, baseline.epoch, state.converged, baseline.converged)
+			kills, resumes, state.Epoch, baseline.Epoch, state.Converged, baseline.Converged)
 	}
-	t.Logf("%d SIGKILLs, %d resumes, final state bit-identical to baseline (epoch %d)", kills, resumes, state.epoch)
+	t.Logf("%d SIGKILLs, %d resumes, final state bit-identical to baseline (epoch %d)", kills, resumes, state.Epoch)
 }
 
 // TestInterruptSealsCleanly covers the graceful half of the contract:
@@ -262,12 +262,12 @@ func TestInterruptSealsCleanly(t *testing.T) {
 	if !strings.Contains(res.stdout, "resumed at superstep") {
 		t.Fatalf("resume output missing resume point:\n%s", res.stdout)
 	}
-	state, err := readState(values)
+	state, err := harness.ReadState(values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !state.equal(baseline) {
-		t.Fatalf("resume after SIGINT diverged from baseline (epoch %d vs %d)", state.epoch, baseline.epoch)
+	if !state.Equal(baseline) {
+		t.Fatalf("resume after SIGINT diverged from baseline (epoch %d vs %d)", state.Epoch, baseline.Epoch)
 	}
 }
 
@@ -320,7 +320,6 @@ func TestTortureKillDuringResume(t *testing.T) {
 		seed  int64
 	}{
 		{"pagerank", func() string { return directedGraph }, []string{"-algo", "pagerank", "-supersteps", "12"}, 111},
-		{"pagerank-sparse", func() string { return directedGraph }, []string{"-algo", "pagerank", "-supersteps", "12", "-accum", "sparse"}, 444},
 		{"bfs", func() string { return directedGraph }, []string{"-algo", "bfs", "-root", "0"}, 222},
 		{"cc", func() string { return symmetricGraph }, []string{"-algo", "cc"}, 333},
 	}
@@ -373,12 +372,12 @@ func killDuringResumeCase(t *testing.T, graphPath string, algoArgs []string, wan
 			}
 		case res.exitCode == 0:
 			// Finished before the kill fired: verify and restart fresh.
-			state, rerr := readState(values)
+			state, rerr := harness.ReadState(values)
 			if rerr != nil {
 				t.Fatal(rerr)
 			}
-			if !state.equal(baseline) {
-				t.Fatalf("completed run diverged from baseline (epoch %d vs %d)", state.epoch, baseline.epoch)
+			if !state.Equal(baseline) {
+				t.Fatalf("completed run diverged from baseline (epoch %d vs %d)", state.Epoch, baseline.Epoch)
 			}
 			os.Remove(values)
 		default:
@@ -401,13 +400,13 @@ func killDuringResumeCase(t *testing.T, graphPath string, algoArgs []string, wan
 	if !strings.Contains(res.stdout, "resumed at superstep") {
 		t.Fatalf("final resume did not report its resume point:\n%s", res.stdout)
 	}
-	state, err := readState(values)
+	state, err := harness.ReadState(values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !state.equal(baseline) {
+	if !state.Equal(baseline) {
 		t.Fatalf("after %d kills-during-resume: final state diverged from baseline (epoch %d vs %d, converged %v vs %v)",
-			resumeKills, state.epoch, baseline.epoch, state.converged, baseline.converged)
+			resumeKills, state.Epoch, baseline.Epoch, state.Converged, baseline.Converged)
 	}
-	t.Logf("%d SIGKILLs landed inside -resume runs; final state bit-identical to baseline (epoch %d)", resumeKills, state.epoch)
+	t.Logf("%d SIGKILLs landed inside -resume runs; final state bit-identical to baseline (epoch %d)", resumeKills, state.Epoch)
 }

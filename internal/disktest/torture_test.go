@@ -17,6 +17,7 @@ import (
 	"repro/internal/diskio"
 	"repro/internal/fault"
 	"repro/internal/graph"
+	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/mmap"
 	"repro/internal/scrub"
@@ -39,12 +40,12 @@ var (
 	baselineOnce sync.Once
 	baselineDir  string
 	baselineErr  error
-	baselineSt   fileState
+	baselineSt   harness.FileState
 )
 
 // baselineState runs PageRank once on an undisturbed disk and memoizes
 // the sealed outcome every storm run is judged against.
-func baselineState(t *testing.T) fileState {
+func baselineState(t *testing.T) harness.FileState {
 	t.Helper()
 	baselineOnce.Do(func() {
 		if fault.Enabled() {
@@ -77,7 +78,7 @@ func baselineState(t *testing.T) fileState {
 			baselineErr = err
 			return
 		}
-		baselineSt, baselineErr = readState(vp)
+		baselineSt, baselineErr = harness.ReadState(vp)
 	})
 	if baselineErr != nil {
 		t.Fatalf("disktest baseline: %v", baselineErr)
@@ -167,7 +168,7 @@ func TestDiskTortureEngineStorms(t *testing.T) {
 
 // runStorm executes one (site, onset) cell of the matrix and returns
 // its outcome record.
-func runStorm(t *testing.T, site string, after int64, base fileState) stormReport {
+func runStorm(t *testing.T, site string, after int64, base harness.FileState) stormReport {
 	t.Helper()
 	csr, err := tortureGraph(false)
 	if err != nil {
@@ -207,12 +208,12 @@ func runStorm(t *testing.T, site string, after int64, base fileState) stormRepor
 		if err := vals.Close(); err != nil {
 			t.Fatalf("site %s: closing values: %v", site, err)
 		}
-		st, err := readState(vp)
+		st, err := harness.ReadState(vp)
 		if err != nil {
 			t.Fatalf("site %s: run reported success but the file does not verify: %v", site, err)
 		}
-		if !st.equal(base) {
-			t.Fatalf("site %s: run reported success with values NOT bit-identical to baseline (epoch %d vs %d) — silent corruption", site, st.epoch, base.epoch)
+		if !st.Equal(base) {
+			t.Fatalf("site %s: run reported success with values NOT bit-identical to baseline (epoch %d vs %d) — silent corruption", site, st.Epoch, base.Epoch)
 		}
 		rep.Outcome = "completed"
 		return rep
@@ -239,11 +240,11 @@ func runStorm(t *testing.T, site string, after int64, base fileState) stormRepor
 	if err := vals.Close(); err != nil {
 		t.Fatalf("site %s: closing recovered values: %v", site, err)
 	}
-	st, err := readState(vp)
+	st, err := harness.ReadState(vp)
 	if err != nil {
 		t.Fatalf("site %s: recovered file does not verify: %v", site, err)
 	}
-	if !st.equal(base) {
+	if !st.Equal(base) {
 		t.Fatalf("site %s: recovered values NOT bit-identical to baseline", site)
 	}
 	rep.Outcome = "typed-error+recovered"
@@ -317,7 +318,7 @@ func TestDiskReadFaultsTyped(t *testing.T) {
 // — all without a restart.
 func TestDiskServeDegradedEnterExit(t *testing.T) {
 	dir := t.TempDir()
-	bin, err := buildServe(dir)
+	bin, err := harness.Build(dir, "gpsa-serve")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,28 +340,30 @@ func TestDiskServeDegradedEnterExit(t *testing.T) {
 	// Four EIO write firings: the submit's journal append (1) plus three
 	// failed probes, then the disk "heals" on its own — exactly the
 	// transient-outage shape degraded mode exists for.
-	srv, err := startServer(bin, graphDir, jobsDir, "site=disk.eio.write,count=4",
-		"-probe-interval", "50ms", "-workers", "2")
+	srv, err := harness.StartServer(harness.ServerConfig{
+		Bin: bin, GraphDir: graphDir, JobsDir: jobsDir, Fault: "site=disk.eio.write,count=4",
+		Extra: []string{"-probe-interval", "50ms", "-workers", "2"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.kill()
+	defer srv.Kill()
 
 	spec := map[string]any{"graph": "t.gpsa", "algo": "pagerank"}
-	code, _, hdr, err := srv.submit(spec)
+	code, _, hdr, err := srv.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code != 503 {
-		t.Fatalf("submit on failing disk = %d, want 503; stderr:\n%s", code, srv.stderrText())
+		t.Fatalf("submit on failing disk = %d, want 503; stderr:\n%s", code, srv.StderrText())
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("degraded 503 carries no Retry-After")
 	}
-	if code, err := srv.getStatus("/readyz"); err != nil || code != 503 {
+	if code, err := srv.GetStatus("/readyz"); err != nil || code != 503 {
 		t.Fatalf("/readyz while degraded = %d, %v; want 503", code, err)
 	}
-	snap, err := srv.metricsSnapshot()
+	snap, err := srv.MetricsSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,26 +377,26 @@ func TestDiskServeDegradedEnterExit(t *testing.T) {
 	// The probe exhausts the injection budget and readmits.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		code, err := srv.getStatus("/readyz")
+		code, err := srv.GetStatus("/readyz")
 		if err == nil && code == 200 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("/readyz never recovered; stderr:\n%s", srv.stderrText())
+			t.Fatalf("/readyz never recovered; stderr:\n%s", srv.StderrText())
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
 
-	code, j, _, err := srv.submit(spec)
+	code, j, _, err := srv.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code != 202 {
-		t.Fatalf("submit after recovery = %d, want 202; stderr:\n%s", code, srv.stderrText())
+		t.Fatalf("submit after recovery = %d, want 202; stderr:\n%s", code, srv.StderrText())
 	}
 	deadline = time.Now().Add(30 * time.Second)
 	for {
-		got, err := srv.getJob(j.ID)
+		got, err := srv.GetJob(j.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,7 +411,7 @@ func TestDiskServeDegradedEnterExit(t *testing.T) {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	snap, err = srv.metricsSnapshot()
+	snap, err = srv.MetricsSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +463,7 @@ func TestDiskClusterBitrotRepairBitIdentical(t *testing.T) {
 	}
 	owners := cluster.StaticOwners(len(intervals), nodes)
 	nodePath := func(id int) string { return filepath.Join(work, fmt.Sprintf("node-%d.gpvf", id)) }
-	epochSt, err := readState(nodePath(0))
+	epochSt, err := harness.ReadState(nodePath(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,24 +479,24 @@ func TestDiskClusterBitrotRepairBitIdentical(t *testing.T) {
 	combined := filepath.Join(dir, "combined.gpvf")
 	n := int64(len(values))
 	repair := func() error {
-		return cluster.RepairValuesFile(combined, n, epochSt.epoch, prog.Init, sources)
+		return cluster.RepairValuesFile(combined, n, epochSt.Epoch, prog.Init, sources)
 	}
 	if err := repair(); err != nil {
 		t.Fatalf("building combined artifact: %v", err)
 	}
-	st, err := readState(combined)
+	st, err := harness.ReadState(combined)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := int64(0); v < n; v++ {
-		if st.values[v] != values[v] {
-			t.Fatalf("combined artifact differs from gathered values at vertex %d: %d vs %d", v, st.values[v], values[v])
+		if st.Values[v] != values[v] {
+			t.Fatalf("combined artifact differs from gathered values at vertex %d: %d vs %d", v, st.Values[v], values[v])
 		}
 	}
 
 	// Rot a sealed dispatch-column payload, where the column digest —
 	// not the header checksum — must catch it.
-	rotOff := 128 + 8*((n+63)/64) + 8*(2*150+int64(vertexfile.DispatchCol(st.epoch)))
+	rotOff := 128 + 8*((n+63)/64) + 8*(2*150+int64(vertexfile.DispatchCol(st.Epoch)))
 	if err := diskio.Rot(combined, rotOff); err != nil {
 		t.Fatal(err)
 	}
@@ -529,13 +532,13 @@ func TestDiskClusterBitrotRepairBitIdentical(t *testing.T) {
 	}
 
 	// The repaired artifact is bit-identical to the cluster result.
-	st, err = readState(combined)
+	st, err = harness.ReadState(combined)
 	if err != nil {
 		t.Fatalf("repaired artifact does not verify: %v", err)
 	}
 	for v := int64(0); v < n; v++ {
-		if st.values[v] != values[v] {
-			t.Fatalf("repaired artifact differs at vertex %d: %d vs %d", v, st.values[v], values[v])
+		if st.Values[v] != values[v] {
+			t.Fatalf("repaired artifact differs at vertex %d: %d vs %d", v, st.Values[v], values[v])
 		}
 	}
 }

@@ -551,46 +551,6 @@ func (f *File) Partition(n int) []Interval {
 	return ivs
 }
 
-// PartitionByVertices splits the graph into at most n intervals with
-// approximately equal vertex counts (the paper's "simple mod algorithm"
-// alternative, §V-A), snapped to index entries.
-func (f *File) PartitionByVertices(n int) []Interval {
-	if n < 1 {
-		n = 1
-	}
-	bounds := []IndexEntry{f.index[0]}
-	for k := 1; k < n; k++ {
-		target := f.NumVertices * int64(k) / int64(n)
-		lo, hi := 0, len(f.index)-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if f.index[mid].FirstVertex < target {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		e := f.index[lo]
-		if e.FirstVertex > bounds[len(bounds)-1].FirstVertex && e.FirstVertex < f.NumVertices {
-			bounds = append(bounds, e)
-		}
-	}
-	bounds = append(bounds, f.index[len(f.index)-1])
-
-	ivs := make([]Interval, 0, len(bounds)-1)
-	for i := 0; i+1 < len(bounds); i++ {
-		a, b := bounds[i], bounds[i+1]
-		ivs = append(ivs, Interval{
-			FirstVertex: a.FirstVertex,
-			EndVertex:   b.FirstVertex,
-			StartWord:   a.WordOff,
-			EndWord:     b.WordOff,
-			Edges:       b.CumEdges - a.CumEdges,
-		})
-	}
-	return ivs
-}
-
 // Cursor returns a sequential reader over the records of iv. Cursors are
 // single-goroutine objects; compact-format cursors decode into an
 // internal scratch buffer that Next reuses, so the returned edge slice is

@@ -75,22 +75,15 @@ var noallocRequired = map[string][]string{
 	"internal/core": {
 		"(*dispatcher).runSuperstep",
 		"(*dispatcher).accumDense",
-		"(*dispatcher).accumSparse",
 		"(*dispatcher).send",
 		"(*dispatcher).flushDense",
-		"(*dispatcher).flushSparse",
 		"(*dispatcher).dispatchBatch",
 		"(*computer).processSegment",
 		"(*computer).processBatch",
-		"(*sparseAcc).insert",
-		"(*sparseAcc).drain",
 		"(*arena).getSlab",
 		"(*arena).putSlab",
-		"(*arena).getTable",
-		"(*arena).putTable",
 		"(*arena).getBuf",
 		"(*arena).putBuf",
-		"sortMessagesByDst",
 	},
 	"internal/vertexfile": {
 		"(*File).BulkApply",

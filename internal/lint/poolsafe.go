@@ -7,15 +7,15 @@ import (
 )
 
 // PoolSafe makes the arena's ownership protocol static. The core pool
-// (internal/core/pool.go) recycles dense slabs, sparse tables, and
-// message buffers through explicit free lists; the protocol says a
+// (internal/core/pool.go) recycles dense slabs and message buffers
+// through explicit free lists; the protocol says a
 // buffer has exactly one owner at a time and release re-establishes the
 // emptiness invariant. Poison-on-release catches violations dynamically
 // — but only on the execution that happens to recycle the buffer into a
 // reader. This analyzer walks each function's control flow and enforces
 // the discipline on every path:
 //
-//   - every acquire (getSlab/getTable/getBuf/getBatch on an arena or
+//   - every acquire (getSlab/getBuf/getBatch on an arena or
 //     Engine receiver) bound to a local variable must be resolved on all
 //     paths out of the function — released with the matching put, handed
 //     off (stored into a field, sent on a channel, passed to a call,
@@ -44,11 +44,11 @@ var PoolSafe = &Analyzer{
 }
 
 var poolAcquireNames = map[string]bool{
-	"getSlab": true, "getTable": true, "getBuf": true, "getBatch": true,
+	"getSlab": true, "getBuf": true, "getBatch": true,
 }
 
 var poolReleaseNames = map[string]bool{
-	"putSlab": true, "putTable": true, "putBuf": true, "putBatch": true,
+	"putSlab": true, "putBuf": true, "putBatch": true,
 }
 
 // poolReceiverTypes are the named types whose get/put methods move

@@ -31,16 +31,19 @@ const (
 	CtrResumes = "gpsa.resumes"
 
 	// CtrAccumFolded counts messages folded into an existing entry of a
-	// source-side accumulator — the combined-at-source numerator; its
-	// ratio to the engine's generated-message count is the source
-	// combining rate.
+	// dense slab — the combined-at-source numerator; its ratio to the
+	// engine's generated-message count is the source combining rate.
 	CtrAccumFolded = "core.accum.folded"
-	// CtrAccumDelivered counts accumulator entries handed to computing
-	// workers (the post-combining message volume on the accum path).
+	// CtrAccumDelivered counts slab entries handed to computing workers
+	// (the post-combining message volume on the slab path).
 	CtrAccumDelivered = "core.accum.delivered"
-	// CtrAccumDenseSegs and CtrAccumSparseSegs count segment handoffs —
-	// the mailbox traffic that replaces per-batch messages.
-	CtrAccumDenseSegs  = "core.accum.segments.dense"
+	// CtrAccumDenseSegs counts slab hand-offs — the mailbox traffic that
+	// replaces per-batch messages: at most one per (dispatcher,
+	// computer) pair per superstep.
+	CtrAccumDenseSegs = "core.accum.segments.dense"
+	// CtrAccumSparseSegs is always 0 since ISSUE 12 (the sparse
+	// accumulator is gone); retained for benchmark/traced.go, which
+	// reports it as a per-layer row.
 	CtrAccumSparseSegs = "core.accum.segments.sparse"
 
 	// CtrPrefetchWindows counts WILLNEED windows the async CSR prefetch

@@ -9,292 +9,6 @@
 // its tests (make torture; the smoke slice runs in make check).
 package servetest
 
-import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"net/http"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"strconv"
-	"strings"
-	"sync"
-	"syscall"
-	"time"
-
-	"repro/internal/gen"
-	"repro/internal/graph"
-	"repro/internal/vertexfile"
-)
-
-// moduleRoot walks up from the working directory to the directory
-// holding go.mod, which is where `go build ./cmd/gpsa-serve` must run.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", errors.New("servetest: go.mod not found above working directory")
-		}
-		dir = parent
-	}
-}
-
-// buildServe compiles cmd/gpsa-serve into dir and returns the binary path.
-func buildServe(dir string) (string, error) {
-	root, err := moduleRoot()
-	if err != nil {
-		return "", err
-	}
-	bin := filepath.Join(dir, "gpsa-serve")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/gpsa-serve")
-	cmd.Dir = root
-	if out, err := cmd.CombinedOutput(); err != nil {
-		return "", fmt.Errorf("servetest: building gpsa-serve: %v\n%s", err, out)
-	}
-	return bin, nil
-}
-
-// writeGraphs generates the torture inputs under graphDir: a random
-// directed graph for PageRank/BFS and its symmetrized twin for CC,
-// named by the relative paths job specs use. Fixed seeds keep every run
-// of the harness on the same graphs.
-func writeGraphs(graphDir string) (directed, symmetric string, err error) {
-	if err := os.MkdirAll(graphDir, 0o755); err != nil {
-		return "", "", err
-	}
-	edges, err := gen.ErdosRenyi(300, 1500, 42, false)
-	if err != nil {
-		return "", "", err
-	}
-	g, err := graph.FromEdges(edges, 300, false)
-	if err != nil {
-		return "", "", err
-	}
-	directed = "torture.gpsa"
-	if err := graph.WriteFile(filepath.Join(graphDir, directed), g); err != nil {
-		return "", "", err
-	}
-	symmetric = "torture-sym.gpsa"
-	if err := graph.WriteFile(filepath.Join(graphDir, symmetric), g.Symmetrize()); err != nil {
-		return "", "", err
-	}
-	return directed, symmetric, nil
-}
-
-// server is one running gpsa-serve subprocess.
-type server struct {
-	cmd  *exec.Cmd
-	addr string
-
-	mu     sync.Mutex
-	stderr bytes.Buffer
-
-	waitOnce sync.Once
-	waitErr  error
-}
-
-// serverConfig parameterizes startServer.
-type serverConfig struct {
-	bin      string
-	graphDir string
-	jobsDir  string
-	resume   bool
-	fault    string   // GPSA_FAULT spec, "" = none
-	extra    []string // additional flags
-}
-
-// startServer launches gpsa-serve on an ephemeral port and waits until
-// it reports its listen address on stderr.
-func startServer(cfg serverConfig) (*server, error) {
-	args := []string{
-		"-addr", "127.0.0.1:0",
-		"-graphs", cfg.graphDir,
-		"-jobs", cfg.jobsDir,
-		"-v",
-	}
-	if cfg.resume {
-		args = append(args, "-resume-jobs")
-	}
-	args = append(args, cfg.extra...)
-	cmd := exec.Command(cfg.bin, args...)
-	cmd.Env = append(os.Environ(), "GPSA_FAULT="+cfg.fault)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		return nil, err
-	}
-	cmd.Stdout = io.Discard
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	s := &server{cmd: cmd}
-
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			s.mu.Lock()
-			s.stderr.WriteString(line + "\n")
-			s.mu.Unlock()
-			if i := strings.Index(line, "listening on "); i >= 0 {
-				addr := strings.Fields(line[i+len("listening on "):])[0]
-				select {
-				case addrCh <- addr:
-				default:
-				}
-			}
-		}
-	}()
-
-	select {
-	case addr := <-addrCh:
-		s.addr = addr
-	case <-time.After(15 * time.Second):
-		cmd.Process.Kill() //nolint:errcheck
-		cmd.Wait()         //nolint:errcheck
-		return nil, fmt.Errorf("servetest: server never reported its address; stderr:\n%s", s.stderrText())
-	}
-	return s, nil
-}
-
-func (s *server) stderrText() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stderr.String()
-}
-
-// kill SIGKILLs the server and reaps it.
-func (s *server) kill() {
-	s.cmd.Process.Kill() //nolint:errcheck
-	s.wait()             //nolint:errcheck
-}
-
-// terminate sends SIGTERM (the drain signal) and returns the exit code.
-func (s *server) terminate() (int, error) {
-	if err := s.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return -1, err
-	}
-	err := s.wait()
-	if err == nil {
-		return 0, nil
-	}
-	var ee *exec.ExitError
-	if errors.As(err, &ee) {
-		return ee.ExitCode(), nil
-	}
-	return -1, err
-}
-
-func (s *server) wait() error {
-	s.waitOnce.Do(func() { s.waitErr = s.cmd.Wait() })
-	return s.waitErr
-}
-
-// job mirrors the server's job JSON (the fields scenarios assert on).
-type job struct {
-	ID       string         `json:"id"`
-	Status   string         `json:"status"`
-	Error    string         `json:"error"`
-	Attempts int            `json:"attempts"`
-	Cached   bool           `json:"cached"`
-	Replayed bool           `json:"replayed"`
-	Values   string         `json:"values"`
-	Result   map[string]any `json:"result"`
-}
-
-// submit POSTs a job spec and decodes the response.
-func (s *server) submit(spec map[string]any) (int, job, http.Header, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return 0, job{}, nil, err
-	}
-	resp, err := http.Post("http://"+s.addr+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, job{}, nil, err
-	}
-	defer resp.Body.Close()
-	var j job
-	data, _ := io.ReadAll(resp.Body)
-	json.Unmarshal(data, &j) //nolint:errcheck — error bodies aren't jobs
-	return resp.StatusCode, j, resp.Header, nil
-}
-
-// getJob fetches one job's state.
-func (s *server) getJob(id string) (job, error) {
-	resp, err := http.Get("http://" + s.addr + "/v1/jobs/" + id)
-	if err != nil {
-		return job{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return job{}, fmt.Errorf("servetest: GET job %s: %d", id, resp.StatusCode)
-	}
-	var j job
-	if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
-		return job{}, err
-	}
-	return j, nil
-}
-
-// listJobs fetches every job the server knows.
-func (s *server) listJobs() ([]job, error) {
-	resp, err := http.Get("http://" + s.addr + "/v1/jobs")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var jobs []job
-	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
-		return nil, err
-	}
-	return jobs, nil
-}
-
-// metricsSnapshot fetches /metrics as a name -> value map.
-func (s *server) metricsSnapshot() (map[string]int64, error) {
-	resp, err := http.Get("http://" + s.addr + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out := make(map[string]int64)
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) != 2 {
-			continue
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		out[fields[0]] = v
-	}
-	return out, sc.Err()
-}
-
-// getStatus fetches a bare endpoint's HTTP status (healthz/readyz).
-func (s *server) getStatus(path string) (int, error) {
-	resp, err := http.Get("http://" + s.addr + path)
-	if err != nil {
-		return 0, err
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	return resp.StatusCode, nil
-}
-
 // terminalStatus reports whether a job needs no further processing.
 func terminalStatus(status string) bool {
 	switch status {
@@ -302,40 +16,4 @@ func terminalStatus(status string) bool {
 		return true
 	}
 	return false
-}
-
-// fileState is the durable outcome of a job: every vertex payload plus
-// the sealed progress counters — the exact data bit-identical resume is
-// judged on.
-type fileState struct {
-	values    []uint64
-	epoch     int64
-	converged bool
-}
-
-// readState opens a job's value file and snapshots it. The file must be
-// cleanly sealed.
-func readState(path string) (fileState, error) {
-	vf, err := vertexfile.Open(path)
-	if err != nil {
-		return fileState{}, err
-	}
-	defer vf.Close()
-	if vf.InProgress() {
-		return fileState{}, fmt.Errorf("servetest: %s not cleanly sealed", path)
-	}
-	return fileState{values: vf.Values(), epoch: vf.Epoch(), converged: vf.Converged()}, nil
-}
-
-// equal reports whether two file states are bit-identical.
-func (s fileState) equal(o fileState) bool {
-	if s.epoch != o.epoch || s.converged != o.converged || len(s.values) != len(o.values) {
-		return false
-	}
-	for i := range s.values {
-		if s.values[i] != o.values[i] {
-			return false
-		}
-	}
-	return true
 }

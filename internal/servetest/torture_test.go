@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/harness"
 )
 
 var (
@@ -31,11 +33,11 @@ func TestMain(m *testing.M) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if serveBin, err = buildServe(dir); err != nil {
+		if serveBin, err = harness.Build(dir, "gpsa-serve"); err != nil {
 			fatal(err)
 		}
 		graphsDir = filepath.Join(dir, "graphs")
-		if _, _, err = writeGraphs(graphsDir); err != nil {
+		if _, _, err = harness.WriteTortureGraphs(graphsDir); err != nil {
 			fatal(err)
 		}
 	}
@@ -66,11 +68,11 @@ func tortureSpecs() []map[string]any {
 const stallFault = "site=core.computer.stall,count=-1,delay=20ms"
 
 // submitAll submits specs in order and returns the job IDs.
-func submitAll(t *testing.T, s *server, specs []map[string]any) []string {
+func submitAll(t *testing.T, s *harness.Server, specs []map[string]any) []string {
 	t.Helper()
 	var ids []string
 	for i, spec := range specs {
-		code, j, _, err := s.submit(spec)
+		code, j, _, err := s.Submit(spec)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -83,11 +85,11 @@ func submitAll(t *testing.T, s *server, specs []map[string]any) []string {
 }
 
 // waitRunning polls until at least n jobs report status running.
-func waitRunning(t *testing.T, s *server, n int, timeout time.Duration) {
+func waitRunning(t *testing.T, s *harness.Server, n int, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		jobs, err := s.listJobs()
+		jobs, err := s.ListJobs()
 		if err == nil {
 			running := 0
 			for _, j := range jobs {
@@ -100,7 +102,7 @@ func waitRunning(t *testing.T, s *server, n int, timeout time.Duration) {
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("never reached %d running jobs; stderr:\n%s", n, s.stderrText())
+			t.Fatalf("never reached %d running jobs; stderr:\n%s", n, s.StderrText())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -108,13 +110,13 @@ func waitRunning(t *testing.T, s *server, n int, timeout time.Duration) {
 
 // waitAllTerminal polls until every listed job is terminal, then
 // returns the jobs keyed by ID.
-func waitAllTerminal(t *testing.T, s *server, ids []string, timeout time.Duration) map[string]job {
+func waitAllTerminal(t *testing.T, s *harness.Server, ids []string, timeout time.Duration) map[string]harness.Job {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		jobs, err := s.listJobs()
+		jobs, err := s.ListJobs()
 		if err == nil {
-			byID := make(map[string]job, len(jobs))
+			byID := make(map[string]harness.Job, len(jobs))
 			done := 0
 			for _, j := range jobs {
 				byID[j.ID] = j
@@ -129,8 +131,8 @@ func waitAllTerminal(t *testing.T, s *server, ids []string, timeout time.Duratio
 			}
 		}
 		if time.Now().After(deadline) {
-			jobs, _ := s.listJobs()
-			t.Fatalf("jobs never all finished: %+v\nstderr:\n%s", jobs, s.stderrText())
+			jobs, _ := s.ListJobs()
+			t.Fatalf("jobs never all finished: %+v\nstderr:\n%s", jobs, s.StderrText())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -139,29 +141,29 @@ func waitAllTerminal(t *testing.T, s *server, ids []string, timeout time.Duratio
 // runBaseline runs the torture specs on an undisturbed server and
 // returns each job's sealed file state — the bits every tortured
 // schedule must reproduce exactly.
-func runBaseline(t *testing.T, specs []map[string]any) map[string]fileState {
+func runBaseline(t *testing.T, specs []map[string]any) map[string]harness.FileState {
 	t.Helper()
 	jobsDir := filepath.Join(t.TempDir(), "jobs-baseline")
-	s, err := startServer(serverConfig{bin: serveBin, graphDir: graphsDir, jobsDir: jobsDir})
+	s, err := harness.StartServer(harness.ServerConfig{Bin: serveBin, GraphDir: graphsDir, JobsDir: jobsDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.kill()
+	defer s.Kill()
 	ids := submitAll(t, s, specs)
 	byID := waitAllTerminal(t, s, ids, 120*time.Second)
-	states := make(map[string]fileState, len(ids))
+	states := make(map[string]harness.FileState, len(ids))
 	for _, id := range ids {
 		j := byID[id]
 		if j.Status != "completed" {
 			t.Fatalf("baseline job %s finished %q (%s)", id, j.Status, j.Error)
 		}
-		st, err := readState(j.Values)
+		st, err := harness.ReadState(j.Values)
 		if err != nil {
 			t.Fatal(err)
 		}
 		states[id] = st
 	}
-	if code, err := s.terminate(); err != nil || code != 0 {
+	if code, err := s.Terminate(); err != nil || code != 0 {
 		t.Fatalf("baseline drain exit = %d (%v)", code, err)
 	}
 	return states
@@ -174,11 +176,11 @@ func TestServeSmoke(t *testing.T) {
 		t.Skip("servetest harness skipped in -short mode")
 	}
 	jobsDir := filepath.Join(t.TempDir(), "jobs")
-	s, err := startServer(serverConfig{bin: serveBin, graphDir: graphsDir, jobsDir: jobsDir})
+	s, err := harness.StartServer(harness.ServerConfig{Bin: serveBin, GraphDir: graphsDir, JobsDir: jobsDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.kill()
+	defer s.Kill()
 
 	spec := map[string]any{"graph": "torture.gpsa", "algo": "pagerank", "supersteps": 5, "dispatchers": 1}
 	ids := submitAll(t, s, []map[string]any{spec, {"graph": "torture.gpsa", "algo": "bfs", "root": 0, "dispatchers": 1}})
@@ -189,28 +191,28 @@ func TestServeSmoke(t *testing.T) {
 		}
 	}
 	// Identical resubmission is a cache hit.
-	code, j, _, err := s.submit(spec)
+	code, j, _, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code != 200 || !j.Cached {
 		t.Fatalf("resubmission = %d cached=%v, want 200 from cache", code, j.Cached)
 	}
-	if ready, _ := s.getStatus("/readyz"); ready != 200 {
+	if ready, _ := s.GetStatus("/readyz"); ready != 200 {
 		t.Fatalf("/readyz = %d", ready)
 	}
-	m, err := s.metricsSnapshot()
+	m, err := s.MetricsSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m["serve.admitted"] < 2 || m["serve.completed"] < 2 || m["serve.cache.hits"] < 1 {
 		t.Fatalf("metrics %v missing admitted/completed/cache.hits", m)
 	}
-	if code, err := s.terminate(); err != nil || code != 0 {
-		t.Fatalf("drain exit = %d (%v); stderr:\n%s", code, err, s.stderrText())
+	if code, err := s.Terminate(); err != nil || code != 0 {
+		t.Fatalf("drain exit = %d (%v); stderr:\n%s", code, err, s.StderrText())
 	}
-	if !strings.Contains(s.stderrText(), "drained cleanly") {
-		t.Fatalf("drain not confirmed; stderr:\n%s", s.stderrText())
+	if !strings.Contains(s.StderrText(), "drained cleanly") {
+		t.Fatalf("drain not confirmed; stderr:\n%s", s.StderrText())
 	}
 }
 
@@ -228,40 +230,40 @@ func TestServeTortureKillResume(t *testing.T) {
 	jobsDir := filepath.Join(t.TempDir(), "jobs")
 
 	// Generation 1: stalled jobs, SIGKILL with >= 4 running.
-	s1, err := startServer(serverConfig{bin: serveBin, graphDir: graphsDir, jobsDir: jobsDir, fault: stallFault})
+	s1, err := harness.StartServer(harness.ServerConfig{Bin: serveBin, GraphDir: graphsDir, JobsDir: jobsDir, Fault: stallFault})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := submitAll(t, s1, specs)
 	waitRunning(t, s1, 4, 30*time.Second)
-	s1.kill()
+	s1.Kill()
 	t.Log("generation 1 SIGKILLed with >= 4 jobs in flight")
 
 	// Generation 2: resume under the same stall, SIGKILL again mid-resume
 	// — recovery must itself be recoverable.
-	s2, err := startServer(serverConfig{bin: serveBin, graphDir: graphsDir, jobsDir: jobsDir, resume: true, fault: stallFault})
+	s2, err := harness.StartServer(harness.ServerConfig{Bin: serveBin, GraphDir: graphsDir, JobsDir: jobsDir, Resume: true, Fault: stallFault})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, s2, 1, 30*time.Second)
-	m2, err := s2.metricsSnapshot()
+	m2, err := s2.MetricsSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m2["serve.resumed"] < 4 {
 		t.Fatalf("generation 2 resumed %d jobs, want >= 4 (the in-flight kills)", m2["serve.resumed"])
 	}
-	s2.kill()
+	s2.Kill()
 	t.Log("generation 2 SIGKILLed mid-resume")
 
 	// Generation 3: undisturbed resume runs everything to completion.
-	s3, err := startServer(serverConfig{bin: serveBin, graphDir: graphsDir, jobsDir: jobsDir, resume: true})
+	s3, err := harness.StartServer(harness.ServerConfig{Bin: serveBin, GraphDir: graphsDir, JobsDir: jobsDir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s3.kill()
+	defer s3.Kill()
 	byID := waitAllTerminal(t, s3, ids, 120*time.Second)
-	m3, err := s3.metricsSnapshot()
+	m3, err := s3.MetricsSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,16 +275,16 @@ func TestServeTortureKillResume(t *testing.T) {
 		if j.Status != "completed" {
 			t.Fatalf("job %s finished %q (%s) after double kill + resume", id, j.Status, j.Error)
 		}
-		st, err := readState(j.Values)
+		st, err := harness.ReadState(j.Values)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.equal(baseline[id]) {
+		if !st.Equal(baseline[id]) {
 			t.Fatalf("job %s: resumed values differ from undisturbed baseline (epoch %d vs %d)",
-				id, st.epoch, baseline[id].epoch)
+				id, st.Epoch, baseline[id].Epoch)
 		}
 	}
-	if code, err := s3.terminate(); err != nil || code != 0 {
+	if code, err := s3.Terminate(); err != nil || code != 0 {
 		t.Fatalf("final drain exit = %d (%v)", code, err)
 	}
 }
@@ -296,20 +298,20 @@ func TestServeTortureOverloadDrain(t *testing.T) {
 		t.Skip("servetest harness skipped in -short mode")
 	}
 	jobsDir := filepath.Join(t.TempDir(), "jobs")
-	s, err := startServer(serverConfig{
-		bin: serveBin, graphDir: graphsDir, jobsDir: jobsDir, fault: stallFault,
-		extra: []string{"-queue-cap", "2", "-workers", "1"},
+	s, err := harness.StartServer(harness.ServerConfig{
+		Bin: serveBin, GraphDir: graphsDir, JobsDir: jobsDir, Fault: stallFault,
+		Extra: []string{"-queue-cap", "2", "-workers", "1"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.kill()
+	defer s.Kill()
 
 	var admitted []string
 	shed := 0
 	for i := 0; i < 12; i++ {
 		// Distinct epsilons keep every submission out of the result cache.
-		code, j, hdr, err := s.submit(map[string]any{
+		code, j, hdr, err := s.Submit(map[string]any{
 			"graph": "torture.gpsa", "algo": "pagerank", "supersteps": 5,
 			"dispatchers": 1, "epsilon": float64(i+1) / 1000,
 		})
@@ -333,7 +335,7 @@ func TestServeTortureOverloadDrain(t *testing.T) {
 	}
 	t.Logf("burst: %d admitted, %d shed", len(admitted), shed)
 
-	m, err := s.metricsSnapshot()
+	m, err := s.MetricsSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,30 +345,30 @@ func TestServeTortureOverloadDrain(t *testing.T) {
 	}
 
 	// SIGTERM drains: exit 0, journal keeps the backlog.
-	code, err := s.terminate()
+	code, err := s.Terminate()
 	if err != nil || code != 0 {
-		t.Fatalf("drain exit = %d (%v); stderr:\n%s", code, err, s.stderrText())
+		t.Fatalf("drain exit = %d (%v); stderr:\n%s", code, err, s.StderrText())
 	}
 
-	s2, err := startServer(serverConfig{bin: serveBin, graphDir: graphsDir, jobsDir: jobsDir, resume: true})
+	s2, err := harness.StartServer(harness.ServerConfig{Bin: serveBin, GraphDir: graphsDir, JobsDir: jobsDir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.kill()
+	defer s2.Kill()
 	byID := waitAllTerminal(t, s2, admitted, 120*time.Second)
 	for _, id := range admitted {
 		if byID[id].Status != "completed" {
 			t.Fatalf("backlog job %s finished %q (%s)", id, byID[id].Status, byID[id].Error)
 		}
 	}
-	m2, err := s2.metricsSnapshot()
+	m2, err := s2.MetricsSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m2["serve.resumed"] < 1 {
 		t.Fatalf("drained backlog not resumed: metrics %v", m2)
 	}
-	if code, err := s2.terminate(); err != nil || code != 0 {
+	if code, err := s2.Terminate(); err != nil || code != 0 {
 		t.Fatalf("second drain exit = %d (%v)", code, err)
 	}
 }
@@ -379,13 +381,13 @@ func TestServeTortureDeadline(t *testing.T) {
 		t.Skip("servetest harness skipped in -short mode")
 	}
 	jobsDir := filepath.Join(t.TempDir(), "jobs")
-	s, err := startServer(serverConfig{bin: serveBin, graphDir: graphsDir, jobsDir: jobsDir, fault: stallFault})
+	s, err := harness.StartServer(harness.ServerConfig{Bin: serveBin, GraphDir: graphsDir, JobsDir: jobsDir, Fault: stallFault})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.kill()
+	defer s.Kill()
 
-	code, j, _, err := s.submit(map[string]any{
+	code, j, _, err := s.Submit(map[string]any{
 		"graph": "torture.gpsa", "algo": "pagerank", "supersteps": 5,
 		"dispatchers": 1, "deadline_ms": 50,
 	})
@@ -394,29 +396,29 @@ func TestServeTortureDeadline(t *testing.T) {
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		cur, err := s.getJob(j.ID)
+		cur, err := s.GetJob(j.ID)
 		if err == nil && terminalStatus(cur.Status) {
 			if cur.Status != "deadline_exceeded" {
 				t.Fatalf("job finished %q (%s), want deadline_exceeded", cur.Status, cur.Error)
 			}
-			if _, err := readState(cur.Values); err != nil {
+			if _, err := harness.ReadState(cur.Values); err != nil {
 				t.Fatalf("deadline did not leave a sealed checkpoint: %v", err)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job never hit its deadline; stderr:\n%s", s.stderrText())
+			t.Fatalf("job never hit its deadline; stderr:\n%s", s.StderrText())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	m, err := s.metricsSnapshot()
+	m, err := s.MetricsSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m["serve.deadline_exceeded"] < 1 {
 		t.Fatalf("serve.deadline_exceeded not counted: %v", m)
 	}
-	if code, err := s.terminate(); err != nil || code != 0 {
+	if code, err := s.Terminate(); err != nil || code != 0 {
 		t.Fatalf("drain exit = %d (%v)", code, err)
 	}
 }

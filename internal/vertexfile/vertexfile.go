@@ -123,7 +123,6 @@ type File struct {
 
 	torn         bool   // Open found a torn header and rolled it back
 	lastRecovery string // "", "none", "exact", "conservative"
-	activeCount  int64  // fresh vertices counted by the last Begin
 }
 
 // Header word indices (64-bit words of the 128-byte header):
@@ -437,12 +436,6 @@ func (f *File) Store(col int, v int64, slot uint64) {
 	atomic.StoreUint64(&f.slots[2*v+int64(col)], slot)
 }
 
-// ActiveCount returns the number of fresh (active) vertices snapshotted
-// by the most recent Begin — the size of the running superstep's dispatch
-// set. The engine's adaptive accumulator switch reads it to choose between
-// dense and sparse source-side accumulation.
-func (f *File) ActiveCount() int64 { return f.activeCount }
-
 // ApplyFunc folds one combined message into a vertex during BulkApply.
 // cur carries first-message semantics already resolved against the
 // dispatch column. Returning stop=true abandons the rest of the segment
@@ -531,11 +524,6 @@ func (f *File) Begin(step int64, durable bool) error {
 			f.bitmap[v/64] |= 1 << uint(v%64)
 		}
 	}
-	var active int64
-	for _, w := range f.bitmap {
-		active += int64(mathbits.OnesCount64(w))
-	}
-	f.activeCount = active
 	if durable {
 		if err := f.syncBitmap(); err != nil {
 			return fmt.Errorf("vertexfile: begin superstep %d: %w", step, err)
