@@ -3,7 +3,7 @@
 GO ?= go
 REV := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: all build test race lint lint-escape vet fmt bench bench-diff bench-micro bench-smoke bench-scale repro examples check torture chaos disktorture clean
+.PHONY: all build test race lint lint-escape vet fmt bench-scale repro examples check torture chaos disktorture clean
 
 all: build test
 
@@ -59,7 +59,6 @@ check:
 	$(GO) test -count=1 -run 'TestServeSmoke' ./internal/servetest
 	$(GO) test -count=1 -run 'TestDiskSmoke|TestDiskReadFaultsTyped' ./internal/disktest
 	$(GO) -C benchmark test ./...
-	$(MAKE) bench-smoke
 
 # Kill-torture: run cmd/gpsa as a subprocess, SIGKILL it at >=20
 # randomized supersteps/commit phases (including kills landing inside
@@ -98,36 +97,13 @@ vet:
 	$(GO) vet ./...
 	gofmt -l .
 
-# Message hot-path benchmark trajectory: every algorithm on a generated
-# R-MAT power-law graph, written as a machine-readable BENCH_<rev>.json
-# so successive revisions can be compared (msgs/sec, supersteps/sec,
-# alloc/msg, wall time per cell).
-bench:
-	$(GO) run ./cmd/gpsa-bench -exp hotpath -rev $(REV) -json BENCH_$(REV).json
-
-# Diff two hot-path artifacts; exits nonzero when NEW regresses any
-# cell by >10% throughput or >0.2 B/msg allocation against OLD.
-# Usage: make bench-diff OLD=BENCH_a.json NEW=BENCH_b.json
-OLD ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-NEW ?= BENCH_$(REV).json
-bench-diff:
-	$(GO) run ./cmd/gpsa-compare -bench $(OLD) $(NEW)
-
 # Out-of-core COST sweep (R-MAT ladder up to paper-scale shapes, core
 # sweep vs single-threaded GraphChi/X-Stream references); writes
 # COST_<rev>.json. Hours-scale at default shapes — see -shapes to trim.
 bench-scale:
 	$(GO) run ./cmd/gpsa-bench -exp scale -rev $(REV) -cost-json COST_$(REV).json
 
-# Fast correctness gate over the hotpath benchmark at toy scale.
-bench-smoke:
-	$(GO) test -count=1 -run TestHotPathSmoke ./internal/bench
-
-# One benchmark iteration per paper figure cell.
-bench-micro:
-	$(GO) test -bench=. -benchmem -benchtime 1x .
-
-# Regenerate the paper's full evaluation (Table I, Figs 7-11, ablations,
+# Regenerate the paper's full evaluation (Table I, Figs 7-11,
 # scalability) at default scales; see EXPERIMENTS.md for recorded output.
 repro:
 	$(GO) run ./cmd/gpsa-bench -exp all

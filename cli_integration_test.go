@@ -91,4 +91,19 @@ func TestCLIEndToEnd(t *testing.T) {
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Fatalf("gpsa with unknown algorithm succeeded: %s", out)
 	}
+	// An unknown gpsa-bench experiment id and gpsa-compare's removed -bench
+	// flag are usage errors: exit 2, and gpsa-bench names the valid ids.
+	for _, bad := range [][]string{
+		{"gpsa-bench", "-exp", "nope"},
+		{"gpsa-bench", "-exp", "hotpath"},
+		{"gpsa-compare", "-bench", "old.json", "new.json"},
+	} {
+		out, err := exec.Command(filepath.Join(bin, bad[0]), bad[1:]...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Fatalf("%v: err = %v, want exit status 2\n%s", bad, err, out)
+		}
+		if bad[0] == "gpsa-bench" && !strings.Contains(string(out), "scalability, all, scale") {
+			t.Fatalf("%v does not name the valid experiment ids:\n%s", bad, out)
+		}
+	}
 }

@@ -71,8 +71,8 @@ const (
 // an in-process TCP cluster — the paper's actor model extended across
 // nodes. It returns the final payload of every vertex. Each node owns a
 // contiguous, edge-balanced vertex interval with its own value file;
-// cross-node messages travel over loopback TCP and fold on arrival, so
-// the dispatch/compute overlap spans the cluster.
+// cross-node messages travel over loopback TCP and fold at the barrier
+// in source-interval order, so a retried superstep is bit-identical.
 func RunDistributed(graphPath string, prog Program, opts ClusterOptions) (*ClusterResult, []uint64, error) {
 	policy := cluster.RestartDead
 	if opts.RedistributeDead {

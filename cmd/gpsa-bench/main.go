@@ -1,14 +1,15 @@
 // Command gpsa-bench regenerates the paper's evaluation tables and
 // figures: Table I (datasets), Figures 7–10 (PageRank / CC / BFS runtimes
 // on four graphs across GPSA, GraphChi and X-Stream), Figure 11 (CPU
-// utilization) and the DESIGN.md ablations.
+// utilization), the actor-count scalability sweep and the out-of-core
+// COST ladder. Gated performance numbers come from benchmark/run.sh.
 //
 // Usage:
 //
 //	gpsa-bench -exp all                 # everything, default scales
 //	gpsa-bench -exp fig8 -scale 8       # one figure at a chosen scale
 //	gpsa-bench -exp table1
-//	gpsa-bench -exp ablation
+//	gpsa-bench -exp scale -shapes base/16
 //
 // Absolute times depend on the host; the paper's qualitative expectation
 // is printed next to each figure so the shape can be compared directly.
@@ -20,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -52,7 +54,7 @@ func writeFigureCSV(dir, id string, res *bench.FigureResult) error {
 }
 
 // parseShapes turns the -shapes flag into a dataset list: each entry is
-// a dataset name ("base" for the 131k hot-path R-MAT, otherwise a Table
+// a dataset name ("base" for the 131k-vertex R-MAT, otherwise a Table
 // I name) with an optional "/denominator" scale suffix.
 func parseShapes(s string) ([]gen.Dataset, error) {
 	if s == "" {
@@ -108,9 +110,13 @@ var defaultScales = map[string]int64{
 	"twitter-2010":    64,
 }
 
+// experiments is every id -exp accepts. "all" runs each of them except
+// scale, the hours-long COST sweep.
+var experiments = []string{"table1", "fig7", "fig8", "fig9", "fig10", "fig11", "scalability", "all", "scale"}
+
 func main() {
 	var (
-		exp    = flag.String("exp", "all", "experiment: table1, fig7, fig8, fig9, fig10, fig11, ablation, scalability, hotpath, all; scale (COST sweep, not part of 'all')")
+		exp    = flag.String("exp", "all", "experiment: "+strings.Join(experiments, ", ")+" (scale, the COST sweep, is not part of all)")
 		scale  = flag.Int64("scale", 0, "override the per-dataset default scale (1 = full size)")
 		seed   = flag.Int64("seed", 1, "dataset generator seed")
 		runs   = flag.Int("runs", 3, "averaging runs per cell (paper: 3)")
@@ -118,10 +124,7 @@ func main() {
 		work   = flag.String("workdir", "", "scratch directory (default: temp)")
 		csvDir = flag.String("csv", "", "also write each figure's cells as CSV into this directory")
 
-		jsonPath   = flag.String("json", "", "hotpath: write the machine-readable report to this file (BENCH_<rev>.json)")
-		rev        = flag.String("rev", "", "hotpath/scale: revision label recorded in the report")
-		hpVertices = flag.Int64("hotpath-vertices", 0, "hotpath: R-MAT vertex count (0 = 131072)")
-
+		rev        = flag.String("rev", "", "scale: revision label recorded in the report")
 		costJSON   = flag.String("cost-json", "", "scale: write the COST report to this file (COST_<rev>.json)")
 		shapes     = flag.String("shapes", "", "scale: comma-separated dataset shapes, each 'name' or 'name/denominator' (base, google, soc-pokec, soc-liveJournal, twitter-2010); default base,soc-liveJournal,twitter-2010/16")
 		memLimit   = flag.Int64("mem-limit", 0, "scale: Go soft heap cap in bytes for GPSA runs (0 = 1 GiB)")
@@ -136,6 +139,10 @@ func main() {
 	if *showVersion {
 		fmt.Println("gpsa-bench", buildinfo.Version())
 		return
+	}
+	if !slices.Contains(experiments, *exp) {
+		fmt.Fprintf(os.Stderr, "gpsa-bench: unknown experiment %q; valid: %s\n", *exp, strings.Join(experiments, ", "))
+		os.Exit(2)
 	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile, *tracefile)
@@ -162,7 +169,7 @@ func main() {
 		"fig10": gen.Twitter2010,
 	}
 
-	runFigure := func(id string, ds gen.Dataset) {
+	measureFigure := func(id string, ds gen.Dataset) *bench.FigureResult {
 		sc := defaultScales[ds.Name]
 		if *scale > 0 {
 			sc = *scale
@@ -179,13 +186,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gpsa-bench: %s: %v\n", id, err)
 			os.Exit(1)
 		}
-		fmt.Println(bench.FormatFigure(id, res))
-		if *csvDir != "" {
-			if err := writeFigureCSV(*csvDir, id, res); err != nil {
-				fmt.Fprintf(os.Stderr, "gpsa-bench: %s: %v\n", id, err)
-				os.Exit(1)
-			}
-		}
+		return res
 	}
 
 	want := func(id string) bool { return *exp == "all" || *exp == id }
@@ -204,7 +205,14 @@ func main() {
 	}
 	for _, id := range []string{"fig7", "fig8", "fig9", "fig10"} {
 		if want(id) {
-			runFigure(id, figures[id])
+			res := measureFigure(id, figures[id])
+			fmt.Println(bench.FormatFigure(id, res))
+			if *csvDir != "" {
+				if err := writeFigureCSV(*csvDir, id, res); err != nil {
+					fmt.Fprintf(os.Stderr, "gpsa-bench: %s: %v\n", id, err)
+					os.Exit(1)
+				}
+			}
 		}
 	}
 	if want("fig11") {
@@ -213,17 +221,7 @@ func main() {
 		fmt.Println("fig11 — CPU utilization (paper: X-Stream ~100%, GraphChi lowest, GPSA workload-proportional)")
 		fmt.Printf("%-18s %-10s %-10s %8s\n", "Dataset", "Algo", "System", "CPU%")
 		for _, ds := range []gen.Dataset{gen.SocPokec, gen.LiveJournal} {
-			sc := defaultScales[ds.Name]
-			if *scale > 0 {
-				sc = *scale
-			}
-			res, err := bench.RunFigure(bench.Options{
-				Dataset: ds, Scale: sc, Seed: *seed, Runs: *runs, Supersteps: *steps, WorkDir: *work,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gpsa-bench: fig11: %v\n", err)
-				os.Exit(1)
-			}
+			res := measureFigure("fig11", ds)
 			for _, c := range res.Cells {
 				fmt.Printf("%-18s %-10s %-10s %7.1f%%\n", res.Dataset.Name, c.Algo, c.System, c.CPUPercent)
 			}
@@ -244,20 +242,6 @@ func main() {
 		}
 		fmt.Printf("scalability (GPSA PageRank on soc-pokec@1/%d, actor-count sweep — the paper's \"thousands of actors\")\n%s\n",
 			sc, bench.FormatScalability(pts))
-	}
-	if want("ablation") {
-		sc := int64(8)
-		if *scale > 0 {
-			sc = *scale
-		}
-		rs, err := bench.RunAblations(bench.AblationOptions{
-			Dataset: gen.SocPokec, Scale: sc, Seed: *seed, Runs: *runs, Supersteps: *steps, WorkDir: *work,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gpsa-bench: ablation: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("ablations (GPSA design choices, PageRank on soc-pokec@1/%d)\n%s\n", sc, bench.FormatAblations(rs))
 	}
 	if *exp == "scale" {
 		if *rev == "" {
@@ -298,39 +282,5 @@ func main() {
 			}
 			fmt.Printf("wrote %s\n", *costJSON)
 		}
-		return
-	}
-	if want("hotpath") {
-		if *rev == "" {
-			// Default the report label to the VCS revision stamped into
-			// the binary, so BENCH_<rev>.json names the code it measured.
-			*rev = buildinfo.Revision()
-		}
-		rep, err := bench.RunHotPath(bench.HotPathOptions{
-			Vertices:   *hpVertices,
-			Seed:       *seed,
-			Runs:       *runs,
-			Supersteps: *steps,
-			Rev:        *rev,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gpsa-bench: hotpath: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("hotpath — message-path throughput on R-MAT (%d vertices, %d edges, best of %d runs)\n",
-			rep.Vertices, rep.Edges, rep.Runs)
-		fmt.Printf("%-14s %-8s %12s %14s %14s %10s\n", "Algo", "Mode", "seconds", "msgs/sec", "delivered", "alloc/msg")
-		for _, c := range rep.Cells {
-			fmt.Printf("%-14s %-8s %12.3f %14.0f %14d %9.1fB\n",
-				c.Algo, c.Mode, c.Seconds, c.MsgsPerSec, c.Delivered, c.AllocPerMsg)
-		}
-		if *jsonPath != "" {
-			if err := rep.WriteJSON(*jsonPath); err != nil {
-				fmt.Fprintf(os.Stderr, "gpsa-bench: hotpath: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonPath)
-		}
-		fmt.Println()
 	}
 }

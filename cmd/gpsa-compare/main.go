@@ -6,12 +6,6 @@
 // Usage:
 //
 //	gpsa-compare -graph web.gpsa [-algo pagerank] [-supersteps 5] [-runs 3]
-//
-// It also diffs two hot-path benchmark artifacts (BENCH_<rev>.json, from
-// gpsa-bench -exp hotpath), exiting 1 when the new report regresses any
-// cell by more than 10% throughput or 0.2 B/msg allocation:
-//
-//	gpsa-compare -bench BENCH_old.json BENCH_new.json
 package main
 
 import (
@@ -32,20 +26,12 @@ func main() {
 		supersteps = flag.Int("supersteps", 5, "measured supersteps (paper: 5)")
 		runs       = flag.Int("runs", 3, "averaging runs (paper: 3)")
 		work       = flag.String("workdir", "", "scratch directory (default: temp)")
-		benchOld   = flag.String("bench", "", "diff mode: baseline BENCH_<rev>.json; the new report is the positional argument")
 	)
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *showVersion {
 		fmt.Println("gpsa-compare", buildinfo.Version())
 		return
-	}
-	if *benchOld != "" {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "gpsa-compare: -bench OLD.json needs exactly one positional argument, the new report")
-			os.Exit(2)
-		}
-		os.Exit(diffBench(*benchOld, flag.Arg(0)))
 	}
 	if *graphPath == "" {
 		fmt.Fprintln(os.Stderr, "gpsa-compare: -graph is required")
@@ -110,39 +96,6 @@ func main() {
 				alg, sys, cell.Seconds, cell.PerStep, cell.CPUPercent, speedup)
 		}
 	}
-}
-
-// diffBench compares two hot-path reports; exit 1 flags a regression so
-// CI (make bench-diff) can gate on it.
-func diffBench(oldPath, newPath string) int {
-	oldRep, err := bench.LoadHotPathReport(oldPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gpsa-compare: %v\n", err)
-		return 2
-	}
-	newRep, err := bench.LoadHotPathReport(newPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gpsa-compare: %v\n", err)
-		return 2
-	}
-	diffs := bench.DiffHotPath(oldRep, newRep)
-	if len(diffs) == 0 {
-		fmt.Fprintln(os.Stderr, "gpsa-compare: the reports share no (algo, mode) cells")
-		return 2
-	}
-	fmt.Print(bench.FormatBenchDiff(oldRep, newRep, diffs))
-	regressed := 0
-	for _, d := range diffs {
-		if d.Regression {
-			regressed++
-		}
-	}
-	if regressed > 0 {
-		fmt.Printf("%d of %d cells regressed\n", regressed, len(diffs))
-		return 1
-	}
-	fmt.Printf("no regressions across %d cells\n", len(diffs))
-	return 0
 }
 
 // loadCSR rebuilds an in-memory CSR from an on-disk file of either format.

@@ -82,37 +82,6 @@ func TestRunTable1(t *testing.T) {
 	}
 }
 
-func TestRunAblations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablations are slow")
-	}
-	rs, err := RunAblations(AblationOptions{
-		Dataset: gen.Google,
-		Scale:   1024,
-		Seed:    1,
-		Runs:    1,
-		WorkDir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	studies := map[string]int{}
-	for _, r := range rs {
-		if r.Seconds <= 0 {
-			t.Fatalf("%s/%s: non-positive time", r.Study, r.Variant)
-		}
-		studies[r.Study]++
-	}
-	for _, want := range []string{"overlap", "reconcile", "durability", "io", "batch-size", "workers"} {
-		if studies[want] < 2 {
-			t.Fatalf("study %q has %d variants", want, studies[want])
-		}
-	}
-	if out := FormatAblations(rs); !strings.Contains(out, "overlap") {
-		t.Fatalf("formatted ablations missing study:\n%s", out)
-	}
-}
-
 func TestRunScalability(t *testing.T) {
 	pts, err := RunScalability(ScalabilityOptions{
 		Dataset: gen.Google,

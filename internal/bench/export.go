@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"io"
 	"strconv"
 )
@@ -27,52 +26,6 @@ func (r *FigureResult) WriteCSV(w io.Writer) error {
 			strconv.Itoa(c.Runs),
 		}
 		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteJSON emits the figure as indented JSON.
-func (r *FigureResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteAblationsCSV emits ablation results as CSV.
-func WriteAblationsCSV(w io.Writer, rs []AblationResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"study", "variant", "seconds", "supersteps"}); err != nil {
-		return err
-	}
-	for _, r := range rs {
-		if err := cw.Write([]string{
-			r.Study, r.Variant,
-			strconv.FormatFloat(r.Seconds, 'g', -1, 64),
-			strconv.Itoa(r.Supersteps),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteScalabilityCSV emits scalability points as CSV.
-func WriteScalabilityCSV(w io.Writer, pts []ScalabilityPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"actors", "seconds", "speedup", "cpu_percent"}); err != nil {
-		return err
-	}
-	for _, p := range pts {
-		if err := cw.Write([]string{
-			strconv.Itoa(p.Actors),
-			strconv.FormatFloat(p.Seconds, 'g', -1, 64),
-			strconv.FormatFloat(p.Speedup, 'g', -1, 64),
-			strconv.FormatFloat(p.CPUPercent, 'g', -1, 64),
-		}); err != nil {
 			return err
 		}
 	}

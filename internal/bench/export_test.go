@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -32,36 +31,5 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "GPSA") || !strings.Contains(lines[2], "X-Stream") {
 		t.Fatalf("rows missing systems:\n%s", out)
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleFigure().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back FigureResult
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Cells) != 2 || back.Cells[0].System != SysGPSA {
-		t.Fatalf("JSON round trip lost data: %+v", back)
-	}
-}
-
-func TestWriteAblationsAndScalabilityCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteAblationsCSV(&buf, []AblationResult{{Study: "io", Variant: "mmap", Seconds: 0.5, Supersteps: 5}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "io,mmap,0.5,5") {
-		t.Fatalf("ablation CSV wrong:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := WriteScalabilityCSV(&buf, []ScalabilityPoint{{Actors: 4, Seconds: 1, Speedup: 2, CPUPercent: 50}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "4,1,2,50") {
-		t.Fatalf("scalability CSV wrong:\n%s", buf.String())
 	}
 }

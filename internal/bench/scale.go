@@ -81,8 +81,8 @@ func (o ScaleOptions) withDefaults() ScaleOptions {
 	return o
 }
 
-// BaselineShape is the hot-path benchmark's R-MAT shape (131k vertices,
-// 2M edges), the smallest rung of the sweep.
+// BaselineShape is the smallest rung of the sweep: an R-MAT graph of
+// 131k vertices and 2M edges.
 var BaselineShape = gen.Dataset{Name: "rmat-131k", Vertices: 131072, Edges: 2097152}
 
 // DefaultScaleShapes is the issue's ladder: baseline, paper-scale

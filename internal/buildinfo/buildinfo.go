@@ -1,6 +1,6 @@
 // Package buildinfo exposes the module version and VCS revision baked
 // into the binary by the go toolchain, so every cmd/* binary can answer
-// -version and machine-readable reports (BENCH_<rev>.json, gpsa-lint
+// -version and machine-readable reports (COST_<rev>.json, gpsa-lint
 // -json) can stamp the revision they were produced from.
 package buildinfo
 

@@ -15,8 +15,9 @@
 //   - Actor location transparency becomes explicit: a message whose
 //     destination is local goes straight into a computing worker's
 //     mailbox; a remote one is batched onto the owning node's data
-//     connection. Remote batches are folded as they arrive, so the
-//     paper's dispatch/compute overlap extends across the cluster.
+//     connection. Batches are staged per source interval as they arrive
+//     and folded at the barrier in interval order (see nodeComputer), so
+//     a retried superstep folds bit-identically.
 //
 // The superstep barrier generalizes the single-machine one: after a node
 // finishes dispatching (and has flushed its peer connections) it sends an

@@ -8,8 +8,8 @@ import "sync"
 // one fixed geometry per engine: dense slabs and []Message batch
 // buffers. Earlier revisions used sync.Pool, but the garbage collector
 // empties those between cycles, so a multi-second run kept
-// re-allocating megabyte slabs it had just released — the alloc/msg
-// regression BENCH_9f06539.json records. The arena instead holds
+// re-allocating megabyte slabs it had just released — the ~2 B/msg
+// EXPERIMENTS.md records for revision 9f06539. The arena instead holds
 // explicit free lists owned by the engine: nothing is ever dropped
 // until the engine itself is garbage, so steady-state supersteps run
 // allocation-free.

@@ -9,10 +9,10 @@ import (
 
 // Noalloc pins the zero-alloc hot path at compile time. PR 10's arena
 // drove steady-state allocation below 0.01 B/msg, but that invariant was
-// defended only dynamically (bench-smoke ceiling, gpsa-compare gate): one
-// innocuous append, closure capture, or interface boxing in the
-// dispatch/accumulate/BulkApply path silently reintroduces GC pressure
-// until a nightly bench notices. This analyzer makes the discipline
+// defended only dynamically (a measured B/msg ceiling, today
+// core's TestSlabPathAllocCeiling): one innocuous append, closure
+// capture, or interface boxing in the dispatch/accumulate/BulkApply path
+// silently reintroduces GC pressure until a benchmark run notices. This analyzer makes the discipline
 // static.
 //
 // A function is marked hot with the pragma
