@@ -69,10 +69,13 @@ const (
 
 // RunDistributed executes prog over the on-disk CSR graph at graphPath on
 // an in-process TCP cluster — the paper's actor model extended across
-// nodes. It returns the final payload of every vertex. Each node owns a
-// contiguous, edge-balanced vertex interval with its own value file;
-// cross-node messages travel over loopback TCP and fold at the barrier
-// in source-interval order, so a retried superstep is bit-identical.
+// nodes. It returns the final payload of every vertex. Each node hosts
+// edge-balanced vertex intervals with its own value file. A program with
+// a Combiner folds at the source, one slab per node (8 B per vertex plus
+// a presence bitmap), and sends each (source interval, destination) pair
+// at most once per superstep. Cross-node messages travel over loopback
+// TCP and fold at the barrier in source-interval order, so a retried
+// superstep is bit-identical.
 func RunDistributed(graphPath string, prog Program, opts ClusterOptions) (*ClusterResult, []uint64, error) {
 	policy := cluster.RestartDead
 	if opts.RedistributeDead {

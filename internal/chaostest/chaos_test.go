@@ -90,6 +90,9 @@ func runScenario(t *testing.T, sc Scenario) *fault.Plan {
 	if sc.WantDrains {
 		assertCounter("node drains", res.Drains, metrics.CtrClusterDrains, drains0)
 	}
+	if sc.NoRejoins && res.Rejoins != 0 {
+		t.Fatalf("run replaced %d nodes, want none: the faults should have been survivable step failures", res.Rejoins)
+	}
 	if sc.WantLive > 0 && res.LiveNodes != sc.WantLive {
 		t.Fatalf("run ended with %d live members, want %d", res.LiveNodes, sc.WantLive)
 	}
@@ -116,6 +119,26 @@ func TestChaosSmoke(t *testing.T) {
 		Injections:    []fault.Injection{{Site: fault.SiteNodeKillBarrier, After: 2}},
 		WantRollbacks: true,
 		WantRejoins:   true,
+	})
+}
+
+// TestChaosSmokeSlabReset drops a burst of data-plane writes on a 3-node
+// PageRank job, longer than a sender's redial budget: a dispatch phase
+// fails mid-walk of its slab as a step failure the node survives, and the
+// superstep rolls back and retries. It pins rollbackStep's slab clear —
+// partial sums left set by the aborted walk would fold into the retry.
+// Only a sum fold can catch that: min is idempotent, so the CC scenarios
+// pass either way. Runs as part of the `make check` chaos slice.
+func TestChaosSmokeSlabReset(t *testing.T) {
+	runScenario(t, Scenario{
+		Name:          "smoke-pagerank-dispatch-step-failure",
+		Prog:          algorithms.PageRank{},
+		Baseline:      "pagerank",
+		MaxSupersteps: 5,
+		Seed:          5,
+		Injections:    []fault.Injection{{Site: fault.SiteConnDrop, After: 20, Count: 12}},
+		WantRollbacks: true,
+		NoRejoins:     true,
 	})
 }
 

@@ -153,6 +153,9 @@ type Scenario struct {
 	WantJoins           bool
 	WantDrains          bool
 	WantLive            int
+	// NoRejoins asserts the run recovered without replacing any node: its
+	// faults were step failures the nodes survived.
+	NoRejoins bool
 }
 
 // ClusterConfig is the disturbed run's configuration: the shared chaos

@@ -1,10 +1,12 @@
 package cluster_test
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
 
+	gpsa "repro"
 	"repro/internal/algorithms"
 	"repro/internal/cluster"
 	"repro/internal/gen"
@@ -125,17 +127,146 @@ func TestClusterMoreNodesThanIntervals(t *testing.T) {
 	}
 }
 
+// TestClusterCombining pins the source-side fold's message count: a
+// combiner program's round carries exactly one message per distinct
+// (source interval, destination) pair — no more (an unfolded duplicate)
+// and no fewer (a lost one). The expectation is recomputed from the CSR,
+// the final interval table and PageRank's activity rule (a vertex
+// dispatches at step 0 and after every step it received a message in).
 func TestClusterCombining(t *testing.T) {
-	// CC implements the min combiner; delivered must not exceed generated.
-	g := rmat(t, 300, 3000, 4).Symmetrize()
-	res, _, err := cluster.Run(save(t, g), algorithms.ConnectedComponents{}, cluster.Config{Nodes: 3})
+	g := rmat(t, 3000, 40000, 4)
+	const steps = 4
+	res, _, err := cluster.Run(save(t, g), algorithms.PageRank{}, cluster.Config{Nodes: 3, Splits: 2, MaxSupersteps: steps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Delivered > res.Messages {
-		t.Fatalf("delivered %d > generated %d", res.Delivered, res.Messages)
+	ivOf := make([]int, g.NumVertices)
+	for _, a := range res.Assignments {
+		for v := a.First; v < a.End; v++ {
+			ivOf[v] = a.Interval
+		}
 	}
-	if res.Delivered == 0 || res.Messages == 0 {
-		t.Fatal("no traffic recorded")
+	active := make([]bool, g.NumVertices)
+	for v := range active {
+		active[v] = true
+	}
+	if len(res.Steps) != steps {
+		t.Fatalf("ran %d supersteps, want %d", len(res.Steps), steps)
+	}
+	for _, st := range res.Steps {
+		pairs := map[[2]int64]bool{}
+		next := make([]bool, g.NumVertices)
+		for u := int64(0); u < g.NumVertices; u++ {
+			if !active[u] {
+				continue
+			}
+			for _, d := range g.Neighbors(graph.VertexID(u)) {
+				pairs[[2]int64{int64(ivOf[u]), int64(d)}] = true
+				next[d] = true
+			}
+		}
+		active = next
+		if st.Delivered != int64(len(pairs)) {
+			t.Fatalf("step %d: delivered %d messages, want one per (source interval, destination) pair: %d (generated %d)",
+				st.Step, st.Delivered, len(pairs), st.Messages)
+		}
+	}
+}
+
+// TestClusterOneNodeEqualsCore pins the cluster's fold to core's: with
+// one node and one interval, every destination's messages fold in
+// generation order into one message, exactly as core's single dispatcher
+// slab does, so float PageRank is bit-identical whatever the node's
+// computer count.
+func TestClusterOneNodeEqualsCore(t *testing.T) {
+	for _, seed := range []int64{3, 5, 7} {
+		path := save(t, rmat(t, 3000, 40000, seed))
+		vals, _, err := gpsa.Run(path, algorithms.PageRank{}, gpsa.RunOptions{Supersteps: 5, Dispatchers: 1, Computers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]uint64, vals.NumVertices())
+		for v := range want {
+			want[v] = vals.Raw(int64(v))
+		}
+		if err := vals.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, computers := range []int{1, 2, 3} {
+			_, got, err := cluster.Run(path, algorithms.PageRank{}, cluster.Config{
+				Nodes: 1, MaxSupersteps: 5, Node: cluster.NodeConfig{Computers: computers},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameValues(t, fmt.Sprintf("seed %d, %d computers", seed, computers), got, want)
+		}
+	}
+}
+
+// TestClusterGeometryInvariant runs one 6-interval partition as
+// Nodes×Splits = 1×6, 2×3, 3×2 and 6×1: the same intervals go over the
+// loopback in one geometry and over the wire in another, so bit-identical
+// PageRank pins that both paths form batches the same way.
+func TestClusterGeometryInvariant(t *testing.T) {
+	path := save(t, rmat(t, 3000, 40000, 3))
+	var want []uint64
+	for _, geo := range [][2]int{{1, 6}, {2, 3}, {3, 2}, {6, 1}} {
+		res, got, err := cluster.Run(path, algorithms.PageRank{}, cluster.Config{Nodes: geo[0], Splits: geo[1], MaxSupersteps: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Assignments) != 6 {
+			t.Fatalf("%dx%d: %d intervals, want 6", geo[0], geo[1], len(res.Assignments))
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		assertSameValues(t, fmt.Sprintf("%dx%d vs 1x6", geo[0], geo[1]), got, want)
+	}
+}
+
+// TestClusterLabelPropagation runs a program without a combiner — the
+// per-message batch path — on the cluster against the serial reference.
+func TestClusterLabelPropagation(t *testing.T) {
+	g := rmat(t, 500, 3000, 9).Symmetrize()
+	prog := algorithms.LabelPropagation{Rounds: 6}
+	want, _ := algorithms.ReferenceRun(g, prog, 100)
+	for i := range want {
+		want[i] &= vertexfile.PayloadMask
+	}
+	path := save(t, g)
+	for _, nodes := range []int{1, 3} {
+		res, got, err := cluster.Run(path, prog, cluster.Config{Nodes: nodes, Splits: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("nodes=%d: did not converge", nodes)
+		}
+		if res.Delivered != res.Messages {
+			t.Fatalf("nodes=%d: no combiner, but delivered %d of %d messages", nodes, res.Delivered, res.Messages)
+		}
+		assertSameValues(t, fmt.Sprintf("nodes=%d", nodes), got, want)
+	}
+}
+
+func assertSameValues(t *testing.T, what string, got, want []uint64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	differ, first := 0, -1
+	for v := range want {
+		if got[v] != want[v] {
+			if differ == 0 {
+				first = v
+			}
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%s: %d of %d vertices differ; first: vertex %d = %#x, want %#x", what, differ, len(want), first, got[first], want[first])
 	}
 }

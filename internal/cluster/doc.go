@@ -8,16 +8,19 @@
 //
 //   - The manager actor becomes a Coordinator process coordinating
 //     supersteps over TCP control connections.
-//   - Each Node owns a contiguous vertex interval (balanced by edge
-//     count), streams its share of the CSR file with local dispatcher
-//     actors, and folds messages with local computing actors backed by
-//     its own two-column vertex value file.
-//   - Actor location transparency becomes explicit: a message whose
-//     destination is local goes straight into a computing worker's
-//     mailbox; a remote one is batched onto the owning node's data
-//     connection. Batches are staged per source interval as they arrive
-//     and folded at the barrier in interval order (see nodeComputer), so
-//     a retried superstep folds bit-identically.
+//   - Each Node hosts a set of vertex intervals (balanced by edge
+//     count), streams their share of the CSR file, and folds messages
+//     with local computing actors backed by its own two-column vertex
+//     value file.
+//   - A program with a Combiner folds at the source, as in core: each
+//     interval's messages fold into the node's dense slab, so a round
+//     sends each (source interval, destination) pair at most once.
+//   - Actor location transparency becomes explicit: a batch for a
+//     co-hosted interval goes through the loopback into the computing
+//     workers' mailboxes; any other is framed onto the owning node's
+//     data connection. Batches are staged per source interval as they
+//     arrive and folded at the barrier in interval order (see
+//     nodeComputer), so a retried superstep folds bit-identically.
 //
 // The superstep barrier generalizes the single-machine one: after a node
 // finishes dispatching (and has flushed its peer connections) it sends an

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net"
 	"path/filepath"
 	"sort"
@@ -182,7 +183,14 @@ type node struct {
 	eosCh     chan eosMark
 	failCh    chan error // peer disconnects and computing-actor panics
 	hbStop    chan struct{}
-	statsMsgs int64
+
+	// slab and slabBits are a combiner program's source-side fold: one
+	// value and one presence bit per global vertex id. The interval being
+	// dispatched fills them (fold) and its walk empties them (flushSlab).
+	// Allocated once per node, 8 B×|V| + |V|/8 B, and reused by every
+	// interval and superstep; nil for programs without a combiner.
+	slab     []uint64
+	slabBits []uint64
 
 	// round gates the data plane: frames tagged with an older superstep
 	// attempt are dropped at arrival, so an aborted attempt's stragglers
@@ -281,6 +289,8 @@ func startNode(ctx context.Context, spec nodeSpec) (*node, error) {
 	}
 	if c, ok := spec.prog.(core.Combiner); ok {
 		n.combiner = c
+		n.slab = make([]uint64, gf.NumVertices)
+		n.slabBits = make([]uint64, (gf.NumVertices+63)/64)
 	}
 	for i := range n.streams {
 		n.streams[i] = &senderStream{next: 1, pending: make(map[uint64]streamFrame)}
@@ -460,6 +470,14 @@ func (n *node) receive(c *conn) {
 				n.reportFailure(stepFailf("cluster: node %d: batch from bogus interval %d", n.id, src))
 				return
 			}
+			// |V| never changes, so this check is race-free; whether this
+			// node hosts dst is checked at the barrier (nodeComputer.apply).
+			for _, m := range batch {
+				if int64(m.Dst) >= n.ivBounds[len(n.ivs)] {
+					n.reportFailure(stepFailf("cluster: node %d: batch from peer %d names vertex %d of %d", n.id, sender, m.Dst, n.ivBounds[len(n.ivs)]))
+					return
+				}
+			}
 			n.deliverData(sender, round, seq, streamFrame{src: int(src), batch: batch})
 		case fEOS:
 			vals, perr := readU64s(payload, 2)
@@ -530,10 +548,10 @@ func (n *node) reportFailure(err error) {
 
 // routeLocal distributes a batch generated by source interval src across
 // the node's computing actors. Both the wire path (receive) and the
-// co-hosted loopback path (flushCross in dispatchInterval) come through
-// here, so a batch is split across workers identically whether its
-// source interval lives on this node or another — the property that
-// keeps results bit-identical across migrations.
+// co-hosted loopback path (flushBatch) come through here, so a batch is
+// split across workers identically whether its source interval lives on
+// this node or another — the property that keeps results bit-identical
+// across migrations.
 func (n *node) routeLocal(round uint64, src int, batch []core.Message) {
 	if len(n.toComp) == 1 {
 		n.toComp[0].Put(compMsg{src: src, round: round, batch: batch}) //nolint:errcheck
@@ -549,11 +567,6 @@ func (n *node) routeLocal(round uint64, src int, batch []core.Message) {
 			n.toComp[w].Put(compMsg{src: src, round: round, batch: p}) //nolint:errcheck
 		}
 	}
-}
-
-// ownerOf returns the node currently hosting vertex v's interval.
-func (n *node) ownerOf(v graph.VertexID) int {
-	return n.owners[n.ivOf(int64(v))]
 }
 
 // runNode executes the node's control loop until HALT. Failures are
@@ -766,10 +779,13 @@ func (n *node) rollbackStep(step int64, newRound uint64) error {
 			drained = true
 		}
 	}
-	// Reset the data-plane sequence counters for the retry.
+	// Reset the data-plane sequence counters for the retry, and empty the
+	// slab: a send that failed mid-walk leaves partial sums set, which the
+	// retry would otherwise fold into its first interval.
 	for i := range n.peerSeq {
 		n.peerSeq[i] = 0
 	}
+	clear(n.slabBits)
 	switch {
 	case n.vf.Epoch() == step+1:
 		if err := n.vf.Rewind(step); err != nil {
@@ -920,10 +936,10 @@ func (n *node) sendData(p int, kind byte, payload []byte) error {
 
 // dispatchPhase streams every interval this node hosts, in ascending
 // interval order, then signals end-of-stream to every member peer and
-// DISPATCH_OVER. Batch formation happens per source interval with fresh
-// buffers (dispatchInterval), so batch boundaries and combine groups
-// depend only on the fixed partition — routing decides where a batch
-// goes, never how it is formed.
+// DISPATCH_OVER. Batches are formed per source interval
+// (dispatchInterval), so batch boundaries and combine groups depend only
+// on the fixed partition — routing decides where a batch goes, never how
+// it is formed.
 func (n *node) dispatchPhase(step int64, round uint64) error {
 	if err := n.vf.Begin(step, !n.cfg.DisableSync); err != nil {
 		return err
@@ -950,17 +966,18 @@ func (n *node) dispatchPhase(step int64, round uint64) error {
 			return stepFailf("cluster: node %d EOS to %d: %w", n.id, i, err)
 		}
 	}
-	n.statsMsgs += generated
 	return n.coord.writeFrame(fDispatchOver, u64Payload(uint64(step), uint64(generated), uint64(delivered)))
 }
 
-// dispatchInterval streams one hosted interval src. Messages staying
-// inside src split directly across the local computing actors; messages
-// crossing into another interval d buffer per destination interval and
-// flush either over the wire to d's owner or through the loopback
-// (routeLocal) when d is co-hosted. A destination vertex belongs to
-// exactly one interval, so its messages always take the same path shape
-// and fold in the same order regardless of which node hosts what.
+// dispatchInterval streams one hosted interval src. A combiner program
+// folds every message into the node's slab and, once the interval is
+// done, sends each destination it reached exactly once (flushSlab). A
+// program without a combiner sends every message: those staying inside
+// src split directly across the local computing actors, those crossing
+// into another interval d buffer per destination interval (flushBatch).
+// A destination vertex belongs to exactly one interval, so its messages
+// always take the same path shape and fold in the same order regardless
+// of which node hosts what.
 func (n *node) dispatchInterval(step int64, round uint64, src int, generated, delivered *int64) error {
 	col := vertexfile.DispatchCol(step)
 	weighted := n.gf.Weighted()
@@ -968,29 +985,16 @@ func (n *node) dispatchInterval(step int64, round uint64, src int, generated, de
 
 	local := make([][]core.Message, len(n.toComp))
 	cross := make([][]core.Message, len(n.ivs))
-
 	flushLocal := func(w int) error {
 		b := local[w]
 		local[w] = nil
-		if n.combiner != nil {
-			b = core.CombineBatch(b, n.combiner)
-		}
 		*delivered += int64(len(b))
 		return n.toComp[w].Put(compMsg{src: src, round: round, batch: b})
 	}
 	flushCross := func(d int) error {
 		b := cross[d]
 		cross[d] = nil
-		if n.combiner != nil {
-			b = core.CombineBatch(b, n.combiner)
-		}
-		*delivered += int64(len(b))
-		owner := n.owners[d]
-		if owner == n.id {
-			n.routeLocal(round, src, b)
-			return nil
-		}
-		return n.sendData(owner, fBatch, batchPayload(round, n.peerSeq[owner]+1, uint32(src), b))
+		return n.flushBatch(round, src, d, b, delivered)
 	}
 
 	for {
@@ -1013,6 +1017,10 @@ func (n *node) dispatchInterval(step int64, round uint64, src int, generated, de
 				continue
 			}
 			*generated++
+			if n.combiner != nil {
+				n.fold(dst, msgVal)
+				continue
+			}
 			d := n.ivOf(int64(dst))
 			if d == src {
 				wkr := int(dst) % len(n.toComp)
@@ -1036,6 +1044,9 @@ func (n *node) dispatchInterval(step int64, round uint64, src int, generated, de
 	if err := cur.Err(); err != nil {
 		return err
 	}
+	if n.combiner != nil {
+		return n.flushSlab(round, src, delivered)
+	}
 	for w := range local {
 		if len(local[w]) > 0 {
 			if err := flushLocal(w); err != nil {
@@ -1050,6 +1061,67 @@ func (n *node) dispatchInterval(step int64, round uint64, src int, generated, de
 			}
 		}
 	}
+	return nil
+}
+
+// fold combines one generated message into the slab: a left fold in
+// generation order, the same one core's accumDense performs.
+//
+//gpsa:noalloc
+func (n *node) fold(dst graph.VertexID, val uint64) {
+	word, bit := dst>>6, uint64(1)<<(dst&63)
+	if n.slabBits[word]&bit != 0 {
+		n.slab[dst] = n.combiner.CombineMsg(n.slab[dst], val)
+		return
+	}
+	n.slabBits[word] |= bit
+	n.slab[dst] = val
+}
+
+// flushSlab sends what source interval src folded into the slab: it walks
+// the set bits in ascending vertex order, clearing them as it goes, and
+// cuts each destination interval into batches of at most BatchSize
+// messages. The round therefore carries at most one message per (source
+// interval, destination), in ascending destination order.
+func (n *node) flushSlab(round uint64, src int, delivered *int64) error {
+	d := 0 // destination interval of the batch being filled
+	b := make([]core.Message, 0, n.cfg.BatchSize)
+	for w, word := range n.slabBits {
+		if word == 0 {
+			continue
+		}
+		n.slabBits[w] = 0
+		for ; word != 0; word &= word - 1 {
+			v := int64(w)<<6 | int64(bits.TrailingZeros64(word))
+			if v >= n.ivBounds[d+1] || len(b) == n.cfg.BatchSize {
+				if len(b) > 0 {
+					if err := n.flushBatch(round, src, d, b, delivered); err != nil {
+						return err
+					}
+					b = make([]core.Message, 0, n.cfg.BatchSize)
+				}
+				for v >= n.ivBounds[d+1] {
+					d++
+				}
+			}
+			b = append(b, core.Message{Dst: graph.VertexID(v), Val: n.slab[v]})
+		}
+	}
+	if len(b) == 0 {
+		return nil
+	}
+	return n.flushBatch(round, src, d, b, delivered)
+}
+
+// flushBatch sends one batch source interval src generated for
+// destination interval d: over the wire to d's owner, or through the
+// loopback (routeLocal) when d is co-hosted.
+func (n *node) flushBatch(round uint64, src, d int, b []core.Message, delivered *int64) error {
+	*delivered += int64(len(b))
+	if owner := n.owners[d]; owner != n.id {
+		return n.sendData(owner, fBatch, batchPayload(round, n.peerSeq[owner]+1, uint32(src), b))
+	}
+	n.routeLocal(round, src, b)
 	return nil
 }
 
@@ -1129,10 +1201,9 @@ func (n *node) sendValues(iv int) error {
 // order — and folded at the barrier in ascending interval order. Keying
 // by interval rather than node id is what makes the fold invariant under
 // elastic membership: migrating an interval changes which node's stream
-// carries its batches, never the staging slot or fold position. For
-// combinable programs staged runs are compacted eagerly with the stable
-// combiner, so the dispatch/compute overlap still does the combining
-// work in-flight.
+// carries its batches, never the staging slot or fold position. Nothing
+// is compacted here: a combiner program's sender already folded each
+// (source interval, destination) pair into one message (flushSlab).
 type nodeComputer struct {
 	node    *node
 	id      int
@@ -1166,7 +1237,13 @@ func (c *nodeComputer) Execute() (err error) {
 		}
 		if m.barrier {
 			if m.round == n.round.Load() {
-				c.apply()
+				if err := c.apply(); err != nil {
+					// No ack: the barrier fails on the report, and the
+					// rollback's quiesce still finds this actor reading.
+					n.reportFailure(err)
+					c.updates = 0
+					continue
+				}
 			}
 			//lint:ctxblock ackCh is buffered to the computer count, so one ack per barrier can never block
 			n.ackCh <- c.updates //lint:actorshare ackCh is buffered to the computer count, so one ack per barrier can never block
@@ -1177,30 +1254,30 @@ func (c *nodeComputer) Execute() (err error) {
 			continue // straggler from an aborted attempt
 		}
 		c.staged[m.src] = append(c.staged[m.src], m.batch...)
-		if n.combiner != nil && len(c.staged[m.src]) >= 2*n.cfg.BatchSize {
-			c.staged[m.src] = core.CombineBatch(c.staged[m.src], n.combiner)
-		}
 	}
 }
 
 // apply folds the staged batches into the update column, source interval
 // by source interval in ascending order — the deterministic,
-// membership-invariant fold the staging exists for.
-func (c *nodeComputer) apply() {
+// membership-invariant fold the staging exists for. A destination this
+// node does not host fails the step before its slot is written.
+func (c *nodeComputer) apply() error {
 	n := c.node
 	step := n.vf.Epoch()
 	dcol, ucol := vertexfile.DispatchCol(step), vertexfile.UpdateCol(step)
+	var lo, hi int64 // the hosted interval the last destination fell in
 	for snd := range c.staged {
 		b := c.staged[snd]
 		c.staged[snd] = nil
-		if len(b) == 0 {
-			continue
-		}
-		if n.combiner != nil {
-			b = core.CombineBatch(b, n.combiner)
-		}
 		for _, msg := range b {
 			v := int64(msg.Dst)
+			if v < lo || v >= hi {
+				iv := n.ivOf(v)
+				if n.owners[iv] != n.id {
+					return stepFailf("cluster: node %d: batch from interval %d names vertex %d, hosted by node %d", n.id, snd, v, n.owners[iv])
+				}
+				lo, hi = n.ivBounds[iv], n.ivBounds[iv+1]
+			}
 			slot := n.vf.Load(ucol, v)
 			first := vertexfile.Stale(slot)
 			var cur uint64
@@ -1216,4 +1293,5 @@ func (c *nodeComputer) apply() {
 			}
 		}
 	}
+	return nil
 }

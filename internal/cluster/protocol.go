@@ -32,9 +32,9 @@ const (
 	fComputeBarrier = 5  // coordinator -> node: step u64
 	fComputeOver    = 6  // node -> coordinator: step u64, updates u64
 	fHalt           = 7  // coordinator -> node: converged u8
-	fValuesReq      = 8  // coordinator -> node
+	fValuesReq      = 8  // coordinator -> node: interval u32
 	fValues         = 9  // node -> coordinator: first u64, count u64, payloads
-	fBatch          = 10 // node -> node: round u64, seq u64, count u32, (dst u32, val u64)*
+	fBatch          = 10 // node -> node: round u64, seq u64, src u32, count u32, (dst u32, val u64)*
 	fEOS            = 11 // node -> node: round u64, seq u64 (the sender's final seq for the round)
 	fPeerHello      = 12 // node -> node: sender nodeID u32
 	fHeartbeat      = 13 // node -> coordinator: liveness ping, no payload semantics

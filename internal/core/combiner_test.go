@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/mmap"
@@ -48,54 +47,6 @@ func TestNonCombinableProgramDeliversEverything(t *testing.T) {
 	}
 	if res.Delivered != res.Messages {
 		t.Fatalf("no combiner but delivered %d != generated %d", res.Delivered, res.Messages)
-	}
-}
-
-type minComb struct{}
-
-func (minComb) CombineMsg(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Property: combineBatch preserves the per-destination fold (min) and
-// never grows the batch.
-func TestCombineBatchProperty(t *testing.T) {
-	fn := func(dsts []uint8, vals []uint16) bool {
-		n := len(dsts)
-		if len(vals) < n {
-			n = len(vals)
-		}
-		batch := make([]Message, n)
-		want := map[graph.VertexID]uint64{}
-		for i := 0; i < n; i++ {
-			d := graph.VertexID(dsts[i] % 16)
-			v := uint64(vals[i])
-			batch[i] = Message{Dst: d, Val: v}
-			if cur, ok := want[d]; !ok || v < cur {
-				want[d] = v
-			}
-		}
-		out := CombineBatch(batch, minComb{})
-		if len(out) > n || len(out) != len(want) {
-			return false
-		}
-		seen := map[graph.VertexID]bool{}
-		for _, m := range out {
-			if seen[m.Dst] {
-				return false // duplicate destination survived
-			}
-			seen[m.Dst] = true
-			if want[m.Dst] != m.Val {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

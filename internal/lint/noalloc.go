@@ -98,6 +98,7 @@ var noallocRequired = map[string][]string{
 	"internal/cluster": {
 		"(*conn).writeFrame",
 		"readFrameFrom",
+		"(*node).fold",
 	},
 }
 

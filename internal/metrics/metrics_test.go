@@ -30,22 +30,30 @@ func TestMeasureCPUDetectsParallelBurn(t *testing.T) {
 	if workers > 4 {
 		workers = 4
 	}
-	s := MeasureCPU(func() {
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				burn(60 * time.Millisecond)
-			}()
-		}
-		wg.Wait()
-	})
+	measure := func() CPUSample {
+		return MeasureCPU(func() {
+			var wg sync.WaitGroup
+			for i := 0; i < workers; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					burn(60 * time.Millisecond)
+				}()
+			}
+			wg.Wait()
+		})
+	}
+	s := measure()
 	if s.Wall <= 0 || s.CPU <= 0 {
 		t.Fatalf("sample = %+v", s)
 	}
 	// With `workers` busy goroutines, average busy cores should clearly
-	// exceed one (allowing heavy scheduler noise).
+	// exceed one (allowing heavy scheduler noise). Another test binary of
+	// `go test ./...` can hold a core for a second or so on a 2-CPU host,
+	// so the measurement is repeated for up to 3 s before failing.
+	for deadline := time.Now().Add(3 * time.Second); workers >= 2 && s.Cores < 1.2 && time.Now().Before(deadline); {
+		s = measure()
+	}
 	if workers >= 2 && s.Cores < 1.2 {
 		t.Fatalf("measured %.2f busy cores with %d burners", s.Cores, workers)
 	}
