@@ -19,9 +19,8 @@ race:
 # gpsa-lint: the repository's own static analyzers (internal/lint) —
 # actor discipline, mmap aliasing, determinism, context plumbing,
 # durability error handling, //gpsa:noalloc hot-path allocation checks,
-# arena-pool acquire/release discipline, and frame-switch
-# exhaustiveness. Zero unsuppressed findings required; see DESIGN.md
-# "Static invariants" for the rule catalogue and the
+# and frame-switch exhaustiveness. Zero unsuppressed findings required;
+# see DESIGN.md "Static invariants" for the rule catalogue and the
 # //lint:<analyzer> <reason> suppression syntax.
 lint:
 	$(GO) run ./cmd/gpsa-lint ./...

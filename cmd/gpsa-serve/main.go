@@ -115,7 +115,7 @@ func run() int {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 
-	srv, err := serve.NewServer(ctx, serve.Options{
+	opts := serve.Options{
 		Addr:             *addr,
 		GraphDir:         *graphDir,
 		JobsDir:          *jobsDir,
@@ -138,7 +138,13 @@ func run() int {
 		ScrubInterval:    *scrubIvl,
 		ScrubThrottle:    *scrubRate,
 		Logf:             logf,
-	})
+	}
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "gpsa-serve: %v\n", err)
+		flag.Usage()
+		return 2
+	}
+	srv, err := serve.NewServer(ctx, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gpsa-serve: %v\n", err)
 		return 1

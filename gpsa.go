@@ -124,9 +124,10 @@ type RunOptions struct {
 	// Progress, when non-nil, receives per-superstep statistics.
 	Progress func(StepStats)
 	// MailboxCap bounds each computing worker's mailbox depth in batches
-	// (0 = engine default, 64). The serving layer uses it as a per-job
-	// memory budget: a misbehaving or oversized job back-pressures its
-	// own dispatchers instead of growing process memory.
+	// (0 = engine default, 64; at most core.MaxMailboxCap). It bounds only
+	// the batch path (programs without a combiner, e.g. LabelPropagation);
+	// a combiner program's message memory is its slab grid, allocated when
+	// the engine is built: ≈ Dispatchers × |V| × 8.125 bytes.
 	MailboxCap int
 	// Prefetch spawns an async CSR prefetch actor per dispatcher: a
 	// windowed madvise(WILLNEED) walker ahead of each edge cursor with

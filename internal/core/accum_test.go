@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -310,14 +311,14 @@ func TestSlabHandedOffOncePerPair(t *testing.T) {
 }
 
 // noalloc and -escape prove statically that the slab path does not
-// allocate per message; this observes it. Slabs come from the arena New
-// pre-warmed, so a run allocates only its fixed costs (actor spawn,
+// allocate per message; this observes it. New allocates every slab the
+// engine will use, so a run allocates only its fixed costs (actor spawn,
 // mailboxes): under 2.5 B per generated message at this toy scale with
 // this pinned geometry (they grow with the actor count, so it is not
 // left to the host's CPU count). A slab allocated per hand-off adds
 // Dispatchers x |V| x 8 B every superstep — 5 B/msg for pagerank here,
 // 12 for bfs, which starts at R-MAT's hub, vertex 0 — so the 4 B
-// ceiling catches a bypassed pool.
+// ceiling catches a slab that is not reused.
 func TestSlabPathAllocCeiling(t *testing.T) {
 	rmat := func(weighted bool) *graph.CSR {
 		g, err := gen.RMATGraph(gen.RMATConfig{Vertices: 1 << 10, Edges: 8 << 10, Seed: 42, Weighted: weighted})
@@ -353,7 +354,7 @@ func TestSlabPathAllocCeiling(t *testing.T) {
 			}
 			const ceiling = 4.0 // bytes per generated message
 			if perMsg := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Messages); perMsg > ceiling {
-				t.Fatalf("%.2f B/msg over %d messages exceeds the %.1f B pooled-path ceiling", perMsg, res.Messages, ceiling)
+				t.Fatalf("%.2f B/msg over %d messages exceeds the %.1f B slab-path ceiling", perMsg, res.Messages, ceiling)
 			}
 			// PageRank keeps every vertex active, so the slab must fold at
 			// the source: strictly fewer deliveries than messages.
@@ -364,45 +365,35 @@ func TestSlabPathAllocCeiling(t *testing.T) {
 	}
 }
 
-// Pool recycling must be invisible to results: running a computation as
-// two Run calls on ONE engine — where the second half draws only slabs
-// and batches that were already used, released and (with poison forced
-// on) overwritten with the poison pattern — must produce a vertex file
-// bit-identical to a fresh engine running straight through. Any read of
-// recycled state that escapes the presence metadata would fold poison
-// into a value and diverge loudly.
+// Slab reuse must be invisible to results: running a computation as two
+// Run calls on ONE engine — where the second half folds only into slabs
+// that were already applied, reset and (with poison forced on)
+// overwritten with the poison pattern — must leave every slab empty and
+// produce a vertex file bit-identical to a fresh engine running straight
+// through. Any read of a reset slab that escapes the presence bitmap
+// would fold poison into a value and diverge loudly. One dispatcher
+// keeps the float fold order, and so PageRank's bits, deterministic.
 func TestAccumPoolRecycleEquivalence(t *testing.T) {
-	restore := poisonReleases
-	poisonReleases = true
-	defer func() { poisonReleases = restore }()
+	restore := poisonResets
+	poisonResets = true
+	defer func() { poisonResets = restore }()
 
-	g := randomGraph(t, 78, 260, 2000)
-	for _, tc := range []struct {
-		path string
-		prog Program
-	}{{"batch", prProg{}}, {"slab", prComb{}}} {
-		t.Run(tc.path, func(t *testing.T) {
-			// One dispatcher keeps per-computer arrival order deterministic,
-			// so even PageRank's float sums must match bit for bit. The tiny
-			// batch forces heavy mid-dispatch recycle traffic.
-			base := Config{
-				Dispatchers: 1, Computers: 2,
-				BatchSize:   64,
-				DisableSync: true,
+	t.Run("slab", func(t *testing.T) {
+		g := randomGraph(t, 78, 260, 2000)
+		cfg := Config{Dispatchers: 1, Computers: 2, MaxSupersteps: 8, DisableSync: true}
+		want, _ := runOn(t, g, prComb{}, cfg)
+		cfg.MaxSupersteps = 4
+		eng, vf := setup(t, g, prComb{}, cfg)
+		for part := 0; part < 2; part++ {
+			if _, err := eng.Run(); err != nil {
+				t.Fatalf("run %d: %v", part, err)
 			}
-			const steps = 8
-			ref := base
-			ref.MaxSupersteps = steps
-			want, _ := runOn(t, g, tc.prog, ref)
-			half := base
-			half.MaxSupersteps = steps / 2
-			eng, vf := setup(t, g, tc.prog, half)
-			for part := 0; part < 2; part++ {
-				if _, err := eng.Run(); err != nil {
-					t.Fatalf("run %d: %v", part, err)
+			for _, s := range slices.Concat(eng.slabs...) {
+				if s.count != 0 || slices.ContainsFunc(s.bits, func(w uint64) bool { return w != 0 }) {
+					t.Fatalf("run %d left a slab non-empty (count %d)", part, s.count)
 				}
 			}
-			assertSame(t, "recycled engine vs fresh engine", vf.Values(), want)
-		})
-	}
+		}
+		assertSame(t, "reused engine vs fresh engine", vf.Values(), want)
+	})
 }

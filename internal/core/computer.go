@@ -82,7 +82,8 @@ func (c *computer) process(m workerMsg) {
 // column via the value file's bulk-apply: one pre-combined message per
 // present vertex, visited in vertex order. The fault hooks and the
 // teardown poll mirror processBatch so injection coverage and graceful
-// SIGINT latency are identical on both paths.
+// SIGINT latency are identical on both paths. The reset hands the slab
+// back to its dispatcher through the barrier ack.
 //
 //gpsa:noalloc
 func (c *computer) processSegment(seg *denseSeg) {
@@ -103,7 +104,7 @@ func (c *computer) processSegment(seg *denseSeg) {
 			newVal, changed := eng.prog.Compute(v, cur, msg, first)
 			return newVal, changed, false
 		})
-	eng.putSlab(seg)
+	seg.reset()
 }
 
 // processBatch applies Compute for each message (paper Algorithm 3).
@@ -145,5 +146,4 @@ func (c *computer) processBatch(batch []Message) {
 			c.updates++
 		}
 	}
-	eng.putBatch(batch)
 }

@@ -11,6 +11,10 @@ import (
 // same total budget the original run had.
 const DefaultMaxSupersteps = 100
 
+// MaxMailboxCap bounds Config.MailboxCap: a mailbox is a channel
+// allocated whole at spawn, and failing that allocation kills the process.
+const MaxMailboxCap = 1 << 16
+
 // Config tunes the engine. The zero value selects sensible defaults.
 type Config struct {
 	// Dispatchers is the number of dispatcher actors (default: half the
@@ -29,7 +33,9 @@ type Config struct {
 	BatchSize int
 
 	// MailboxCap is the per-worker mailbox capacity in batches
-	// (default 64). Bounded mailboxes give dispatchers backpressure.
+	// (default 64, at most MaxMailboxCap). Bounded mailboxes give the
+	// batch path backpressure; a combiner program's message memory is
+	// the slab grid New allocates, ≈ Dispatchers × |V| × 8.125 bytes.
 	MailboxCap int
 
 	// MaxSupersteps caps the run (default 100). The engine also halts as
@@ -70,14 +76,10 @@ type Config struct {
 	// begin/commit) before surfacing the error. Between attempts the
 	// engine tears the worker crew down, rolls the value file back to
 	// the superstep's immutable dispatch column using an exact
-	// active-set snapshot, and respawns the crew. Zero — the default —
-	// disables retries and fails fast.
+	// active-set snapshot, backs off (25ms, doubling per consecutive
+	// retry), and respawns the crew. Zero — the default — disables
+	// retries and fails fast.
 	MaxStepRetries int
-
-	// StepRetryBackoff is the sleep before the first retry of a
-	// superstep; it doubles for every further consecutive retry
-	// (default 25ms).
-	StepRetryBackoff time.Duration
 
 	// SuperstepTimeout bounds how long the manager waits for any single
 	// worker notification within a superstep (the paper's manager
@@ -120,9 +122,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSupersteps <= 0 {
 		c.MaxSupersteps = DefaultMaxSupersteps
 	}
-	if c.StepRetryBackoff <= 0 {
-		c.StepRetryBackoff = 25 * time.Millisecond
-	}
 	if c.PrefetchWindow <= 0 {
 		c.PrefetchWindow = 8 << 20
 	}
@@ -132,6 +131,9 @@ func (c Config) withDefaults() Config {
 func (c Config) validate() error {
 	if c.Dispatchers > 4096 || c.Computers > 4096 {
 		return fmt.Errorf("core: unreasonable worker count (%d dispatchers, %d computers)", c.Dispatchers, c.Computers)
+	}
+	if c.MailboxCap > MaxMailboxCap {
+		return fmt.Errorf("core: unreasonable mailbox capacity %d (max %d)", c.MailboxCap, MaxMailboxCap)
 	}
 	return nil
 }

@@ -26,13 +26,11 @@ type dispatcher struct {
 	eng      *Engine
 	interval graph.Interval
 
-	// per-computer outgoing batches (programs without a Combiner),
-	// arena-pooled
+	// per-computer outgoing batches (programs without a Combiner)
 	bufs []([]Message)
 
-	// per-computer dense slabs (combiner programs), handed off at the
-	// end of the interval
-	dense []*denseSeg
+	// per-computer dense slabs (combiner programs): row id of Engine.slabs
+	slabs []*denseSeg
 
 	// owner fast path, hoisted out of the per-edge loop: dst mod workers
 	// is a mask (and the slab index a shift) when the worker count is a
@@ -62,15 +60,14 @@ func (d *dispatcher) Execute() (err error) {
 	}()
 	d.workers = len(d.eng.toComp)
 	d.bufs = make([][]Message, d.workers)
-	d.dense = make([]*denseSeg, d.workers)
+	if d.eng.slabs != nil {
+		d.slabs = d.eng.slabs[d.id]
+	}
 	if d.workers&(d.workers-1) == 0 {
 		d.usesMask = true
 		d.ownMask = graph.VertexID(d.workers - 1)
 		d.ownShift = uint(bits.TrailingZeros(uint(d.workers)))
 	}
-	// Return every locally owned buffer to the arena on the way out
-	// (normal exit or panic — a restarted incarnation draws fresh ones).
-	defer d.releasePooled()
 	for {
 		cmd, ok := d.eng.toDisp[d.id].Get()
 		if !ok || cmd.kind == kindSystemOver {
@@ -90,8 +87,8 @@ func (d *dispatcher) Execute() (err error) {
 		if err != nil {
 			if d.aborting(err) {
 				// The manager is already tearing this superstep down;
-				// park for the next command instead of failing.
-				d.dropAccumulators()
+				// park until teardown instead of failing. Partial slabs
+				// and batches die with the crew: spawn resets the slabs.
 				continue
 			}
 			d.eng.toManager.Put(workerMsg{kind: kindFailed, from: d.id, err: err}) //nolint:errcheck
@@ -109,40 +106,6 @@ func (d *dispatcher) Execute() (err error) {
 // anything that happened after the engine raised the abort flag.
 func (d *dispatcher) aborting(err error) bool {
 	return errors.Is(err, errAborted) || errors.Is(err, actor.ErrMailboxClosed) || d.eng.aborted.Load()
-}
-
-// dropAccumulators discards partially filled accumulator state after an
-// aborted superstep, so no entry from the failed attempt can leak into a
-// retried one. Slabs return to the arena (putSlab clears their bitmap).
-func (d *dispatcher) dropAccumulators() {
-	for w := range d.dense {
-		if s := d.dense[w]; s != nil {
-			d.eng.pool.putSlab(s)
-			d.dense[w] = nil
-		}
-		if len(d.bufs[w]) > 0 {
-			d.bufs[w] = d.bufs[w][:0]
-		}
-	}
-}
-
-// releasePooled returns every buffer the dispatcher still owns — partial
-// slabs and batches — to the arena. Runs once when the actor exits;
-// buffers already handed to computers are theirs to release.
-func (d *dispatcher) releasePooled() {
-	pool := d.eng.pool
-	for w := range d.dense {
-		if s := d.dense[w]; s != nil {
-			pool.putSlab(s)
-			d.dense[w] = nil
-		}
-	}
-	for w := range d.bufs {
-		if b := d.bufs[w]; b != nil {
-			pool.putBuf(b)
-			d.bufs[w] = nil
-		}
-	}
 }
 
 // owner resolves the computing worker owning dst (dst mod workers, the
@@ -233,11 +196,7 @@ func (d *dispatcher) runSuperstep(step int64) (sent int64, err error) {
 //
 //gpsa:noalloc
 func (d *dispatcher) accumDense(wk int, dst graph.VertexID, val uint64) {
-	s := d.dense[wk]
-	if s == nil {
-		s = d.eng.getSlab()
-		d.dense[wk] = s
-	}
+	s := d.slabs[wk]
 	idx := d.denseIndex(dst)
 	word, bit := idx>>6, uint64(1)<<uint(idx&63)
 	if s.bits[word]&bit != 0 {
@@ -250,13 +209,15 @@ func (d *dispatcher) accumDense(wk int, dst graph.VertexID, val uint64) {
 	s.count++
 }
 
+// flushDense hands slab wk to its computer if anything landed in it;
+// the dispatcher does not touch it again until the next superstep.
+//
 //gpsa:noalloc
 func (d *dispatcher) flushDense(wk int) error {
-	s := d.dense[wk]
-	if s == nil {
-		return nil
+	if d.slabs == nil || d.slabs[wk].count == 0 {
+		return nil // batch path, or nothing landed
 	}
-	d.dense[wk] = nil
+	s := d.slabs[wk]
 	d.delivered += int64(s.count)
 	d.denseSegs++
 	return d.eng.toComp[wk].Put(workerMsg{kind: kindSegment, seg: s})
@@ -268,9 +229,10 @@ func (d *dispatcher) flushDense(wk int) error {
 //gpsa:noalloc
 func (d *dispatcher) send(wk int, dst graph.VertexID, val uint64) error {
 	if d.bufs[wk] == nil {
-		d.bufs[wk] = d.eng.getBatch()
+		//lint:noalloc the batch path allocates one batch per hand-off by design (about 16 B/msg); only combiner programs are held to zero
+		d.bufs[wk] = make([]Message, 0, d.eng.cfg.BatchSize)
 	}
-	//lint:noalloc cap is fixed at BatchSize by getBatch and the batch flushes before exceeding it; append never grows
+	//lint:noalloc cap is fixed at BatchSize by the make above and the batch flushes before exceeding it; append never grows
 	d.bufs[wk] = append(d.bufs[wk], Message{Dst: dst, Val: val})
 	if len(d.bufs[wk]) >= d.eng.cfg.BatchSize {
 		return d.dispatchBatch(wk)

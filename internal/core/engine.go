@@ -55,7 +55,7 @@ type Engine struct {
 	toDisp     []*actor.Mailbox[workerMsg]
 	toComp     []*actor.Mailbox[workerMsg]
 	toPrefetch []*actor.Mailbox[workerMsg]
-	intervals  []graph.Interval
+	intervals  []graph.Interval // one per dispatcher; may be fewer than cfg.Dispatchers
 
 	// prefetchOn gates the async CSR prefetch actors (Config.Prefetch
 	// and a mapping that supports advice). When set, each dispatcher
@@ -66,14 +66,9 @@ type Engine struct {
 	dispPos    []atomic.Int64
 	dispStep   []atomic.Int64
 
-	// maxOwned is the largest number of vertices any computing worker
-	// owns (ceil(|V| / Computers)) — the dense slab size.
-	maxOwned int64
-
-	// pool is the engine-owned arena behind slabs and message buffers —
-	// explicit free lists (prewarmed in New) so the steady-state hot
-	// path never allocates. See pool.go.
-	pool *arena
+	// slabs[i][c] is the slab dispatcher i folds computer c's messages
+	// into, for the engine's lifetime (combiner programs only; denseSeg).
+	slabs [][]*denseSeg
 
 	// per-superstep statistics scratch, reused across runStep calls.
 	dispMsgs []int64
@@ -129,21 +124,20 @@ func New(gf *graph.File, vf *vertexfile.File, prog Program, cfg Config) (*Engine
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		gf:       gf,
-		vf:       vf,
-		prog:     prog,
-		cfg:      cfg,
-		maxOwned: (gf.NumVertices + int64(cfg.Computers) - 1) / int64(cfg.Computers),
-	}
-	e.pool = newArena(e.maxOwned, cfg.BatchSize)
+	e := &Engine{gf: gf, vf: vf, prog: prog, cfg: cfg, intervals: gf.Partition(cfg.Dispatchers)}
 	if c, ok := prog.(Combiner); ok {
 		e.combiner = c
+		owned := (gf.NumVertices + int64(cfg.Computers) - 1) / int64(cfg.Computers)
+		e.slabs = make([][]*denseSeg, len(e.intervals))
+		for i := range e.slabs {
+			for range cfg.Computers {
+				e.slabs[i] = append(e.slabs[i], newDenseSeg(owned))
+			}
+		}
 	}
 	if a, ok := prog.(Aggregator); ok {
 		e.aggregator = a
 	}
-	e.prewarmPool()
 	// Access-pattern hints (paper §IV-C: the edge file is streamed
 	// sequentially, vertex values are hit at random). Best-effort.
 	gf.AdviseSequential() //nolint:errcheck
@@ -156,54 +150,19 @@ func CreateValueFile(path string, gf *graph.File, prog Program) (*vertexfile.Fil
 	return vertexfile.Create(path, gf.NumVertices, prog.Init)
 }
 
-func (e *Engine) getBatch() []Message  { return e.pool.getBuf() }
-func (e *Engine) putBatch(b []Message) { e.pool.putBuf(b) }
-func (e *Engine) getSlab() *denseSeg   { return e.pool.getSlab() }
-func (e *Engine) putSlab(s *denseSeg)  { e.pool.putSlab(s) }
-
-// prewarmPool stocks the arena with the steady-state working set at
-// construction time, so even the first superstep runs without hot-path
-// allocation. A combiner program needs one slab per (dispatcher,
-// computer) pair: each pair hands its slab off once per superstep and
-// the barrier returns every slab before the next superstep fills one.
-// The batch path's in-flight bound is what the computer mailboxes can
-// queue (a full mailbox blocks the dispatcher), plus one batch being
-// filled per pair and one blocked in Put per dispatcher. A byte cap
-// keeps pathological shapes (huge slabs × many pairs) from turning
-// warm-up into a memory hog; past the cap the ramp allocates lazily,
-// which at that scale is noise per message.
-func (e *Engine) prewarmPool() {
-	cfg := e.cfg
-	pairs := cfg.Dispatchers * cfg.Computers
-	const warmBytesCap = 256 << 20
-	if e.combiner != nil {
-		slabBytes := int(e.maxOwned*8 + (e.maxOwned+63)/64*8)
-		e.pool.warmSlabs(warmCount(pairs, slabBytes, warmBytesCap))
-		return
-	}
-	nb := cfg.Computers*cfg.MailboxCap + pairs + cfg.Dispatchers
-	e.pool.warmBufs(warmCount(nb, cfg.BatchSize*16, warmBytesCap))
-}
-
-// warmCount caps a prewarm count so n buffers of bytesEach stay within
-// the byte budget.
-func warmCount(n, bytesEach, budget int) int {
-	if bytesEach <= 0 {
-		return n
-	}
-	if max := budget / bytesEach; n > max {
-		return max
-	}
-	return n
-}
-
 // spawn builds a fresh worker crew: manager mailbox, per-worker
 // mailboxes, and dispatcher/computer actors under a supervisor whose
 // restart policy revives panicking workers. Retried supersteps always
 // get a fresh crew and fresh mailboxes, so no stale batch from a failed
-// attempt can leak into the retry.
+// attempt can leak into the retry — and no partial sum either: every
+// slab is reset here, after teardown has waited for the old crew to exit.
 func (e *Engine) spawn() {
 	cfg := e.cfg
+	for _, row := range e.slabs {
+		for _, s := range row {
+			s.reset()
+		}
+	}
 	e.aborted.Store(false)
 	e.system = actor.NewSystemContext(e.runCtx, "gpsa", actor.RestartPolicy{MaxRestarts: cfg.MaxStepRetries + 1})
 	e.toManager = actor.NewMailbox[workerMsg](cfg.Dispatchers + cfg.Computers + 1)
@@ -306,7 +265,6 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	}
 	e.runCtx = ctx
 	cfg := e.cfg
-	e.intervals = e.gf.Partition(cfg.Dispatchers)
 	res := &Result{
 		DispatcherMessages: make([]int64, len(e.intervals)),
 		ComputerUpdates:    make([]int64, cfg.Computers),
@@ -372,7 +330,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 			runErr = fmt.Errorf("core: rolling back superstep %d after %v: %w", step, err, rerr)
 			break
 		}
-		time.Sleep(retryBackoff(cfg.StepRetryBackoff, retries))
+		time.Sleep(retryBackoff(stepRetryBackoff, retries))
 		e.spawn()
 	}
 	res.Duration = now().Sub(runStart)
@@ -385,6 +343,11 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	}
 	return res, nil
 }
+
+// stepRetryBackoff is the sleep before the first retry of a superstep;
+// retryBackoff doubles it for every further consecutive retry. Tests
+// lower it to keep recovery suites fast.
+var stepRetryBackoff = 25 * time.Millisecond
 
 // retryBackoff doubles the base delay per consecutive retry: base, 2base,
 // 4base, ... (shift-capped so pathological retry budgets cannot overflow).

@@ -93,6 +93,15 @@ func setup(t testing.TB, g *graph.CSR, prog Program, cfg Config) (*Engine, *vert
 	return eng, vf
 }
 
+// A mailbox is allocated whole at spawn and failing that kills the
+// process, so New refuses an absurd capacity up front.
+func TestNewRejectsUnreasonableMailboxCap(t *testing.T) {
+	eng, vf := setup(t, randomGraph(t, 80, 20, 40), ccProg{}, Config{MailboxCap: MaxMailboxCap})
+	if _, err := New(eng.gf, vf, ccProg{}, Config{MailboxCap: 1 << 40}); err == nil || !strings.Contains(err.Error(), "mailbox capacity") {
+		t.Fatalf("New with MailboxCap 1<<40: err = %v, want an unreasonable-mailbox-capacity error", err)
+	}
+}
+
 func randomGraph(t testing.TB, seed int64, v int64, e int) *graph.CSR {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

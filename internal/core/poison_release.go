@@ -2,8 +2,8 @@
 
 package core
 
-// poisonDefault leaves poison-on-release off in regular builds; the
+// poisonDefault leaves poison-on-reset off in regular builds; the
 // race-enabled suite (make race, make check) runs with it on, and tests
-// flip the poisonReleases var directly to pin the recycling protocol
-// without the race detector.
+// flip the poisonResets var directly to pin slab reuse without the race
+// detector.
 const poisonDefault = false

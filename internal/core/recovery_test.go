@@ -9,6 +9,10 @@ import (
 	"repro/internal/graph"
 )
 
+// The production retry backoff (25ms, doubling) would dominate these
+// suites' wall time without changing what they check.
+func init() { stepRetryBackoff = time.Millisecond }
+
 // runWithPlan executes prog over g under cfg with plan armed, deactivating
 // injection before returning.
 func runWithPlan(t *testing.T, g *graph.CSR, prog Program, cfg Config, plan *fault.Plan) (*Result, []uint64, error) {
@@ -58,7 +62,6 @@ func TestRecoveryComputerPanic(t *testing.T) {
 	}
 
 	cfg.MaxStepRetries = 3
-	cfg.StepRetryBackoff = time.Millisecond
 	plan := fault.NewPlan(0, fault.Injection{Site: fault.SiteComputerMsg, After: 17})
 	res, vals, err := runWithPlan(t, g, bfsProg{root: 0}, cfg, plan)
 	if err != nil {
@@ -86,7 +89,6 @@ func TestRecoveryDispatcherPanic(t *testing.T) {
 	}
 
 	cfg.MaxStepRetries = 2
-	cfg.StepRetryBackoff = time.Millisecond
 	plan := fault.NewPlan(0, fault.Injection{Site: fault.SiteDispatcherMsg, After: 40})
 	res, vals, err := runWithPlan(t, g, ccProg{}, cfg, plan)
 	if err != nil {
@@ -116,7 +118,6 @@ func TestRecoveryTornCommit(t *testing.T) {
 	}
 
 	cfg.MaxStepRetries = 2
-	cfg.StepRetryBackoff = time.Millisecond
 	plan := fault.NewPlan(0, fault.Injection{Site: fault.SiteCommitTorn, After: 2})
 	res, vals, err := runWithPlan(t, g, prProg{}, cfg, plan)
 	if err != nil {
@@ -136,7 +137,7 @@ func TestRecoveryTornCommit(t *testing.T) {
 // surface a superstep-labelled error instead of looping forever.
 func TestRecoveryRetriesExhausted(t *testing.T) {
 	g := randomGraph(t, 73, 100, 400)
-	cfg := Config{Dispatchers: 2, Computers: 2, MaxStepRetries: 2, StepRetryBackoff: time.Millisecond}
+	cfg := Config{Dispatchers: 2, Computers: 2, MaxStepRetries: 2}
 	plan := fault.NewPlan(0, fault.Injection{Site: fault.SiteComputerMsg, Count: -1})
 	res, _, err := runWithPlan(t, g, bfsProg{root: 0}, cfg, plan)
 	if err == nil {
@@ -198,7 +199,6 @@ func TestRecoveryAfterWatchdog(t *testing.T) {
 	cfg := Config{
 		SuperstepTimeout: 250 * time.Millisecond,
 		MaxStepRetries:   3,
-		StepRetryBackoff: time.Millisecond,
 		Dispatchers:      1,
 		Computers:        1,
 		Digests:          true,
@@ -221,4 +221,45 @@ func TestRecoveryAfterWatchdog(t *testing.T) {
 		t.Fatal("run recovered without recording a retry")
 	}
 	compareRuns(t, ref, res, refVals, vals)
+}
+
+// TestSlabResetOnRetry covers supervised retry on the slab path with a
+// sum fold, where a leaked partial sum changes the result instead of
+// being absorbed by a min. A dispatcher panic mid-interval leaves its
+// slabs partly filled; a computer panic mid-BulkApply leaves a slab
+// unreset. The retry must start from the empty slabs spawn resets and
+// end bit-identical to an uninjected run (one dispatcher: deterministic
+// float digests).
+func TestSlabResetOnRetry(t *testing.T) {
+	g := randomGraph(t, 74, 300, 2400)
+	cfg := Config{Dispatchers: 1, Computers: 2, MaxSupersteps: 5, Digests: true}
+	ref, refVals, err := runWithPlan(t, g, prComb{}, cfg, nil)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	cfg.MaxStepRetries = 2
+	// Both land in superstep 1: it generates messages 2401..4800 and
+	// applies entries 301..600 at most.
+	for _, tc := range []struct {
+		name, site string
+		after      int64
+	}{
+		{"dispatcher", fault.SiteDispatcherMsg, 3000},
+		{"computer", fault.SiteComputerMsg, 400},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := fault.NewPlan(0, fault.Injection{Site: tc.site, After: tc.after})
+			res, vals, err := runWithPlan(t, g, prComb{}, cfg, plan)
+			if err != nil {
+				t.Fatalf("injected run did not recover: %v", err)
+			}
+			if plan.Fired(tc.site) == 0 {
+				t.Fatalf("%s never fired; test exercised nothing", tc.site)
+			}
+			if res.Retries == 0 {
+				t.Fatal("run recovered without recording a retry")
+			}
+			compareRuns(t, ref, res, refVals, vals)
+		})
+	}
 }

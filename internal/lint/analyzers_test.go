@@ -32,5 +32,4 @@ func TestDeterminism(t *testing.T) { runFixture(t, lint.Determinism, 5, 1) }
 func TestCtxBlock(t *testing.T)    { runFixture(t, lint.CtxBlock, 6, 1) }
 func TestSyncErr(t *testing.T)     { runFixture(t, lint.SyncErr, 8, 2) }
 func TestNoalloc(t *testing.T)     { runFixture(t, lint.Noalloc, 16, 1) }
-func TestPoolSafe(t *testing.T)    { runFixture(t, lint.PoolSafe, 9, 1) }
 func TestFrameProto(t *testing.T)  { runFixture(t, lint.FrameProto, 4, 1) }

@@ -14,7 +14,6 @@ func All() []*Analyzer {
 		CtxBlock,
 		SyncErr,
 		Noalloc,
-		PoolSafe,
 		FrameProto,
 	}
 }

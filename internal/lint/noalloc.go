@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// Noalloc pins the zero-alloc hot path at compile time. PR 10's arena
-// drove steady-state allocation below 0.01 B/msg, but that invariant was
+// Noalloc pins the zero-alloc hot path at compile time. Engine-lifetime
+// slabs keep steady-state allocation below 0.01 B/msg, but that invariant was
 // defended only dynamically (a measured B/msg ceiling, today
 // core's TestSlabPathAllocCeiling): one innocuous append, closure
 // capture, or interface boxing in the dispatch/accumulate/BulkApply path
@@ -46,8 +46,8 @@ import (
 //
 // The analyzer also enforces pragma coverage: the functions listed in
 // noallocRequired — the dispatcher edge loop, the accumulator
-// fold/flush, BulkApply, frame encode/decode, and the pool's Get/Put —
-// must carry the pragma, so deleting an annotation (or renaming a hot
+// fold/flush/reset, BulkApply, frame encode/decode — must carry the
+// pragma, so deleting an annotation (or renaming a hot
 // function away from its annotation) fails the gate instead of silently
 // shrinking the checked set.
 var Noalloc = &Analyzer{
@@ -80,10 +80,7 @@ var noallocRequired = map[string][]string{
 		"(*dispatcher).dispatchBatch",
 		"(*computer).processSegment",
 		"(*computer).processBatch",
-		"(*arena).getSlab",
-		"(*arena).putSlab",
-		"(*arena).getBuf",
-		"(*arena).putBuf",
+		"(*denseSeg).reset",
 	},
 	"internal/vertexfile": {
 		"(*File).BulkApply",

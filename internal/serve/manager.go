@@ -94,6 +94,9 @@ func NewManager(ctx context.Context, opts Options) (*Manager, error) {
 	if opts.GraphDir == "" || opts.JobsDir == "" {
 		return nil, errors.New("serve: GraphDir and JobsDir are required")
 	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(opts.JobsDir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: creating jobs dir: %w", err)
 	}

@@ -8,8 +8,8 @@
 //
 //   - Admission is bounded: a full priority queue sheds submissions with
 //     429 + Retry-After, never unbounded memory.
-//   - Every job runs under budgets: mailbox depth, a superstep cap, and
-//     a wall-clock deadline whose expiry cancels the run's context — the
+//   - Every job runs under budgets: a superstep cap and a wall-clock
+//     deadline whose expiry cancels the run's context — the
 //     engine rolls the in-flight superstep back and seals the value file
 //     resumable, so a deadline produces a checkpoint, not a zombie.
 //   - Transient job failures retry with exponential backoff (the job
@@ -77,7 +77,9 @@ type JobSpec struct {
 	Dispatchers int `json:"dispatchers,omitempty"`
 	Computers   int `json:"computers,omitempty"`
 	// MailboxCap bounds the job's per-worker mailbox depth in batches
-	// (0 = server default) — the job's memory budget.
+	// (0 = server default, at most core.MaxMailboxCap). It is no memory
+	// budget: all five algorithms combine, so a job's message memory is
+	// its slab grid, ≈ Dispatchers × |V| × 8.125 bytes.
 	MailboxCap int `json:"mailbox_cap,omitempty"`
 }
 
@@ -111,6 +113,9 @@ func (s *JobSpec) validate() error {
 	if s.Root < 0 || s.Supersteps < 0 || s.DeadlineMS < 0 ||
 		s.Dispatchers < 0 || s.Computers < 0 || s.MailboxCap < 0 {
 		return fmt.Errorf("negative values are not allowed")
+	}
+	if s.MailboxCap > core.MaxMailboxCap {
+		return fmt.Errorf("mailbox_cap %d exceeds %d", s.MailboxCap, core.MaxMailboxCap)
 	}
 	return nil
 }
@@ -213,7 +218,7 @@ type Options struct {
 
 	DefaultDeadline time.Duration // per-job wall-clock budget (default 5m)
 	MaxSupersteps   int           // hard superstep cap per job (default 200)
-	MailboxCap      int           // default per-job mailbox depth (default 64)
+	MailboxCap      int           // default per-job mailbox depth (default 64, at most core.MaxMailboxCap)
 	StepRetries     int           // in-run superstep retries (default 2)
 	Watchdog        time.Duration // per-superstep worker silence bound (default 60s)
 
@@ -240,6 +245,15 @@ type Options struct {
 	ScrubThrottle int64
 
 	Logf func(format string, args ...any) // optional diagnostics sink
+}
+
+// Validate rejects option values no server should start with. NewManager
+// calls it; a CLI calls it first to report them as usage errors.
+func (o Options) Validate() error {
+	if o.MailboxCap > core.MaxMailboxCap {
+		return fmt.Errorf("serve: mailbox capacity %d exceeds %d", o.MailboxCap, core.MaxMailboxCap)
+	}
+	return nil
 }
 
 func (o Options) withDefaults() Options {

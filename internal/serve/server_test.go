@@ -109,6 +109,29 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// A mailbox is allocated whole when a job's engine spawns its crew, and a
+// failed channel allocation kills the process: an absurd mailbox_cap gets
+// 400 before it is journaled, the server keeps completing ordinary jobs,
+// and the same bound refuses an absurd server-wide default.
+func TestServerRejectsUnreasonableMailboxCap(t *testing.T) {
+	opts := testOptions(t)
+	rel := writeTestGraph(t, opts.GraphDir)
+	bad := opts
+	bad.MailboxCap = 1 << 40
+	if _, err := NewManager(context.Background(), bad); err == nil {
+		t.Fatal("NewManager accepted MailboxCap 1<<40")
+	}
+	srv := startTestServer(t, opts)
+	defer srv.Shutdown(context.Background())
+	if resp := postJob(t, srv.Addr(), JobSpec{Graph: rel, Algo: "bfs", MailboxCap: 1 << 40}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("mailbox_cap 1<<40: status %d, want 400", resp.StatusCode)
+	}
+	j := decodeJob(t, postJob(t, srv.Addr(), JobSpec{Graph: rel, Algo: "bfs", Dispatchers: 1}))
+	if got := waitStatus(t, srv.Manager(), j.ID, 15*time.Second); got.Status != StatusCompleted {
+		t.Fatalf("follow-up job %s: %q (%s)", j.ID, got.Status, got.Error)
+	}
+}
+
 func TestServerShedsWith429AndRetryAfter(t *testing.T) {
 	opts := testOptions(t)
 	opts.QueueCap = 1
