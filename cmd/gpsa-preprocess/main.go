@@ -1,6 +1,10 @@
 // Command gpsa-preprocess converts a text edge list (SNAP format:
 // "src dst [weight]" lines, '#' comments) into the on-disk CSR format the
-// GPSA engine streams, using a bounded-memory external sort.
+// GPSA engine streams. It groups edges by source with a bounded-memory
+// external counting sort: chunks of at most -chunk edges are placed by
+// source without a comparison sort, a chunk is spilled to a temp run only
+// when the input exceeds -chunk, and runs merge stably, so each vertex
+// keeps its edges in input order and the output does not depend on -chunk.
 //
 // Usage:
 //
@@ -26,7 +30,7 @@ func main() {
 		weighted   = flag.Bool("weighted", false, "retain the third column as edge weights")
 		symmetrize = flag.Bool("symmetrize", false, "also write <out>-sym.gpsa with doubled edges (for CC)")
 		vertices   = flag.Int64("vertices", 0, "force the vertex count (0 = infer)")
-		chunk      = flag.Int("chunk", 0, "external-sort run size in edges (0 = default)")
+		chunk      = flag.Int("chunk", 0, "edges held in memory at once; a larger input spills sorted runs to disk (0 = default 4194304)")
 		compact    = flag.Bool("compact", false, "write the varint-delta compact CSR format")
 	)
 	showVersion := flag.Bool("version", false, "print version and exit")

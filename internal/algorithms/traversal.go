@@ -89,8 +89,9 @@ func (s SSSP) Init(v int64) (uint64, bool) {
 	return math.Float64bits(math.Inf(1)), false
 }
 
-// GenMsg offers dist+weight. Negative weights are rejected by preprocess;
-// a defensive clamp keeps the payload non-negative regardless.
+// GenMsg offers dist+|weight|. Preprocessing accepts negative weights
+// (a "0 1 -3" line converts as written), so the |w| clamp is the only
+// guard keeping distances non-negative.
 func (s SSSP) GenMsg(src int64, payload uint64, outDegree uint32, dst graph.VertexID, weight float32) (uint64, bool) {
 	d := math.Float64frombits(payload) + math.Abs(float64(weight))
 	return math.Float64bits(d), true

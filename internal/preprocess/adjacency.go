@@ -12,7 +12,8 @@ import (
 // AdjacencyToCSR converts the adjacency text format ("src n dst1 ...
 // dstn" per line; paper §V-A accepts both edge lists and adjacency
 // input). Adjacency input is already grouped by source, but lines may
-// appear out of order, so the same external sort pipeline is reused.
+// appear out of order, so the same external counting sort is reused;
+// edges keep the order the file lists them in.
 func AdjacencyToCSR(inputPath, outputPath string, opt Options) (*Stats, error) {
 	in, err := os.Open(inputPath)
 	if err != nil {
@@ -54,15 +55,14 @@ func (a *adjacencyReader) ReadEdge() (graph.Edge, error) {
 	return e, nil
 }
 
+func (a *adjacencyReader) position() string { return fmt.Sprintf("adjacency line %d", a.line) }
+
 func (a *adjacencyReader) parseLine(b []byte) error {
-	i := 0
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r') {
-		i++
-	}
-	if i == len(b) || b[i] == '#' || b[i] == '%' {
+	b = skipSpace(b)
+	if len(b) == 0 || b[0] == '#' || b[0] == '%' {
 		return nil
 	}
-	src, rest, err := parseUint(b[i:])
+	src, rest, err := parseUint(b)
 	if err != nil {
 		return fmt.Errorf("bad source: %v", err)
 	}
@@ -70,7 +70,9 @@ func (a *adjacencyReader) parseLine(b []byte) error {
 	if err != nil {
 		return fmt.Errorf("bad degree: %v", err)
 	}
-	dsts := make([]graph.VertexID, 0, n)
+	// The declared count is untrusted: allocate only for destinations
+	// actually present.
+	var dsts []graph.VertexID
 	for k := uint64(0); k < n; k++ {
 		var d uint64
 		d, rest, err = parseUint(rest)
@@ -79,11 +81,8 @@ func (a *adjacencyReader) parseLine(b []byte) error {
 		}
 		dsts = append(dsts, graph.VertexID(d))
 	}
-	// Trailing garbage (beyond whitespace) is an error.
-	for _, c := range rest {
-		if c != ' ' && c != '\t' && c != '\r' {
-			return fmt.Errorf("trailing data %q after %d destinations", rest, n)
-		}
+	if rest = skipSpace(rest); len(rest) > 0 {
+		return fmt.Errorf("trailing data %q after %d destinations", rest, n)
 	}
 	a.src = graph.VertexID(src)
 	a.pending = dsts

@@ -1,15 +1,14 @@
 package preprocess
 
 import (
-	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
 )
 
-// FuzzTextEdgeReader checks the text parser never panics and that
-// accepted edges carry in-range ids.
+// FuzzTextEdgeReader checks the text parser never panics and that any
+// input it accepts parses to the same edges under graph.ParseEdgeList.
 func FuzzTextEdgeReader(f *testing.F) {
 	f.Add("0 1\n2 3\n")
 	f.Add("# comment\n\n5\t7\t0.5\n")
@@ -17,17 +16,21 @@ func FuzzTextEdgeReader(f *testing.F) {
 	f.Add("a b\n")
 	f.Add("4294967295 0\n")
 	f.Add("1 2 3 4 5\n")
+	f.Add("0 1 2.5x\n")
+	f.Add("0 1 1e40\n")
+	f.Add("0 1.5\n")
+	f.Add("0 1\r2\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		r := newTextEdgeReader(strings.NewReader(input))
-		for i := 0; i < 10000; i++ {
-			e, err := r.ReadEdge()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				return // rejecting is fine; panicking is not
-			}
-			_ = e
+		got, err := readAllText(input)
+		if err != nil {
+			return // rejecting is fine; panicking is not
+		}
+		want, err := graph.ParseEdgeList(strings.NewReader(input))
+		if err != nil {
+			t.Fatalf("reader accepted %q, ParseEdgeList rejects it: %v", input, err)
+		}
+		if !sameEdges(got, want) {
+			t.Fatalf("%q: reader %v, ParseEdgeList %v", input, got, want)
 		}
 	})
 }
@@ -49,7 +52,8 @@ func FuzzAdjacencyReader(f *testing.F) {
 }
 
 // FuzzConvertRoundTrip feeds arbitrary small edge lists through the full
-// external-sort pipeline and checks the output file validates.
+// external-sort pipeline at arbitrary chunk sizes and requires the bytes
+// graph.WriteFile writes for graph.FromEdges of the same edges.
 func FuzzConvertRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0}, uint8(3))
 	f.Fuzz(func(t *testing.T, raw []byte, chunkRaw uint8) {
@@ -62,7 +66,8 @@ func FuzzConvertRoundTrip(f *testing.F) {
 			dst := uint32(raw[i+4]) | uint32(raw[i+5])<<8
 			edges = append(edges, graph.Edge{Src: src % 128, Dst: dst % 128})
 		}
-		out := t.TempDir() + "/g.gpsa"
+		dir := t.TempDir()
+		out, ref := dir+"/g.gpsa", dir+"/ref.gpsa"
 		st, err := EdgesToCSR(edges, out, Options{ChunkEdges: int(chunkRaw%32) + 1})
 		if err != nil {
 			t.Fatalf("conversion of valid edges failed: %v", err)
@@ -70,5 +75,7 @@ func FuzzConvertRoundTrip(f *testing.F) {
 		if st.NumEdges != int64(len(edges)) {
 			t.Fatalf("edge count %d, want %d", st.NumEdges, len(edges))
 		}
+		writeReference(t, ref, edges, false, false)
+		sameCSR(t, "EdgesToCSR", out, ref)
 	})
 }

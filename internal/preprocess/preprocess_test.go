@@ -1,13 +1,22 @@
 package preprocess
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"io/fs"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/diskio"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mmap"
@@ -172,11 +181,8 @@ func TestMultiRunExternalSort(t *testing.T) {
 		t.Fatalf("edge count %d, want %d", ne, len(edges))
 	}
 	for v := int64(0); v < want.NumVertices; v++ {
-		got := append([]graph.VertexID(nil), adj[v]...)
-		exp := append([]graph.VertexID(nil), want.Neighbors(graph.VertexID(v))...)
-		sortIDs(got)
-		sortIDs(exp)
-		if !reflect.DeepEqual(got, exp) {
+		got, exp := adj[v], want.Neighbors(graph.VertexID(v))
+		if len(got) != len(exp) || len(got) > 0 && !reflect.DeepEqual(got, exp) {
 			t.Fatalf("vertex %d: %v, want %v", v, got, exp)
 		}
 	}
@@ -192,16 +198,9 @@ func TestMultiRunExternalSort(t *testing.T) {
 	}
 }
 
-func sortIDs(s []graph.VertexID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // Property: conversion through the external sort equals direct in-memory
-// CSR construction for any random edge list and chunk size.
+// CSR construction, edge order included, for any random edge list and
+// chunk size.
 func TestConversionEquivalenceProperty(t *testing.T) {
 	dir := t.TempDir()
 	n := 0
@@ -238,9 +237,7 @@ func TestConversionEquivalenceProperty(t *testing.T) {
 			for i := range got {
 				got[i], _ = graph.DecodeEdge(raw, i, false)
 			}
-			exp := append([]graph.VertexID(nil), want.Neighbors(graph.VertexID(vid))...)
-			sortIDs(got)
-			sortIDs(exp)
+			exp := want.Neighbors(graph.VertexID(vid))
 			if len(got) != len(exp) {
 				return false
 			}
@@ -276,8 +273,8 @@ func TestCompactOutputMatchesPlain(t *testing.T) {
 	for v := int64(0); v < pv; v++ {
 		a := append([]graph.VertexID(nil), pa[v]...)
 		b := append([]graph.VertexID(nil), ca[v]...)
-		sortIDs(a)
-		sortIDs(b)
+		slices.Sort(a)
+		slices.Sort(b)
 		if len(a) != len(b) {
 			t.Fatalf("vertex %d: %d vs %d edges", v, len(a), len(b))
 		}
@@ -291,5 +288,262 @@ func TestCompactOutputMatchesPlain(t *testing.T) {
 	cs, _ := os.Stat(compact)
 	if cs.Size() >= ps.Size() {
 		t.Fatalf("compact (%d) not smaller than plain (%d)", cs.Size(), ps.Size())
+	}
+}
+
+// sameCSR fails unless the .gpsa, .idx and .sum files at got and want are
+// byte-identical.
+func sameCSR(t testing.TB, name, got, want string) {
+	t.Helper()
+	for _, suffix := range []string{"", ".idx", ".sum"} {
+		a, err := os.ReadFile(got + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(want + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: %s differs from graph.FromEdges written directly", name, filepath.Base(got)+suffix)
+		}
+	}
+}
+
+// writeReference writes graph.FromEdges(edges) at path with
+// graph.WriteFile, or graph.WriteFileCompact when compact.
+func writeReference(t testing.TB, path string, edges []graph.Edge, weighted, compact bool) {
+	t.Helper()
+	nv := int64(0)
+	if len(edges) == 0 {
+		nv = 1 // conversion writes an empty input as one vertex
+	}
+	g, err := graph.FromEdges(edges, nv, weighted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compact {
+		err = graph.WriteFileCompact(path, g)
+	} else {
+		err = graph.WriteFile(path, g)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func writeFile(t *testing.T, path string, write func(f *os.File) error) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(write(f), f.Close()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeAdjacency writes edges as an adjacency file whose lines are out of
+// vertex order and split each vertex's list in two, and returns the edges
+// in the order the file lists them.
+func writeAdjacency(t *testing.T, path string, edges []graph.Edge) []graph.Edge {
+	g, err := graph.FromEdges(edges, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	var listed []graph.Edge
+	line := func(v int64, dsts []graph.VertexID) {
+		if len(dsts) == 0 {
+			return
+		}
+		fmt.Fprintf(&text, "%d %d", v, len(dsts))
+		for _, d := range dsts {
+			fmt.Fprintf(&text, " %d", d)
+			listed = append(listed, graph.Edge{Src: graph.VertexID(v), Dst: d})
+		}
+		text.WriteString("\n")
+	}
+	for v := g.NumVertices - 1; v >= 0; v-- {
+		nb := g.Neighbors(graph.VertexID(v))
+		line(v, nb[:len(nb)/2])
+	}
+	for v := int64(0); v < g.NumVertices; v++ {
+		nb := g.Neighbors(graph.VertexID(v))
+		line(v, nb[len(nb)/2:])
+	}
+	writeFile(t, path, func(f *os.File) error { _, err := f.WriteString(text.String()); return err })
+	return listed
+}
+
+// TestOutputMatchesWriteFile pins the conversion contract: every reader,
+// at every chunk size, plain or compact, weighted or not, writes the
+// bytes graph.WriteFile (or WriteFileCompact) writes for graph.FromEdges
+// of the input edges — each vertex's edges in input order.
+func TestOutputMatchesWriteFile(t *testing.T) {
+	edges, err := gen.RMAT(gen.RMATConfig{Vertices: 120, Edges: 200, Seed: 21, Weighted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	adjPath := filepath.Join(dir, "adj.txt")
+	adjEdges := writeAdjacency(t, adjPath, edges)
+	e := len(edges)
+	type reader struct {
+		name  string
+		edges []graph.Edge
+		conv  func(out string, opt Options) (*Stats, error)
+	}
+	for _, weighted := range []bool{false, true} {
+		text, bin := filepath.Join(dir, "edges.txt"), filepath.Join(dir, "edges.bin")
+		writeFile(t, text, func(f *os.File) error { return graph.WriteEdgeList(f, edges, weighted) })
+		writeFile(t, bin, func(f *os.File) error { return WriteBinaryEdgeList(f, edges, weighted) })
+		readers := []reader{
+			{"EdgesToCSR", edges, func(out string, opt Options) (*Stats, error) { return EdgesToCSR(edges, out, opt) }},
+			{"text", edges, func(out string, opt Options) (*Stats, error) { return EdgeListToCSR(text, out, opt) }},
+			{"binary", edges, func(out string, opt Options) (*Stats, error) { return BinaryEdgeListToCSR(bin, out, opt) }},
+		}
+		if !weighted {
+			readers = append(readers, reader{"adjacency", adjEdges, func(out string, opt Options) (*Stats, error) {
+				return AdjacencyToCSR(adjPath, out, opt)
+			}})
+		}
+		for _, compact := range []bool{false, true} {
+			for _, rd := range readers {
+				ref := filepath.Join(dir, "ref.gpsa")
+				writeReference(t, ref, rd.edges, weighted, compact)
+				for _, chunk := range []int{1, 7, 128, e - 1, e, e + 1, 0} {
+					name := fmt.Sprintf("%s weighted=%v compact=%v chunk=%d", rd.name, weighted, compact, chunk)
+					out := filepath.Join(dir, "out.gpsa")
+					st, err := rd.conv(out, Options{ChunkEdges: chunk, Weighted: weighted, Compact: compact})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					per := chunk
+					if per == 0 {
+						per = defaultChunkEdges
+					}
+					if want := (e + per - 1) / per; st.Runs != want {
+						t.Errorf("%s: %d runs, want %d", name, st.Runs, want)
+					}
+					sameCSR(t, name, out, ref)
+				}
+			}
+		}
+	}
+}
+
+// An input of at most ChunkEdges edges is placed in memory and creates no
+// run file: with TempDir missing, ChunkEdges edges convert, and one edge
+// more fails with a typed create error.
+func TestNoSpillAtChunkBound(t *testing.T) {
+	edges, err := gen.RMAT(gen.RMATConfig{Vertices: 100, Edges: 200, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	out := filepath.Join(dir, "g.gpsa")
+	opt := Options{ChunkEdges: len(edges), TempDir: filepath.Join(dir, "missing")}
+	st, err := EdgesToCSR(edges, out, opt)
+	if err != nil {
+		t.Fatalf("%d edges at ChunkEdges %d: %v", len(edges), opt.ChunkEdges, err)
+	}
+	if st.Runs != 1 {
+		t.Fatalf("%d runs, want the one in-memory run", st.Runs)
+	}
+	_, err = EdgesToCSR(append(edges, graph.Edge{Src: 1, Dst: 2}), out, opt)
+	if !errors.Is(err, diskio.ErrIOFailure) || !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("ChunkEdges+1 edges with TempDir missing: err = %v, want a typed create failure", err)
+	}
+}
+
+// Ids at or above the limit — graph.MaxVertices, the format's sentinel,
+// or a forced NumVertices — fail as they are read, naming where. Before
+// the check, the first line grew the degree table toward 2^32 entries and
+// the adjacency line preallocated 16 GiB from its declared count.
+func TestRejectsOutOfRangeIDs(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "g.gpsa")
+	write := func(content string) string {
+		path := filepath.Join(dir, "in")
+		writeFile(t, path, func(f *os.File) error { _, err := f.WriteString(content); return err })
+		return path
+	}
+	text := func(content string, opt Options) func() (*Stats, error) {
+		return func() (*Stats, error) { return EdgeListToCSR(write(content), out, opt) }
+	}
+	adjacency := func(content string) func() (*Stats, error) {
+		return func() (*Stats, error) { return AdjacencyToCSR(write(content), out, Options{}) }
+	}
+	slice := func(edges []graph.Edge, opt Options) func() (*Stats, error) {
+		return func() (*Stats, error) { return EdgesToCSR(edges, out, opt) }
+	}
+	binaryIn := func() (*Stats, error) {
+		var buf bytes.Buffer
+		if err := WriteBinaryEdgeList(&buf, []graph.Edge{{Src: graph.Sentinel, Dst: 0}}, false); err != nil {
+			return nil, err
+		}
+		return BinaryEdgeListToCSR(write(buf.String()), out, Options{})
+	}
+	for _, c := range []struct {
+		name string
+		conv func() (*Stats, error)
+		want string
+	}{
+		{"text source", text("0 1\n4294967295 0\n", Options{}), "line 2: source id 4294967295"},
+		{"text destination", text("0 4294967295\n", Options{}), "line 1: destination id 4294967295"},
+		{"text forced count", text("# c\n0 1\n1 5\n", Options{NumVertices: 5}), "line 3: destination id 5 is not below NumVertices 5"},
+		{"adjacency declared count", adjacency("0 4294967295\n"), "adjacency line 1"},
+		{"adjacency destination", adjacency("0 1 4294967295\n"), "adjacency line 1: destination id 4294967295"},
+		{"binary", binaryIn, "edge 1: source id 4294967295"},
+		{"EdgesToCSR", slice([]graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: graph.Sentinel}}, Options{}), "edge 2: destination id 4294967295"},
+		{"EdgesToCSR forced count", slice([]graph.Edge{{Src: 9, Dst: 0}}, Options{NumVertices: 5}), "edge 1: source id 9"},
+		{"NumVertices too large", slice(nil, Options{NumVertices: graph.MaxVertices + 1}), "exceeds the maximum"},
+	} {
+		_, err := c.conv()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+func readAllText(input string) ([]graph.Edge, error) {
+	r := newTextEdgeReader(strings.NewReader(input))
+	var edges []graph.Edge
+	for {
+		e, err := r.ReadEdge()
+		if err == io.EOF {
+			return edges, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		edges = append(edges, e)
+	}
+}
+
+func sameEdges(a, b []graph.Edge) bool {
+	return slices.EqualFunc(a, b, func(x, y graph.Edge) bool {
+		return x.Src == y.Src && x.Dst == y.Dst && math.Float32bits(x.Weight) == math.Float32bits(y.Weight)
+	})
+}
+
+// The text reader and graph.ParseEdgeList make the same accept/reject
+// decision on each line and, on accepting, yield the same edge, weight
+// bits included.
+func TestTextReaderMatchesParseEdgeList(t *testing.T) {
+	for _, line := range []string{
+		"0 1", "0 1 2.5", "0\t1\t0.25\r", "  7 8  ", "0 1 -3", "0 1 2 junk", "0 1\r2",
+		"0 1 nan", "0 1 0x1p-2", "4294967295 0",
+		"0 1 2.5x", "0 1 1e40", "0 1.5", "0 1x", "0 -1", "4294967296 0", "1", "a b",
+	} {
+		got, gotErr := readAllText(line + "\n")
+		want, wantErr := graph.ParseEdgeList(strings.NewReader(line + "\n"))
+		switch {
+		case (gotErr == nil) != (wantErr == nil):
+			t.Errorf("%q: reader err = %v, ParseEdgeList err = %v", line, gotErr, wantErr)
+		case !sameEdges(got, want):
+			t.Errorf("%q: reader %v, ParseEdgeList %v", line, got, want)
+		}
 	}
 }
