@@ -14,7 +14,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/actor ./internal/core ./internal/cluster ./internal/xstream ./internal/vertexfile ./internal/crashtest ./internal/chaostest ./internal/metrics ./internal/serve
+	$(GO) test -race ./internal/actor ./internal/core ./internal/cluster ./internal/algorithms ./internal/xstream ./internal/vertexfile ./internal/crashtest ./internal/chaostest ./internal/metrics ./internal/serve
 
 # gpsa-lint: the repository's own static analyzers (internal/lint) —
 # actor discipline, mmap aliasing, determinism, context plumbing,
@@ -34,9 +34,11 @@ lint-escape:
 
 # The full pre-merge gate: vet and gpsa-lint, the entire test suite under
 # the race detector (includes the fault-injection recovery tests), a
-# shuffled-order pass over the engine and actor packages to catch
-# inter-test state leaks, the kill-torture harness against the real
-# binary, plus the chaos smoke slices: one node kill + one corrupted
+# shuffled-order pass over the engine, actor, cluster and algorithms
+# packages to catch inter-test state leaks (core's scan runs in all of
+# them, and poison-on-reset and fault plans are process globals), the
+# kill-torture harness against the real binary, plus the chaos smoke
+# slices: one node kill + one corrupted
 # frame, and the elastic-membership schedule (drain under load, mid-job
 # join, permanent-death redistribution, kill mid-migration) on live
 # 3-node clusters, plus the serving-layer smoke slice (submit, complete,
@@ -52,7 +54,7 @@ check:
 	$(MAKE) lint
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/core
-	$(GO) test -shuffle=on -count=1 ./internal/core ./internal/actor
+	$(GO) test -shuffle=on -count=1 ./internal/core ./internal/actor ./internal/cluster ./internal/algorithms
 	$(GO) test -count=1 -run 'Torture|Interrupt|ExitCodes' ./internal/crashtest
 	$(GO) test -count=1 -run 'TestChaosSmoke|TestChaosMigrationSmoke|TestChaosElastic|TestChaosCorruptFrameDetected' ./internal/chaostest
 	$(GO) test -count=1 -run 'TestServeSmoke' ./internal/servetest

@@ -91,19 +91,26 @@ func TestCLIEndToEnd(t *testing.T) {
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Fatalf("gpsa with unknown algorithm succeeded: %s", out)
 	}
-	// An unknown gpsa-bench experiment id and gpsa-compare's removed -bench
-	// flag are usage errors: exit 2, and gpsa-bench names the valid ids.
-	for _, bad := range [][]string{
-		{"gpsa-bench", "-exp", "nope"},
-		{"gpsa-bench", "-exp", "hotpath"},
-		{"gpsa-compare", "-bench", "old.json", "new.json"},
+	// An unknown gpsa-bench experiment id, gpsa-compare's removed -bench
+	// flag and a cluster size past the bound are usage errors: exit 2,
+	// gpsa-bench names the valid ids and gpsa-cluster the flag.
+	gpath := filepath.Join(work, "g.gpsa")
+	for _, bad := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"gpsa-bench", "-exp", "nope"}, "scalability, all, scale"},
+		{[]string{"gpsa-bench", "-exp", "hotpath"}, "scalability, all, scale"},
+		{[]string{"gpsa-compare", "-bench", "old.json", "new.json"}, ""},
+		{[]string{"gpsa-cluster", "-graph", gpath, "-computers", "1000000000"}, "-computers 1000000000"},
+		{[]string{"gpsa-cluster", "-graph", gpath, "-nodes", "4", "-splits", "2000000000"}, "-splits 2000000000"},
 	} {
-		out, err := exec.Command(filepath.Join(bin, bad[0]), bad[1:]...).CombinedOutput()
+		out, err := exec.Command(filepath.Join(bin, bad.args[0]), bad.args[1:]...).CombinedOutput()
 		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-			t.Fatalf("%v: err = %v, want exit status 2\n%s", bad, err, out)
+			t.Fatalf("%v: err = %v, want exit status 2\n%s", bad.args, err, out)
 		}
-		if bad[0] == "gpsa-bench" && !strings.Contains(string(out), "scalability, all, scale") {
-			t.Fatalf("%v does not name the valid experiment ids:\n%s", bad, out)
+		if !strings.Contains(string(out), bad.want) {
+			t.Fatalf("%v does not name %q:\n%s", bad.args, bad.want, out)
 		}
 	}
 }

@@ -70,9 +70,11 @@ const (
 // RunDistributed executes prog over the on-disk CSR graph at graphPath on
 // an in-process TCP cluster — the paper's actor model extended across
 // nodes. It returns the final payload of every vertex. Each node hosts
-// edge-balanced vertex intervals with its own value file. A program with
-// a Combiner folds at the source, one slab per node (8 B per vertex plus
-// a presence bitmap), and sends each (source interval, destination) pair
+// edge-balanced vertex intervals with its own value file and streams
+// them through the same interval scan and batch apply as Run: one
+// dispatch/fold/apply pipeline drives both engines. A program with a
+// Combiner folds at the source, one slab per node (8 B per vertex plus a
+// presence bitmap), and sends each (source interval, destination) pair
 // at most once per superstep. Cross-node messages travel over loopback
 // TCP and fold at the barrier in source-interval order, so a retried
 // superstep is bit-identical.

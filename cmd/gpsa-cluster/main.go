@@ -40,6 +40,7 @@ import (
 	"repro"
 	"repro/internal/algorithms"
 	"repro/internal/buildinfo"
+	"repro/internal/cluster"
 	"repro/internal/fault"
 )
 
@@ -145,6 +146,12 @@ exit codes:
 		RedistributeDead:  *redist,
 		Rebalance:         *rebalance,
 	})
+	var se *cluster.SizeError
+	if errors.As(err, &se) {
+		flagName := map[string]string{"Nodes": "-nodes", "Splits": "-splits", "Node.Computers": "-computers"}[se.Field]
+		fmt.Fprintf(os.Stderr, "gpsa-cluster: %s %d is too large: -nodes × -splits and -computers are at most %d\n", flagName, se.Value, cluster.MaxWorkers)
+		return exitUsage
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gpsa-cluster: %v\n", err)
 		if ctx.Err() != nil || errors.Is(err, context.Canceled) {

@@ -1,6 +1,10 @@
 package algorithms_test
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -121,6 +125,226 @@ func TestFourEnginesAgreeOnCC(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// diffProgram is one program row of the cluster differential. rel is 0
+// for programs whose result is independent of fold order (min, or,
+// integer sums): they must match the serial reference exactly. A float
+// sum gets rel, its stated relative bound against the reference, and
+// decode to read a payload as the number rel bounds: PageRank's float64
+// sums differ from the reference's in the last bits only, delta-PageRank
+// rounds every reference message into a float32 rank while the cluster
+// rounds one combined message per source interval (observed up to
+// 2e-5 on these shapes).
+type diffProgram struct {
+	name     string
+	prog     func(n int64) core.Program
+	steps    int
+	weighted bool
+	rel      float64
+	decode   func(uint64) float64
+}
+
+var diffPrograms = []diffProgram{
+	{name: "pagerank", prog: func(int64) core.Program { return algorithms.PageRank{} }, steps: 5, rel: 1e-12, decode: algorithms.RankOf},
+	{name: "deltapagerank", prog: func(int64) core.Program { return algorithms.DeltaPageRank{} }, steps: 30, rel: 1e-4, decode: algorithms.DeltaRankOf},
+	{name: "bfs", prog: func(int64) core.Program { return algorithms.BFS{Root: 0} }, steps: 100},
+	{name: "cc", prog: func(int64) core.Program { return algorithms.ConnectedComponents{} }, steps: 100},
+	{name: "sssp", prog: func(int64) core.Program { return algorithms.SSSP{Source: 0} }, steps: 100, weighted: true},
+	{name: "labelprop", prog: func(int64) core.Program { return algorithms.LabelPropagation{Rounds: 3} }, steps: 100},
+	{name: "indegree", prog: func(int64) core.Program { return algorithms.InDegree{} }, steps: 1},
+	{name: "reachset", prog: func(n int64) core.Program {
+		return algorithms.ReachSet{Sources: algorithms.SampleSources(n, 4, 11)}
+	}, steps: 100},
+}
+
+// diffShapes are the adversarial graph shapes of the cluster
+// differential plus one seeded R-MAT. Weights, when asked for, are
+// deterministic and positive.
+var diffShapes = []struct {
+	name  string
+	build func(t *testing.T, weighted bool) *graph.CSR
+}{
+	{"no-edges", func(t *testing.T, w bool) *graph.CSR { return edgeGraph(t, 7, nil, w) }},
+	{"one-edge", func(t *testing.T, w bool) *graph.CSR { return edgeGraph(t, 6, [][2]int{{0, 3}}, w) }},
+	{"hub", func(t *testing.T, w bool) *graph.CSR {
+		var es [][2]int
+		for i := 1; i < 40; i++ {
+			es = append(es, [2]int{0, i}, [2]int{i, 0})
+		}
+		return edgeGraph(t, 40, es, w)
+	}},
+	{"selfloops-dups", func(t *testing.T, w bool) *graph.CSR {
+		var es [][2]int
+		for i := 0; i < 12; i++ {
+			es = append(es, [2]int{i, i}, [2]int{i, (i + 1) % 12}, [2]int{i, (i + 1) % 12}, [2]int{i, i * 5 % 12})
+		}
+		return edgeGraph(t, 12, es, w)
+	}},
+	{"top-gap", func(t *testing.T, w bool) *graph.CSR {
+		rng := rand.New(rand.NewSource(5))
+		var es [][2]int
+		for range 80 {
+			es = append(es, [2]int{rng.Intn(20), rng.Intn(20)})
+		}
+		return edgeGraph(t, 64, es, w) // vertices 20..63 have no edges
+	}},
+	{"fewer-vertices-than-intervals", func(t *testing.T, w bool) *graph.CSR {
+		return edgeGraph(t, 2, [][2]int{{0, 1}, {1, 0}, {1, 1}}, w)
+	}},
+	{"rmat", func(t *testing.T, w bool) *graph.CSR {
+		g, err := gen.RMATGraph(gen.RMATConfig{Vertices: 300, Edges: 2400, Seed: 7, Weighted: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}},
+}
+
+func edgeGraph(t *testing.T, n int64, es [][2]int, weighted bool) *graph.CSR {
+	t.Helper()
+	edges := make([]graph.Edge, len(es))
+	for i, e := range es {
+		edges[i] = graph.Edge{Src: graph.VertexID(e[0]), Dst: graph.VertexID(e[1]), Weight: 0.5 + float32(i%7)*0.25}
+	}
+	g, err := graph.FromEdges(edges, n, weighted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// foldedReference is ReferenceRun with the cluster's fold order: a
+// Combiner program's messages from one source interval to one
+// destination combine, in generation order, into one message, and each
+// destination applies the combined messages in ascending source interval
+// (ivOf maps a vertex to its interval). A program without a Combiner
+// folds exactly as ReferenceRun does.
+func foldedReference(g *graph.CSR, p core.Program, ivOf []int, maxSteps int) []uint64 {
+	c, ok := p.(core.Combiner)
+	if !ok {
+		vals, _ := algorithms.ReferenceRun(g, p, maxSteps)
+		return vals
+	}
+	n := g.NumVertices
+	vals, upd, acc := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	active, touched, has := make([]bool, n), make([]bool, n), make([]bool, n)
+	for v := range vals {
+		vals[v], active[v] = p.Init(int64(v))
+	}
+	apply := func() {
+		for d := range has {
+			if !has[d] {
+				continue
+			}
+			has[d] = false
+			first := !touched[d]
+			cur := vals[d]
+			if !first {
+				cur = upd[d]
+			}
+			if nv, changed := p.Compute(int64(d), cur, acc[d], first); changed {
+				upd[d], touched[d] = nv, true
+			}
+		}
+	}
+	for step := 0; step < maxSteps; step++ {
+		messages := 0
+		clear(touched)
+		for v := int64(0); v < n; v++ {
+			if v > 0 && ivOf[v] != ivOf[v-1] {
+				apply()
+			}
+			if !active[v] {
+				continue
+			}
+			ws := g.EdgeWeights(graph.VertexID(v))
+			for i, dst := range g.Neighbors(graph.VertexID(v)) {
+				var w float32
+				if ws != nil {
+					w = ws[i]
+				}
+				m, send := p.GenMsg(v, vals[v], g.OutDegree(graph.VertexID(v)), dst, w)
+				if !send {
+					continue
+				}
+				messages++
+				if has[dst] {
+					acc[dst] = c.CombineMsg(acc[dst], m)
+				} else {
+					acc[dst], has[dst] = m, true
+				}
+			}
+		}
+		apply()
+		for v := range vals {
+			active[v] = touched[v]
+			if touched[v] {
+				vals[v] = upd[v]
+			}
+		}
+		if messages == 0 {
+			break
+		}
+	}
+	return vals
+}
+
+// TestClusterDifferential runs every program on every adversarial shape
+// at cluster geometries Nodes×Splits 1×1, 1×3, 3×1 and 3×2 against the
+// serial reference. Every cell must equal foldedReference bit for bit —
+// the cluster's documented fold (per source interval, ascending) — so a
+// wrong barrier fold order, a dropped or duplicated message, or a leaked
+// partial sum fails here. Fold-order-independent programs must also
+// equal ReferenceRun exactly; float sums must stay within their stated
+// relative bound of it, and be bit-identical between 1×3 and 3×1, which
+// share one partition.
+func TestClusterDifferential(t *testing.T) {
+	geometries := [][2]int{{1, 1}, {1, 3}, {3, 1}, {3, 2}}
+	for _, dp := range diffPrograms {
+		for _, shape := range diffShapes {
+			t.Run(dp.name+"/"+shape.name, func(t *testing.T) {
+				g := shape.build(t, dp.weighted)
+				prog := dp.prog(g.NumVertices)
+				ref, _ := algorithms.ReferenceRun(g, prog, dp.steps)
+				path := save(t, g)
+				byGeo := map[[2]int][]uint64{}
+				for _, geo := range geometries {
+					res, got, err := cluster.Run(path, prog, cluster.Config{Nodes: geo[0], Splits: geo[1], MaxSupersteps: dp.steps})
+					if err != nil {
+						t.Fatalf("%dx%d: %v", geo[0], geo[1], err)
+					}
+					byGeo[geo] = got
+					ivOf := make([]int, g.NumVertices)
+					for _, a := range res.Assignments {
+						for v := a.First; v < a.End; v++ {
+							ivOf[v] = a.Interval
+						}
+					}
+					what := func(v int) string {
+						return fmt.Sprintf("%dx%d vertex %d of %d: cluster %#x", geo[0], geo[1], v, len(got), got[v])
+					}
+					folded := foldedReference(g, prog, ivOf, dp.steps)
+					for v := range got {
+						if want := folded[v] & vertexfile.PayloadMask; got[v] != want {
+							t.Fatalf("%s, cluster fold order gives %#x", what(v), want)
+						}
+						want := ref[v] & vertexfile.PayloadMask
+						if dp.rel == 0 {
+							if got[v] != want {
+								t.Fatalf("%s, reference %#x", what(v), want)
+							}
+						} else if x, r := dp.decode(got[v]), dp.decode(want); math.Abs(x-r) > dp.rel*math.Max(1, math.Abs(r)) {
+							t.Fatalf("%s = %g, reference %g: beyond the relative bound %g", what(v), x, r, dp.rel)
+						}
+					}
+				}
+				if a, b := byGeo[[2]int{1, 3}], byGeo[[2]int{3, 1}]; !slices.Equal(a, b) {
+					t.Fatal("1x3 and 3x1 share one partition but differ")
+				}
+			})
+		}
 	}
 }
 

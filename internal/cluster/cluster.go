@@ -31,8 +31,7 @@ type Config struct {
 	// WorkDir holds per-node value files (default: temp, removed after).
 	WorkDir string
 	// HeartbeatInterval is how often idle nodes ping the coordinator
-	// (default 500ms; negative disables). Propagated to Node when the
-	// node config leaves it zero.
+	// (default 500ms; negative disables).
 	HeartbeatInterval time.Duration
 	// NodeTimeout is how long the coordinator tolerates total silence
 	// from a node — no protocol frame and no heartbeat — before declaring
@@ -75,6 +74,24 @@ type Config struct {
 	Rebalance bool
 }
 
+// MaxWorkers bounds Nodes×Splits and Node.Computers, as core bounds its
+// worker counts: every interval and every computer costs channels,
+// mailboxes and partition work before the first superstep, so an absurd
+// size would exhaust memory or spin instead of failing.
+const MaxWorkers = 4096
+
+// SizeError is Run's typed error for a size past MaxWorkers. Field names
+// the Config field: "Nodes", "Splits" (Nodes×Splits too large) or
+// "Node.Computers".
+type SizeError struct {
+	Field string
+	Value int
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("cluster: %s %d too large: Nodes×Splits and Node.Computers are at most %d", e.Field, e.Value, MaxWorkers)
+}
+
 // Run executes prog over the on-disk CSR graph at graphPath on an
 // in-process TCP cluster and returns the run summary plus every vertex's
 // final payload. All cross-node state flows through the wire protocol.
@@ -97,9 +114,6 @@ func Run(graphPath string, prog core.Program, cfg Config) (*Result, []uint64, er
 	if cfg.RecoveryTimeout == 0 {
 		cfg.RecoveryTimeout = 30 * time.Second
 	}
-	if cfg.Node.HeartbeatInterval == 0 {
-		cfg.Node.HeartbeatInterval = cfg.HeartbeatInterval
-	}
 	workDir := cfg.WorkDir
 	if workDir == "" {
 		dir, err := os.MkdirTemp("", "gpsa-cluster-*")
@@ -112,6 +126,14 @@ func Run(graphPath string, prog core.Program, cfg Config) (*Result, []uint64, er
 
 	if cfg.Splits <= 0 {
 		cfg.Splits = 1
+	}
+	switch {
+	case cfg.Nodes > MaxWorkers:
+		return nil, nil, &SizeError{Field: "Nodes", Value: cfg.Nodes}
+	case cfg.Splits > MaxWorkers/cfg.Nodes:
+		return nil, nil, &SizeError{Field: "Splits", Value: cfg.Splits}
+	case cfg.Node.Computers > MaxWorkers:
+		return nil, nil, &SizeError{Field: "Node.Computers", Value: cfg.Node.Computers}
 	}
 	joins := 0
 	for _, ev := range cfg.Events {
@@ -189,6 +211,7 @@ func Run(graphPath string, prog core.Program, cfg Config) (*Result, []uint64, er
 			ivs:        intervals,
 			owners:     coord.owners,
 			cfg:        cfg.Node,
+			heartbeat:  cfg.HeartbeatInterval,
 			mode:       mode,
 			joinEpoch:  joinEpoch,
 		})

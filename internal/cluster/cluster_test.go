@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -249,6 +250,33 @@ func TestClusterLabelPropagation(t *testing.T) {
 			t.Fatalf("nodes=%d: no combiner, but delivered %d of %d messages", nodes, res.Delivered, res.Messages)
 		}
 		assertSameValues(t, fmt.Sprintf("nodes=%d", nodes), got, want)
+	}
+}
+
+// TestClusterSizesBounded pins the MaxWorkers bound on Nodes×Splits and
+// Node.Computers: a size past it fails with a typed *SizeError before
+// any channel, mailbox or partition is built — at these sizes either
+// would exhaust memory or spin for minutes — while Nodes×Splits at the
+// bound runs.
+func TestClusterSizesBounded(t *testing.T) {
+	path := save(t, rmat(t, 64, 300, 1))
+	for _, tc := range []struct {
+		field string
+		cfg   cluster.Config
+	}{
+		{"Node.Computers", cluster.Config{Node: cluster.NodeConfig{Computers: 1_000_000_000}}},
+		{"Splits", cluster.Config{Nodes: 4, Splits: 2_000_000_000}},
+		{"Nodes", cluster.Config{Nodes: cluster.MaxWorkers + 1}},
+	} {
+		_, _, err := cluster.Run(path, algorithms.PageRank{}, tc.cfg)
+		var se *cluster.SizeError
+		if !errors.As(err, &se) || se.Field != tc.field {
+			t.Fatalf("%s: err = %v, want a *cluster.SizeError naming %s", tc.field, err, tc.field)
+		}
+	}
+	cfg := cluster.Config{Nodes: 2, Splits: cluster.MaxWorkers / 2, MaxSupersteps: 1}
+	if _, _, err := cluster.Run(path, algorithms.PageRank{}, cfg); err != nil {
+		t.Fatalf("sizes at the bound: %v", err)
 	}
 }
 

@@ -9,12 +9,13 @@
 //   - The manager actor becomes a Coordinator process coordinating
 //     supersteps over TCP control connections.
 //   - Each Node hosts a set of vertex intervals (balanced by edge
-//     count), streams their share of the CSR file, and folds messages
-//     with local computing actors backed by its own two-column vertex
-//     value file.
-//   - A program with a Combiner folds at the source, as in core: each
-//     interval's messages fold into the node's dense slab, so a round
-//     sends each (source interval, destination) pair at most once.
+//     count), streams them through the same scan core's dispatchers run
+//     (core.Scan: one worker, the node's one |V|-wide slab), and folds
+//     messages with local computing actors backed by its own two-column
+//     vertex value file, through core's batch apply (core.ApplyBatch).
+//   - A program with a Combiner folds at the source, as in core, so a
+//     round sends each (source interval, destination) pair at most once;
+//     any other program's batches are cut per destination interval.
 //   - Actor location transparency becomes explicit: a batch for a
 //     co-hosted interval goes through the loopback into the computing
 //     workers' mailboxes; any other is framed onto the owning node's

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/bits"
 	"net"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,7 +14,6 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/core"
-	"repro/internal/diskio"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -25,59 +23,41 @@ import (
 
 // NodeConfig tunes one node.
 type NodeConfig struct {
-	// Computers is the number of computing actors per node (default 2).
+	// Computers is the number of computing actors per node (default 2,
+	// at most MaxWorkers).
 	Computers int
-	// BatchSize is the message batch size for both local mailboxes and
-	// peer frames (default 512).
-	BatchSize int
-	// DisableSync skips durable superstep syncs of the node's value file.
-	DisableSync bool
-	// HeartbeatInterval is how often the node pings the coordinator's
-	// control connection so silence means death, not idleness
-	// (default 500ms; negative disables).
-	HeartbeatInterval time.Duration
 	// BarrierTimeout bounds how long the node waits at the compute
 	// barrier for peer end-of-stream markers and local computer acks; on
 	// expiry the superstep fails with a labelled error instead of
 	// hanging on a lost peer (default 15s; negative disables).
 	BarrierTimeout time.Duration
-	// PeerRedials is how many times a failed data-plane write redials
-	// the peer before giving up (default 3; negative disables reconnect).
-	PeerRedials int
-	// RedialBackoff is the sleep before the first redial, doubling per
-	// attempt (default 50ms).
+	// RedialBackoff is the sleep before the first redial of a failed
+	// data-plane write, doubling per attempt up to redialBackoffMax
+	// (default 50ms).
 	RedialBackoff time.Duration
-	// RedialBackoffMax caps the doubling redial sleep (default 2s), so a
-	// long redial storm polls steadily instead of sleeping for minutes.
-	RedialBackoffMax time.Duration
-	// MinFreeBytes gates migration adoption on free space in the value
-	// file's directory: a recipient that cannot durably hold the interval
-	// refuses MIGRATE with a typed ENOSPC error instead of adopting state
-	// it would lose. 0 disables the preflight.
-	MinFreeBytes int64
 }
+
+const (
+	// batchSize caps the messages of one batch, on the wire and through
+	// the loopback.
+	batchSize = 512
+	// peerRedials is how many times a failed data-plane write redials the
+	// peer before the superstep fails.
+	peerRedials = 3
+	// redialBackoffMax caps the doubling redial sleep, so a long redial
+	// storm polls steadily instead of sleeping for minutes.
+	redialBackoffMax = 2 * time.Second
+)
 
 func (c NodeConfig) withDefaults() NodeConfig {
 	if c.Computers <= 0 {
 		c.Computers = 2
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 512
-	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = 500 * time.Millisecond
-	}
 	if c.BarrierTimeout == 0 {
 		c.BarrierTimeout = 15 * time.Second
 	}
-	if c.PeerRedials == 0 {
-		c.PeerRedials = 3
-	}
 	if c.RedialBackoff <= 0 {
 		c.RedialBackoff = 50 * time.Millisecond
-	}
-	if c.RedialBackoffMax <= 0 {
-		c.RedialBackoffMax = 2 * time.Second
 	}
 	return c
 }
@@ -157,16 +137,15 @@ type senderStream struct {
 // is what keeps batch formation and fold order bit-identical across
 // migrations.
 type node struct {
-	id       int
-	total    int // size of the node ID SPACE (initial nodes + plannable joins), not the live member count
-	prog     core.Program
-	combiner core.Combiner
-	cfg      NodeConfig
-	ctx      context.Context
+	id        int
+	total     int // size of the node ID SPACE (initial nodes + plannable joins), not the live member count
+	prog      core.Program
+	cfg       NodeConfig
+	heartbeat time.Duration // coordinator ping interval; <= 0 disables
+	ctx       context.Context
 
 	gf        *graph.File
 	vf        *vertexfile.File
-	valuesDir string           // directory of the value file, for free-space preflight
 	ivs       []graph.Interval // the fixed partition, immutable for the job
 	ivBounds  []int64          // ivBounds[i] = first vertex of interval i; len(ivs)+1
 	owners    []int            // owners[i] = node currently hosting interval i
@@ -184,13 +163,12 @@ type node struct {
 	failCh    chan error // peer disconnects and computing-actor panics
 	hbStop    chan struct{}
 
-	// slab and slabBits are a combiner program's source-side fold: one
-	// value and one presence bit per global vertex id. The interval being
-	// dispatched fills them (fold) and its walk empties them (flushSlab).
-	// Allocated once per node, 8 B×|V| + |V|/8 B, and reused by every
-	// interval and superstep; nil for programs without a combiner.
-	slab     []uint64
-	slabBits []uint64
+	// slab is a combiner program's source-side fold: core's scan folds
+	// the interval being dispatched into it, one slot per global vertex
+	// id, and flushSlab's walk empties it. Allocated once per node,
+	// 8 B×|V| + |V|/8 B, and reused by every interval and superstep; nil
+	// for programs without a combiner.
+	slab *core.Slab
 
 	// round gates the data plane: frames tagged with an older superstep
 	// attempt are dropped at arrival, so an aborted attempt's stragglers
@@ -234,6 +212,7 @@ type nodeSpec struct {
 	ivs        []graph.Interval
 	owners     []int
 	cfg        NodeConfig
+	heartbeat  time.Duration // Config.HeartbeatInterval
 	mode       bootMode
 	joinEpoch  int64 // bootJoin: the epoch the running job sits at
 }
@@ -258,7 +237,7 @@ func startNode(ctx context.Context, spec nodeSpec) (*node, error) {
 	case bootJoin:
 		vf, err = vertexfile.Create(spec.valuesPath, gf.NumVertices, spec.prog.Init)
 		if err == nil {
-			err = vf.FastForward(spec.joinEpoch, !cfg.DisableSync)
+			err = vf.FastForward(spec.joinEpoch, true)
 		}
 	default:
 		vf, err = vertexfile.Create(spec.valuesPath, gf.NumVertices, spec.prog.Init)
@@ -272,10 +251,10 @@ func startNode(ctx context.Context, spec nodeSpec) (*node, error) {
 		total:     total,
 		prog:      spec.prog,
 		cfg:       cfg,
+		heartbeat: spec.heartbeat,
 		ctx:       ctx,
 		gf:        gf,
 		vf:        vf,
-		valuesDir: filepath.Dir(spec.valuesPath),
 		ivs:       spec.ivs,
 		ivBounds:  make([]int64, len(spec.ivs)+1),
 		peers:     make([]*conn, total),
@@ -287,10 +266,8 @@ func startNode(ctx context.Context, spec nodeSpec) (*node, error) {
 		failCh:    make(chan error, total+cfg.Computers+1),
 		begunStep: -1,
 	}
-	if c, ok := spec.prog.(core.Combiner); ok {
-		n.combiner = c
-		n.slab = make([]uint64, gf.NumVertices)
-		n.slabBits = make([]uint64, (gf.NumVertices+63)/64)
+	if _, ok := spec.prog.(core.Combiner); ok {
+		n.slab = core.NewSlab(gf.NumVertices)
 	}
 	for i := range n.streams {
 		n.streams[i] = &senderStream{next: 1, pending: make(map[uint64]streamFrame)}
@@ -592,7 +569,7 @@ func (n *node) runNode() error {
 			// address book (after a rejoin) must not stack heartbeaters.
 			// Supervised: close() closes hbStop before system.Wait, so
 			// the loop terminates and Wait covers it.
-			if n.cfg.HeartbeatInterval > 0 && n.hbStop == nil {
+			if n.heartbeat > 0 && n.hbStop == nil {
 				n.hbStop = make(chan struct{})
 				stop := n.hbStop
 				n.system.SpawnFunc(fmt.Sprintf("node-%d-heartbeat", n.id), func() error {
@@ -663,16 +640,7 @@ func (n *node) runNode() error {
 			if ferr := fault.Error(fault.SiteNodeKillMigrate); ferr != nil {
 				return fmt.Errorf("cluster: node %d mid-migration (recipient): %w", n.id, errNodeKilled)
 			}
-			// Adoption preflight: refuse state this node cannot durably
-			// hold. The typed ENOSPC refusal fails the migration loudly at
-			// the coordinator instead of losing the interval on the sync.
-			if n.cfg.MinFreeBytes > 0 {
-				if free, ferr := diskio.FreeSpace(n.valuesDir); ferr == nil && free < uint64(n.cfg.MinFreeBytes) {
-					return fmt.Errorf("cluster: node %d adopting interval %d: %d bytes free, need %d: %w",
-						n.id, iv, free, n.cfg.MinFreeBytes, diskio.ErrDiskFull)
-				}
-			}
-			if err := n.vf.AdoptInterval(blob, !n.cfg.DisableSync); err != nil {
+			if err := n.vf.AdoptInterval(blob, true); err != nil {
 				return fmt.Errorf("cluster: node %d adopting interval %d: %w", n.id, iv, err)
 			}
 			if err := n.coord.writeFrame(fMigrateDone, ivPayload(iv)); err != nil {
@@ -785,14 +753,16 @@ func (n *node) rollbackStep(step int64, newRound uint64) error {
 	for i := range n.peerSeq {
 		n.peerSeq[i] = 0
 	}
-	clear(n.slabBits)
+	if n.slab != nil {
+		n.slab.Reset()
+	}
 	switch {
 	case n.vf.Epoch() == step+1:
 		if err := n.vf.Rewind(step); err != nil {
 			return err
 		}
 	case n.vf.Epoch() == step && n.begunStep == step:
-		if err := n.vf.Rollback(step, !n.cfg.DisableSync); err != nil {
+		if err := n.vf.Rollback(step, true); err != nil {
 			return err
 		}
 	}
@@ -836,7 +806,7 @@ func (n *node) updatePeers(addrs []string) error {
 // or the connection dies, so the coordinator's node timeout measures
 // liveness rather than per-phase progress.
 func (n *node) heartbeatLoop(stop <-chan struct{}) {
-	t := time.NewTicker(n.cfg.HeartbeatInterval)
+	t := time.NewTicker(n.heartbeat)
 	defer t.Stop()
 	for {
 		select {
@@ -879,16 +849,9 @@ func (n *node) sendPeer(p int, kind byte, payload []byte) error {
 		if err = n.peers[p].writeFrame(kind, payload); err == nil {
 			return nil
 		}
-		if n.cfg.PeerRedials < 0 {
-			return stepFailf("cluster: node %d: peer %d write failed (reconnect disabled): %w", n.id, p, err)
-		}
-	}
-	attempts := n.cfg.PeerRedials
-	if attempts < 1 {
-		attempts = 1 // first-time dials get one attempt even with reconnect disabled
 	}
 	backoff := n.cfg.RedialBackoff
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < peerRedials; attempt++ {
 		if err != nil {
 			// Only back off after a failure; a first-time dial is instant.
 			// The sleep is capped and context-aware: a SIGTERM mid-storm
@@ -901,10 +864,7 @@ func (n *node) sendPeer(p int, kind byte, payload []byte) error {
 				t.Stop()
 				return fmt.Errorf("cluster: node %d: redial to peer %d cancelled: %w", n.id, p, n.ctx.Err())
 			}
-			backoff *= 2
-			if backoff > n.cfg.RedialBackoffMax {
-				backoff = n.cfg.RedialBackoffMax
-			}
+			backoff = min(2*backoff, redialBackoffMax)
 		}
 		c, derr := n.dialPeer(p)
 		if derr != nil {
@@ -922,7 +882,7 @@ func (n *node) sendPeer(p int, kind byte, payload []byte) error {
 		n.peers[p] = c
 		return nil
 	}
-	return stepFailf("cluster: node %d: peer %d unreachable after %d redials: %w", n.id, p, attempts, err)
+	return stepFailf("cluster: node %d: peer %d unreachable after %d redials: %w", n.id, p, peerRedials, err)
 }
 
 // sendData sends the next in-sequence data frame of the current round to
@@ -935,13 +895,15 @@ func (n *node) sendData(p int, kind byte, payload []byte) error {
 }
 
 // dispatchPhase streams every interval this node hosts, in ascending
-// interval order, then signals end-of-stream to every member peer and
-// DISPATCH_OVER. Batches are formed per source interval
-// (dispatchInterval), so batch boundaries and combine groups depend only
-// on the fixed partition — routing decides where a batch goes, never how
-// it is formed.
+// interval order, through core's scan with one worker: a combiner
+// program folds each interval into the node's slab and flushSlab sends
+// it; any other program's batches are cut by destination interval as the
+// scan hands them off (cutBatch). Then it signals end-of-stream to every
+// member peer and DISPATCH_OVER. Batches are formed per source interval,
+// so batch boundaries and combine groups depend only on the fixed
+// partition — routing decides where a batch goes, never how it is formed.
 func (n *node) dispatchPhase(step int64, round uint64) error {
-	if err := n.vf.Begin(step, !n.cfg.DisableSync); err != nil {
+	if err := n.vf.Begin(step, true); err != nil {
 		return err
 	}
 	n.begunStep = step
@@ -949,12 +911,29 @@ func (n *node) dispatchPhase(step int64, round uint64) error {
 		n.peerSeq[i] = 0
 	}
 	var generated, delivered int64
-	for iv := range n.ivs {
-		if n.owners[iv] != n.id {
+	var slabs []*core.Slab
+	if n.slab != nil {
+		slabs = []*core.Slab{n.slab}
+	}
+	src := 0
+	scan := core.NewScan(n.gf, n.vf, n.prog, slabs, 1, batchSize, func(_ int, b []core.Message) error {
+		return n.cutBatch(round, src, b, &delivered)
+	})
+	scan.KillSite = fault.SiteNodeKillDispatch
+	scan.Killed = fmt.Errorf("cluster: node %d mid-dispatch: %w", n.id, errNodeKilled)
+	for ; src < len(n.ivs); src++ {
+		if n.owners[src] != n.id {
 			continue
 		}
-		if err := n.dispatchInterval(step, round, iv, &generated, &delivered); err != nil {
+		sent, err := scan.Run(n.ivs[src], step)
+		generated += sent
+		if err != nil {
 			return err
+		}
+		if n.slab != nil {
+			if err := n.flushSlab(round, src, &delivered); err != nil {
+				return err
+			}
 		}
 	}
 	// End-of-stream on every member peer connection, then DISPATCH_OVER.
@@ -969,148 +948,56 @@ func (n *node) dispatchPhase(step int64, round uint64) error {
 	return n.coord.writeFrame(fDispatchOver, u64Payload(uint64(step), uint64(generated), uint64(delivered)))
 }
 
-// dispatchInterval streams one hosted interval src. A combiner program
-// folds every message into the node's slab and, once the interval is
-// done, sends each destination it reached exactly once (flushSlab). A
-// program without a combiner sends every message: those staying inside
-// src split directly across the local computing actors, those crossing
-// into another interval d buffer per destination interval (flushBatch).
-// A destination vertex belongs to exactly one interval, so its messages
-// always take the same path shape and fold in the same order regardless
-// of which node hosts what.
-func (n *node) dispatchInterval(step int64, round uint64, src int, generated, delivered *int64) error {
-	col := vertexfile.DispatchCol(step)
-	weighted := n.gf.Weighted()
-	cur := n.gf.Cursor(n.ivs[src])
-
-	local := make([][]core.Message, len(n.toComp))
-	cross := make([][]core.Message, len(n.ivs))
-	flushLocal := func(w int) error {
-		b := local[w]
-		local[w] = nil
-		*delivered += int64(len(b))
-		return n.toComp[w].Put(compMsg{src: src, round: round, batch: b})
-	}
-	flushCross := func(d int) error {
-		b := cross[d]
-		cross[d] = nil
-		return n.flushBatch(round, src, d, b, delivered)
-	}
-
-	for {
-		v, deg, edges, ok := cur.Next()
-		if !ok {
-			break
-		}
-		if fault.Error(fault.SiteNodeKillDispatch) != nil {
-			return fmt.Errorf("cluster: node %d mid-dispatch: %w", n.id, errNodeKilled)
-		}
-		slot := n.vf.Load(col, v)
-		if vertexfile.Stale(slot) {
-			continue
-		}
-		payload := vertexfile.Payload(slot)
-		for i := 0; i < int(deg); i++ {
-			dst, w := graph.DecodeEdge(edges, i, weighted)
-			msgVal, send := n.prog.GenMsg(v, payload, deg, dst, w)
-			if !send {
-				continue
-			}
-			*generated++
-			if n.combiner != nil {
-				n.fold(dst, msgVal)
-				continue
-			}
-			d := n.ivOf(int64(dst))
-			if d == src {
-				wkr := int(dst) % len(n.toComp)
-				local[wkr] = append(local[wkr], core.Message{Dst: dst, Val: msgVal})
-				if len(local[wkr]) >= n.cfg.BatchSize {
-					if err := flushLocal(wkr); err != nil {
-						return err
-					}
-				}
-			} else {
-				cross[d] = append(cross[d], core.Message{Dst: dst, Val: msgVal})
-				if len(cross[d]) >= n.cfg.BatchSize {
-					if err := flushCross(d); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		n.vf.Store(col, v, slot|vertexfile.StaleBit)
-	}
-	if err := cur.Err(); err != nil {
-		return err
-	}
-	if n.combiner != nil {
-		return n.flushSlab(round, src, delivered)
-	}
-	for w := range local {
-		if len(local[w]) > 0 {
-			if err := flushLocal(w); err != nil {
-				return err
-			}
-		}
-	}
-	for d := range cross {
-		if len(cross[d]) > 0 {
-			if err := flushCross(d); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// fold combines one generated message into the slab: a left fold in
-// generation order, the same one core's accumDense performs.
-//
-//gpsa:noalloc
-func (n *node) fold(dst graph.VertexID, val uint64) {
-	word, bit := dst>>6, uint64(1)<<(dst&63)
-	if n.slabBits[word]&bit != 0 {
-		n.slab[dst] = n.combiner.CombineMsg(n.slab[dst], val)
-		return
-	}
-	n.slabBits[word] |= bit
-	n.slab[dst] = val
-}
-
 // flushSlab sends what source interval src folded into the slab: it walks
-// the set bits in ascending vertex order, clearing them as it goes, and
-// cuts each destination interval into batches of at most BatchSize
-// messages. The round therefore carries at most one message per (source
-// interval, destination), in ascending destination order.
+// the set bits in ascending vertex order, cuts each destination interval
+// into batches of at most batchSize messages, and resets the slab. The
+// round therefore carries at most one message per (source interval,
+// destination), in ascending destination order.
 func (n *node) flushSlab(round uint64, src int, delivered *int64) error {
+	s := n.slab
 	d := 0 // destination interval of the batch being filled
-	b := make([]core.Message, 0, n.cfg.BatchSize)
-	for w, word := range n.slabBits {
-		if word == 0 {
-			continue
-		}
-		n.slabBits[w] = 0
+	b := make([]core.Message, 0, batchSize)
+	for w, word := range s.Bits {
 		for ; word != 0; word &= word - 1 {
 			v := int64(w)<<6 | int64(bits.TrailingZeros64(word))
-			if v >= n.ivBounds[d+1] || len(b) == n.cfg.BatchSize {
+			if v >= n.ivBounds[d+1] || len(b) == batchSize {
 				if len(b) > 0 {
 					if err := n.flushBatch(round, src, d, b, delivered); err != nil {
 						return err
 					}
-					b = make([]core.Message, 0, n.cfg.BatchSize)
+					b = make([]core.Message, 0, batchSize)
 				}
 				for v >= n.ivBounds[d+1] {
 					d++
 				}
 			}
-			b = append(b, core.Message{Dst: graph.VertexID(v), Val: n.slab[v]})
+			b = append(b, core.Message{Dst: graph.VertexID(v), Val: s.Vals[v]})
 		}
 	}
+	s.Reset()
 	if len(b) == 0 {
 		return nil
 	}
 	return n.flushBatch(round, src, d, b, delivered)
+}
+
+// cutBatch is the scan's hand-off for a program without a combiner: it
+// cuts one batch source interval src generated by destination interval,
+// keeping generation order within each piece, and sends the pieces.
+func (n *node) cutBatch(round uint64, src int, b []core.Message, delivered *int64) error {
+	parts := make([][]core.Message, len(n.ivs))
+	for _, m := range b {
+		d := n.ivOf(int64(m.Dst))
+		parts[d] = append(parts[d], m)
+	}
+	for d, p := range parts {
+		if len(p) > 0 {
+			if err := n.flushBatch(round, src, d, p, delivered); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // flushBatch sends one batch source interval src generated for
@@ -1173,7 +1060,7 @@ func (n *node) barrierPhase(step int64) error {
 	if fault.Error(fault.SiteNodeKillBarrier) != nil {
 		return fmt.Errorf("cluster: node %d mid-barrier: %w", n.id, errNodeKilled)
 	}
-	if err := n.vf.Commit(step, true, !n.cfg.DisableSync); err != nil {
+	if err := n.vf.Commit(step, true, true); err != nil {
 		return err
 	}
 	n.begunStep = -1
@@ -1259,39 +1146,24 @@ func (c *nodeComputer) Execute() (err error) {
 
 // apply folds the staged batches into the update column, source interval
 // by source interval in ascending order — the deterministic,
-// membership-invariant fold the staging exists for. A destination this
-// node does not host fails the step before its slot is written.
+// membership-invariant fold the staging exists for. A batch naming a
+// destination this node does not host fails the step before any of it
+// is applied.
 func (c *nodeComputer) apply() error {
 	n := c.node
-	step := n.vf.Epoch()
-	dcol, ucol := vertexfile.DispatchCol(step), vertexfile.UpdateCol(step)
 	var lo, hi int64 // the hosted interval the last destination fell in
-	for snd := range c.staged {
-		b := c.staged[snd]
+	for snd, b := range c.staged {
 		c.staged[snd] = nil
 		for _, msg := range b {
-			v := int64(msg.Dst)
-			if v < lo || v >= hi {
+			if v := int64(msg.Dst); v < lo || v >= hi {
 				iv := n.ivOf(v)
 				if n.owners[iv] != n.id {
 					return stepFailf("cluster: node %d: batch from interval %d names vertex %d, hosted by node %d", n.id, snd, v, n.owners[iv])
 				}
 				lo, hi = n.ivBounds[iv], n.ivBounds[iv+1]
 			}
-			slot := n.vf.Load(ucol, v)
-			first := vertexfile.Stale(slot)
-			var cur uint64
-			if first {
-				cur = vertexfile.Payload(n.vf.Load(dcol, v))
-			} else {
-				cur = vertexfile.Payload(slot)
-			}
-			newVal, changed := n.prog.Compute(v, cur, msg.Val, first)
-			if changed {
-				n.vf.Store(ucol, v, vertexfile.Pack(newVal, false))
-				c.updates++
-			}
 		}
+		c.updates += core.ApplyBatch(n.vf, n.prog, b, nil)
 	}
 	return nil
 }

@@ -63,7 +63,7 @@ func TestBadPeerBatchFailsStep(t *testing.T) {
 		id: 0, total: 2, coordAddr: coord.Addr().String(),
 		graphPath: gpath, valuesPath: filepath.Join(dir, "v.gpvf"),
 		prog: algorithms.PageRank{}, ivs: ivs, owners: []int{0, 1},
-		cfg: NodeConfig{BarrierTimeout: 10 * time.Second, HeartbeatInterval: -1},
+		cfg: NodeConfig{BarrierTimeout: 10 * time.Second}, heartbeat: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -93,7 +93,6 @@ func TestClusterRedialExhaustionNamesPeer(t *testing.T) {
 		NodeTimeout: 2 * time.Second,
 		Node: cluster.NodeConfig{
 			BarrierTimeout: 2 * time.Second,
-			PeerRedials:    3,
 			RedialBackoff:  time.Millisecond,
 		},
 	})

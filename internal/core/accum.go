@@ -1,21 +1,32 @@
 package core
 
-// denseSeg is one dense accumulator slab of the slab message path (a
-// Combiner program's; others send per-message batches) for a single
-// computing worker: vals[i] accumulates the combined message of the
-// worker's i-th owned vertex (vertex i*Computers + worker), bits marks
-// which slots are present. Each (dispatcher, computer) pair owns one for
-// the engine's lifetime: the dispatcher hands it off at the end of its
-// interval if anything landed, and the computer applies and resets it
-// before acking the barrier, so the next superstep finds it empty.
-type denseSeg struct {
-	count int // present entries
-	vals  []uint64
-	bits  []uint64
+import "math/bits"
+
+// Slab is a dense accumulator of the slab message path (a Combiner
+// program's; others send per-message batches): Vals[i] accumulates the
+// combined message of the slab's i-th vertex and Bits marks which slots
+// are present. In core each (dispatcher, computer) pair owns one for the
+// engine's lifetime, covering the computer's owned vertices (slot i is
+// vertex i*Computers + computer): the dispatcher hands it off at the end
+// of its interval if anything landed, and the computer applies and
+// resets it before acking the barrier, so the next superstep finds it
+// empty. A cluster node owns one covering every vertex.
+type Slab struct {
+	Vals []uint64
+	Bits []uint64
 }
 
-func newDenseSeg(slots int64) *denseSeg {
-	return &denseSeg{vals: make([]uint64, slots), bits: make([]uint64, (slots+63)/64)}
+// NewSlab allocates an empty slab of the given number of slots.
+func NewSlab(slots int64) *Slab {
+	return &Slab{Vals: make([]uint64, slots), Bits: make([]uint64, (slots+63)/64)}
+}
+
+// Len returns how many slots are present.
+func (s *Slab) Len() (n int) {
+	for _, w := range s.Bits {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // poisonWord is the value poison-on-reset paints over a reset slab's
@@ -27,17 +38,16 @@ const poisonWord uint64 = 0xDEADBEEFDEADBEEF
 // detector (poison_race.go) and off otherwise; tests may flip it.
 var poisonResets = poisonDefault
 
-// reset empties the slab. Values are meaningless wherever the presence
+// Reset empties the slab. Values are meaningless wherever the presence
 // bit is clear, so only the bitmap needs the memset, unless poison is
 // on.
 //
 //gpsa:noalloc
-func (s *denseSeg) reset() {
-	clear(s.bits)
-	s.count = 0
+func (s *Slab) Reset() {
+	clear(s.Bits)
 	if poisonResets {
-		for i := range s.vals {
-			s.vals[i] = poisonWord
+		for i := range s.Vals {
+			s.Vals[i] = poisonWord
 		}
 	}
 }

@@ -389,8 +389,8 @@ func TestAccumPoolRecycleEquivalence(t *testing.T) {
 				t.Fatalf("run %d: %v", part, err)
 			}
 			for _, s := range slices.Concat(eng.slabs...) {
-				if s.count != 0 || slices.ContainsFunc(s.bits, func(w uint64) bool { return w != 0 }) {
-					t.Fatalf("run %d left a slab non-empty (count %d)", part, s.count)
+				if n := s.Len(); n != 0 {
+					t.Fatalf("run %d left a slab non-empty (%d present)", part, n)
 				}
 			}
 		}

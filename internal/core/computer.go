@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/vertexfile"
@@ -74,24 +75,24 @@ func (c *computer) process(m workerMsg) {
 	if m.kind == kindSegment {
 		c.processSegment(m.seg)
 	} else {
-		c.processBatch(m.batch)
+		c.updates += ApplyBatch(c.eng.vf, c.eng.prog, m.batch, &c.eng.aborted)
 	}
 }
 
 // processSegment folds a dense accumulator segment into the update
 // column via the value file's bulk-apply: one pre-combined message per
 // present vertex, visited in vertex order. The fault hooks and the
-// teardown poll mirror processBatch so injection coverage and graceful
+// teardown poll mirror ApplyBatch so injection coverage and graceful
 // SIGINT latency are identical on both paths. The reset hands the slab
 // back to its dispatcher through the barrier ack.
 //
 //gpsa:noalloc
-func (c *computer) processSegment(seg *denseSeg) {
+func (c *computer) processSegment(seg *Slab) {
 	eng := c.eng
 	step := eng.vf.Epoch()
 	stride := int64(len(eng.toComp))
 	n := 0
-	c.updates += eng.vf.BulkApply(step, int64(c.id), stride, seg.bits, seg.vals,
+	c.updates += eng.vf.BulkApply(step, int64(c.id), stride, seg.Bits, seg.Vals,
 		//lint:noalloc one closure per segment, not per message, and the compiler stack-allocates it (gpsa-lint -escape proves no heap escape here)
 		func(v int64, cur, msg uint64, first bool) (uint64, bool, bool) {
 			if n&0xFF == 0 && eng.aborted.Load() {
@@ -104,46 +105,48 @@ func (c *computer) processSegment(seg *denseSeg) {
 			newVal, changed := eng.prog.Compute(v, cur, msg, first)
 			return newVal, changed, false
 		})
-	seg.reset()
+	seg.Reset()
 }
 
-// processBatch applies Compute for each message (paper Algorithm 3).
+// ApplyBatch applies Compute for each message of batch to the update
+// column of vf's current superstep (paper Algorithm 3) — a batch always
+// belongs to the superstep running — and returns how many vertex values
+// it wrote. A core computing worker passes its engine's abort flag: the
+// batch then hits the computing worker's fault sites once per message
+// and polls the flag every 256, dropping the rest once it is set — the
+// superstep is rolled back anyway, and a prompt unwind is what bounds
+// the latency of a graceful SIGINT stop under slow user programs. The
+// cluster, which applies at its barrier, passes nil.
 //
 //gpsa:noalloc
-func (c *computer) processBatch(batch []Message) {
-	eng := c.eng
-	// Data batches always belong to the superstep currently running: the
-	// manager does not start superstep s+1 until this worker acked the
-	// barrier of s. c.step tracks it via the barrier message, but during
-	// the overlap phase the authoritative value is the file's epoch.
-	step := eng.vf.Epoch()
+func ApplyBatch(vf *vertexfile.File, prog Program, batch []Message, aborted *atomic.Bool) (updates int64) {
+	step := vf.Epoch()
 	dcol, ucol := vertexfile.DispatchCol(step), vertexfile.UpdateCol(step)
 	for i, m := range batch {
-		// Bail out mid-batch when the run is being torn down (checked
-		// every 256 messages to keep the hot loop cheap): the superstep is
-		// rolled back anyway, and a prompt unwind is what bounds the
-		// latency of a graceful SIGINT stop under slow user programs.
-		if i&0xFF == 0 && eng.aborted.Load() {
-			break
+		if aborted != nil {
+			if i&0xFF == 0 && aborted.Load() {
+				break
+			}
+			//lint:noalloc the injection site's PanicValue materializes only when a chaos-run fault fires; production paths allocate nothing
+			fault.Panic(fault.SiteComputerMsg)
+			fault.Stall(fault.SiteComputerStall)
 		}
-		//lint:noalloc the injection site's PanicValue materializes only when a chaos-run fault fires; production paths allocate nothing
-		fault.Panic(fault.SiteComputerMsg)
-		fault.Stall(fault.SiteComputerStall)
 		v := int64(m.Dst)
-		slot := eng.vf.Load(ucol, v)
+		slot := vf.Load(ucol, v)
 		first := vertexfile.Stale(slot)
 		var cur uint64
 		if first {
 			// First message of this superstep: the previous value lives
 			// in the dispatch column (paper §IV-F).
-			cur = vertexfile.Payload(eng.vf.Load(dcol, v))
+			cur = vertexfile.Payload(vf.Load(dcol, v))
 		} else {
 			cur = vertexfile.Payload(slot)
 		}
-		newVal, changed := eng.prog.Compute(v, cur, m.Val, first)
+		newVal, changed := prog.Compute(v, cur, m.Val, first)
 		if changed {
-			eng.vf.Store(ucol, v, vertexfile.Pack(newVal, false))
-			c.updates++
+			vf.Store(ucol, v, vertexfile.Pack(newVal, false))
+			updates++
 		}
 	}
+	return updates
 }

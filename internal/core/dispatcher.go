@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/actor"
 	"repro/internal/fault"
@@ -12,36 +13,190 @@ import (
 	"repro/internal/vertexfile"
 )
 
-// dispatcher is the paper's dispatcher worker (Algorithm 2). It owns one
-// interval of the CSR edge file and, each superstep, streams it
-// sequentially, generating messages for the out-edges of fresh vertices.
-//
-// For a program with a Combiner the dispatcher folds messages at the
-// source into one dense slab per computing worker and hands each slab
-// off whole when its interval is done; without a combiner it sends
-// per-message batches, whose semantics the durability contract is
-// stated against.
-type dispatcher struct {
-	id       int
-	eng      *Engine
-	interval graph.Interval
+// Scan is the paper's dispatcher loop (Algorithm 2), the one way a CSR
+// interval becomes messages — core's dispatcher actors and the cluster's
+// nodes both drive it. It streams the interval, skips vertices whose
+// dispatch-column slot is stale, calls GenMsg for each out-edge of the
+// fresh ones and consumes them. A message goes to the worker owning its
+// destination (dst mod workers, paper §V-A): a Combiner program's folds
+// at the source, a left fold in generation order, into that worker's
+// slab at slot dst / workers (the caller owns the slabs and hands them
+// off); any other program's is batched, and each full batch leaves
+// through the handoff function, the partial ones when Run ends.
+type Scan struct {
+	// Hooks, all optional. KillSite is a fault.Error site hit once per
+	// vertex, whose firing makes Run return Killed; MsgSite a fault.Panic
+	// site hit once per message. Aborted is polled once per vertex (set:
+	// Run returns errAborted), and Pos gets the cursor position once per
+	// vertex (the prefetch watermark).
+	KillSite, MsgSite string
+	Killed            error
+	Aborted           *atomic.Bool
+	Pos               *atomic.Int64
 
-	// per-computer outgoing batches (programs without a Combiner)
-	bufs []([]Message)
-
-	// per-computer dense slabs (combiner programs): row id of Engine.slabs
-	slabs []*denseSeg
+	gf        *graph.File
+	vf        *vertexfile.File
+	prog      Program
+	combiner  Combiner
+	slabs     []*Slab
+	bufs      [][]Message
+	batchSize int
+	handoff   func(wk int, batch []Message) error
 
 	// owner fast path, hoisted out of the per-edge loop: dst mod workers
 	// is a mask (and the slab index a shift) when the worker count is a
 	// power of two.
 	workers  int
 	ownMask  graph.VertexID // workers-1 when workers is a power of two
-	ownShift uint           // log2(workers) for the dense index
+	ownShift uint           // log2(workers) for the slab index
 	usesMask bool
+}
+
+// NewScan prepares a scan of prog over gf and vf for workers computing
+// workers: a Combiner program folds into slabs (one per worker), any
+// other passes batches of batchSize messages to handoff.
+func NewScan(gf *graph.File, vf *vertexfile.File, prog Program, slabs []*Slab, workers, batchSize int, handoff func(wk int, batch []Message) error) *Scan {
+	s := &Scan{gf: gf, vf: vf, prog: prog, slabs: slabs, workers: workers, batchSize: batchSize, handoff: handoff}
+	s.combiner, _ = prog.(Combiner)
+	if s.combiner == nil {
+		s.bufs = make([][]Message, workers)
+	}
+	if workers&(workers-1) == 0 {
+		s.usesMask = true
+		s.ownMask = graph.VertexID(workers - 1)
+		s.ownShift = uint(bits.TrailingZeros(uint(workers)))
+	}
+	return s
+}
+
+// route resolves the worker owning dst and dst's slot in its slab. One
+// worker is its own case: the mask path costs a cluster scan ~8%.
+func (s *Scan) route(dst graph.VertexID) (wk int, slot int64) {
+	if s.workers == 1 {
+		return 0, int64(dst)
+	}
+	if s.usesMask {
+		return int(dst & s.ownMask), int64(dst >> s.ownShift)
+	}
+	return int(dst) % s.workers, int64(dst) / int64(s.workers)
+}
+
+// Run scans interval iv in superstep step and returns how many messages
+// it generated.
+//
+//gpsa:noalloc
+func (s *Scan) Run(iv graph.Interval, step int64) (sent int64, err error) {
+	col := vertexfile.DispatchCol(step)
+	weighted := s.gf.Weighted()
+	cur := s.gf.Cursor(iv)
+	for {
+		v, deg, edges, ok := cur.Next()
+		if !ok {
+			break
+		}
+		if s.Pos != nil {
+			s.Pos.Store(cur.Pos())
+		}
+		if s.Aborted != nil && s.Aborted.Load() {
+			return sent, errAborted
+		}
+		if fault.Error(s.KillSite) != nil {
+			return sent, s.Killed
+		}
+		slot := s.vf.Load(col, v)
+		if vertexfile.Stale(slot) {
+			continue // not updated last superstep: skip vertex and edges
+		}
+		payload := vertexfile.Payload(slot)
+		for i := 0; i < int(deg); i++ {
+			dst, w := graph.DecodeEdge(edges, i, weighted)
+			msgVal, send := s.prog.GenMsg(v, payload, deg, dst, w)
+			if !send {
+				continue
+			}
+			if s.MsgSite != "" {
+				//lint:noalloc the injection site's PanicValue materializes only when a chaos-run fault fires; production paths allocate nothing
+				fault.Panic(s.MsgSite)
+			}
+			if s.combiner != nil {
+				s.fold(dst, msgVal)
+			} else if err := s.send(dst, msgVal); err != nil {
+				return sent, err
+			}
+			sent++
+		}
+		// Consume: invalidate so the vertex is skipped until recomputed
+		// (paper Algorithm 2, setHighestBitTo1).
+		s.vf.Store(col, v, slot|vertexfile.StaleBit)
+	}
+	if err := cur.Err(); err != nil {
+		return sent, err
+	}
+	for wk, b := range s.bufs {
+		if len(b) > 0 {
+			s.bufs[wk] = nil
+			if err := s.handoff(wk, b); err != nil {
+				return sent, err
+			}
+		}
+	}
+	return sent, nil
+}
+
+// fold combines a message into its slot in the owning worker's slab. A
+// slab has one slot per owned vertex, so it never overflows, and holding
+// it to the end of the interval folds the most messages at the source —
+// on the repository benchmark (R-MAT 2^18 / 4M edges, GOMAXPROCS=2)
+// PageRank's job wall went 0.92 s → 0.65 s and its fold ratio 0.47 →
+// 0.04 against handing off every 16 Ki entries (DESIGN.md "Message
+// path").
+//
+//gpsa:noalloc
+func (s *Scan) fold(dst graph.VertexID, val uint64) {
+	wk, idx := s.route(dst)
+	sl := s.slabs[wk]
+	word, bit := idx>>6, uint64(1)<<uint(idx&63)
+	if sl.Bits[word]&bit != 0 {
+		sl.Vals[idx] = s.combiner.CombineMsg(sl.Vals[idx], val)
+		return
+	}
+	sl.Bits[word] |= bit
+	sl.Vals[idx] = val
+}
+
+// send buffers a message for the owning worker on the batch path,
+// handing the batch off when full.
+//
+//gpsa:noalloc
+func (s *Scan) send(dst graph.VertexID, val uint64) error {
+	wk, _ := s.route(dst)
+	if s.bufs[wk] == nil {
+		//lint:noalloc the batch path allocates one batch per hand-off by design (about 16 B/msg); only combiner programs are held to zero
+		s.bufs[wk] = make([]Message, 0, s.batchSize)
+	}
+	//lint:noalloc cap is fixed at batchSize by the make above and the batch is handed off before exceeding it; append never grows
+	s.bufs[wk] = append(s.bufs[wk], Message{Dst: dst, Val: val})
+	if len(s.bufs[wk]) < s.batchSize {
+		return nil
+	}
+	b := s.bufs[wk]
+	s.bufs[wk] = nil
+	return s.handoff(wk, b)
+}
+
+// dispatcher is the paper's dispatcher worker as an actor. It owns one
+// interval of the CSR edge file and, each superstep, scans it. A
+// Combiner program's slabs, one per computing worker, are handed off
+// whole when the interval is done; any other program's batches are put
+// in the owning worker's mailbox as the scan fills them.
+type dispatcher struct {
+	id       int
+	eng      *Engine
+	interval graph.Interval
+	scan     *Scan
+	slabs    []*Slab // row id of Engine.slabs (combiner programs)
 
 	delivered int64 // messages delivered this superstep (post-combining)
-	folded    int64 // messages combined into an existing slab entry
 	denseSegs int64 // slabs handed off this superstep
 }
 
@@ -58,30 +213,28 @@ func (d *dispatcher) Execute() (err error) {
 			panic(r)
 		}
 	}()
-	d.workers = len(d.eng.toComp)
-	d.bufs = make([][]Message, d.workers)
-	if d.eng.slabs != nil {
-		d.slabs = d.eng.slabs[d.id]
+	eng := d.eng
+	if eng.slabs != nil {
+		d.slabs = eng.slabs[d.id]
 	}
-	if d.workers&(d.workers-1) == 0 {
-		d.usesMask = true
-		d.ownMask = graph.VertexID(d.workers - 1)
-		d.ownShift = uint(bits.TrailingZeros(uint(d.workers)))
-	}
+	d.scan = NewScan(eng.gf, eng.vf, eng.prog, d.slabs, len(eng.toComp), eng.cfg.BatchSize, d.dispatchBatch)
+	d.scan.MsgSite = fault.SiteDispatcherMsg
+	d.scan.Aborted = &eng.aborted
 	for {
-		cmd, ok := d.eng.toDisp[d.id].Get()
+		cmd, ok := eng.toDisp[d.id].Get()
 		if !ok || cmd.kind == kindSystemOver {
 			return nil
 		}
 		if cmd.kind != kindIterationStart {
 			return fmt.Errorf("core: dispatcher %d: unexpected command %v", d.id, cmd.kind)
 		}
-		d.delivered, d.folded, d.denseSegs = 0, 0, 0
-		if d.eng.prefetchOn {
+		d.delivered, d.denseSegs = 0, 0
+		if eng.prefetchOn {
 			// Announce the new superstep to the prefetch actor: its
 			// WILLNEED window rewinds to the interval top with us.
-			d.eng.dispPos[d.id].Store(d.interval.StartWord)
-			d.eng.dispStep[d.id].Store(cmd.step)
+			eng.dispPos[d.id].Store(d.interval.StartWord)
+			eng.dispStep[d.id].Store(cmd.step)
+			d.scan.Pos = &eng.dispPos[d.id]
 		}
 		sent, err := d.runSuperstep(cmd.step)
 		if err != nil {
@@ -91,11 +244,11 @@ func (d *dispatcher) Execute() (err error) {
 				// and batches die with the crew: spawn resets the slabs.
 				continue
 			}
-			d.eng.toManager.Put(workerMsg{kind: kindFailed, from: d.id, err: err}) //nolint:errcheck
+			eng.toManager.Put(workerMsg{kind: kindFailed, from: d.id, err: err}) //nolint:errcheck
 			return err
 		}
 		over := workerMsg{kind: kindDispatchOver, from: d.id, count: sent, count2: d.delivered}
-		if err := d.eng.toManager.Put(over); err != nil {
+		if err := eng.toManager.Put(over); err != nil {
 			return nil // manager mailbox closed: teardown in progress
 		}
 	}
@@ -108,105 +261,23 @@ func (d *dispatcher) aborting(err error) bool {
 	return errors.Is(err, errAborted) || errors.Is(err, actor.ErrMailboxClosed) || d.eng.aborted.Load()
 }
 
-// owner resolves the computing worker owning dst (dst mod workers, the
-// paper's §V-A assignment).
-func (d *dispatcher) owner(dst graph.VertexID) int {
-	if d.usesMask {
-		return int(dst & d.ownMask)
-	}
-	return int(dst) % d.workers
-}
-
-// denseIndex maps dst to its slot in the owning computer's dense slab.
-func (d *dispatcher) denseIndex(dst graph.VertexID) int64 {
-	if d.usesMask {
-		return int64(dst >> d.ownShift)
-	}
-	return int64(dst) / int64(d.workers)
-}
-
-//gpsa:noalloc
-func (d *dispatcher) runSuperstep(step int64) (sent int64, err error) {
-	eng := d.eng
-	col := vertexfile.DispatchCol(step)
-	weighted := eng.gf.Weighted()
-	cur := eng.gf.Cursor(d.interval)
-	prefetch := eng.prefetchOn
-	combining := eng.combiner != nil
-	for {
-		v, deg, edges, ok := cur.Next()
-		if !ok {
-			break
-		}
-		if prefetch {
-			// Publish progress for the prefetch actor (one plain store
-			// per vertex; the actor paces itself off this watermark).
-			eng.dispPos[d.id].Store(cur.Pos())
-		}
-		if eng.aborted.Load() {
-			return sent, errAborted
-		}
-		slot := eng.vf.Load(col, v)
-		if vertexfile.Stale(slot) {
-			continue // not updated last superstep: skip vertex and edges
-		}
-		payload := vertexfile.Payload(slot)
-		for i := 0; i < int(deg); i++ {
-			dst, w := graph.DecodeEdge(edges, i, weighted)
-			msgVal, send := eng.prog.GenMsg(v, payload, deg, dst, w)
-			if !send {
-				continue
-			}
-			//lint:noalloc the injection site's PanicValue materializes only when a chaos-run fault fires; production paths allocate nothing
-			fault.Panic(fault.SiteDispatcherMsg)
-			wk := d.owner(dst)
-			if combining {
-				d.accumDense(wk, dst, msgVal)
-			} else if err := d.send(wk, dst, msgVal); err != nil {
-				return sent, err
-			}
-			sent++
-		}
-		// Consume: invalidate so the vertex is skipped until recomputed
-		// (paper Algorithm 2, setHighestBitTo1).
-		eng.vf.Store(col, v, slot|vertexfile.StaleBit)
-	}
-	if err := cur.Err(); err != nil {
-		return sent, err
-	}
-	if err := d.flush(); err != nil {
-		return sent, err
-	}
-	if combining {
-		metrics.Add(metrics.CtrAccumFolded, d.folded)
-		metrics.Add(metrics.CtrAccumDelivered, d.delivered)
-		metrics.Add(metrics.CtrAccumDenseSegs, d.denseSegs)
-	}
-	return sent, nil
-}
-
-// accumDense folds a message into the dense slab of computer wk. The
-// slab is handed off only when the dispatcher finishes its interval
-// (flush): a slab has one slot per owned vertex, so it can never
-// overflow, and holding it to the end folds the most messages at the
-// source — on the repository benchmark (R-MAT 2^18 / 4M edges,
-// GOMAXPROCS=2) PageRank's job wall went 0.92 s → 0.65 s and its fold
-// ratio 0.47 → 0.04 against handing off every 16 Ki entries (DESIGN.md
-// "Message path").
+// runSuperstep scans the interval, then hands every slab something
+// landed in to its computer, in worker order (deterministic).
 //
 //gpsa:noalloc
-func (d *dispatcher) accumDense(wk int, dst graph.VertexID, val uint64) {
-	s := d.slabs[wk]
-	idx := d.denseIndex(dst)
-	word, bit := idx>>6, uint64(1)<<uint(idx&63)
-	if s.bits[word]&bit != 0 {
-		s.vals[idx] = d.eng.combiner.CombineMsg(s.vals[idx], val)
-		d.folded++
-		return
+func (d *dispatcher) runSuperstep(step int64) (sent int64, err error) {
+	if sent, err = d.scan.Run(d.interval, step); err != nil || d.slabs == nil {
+		return sent, err
 	}
-	s.bits[word] |= bit
-	s.vals[idx] = val
-	s.count++
+	for wk := range d.slabs {
+		if err := d.flushDense(wk); err != nil {
+			return sent, err
+		}
+	}
+	metrics.Add(metrics.CtrAccumFolded, sent-d.delivered) // each message either filled a slot or folded
+	metrics.Add(metrics.CtrAccumDelivered, d.delivered)
+	metrics.Add(metrics.CtrAccumDenseSegs, d.denseSegs)
+	return sent, nil
 }
 
 // flushDense hands slab wk to its computer if anything landed in it;
@@ -214,52 +285,21 @@ func (d *dispatcher) accumDense(wk int, dst graph.VertexID, val uint64) {
 //
 //gpsa:noalloc
 func (d *dispatcher) flushDense(wk int) error {
-	if d.slabs == nil || d.slabs[wk].count == 0 {
-		return nil // batch path, or nothing landed
-	}
 	s := d.slabs[wk]
-	d.delivered += int64(s.count)
+	n := s.Len()
+	if n == 0 {
+		return nil
+	}
+	d.delivered += int64(n)
 	d.denseSegs++
 	return d.eng.toComp[wk].Put(workerMsg{kind: kindSegment, seg: s})
 }
 
-// send buffers a message for the computing worker owning dst on the
-// batch path, putting the batch in the worker's mailbox when full.
+// dispatchBatch is the scan's batch-path hand-off: it puts the batch in
+// worker wk's mailbox.
 //
 //gpsa:noalloc
-func (d *dispatcher) send(wk int, dst graph.VertexID, val uint64) error {
-	if d.bufs[wk] == nil {
-		//lint:noalloc the batch path allocates one batch per hand-off by design (about 16 B/msg); only combiner programs are held to zero
-		d.bufs[wk] = make([]Message, 0, d.eng.cfg.BatchSize)
-	}
-	//lint:noalloc cap is fixed at BatchSize by the make above and the batch flushes before exceeding it; append never grows
-	d.bufs[wk] = append(d.bufs[wk], Message{Dst: dst, Val: val})
-	if len(d.bufs[wk]) >= d.eng.cfg.BatchSize {
-		return d.dispatchBatch(wk)
-	}
-	return nil
-}
-
-//gpsa:noalloc
-func (d *dispatcher) dispatchBatch(w int) error {
-	b := d.bufs[w]
-	d.bufs[w] = nil
+func (d *dispatcher) dispatchBatch(wk int, b []Message) error {
 	d.delivered += int64(len(b))
-	return d.eng.toComp[w].Put(workerMsg{kind: kindData, batch: b})
-}
-
-// flush hands over every slab and partial batch at the end of the
-// interval, in worker order (deterministic).
-func (d *dispatcher) flush() error {
-	for w := 0; w < d.workers; w++ {
-		if err := d.flushDense(w); err != nil {
-			return err
-		}
-		if len(d.bufs[w]) > 0 {
-			if err := d.dispatchBatch(w); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return d.eng.toComp[wk].Put(workerMsg{kind: kindData, batch: b})
 }

@@ -36,5 +36,7 @@
 // accum.go). Neither changes the model — mailboxes remain asynchronous
 // and FIFO, and the barrier message is only sent after all dispatcher
 // sends have completed, so FIFO ordering guarantees computing workers
-// observe it last.
+// observe it last. The scan (Scan) and the batch apply (ApplyBatch) are
+// exported because package cluster drives the same two: one dispatch,
+// fold and apply pipeline for both engines.
 package core

@@ -33,7 +33,7 @@ type workerMsg struct {
 	kind   msgKind
 	step   int64
 	batch  []Message // kindData
-	seg    *denseSeg // kindSegment
+	seg    *Slab     // kindSegment
 	from   int       // sender worker id
 	count  int64     // dispatchOver: messages generated; computeOver ack: updates
 	count2 int64     // dispatchOver: messages delivered after combining
@@ -48,7 +48,6 @@ type Engine struct {
 	prog Program
 	cfg  Config
 
-	combiner   Combiner   // non-nil when the program combines: selects the slab message path
 	aggregator Aggregator // non-nil when the program aggregates
 	system     *actor.System
 	toManager  *actor.Mailbox[workerMsg]
@@ -67,8 +66,8 @@ type Engine struct {
 	dispStep   []atomic.Int64
 
 	// slabs[i][c] is the slab dispatcher i folds computer c's messages
-	// into, for the engine's lifetime (combiner programs only; denseSeg).
-	slabs [][]*denseSeg
+	// into, for the engine's lifetime (combiner programs only).
+	slabs [][]*Slab
 
 	// per-superstep statistics scratch, reused across runStep calls.
 	dispMsgs []int64
@@ -125,13 +124,12 @@ func New(gf *graph.File, vf *vertexfile.File, prog Program, cfg Config) (*Engine
 		return nil, err
 	}
 	e := &Engine{gf: gf, vf: vf, prog: prog, cfg: cfg, intervals: gf.Partition(cfg.Dispatchers)}
-	if c, ok := prog.(Combiner); ok {
-		e.combiner = c
+	if _, ok := prog.(Combiner); ok { // a Combiner selects the slab message path
 		owned := (gf.NumVertices + int64(cfg.Computers) - 1) / int64(cfg.Computers)
-		e.slabs = make([][]*denseSeg, len(e.intervals))
+		e.slabs = make([][]*Slab, len(e.intervals))
 		for i := range e.slabs {
 			for range cfg.Computers {
-				e.slabs[i] = append(e.slabs[i], newDenseSeg(owned))
+				e.slabs[i] = append(e.slabs[i], NewSlab(owned))
 			}
 		}
 	}
@@ -160,7 +158,7 @@ func (e *Engine) spawn() {
 	cfg := e.cfg
 	for _, row := range e.slabs {
 		for _, s := range row {
-			s.reset()
+			s.Reset()
 		}
 	}
 	e.aborted.Store(false)

@@ -73,14 +73,15 @@ const NoallocPragma = "//gpsa:noalloc"
 // pinned by TestNoallocPragmaDeletionFails.
 var noallocRequired = map[string][]string{
 	"internal/core": {
+		"(*Scan).Run",
+		"(*Scan).fold",
+		"(*Scan).send",
 		"(*dispatcher).runSuperstep",
-		"(*dispatcher).accumDense",
-		"(*dispatcher).send",
 		"(*dispatcher).flushDense",
 		"(*dispatcher).dispatchBatch",
 		"(*computer).processSegment",
-		"(*computer).processBatch",
-		"(*denseSeg).reset",
+		"ApplyBatch",
+		"(*Slab).Reset",
 	},
 	"internal/vertexfile": {
 		"(*File).BulkApply",
@@ -95,7 +96,6 @@ var noallocRequired = map[string][]string{
 	"internal/cluster": {
 		"(*conn).writeFrame",
 		"readFrameFrom",
-		"(*node).fold",
 	},
 }
 
