@@ -71,11 +71,11 @@ const (
 // an in-process TCP cluster — the paper's actor model extended across
 // nodes. It returns the final payload of every vertex. Each node hosts
 // edge-balanced vertex intervals with its own value file and streams
-// them through the same interval scan and batch apply as Run: one
-// dispatch/fold/apply pipeline drives both engines. A program with a
-// Combiner folds at the source, one slab per node (8 B per vertex plus a
-// presence bitmap), and sends each (source interval, destination) pair
-// at most once per superstep. Cross-node messages travel over loopback
+// them through the same interval scan and source-side fold as Run: one
+// dispatch/fold pipeline drives both engines. Each node folds into one
+// slab (8 B per vertex plus a presence bitmap) and sends each (source
+// interval, destination) pair at most once per superstep. Cross-node
+// messages travel over loopback
 // TCP and fold at the barrier in source-interval order, so a retried
 // superstep is bit-identical.
 func RunDistributed(graphPath string, prog Program, opts ClusterOptions) (*ClusterResult, []uint64, error) {

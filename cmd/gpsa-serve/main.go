@@ -66,7 +66,6 @@ func run() int {
 		brkCool    = flag.Duration("breaker-cooldown", 30*time.Second, "quarantine duration")
 		deadline   = flag.Duration("deadline", 5*time.Minute, "default per-job wall-clock budget")
 		maxSteps   = flag.Int("max-supersteps", 200, "hard superstep cap per job")
-		mailboxCap = flag.Int("mailbox-cap", 64, "default per-job mailbox depth in batches")
 		stepRetry  = flag.Int("step-retries", 2, "in-run superstep retries (rollback + re-execute)")
 		watchdog   = flag.Duration("watchdog", 60*time.Second, "per-superstep worker silence bound")
 		resumeJobs = flag.Bool("resume-jobs", false, "replay the job journal and resume interrupted jobs")
@@ -128,7 +127,6 @@ func run() int {
 		BreakerCooldown:  *brkCool,
 		DefaultDeadline:  *deadline,
 		MaxSupersteps:    *maxSteps,
-		MailboxCap:       *mailboxCap,
 		StepRetries:      *stepRetry,
 		Watchdog:         *watchdog,
 		ResumeJobs:       *resumeJobs,
@@ -138,11 +136,6 @@ func run() int {
 		ScrubInterval:    *scrubIvl,
 		ScrubThrottle:    *scrubRate,
 		Logf:             logf,
-	}
-	if err := opts.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "gpsa-serve: %v\n", err)
-		flag.Usage()
-		return 2
 	}
 	srv, err := serve.NewServer(ctx, opts)
 	if err != nil {

@@ -84,7 +84,8 @@ func ExamplePageRank() {
 	// vertex 3: 0.9
 }
 
-// minLevel is a custom vertex program: the paper's three functions.
+// minLevel is a custom vertex program: the paper's three functions plus
+// a message combiner.
 type minLevel struct{ root gpsa.VertexID }
 
 func (p minLevel) Init(v int64) (uint64, bool) {
@@ -104,6 +105,10 @@ func (p minLevel) Compute(dst int64, cur, msg uint64, first bool) (uint64, bool)
 	}
 	return cur, false
 }
+
+// CombineMsg folds two level offers for one vertex: Compute keeps the
+// smaller, so the smaller one is all it needs to see.
+func (p minLevel) CombineMsg(a, b uint64) uint64 { return min(a, b) }
 
 func ExampleRun() {
 	path := sampleGraphFile()

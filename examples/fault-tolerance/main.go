@@ -127,3 +127,6 @@ func (ccProgram) Compute(dst int64, cur, msg uint64, first bool) (uint64, bool) 
 	}
 	return cur, false
 }
+
+// CombineMsg folds two label offers for one vertex into the smaller.
+func (ccProgram) CombineMsg(a, b uint64) uint64 { return min(a, b) }

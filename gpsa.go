@@ -8,7 +8,8 @@
 //	_ = gpsa.SaveGraph("web.gpsa", g)            // preprocess to CSR-on-disk
 //	ranks, res, _ := gpsa.PageRank("web.gpsa", gpsa.RunOptions{Supersteps: 5})
 //
-// or, for a custom vertex program:
+// or, for a custom vertex program (a Program: Init, GenMsg, Compute and
+// CombineMsg, which folds two messages for one vertex into one):
 //
 //	vals, res, err := gpsa.Run("web.gpsa", myProgram, gpsa.RunOptions{})
 //	defer vals.Close()
@@ -42,7 +43,8 @@ type (
 	VertexID = graph.VertexID
 	// CSR is an in-memory compressed-sparse-row graph.
 	CSR = graph.CSR
-	// Program is a user-defined vertex program (see internal/core).
+	// Program is a user-defined vertex program (see internal/core): Init,
+	// GenMsg, Compute and the message combiner CombineMsg.
 	Program = core.Program
 	// Result summarizes an engine run.
 	Result = core.Result
@@ -106,7 +108,10 @@ type RunOptions struct {
 	// from the recorded superstep with the recorded convergence and
 	// aggregator state. The Resume function is shorthand for this flag.
 	Resume bool
-	// Dispatchers and Computers size the actor pools (0 = automatic).
+	// Dispatchers and Computers size the actor pools (0 = automatic, at
+	// most core.MaxWorkers each). Message memory is the slab grid,
+	// allocated when the engine is built: ≈ Dispatchers × |V| × 8.125
+	// bytes.
 	Dispatchers int
 	Computers   int
 	// ValuesPath, when set, locates the persistent vertex value file —
@@ -123,12 +128,6 @@ type RunOptions struct {
 	Watchdog time.Duration
 	// Progress, when non-nil, receives per-superstep statistics.
 	Progress func(StepStats)
-	// MailboxCap bounds each computing worker's mailbox depth in batches
-	// (0 = engine default, 64; at most core.MaxMailboxCap). It bounds only
-	// the batch path (programs without a combiner, e.g. LabelPropagation);
-	// a combiner program's message memory is its slab grid, allocated when
-	// the engine is built: ≈ Dispatchers × |V| × 8.125 bytes.
-	MailboxCap int
 	// Prefetch spawns an async CSR prefetch actor per dispatcher: a
 	// windowed madvise(WILLNEED) walker ahead of each edge cursor with
 	// a DONTNEED trail behind it, overlapping page-in I/O with dispatch
@@ -147,7 +146,6 @@ func (o RunOptions) engineConfig() core.Config {
 		MaxStepRetries:   o.StepRetries,
 		SuperstepTimeout: o.Watchdog,
 		Progress:         o.Progress,
-		MailboxCap:       o.MailboxCap,
 		Prefetch:         o.Prefetch,
 		PrefetchWindow:   o.PrefetchWindow,
 	}

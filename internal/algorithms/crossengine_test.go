@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro"
 	"repro/internal/algorithms"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -215,18 +216,12 @@ func edgeGraph(t *testing.T, n int64, es [][2]int, weighted bool) *graph.CSR {
 	return g
 }
 
-// foldedReference is ReferenceRun with the cluster's fold order: a
-// Combiner program's messages from one source interval to one
-// destination combine, in generation order, into one message, and each
-// destination applies the combined messages in ascending source interval
-// (ivOf maps a vertex to its interval). A program without a Combiner
-// folds exactly as ReferenceRun does.
+// foldedReference is ReferenceRun with the cluster's fold order: the
+// messages from one source interval to one destination combine, in
+// generation order, into one message, and each destination applies the
+// combined messages in ascending source interval (ivOf maps a vertex to
+// its interval).
 func foldedReference(g *graph.CSR, p core.Program, ivOf []int, maxSteps int) []uint64 {
-	c, ok := p.(core.Combiner)
-	if !ok {
-		vals, _ := algorithms.ReferenceRun(g, p, maxSteps)
-		return vals
-	}
 	n := g.NumVertices
 	vals, upd, acc := make([]uint64, n), make([]uint64, n), make([]uint64, n)
 	active, touched, has := make([]bool, n), make([]bool, n), make([]bool, n)
@@ -271,7 +266,7 @@ func foldedReference(g *graph.CSR, p core.Program, ivOf []int, maxSteps int) []u
 				}
 				messages++
 				if has[dst] {
-					acc[dst] = c.CombineMsg(acc[dst], m)
+					acc[dst] = p.CombineMsg(acc[dst], m)
 				} else {
 					acc[dst], has[dst] = m, true
 				}
@@ -345,6 +340,76 @@ func TestClusterDifferential(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCoreDifferential runs every program on every adversarial shape on
+// the single-machine engine at Dispatchers×Computers 1×1, 3×2, 2×3 and
+// 4×7 (computers owning no vertex included). Core applies each
+// dispatcher's slab as it arrives, so only fold-order-independent
+// programs are bit-exact against ReferenceRun; float sums must stay
+// within their stated relative bound of it.
+func TestCoreDifferential(t *testing.T) {
+	geometries := [][2]int{{1, 1}, {3, 2}, {2, 3}, {4, 7}}
+	for _, dp := range diffPrograms {
+		for _, shape := range diffShapes {
+			t.Run(dp.name+"/"+shape.name, func(t *testing.T) {
+				g := shape.build(t, dp.weighted)
+				prog := dp.prog(g.NumVertices)
+				ref, _ := algorithms.ReferenceRun(g, prog, dp.steps)
+				path := save(t, g)
+				for _, geo := range geometries {
+					vals, _, err := gpsa.Run(path, prog, gpsa.RunOptions{Dispatchers: geo[0], Computers: geo[1], Supersteps: dp.steps})
+					if err != nil {
+						t.Fatalf("%dx%d: %v", geo[0], geo[1], err)
+					}
+					for v := int64(0); v < g.NumVertices; v++ {
+						got, want := vals.Raw(v), ref[v]&vertexfile.PayloadMask
+						if dp.rel == 0 {
+							if got != want {
+								t.Fatalf("%dx%d vertex %d: core %#x, reference %#x", geo[0], geo[1], v, got, want)
+							}
+						} else if x, r := dp.decode(got), dp.decode(want); math.Abs(x-r) > dp.rel*math.Max(1, math.Abs(r)) {
+							t.Fatalf("%dx%d vertex %d: core %g, reference %g: beyond the relative bound %g", geo[0], geo[1], v, x, r, dp.rel)
+						}
+					}
+					vals.Close()
+				}
+			})
+		}
+	}
+}
+
+// TestCombineMsgCommutativeAssociative: a fold-order-independent
+// program (rel 0 in diffPrograms) must combine commutatively and
+// associatively over its message domain, or its result would depend on
+// how a dispatcher or source interval grouped its messages. Messages are
+// drawn from a small domain so that ties — equal labels, equal levels —
+// occur.
+func TestCombineMsgCommutativeAssociative(t *testing.T) {
+	domain := map[string]func(x uint64) uint64{
+		"sssp":      func(x uint64) uint64 { return math.Float64bits(float64(x%16) / 4) },
+		"labelprop": func(x uint64) uint64 { return x%4 | (x>>8%8)<<32 }, // label | TTL<<32
+	}
+	for _, dp := range diffPrograms {
+		if dp.rel != 0 {
+			continue
+		}
+		msg, ok := domain[dp.name]
+		if !ok {
+			msg = func(x uint64) uint64 { return x % 16 }
+		}
+		prog := dp.prog(64)
+		t.Run(dp.name, func(t *testing.T) {
+			f := func(x, y, z uint64) bool {
+				a, b, c := msg(x), msg(y), msg(z)
+				return prog.CombineMsg(a, b) == prog.CombineMsg(b, a) &&
+					prog.CombineMsg(prog.CombineMsg(a, b), c) == prog.CombineMsg(a, prog.CombineMsg(b, c))
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -13,6 +13,15 @@ import (
 // degenerates to connected components; with small Rounds it yields local
 // communities.
 //
+// Offers combine to the smallest label and, on equal labels, the larger
+// TTL: the offer that can still travel furthest, which is what "at most
+// Rounds hops" means. In a run without conservative recovery the
+// tie-break never decides — a vertex dispatches in superstep s only if
+// it adopted an offer of superstep s-1, so every offer generated in
+// superstep s carries TTL Rounds-s-1. After a conservative recovery
+// re-activates every vertex, equal labels with different TTLs do meet,
+// and the larger TTL wins whatever order the offers arrive in.
+//
 // Payload layout: label (low 32 bits) | remaining TTL (next 16 bits).
 type LabelPropagation struct {
 	// Rounds is the label time-to-live (default 3).
@@ -54,4 +63,17 @@ func (l LabelPropagation) Compute(dst int64, cur uint64, msg uint64, first bool)
 		return msg, true
 	}
 	return cur, false
+}
+
+// CombineMsg keeps the smaller label; on equal labels, the larger TTL.
+func (l LabelPropagation) CombineMsg(a, b uint64) uint64 {
+	switch la, lb := lpLabel(a), lpLabel(b); {
+	case la < lb:
+		return a
+	case lb < la:
+		return b
+	case lpTTL(b) > lpTTL(a):
+		return b
+	}
+	return a
 }

@@ -8,6 +8,25 @@ import (
 	"repro/internal/graph"
 )
 
+// Two offers of one label combine to the one that can still travel
+// further, whichever argument it is; a smaller label wins whatever its
+// TTL. Payload layout: label | TTL<<32.
+func TestLabelPropagationCombineKeepsLargerTTL(t *testing.T) {
+	lp := algorithms.LabelPropagation{Rounds: 9}
+	short, long := uint64(5)|2<<32, uint64(5)|7<<32
+	smaller := uint64(4) | 1<<32
+	for _, tc := range []struct{ a, b, want uint64 }{
+		{short, long, long},
+		{long, short, long},
+		{long, smaller, smaller},
+		{smaller, long, smaller},
+	} {
+		if got := lp.CombineMsg(tc.a, tc.b); got != tc.want {
+			t.Errorf("CombineMsg(%#x, %#x) = %#x, want %#x", tc.a, tc.b, got, tc.want)
+		}
+	}
+}
+
 func TestLabelPropagationTTLBoundsSpread(t *testing.T) {
 	// A long path 0-1-2-...-9 (symmetric). With TTL 3, label 0 can only
 	// travel 3 hops before dying; vertices beyond keep smaller-of-local

@@ -136,3 +136,6 @@ func (InDegree) Compute(dst int64, cur uint64, msg uint64, first bool) (uint64, 
 	}
 	return cur + msg, true
 }
+
+// CombineMsg sums the counts.
+func (InDegree) CombineMsg(a, b uint64) uint64 { return a + b }

@@ -74,11 +74,11 @@ type Config struct {
 	Rebalance bool
 }
 
-// MaxWorkers bounds Nodes×Splits and Node.Computers, as core bounds its
-// worker counts: every interval and every computer costs channels,
-// mailboxes and partition work before the first superstep, so an absurd
-// size would exhaust memory or spin instead of failing.
-const MaxWorkers = 4096
+// MaxWorkers bounds Nodes×Splits and Node.Computers with core's worker
+// bound: every interval and every computer costs channels, mailboxes and
+// partition work before the first superstep, so an absurd size would
+// exhaust memory or spin instead of failing.
+const MaxWorkers = core.MaxWorkers
 
 // SizeError is Run's typed error for a size past MaxWorkers. Field names
 // the Config field: "Nodes", "Splits" (Nodes×Splits too large) or

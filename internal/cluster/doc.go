@@ -13,9 +13,8 @@
 //     (core.Scan: one worker, the node's one |V|-wide slab), and folds
 //     messages with local computing actors backed by its own two-column
 //     vertex value file, through core's batch apply (core.ApplyBatch).
-//   - A program with a Combiner folds at the source, as in core, so a
-//     round sends each (source interval, destination) pair at most once;
-//     any other program's batches are cut per destination interval.
+//   - Every program folds at the source, as in core, so a round sends
+//     each (source interval, destination) pair at most once.
 //   - Actor location transparency becomes explicit: a batch for a
 //     co-hosted interval goes through the loopback into the computing
 //     workers' mailboxes; any other is framed onto the owning node's

@@ -30,6 +30,8 @@ func (b bombProg) Compute(dst int64, cur, msg uint64, first bool) (uint64, bool)
 	return cur, false
 }
 
+func (b bombProg) CombineMsg(a, c uint64) uint64 { return min(a, c) }
+
 func TestClusterSurvivesComputePanicWithoutDeadlock(t *testing.T) {
 	g := rmat(t, 200, 1500, 21).Symmetrize()
 	path := save(t, g)

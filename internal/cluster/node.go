@@ -163,11 +163,10 @@ type node struct {
 	failCh    chan error // peer disconnects and computing-actor panics
 	hbStop    chan struct{}
 
-	// slab is a combiner program's source-side fold: core's scan folds
-	// the interval being dispatched into it, one slot per global vertex
-	// id, and flushSlab's walk empties it. Allocated once per node,
-	// 8 B×|V| + |V|/8 B, and reused by every interval and superstep; nil
-	// for programs without a combiner.
+	// slab is the source-side fold: core's scan folds the interval being
+	// dispatched into it, one slot per global vertex id, and flushSlab's
+	// walk empties it. Allocated once per node, 8 B×|V| + |V|/8 B, and
+	// reused by every interval and superstep.
 	slab *core.Slab
 
 	// round gates the data plane: frames tagged with an older superstep
@@ -264,10 +263,8 @@ func startNode(ctx context.Context, spec nodeSpec) (*node, error) {
 		ackCh:     make(chan int64, cfg.Computers),
 		eosCh:     make(chan eosMark, 4*total+4),
 		failCh:    make(chan error, total+cfg.Computers+1),
+		slab:      core.NewSlab(gf.NumVertices),
 		begunStep: -1,
-	}
-	if _, ok := spec.prog.(core.Combiner); ok {
-		n.slab = core.NewSlab(gf.NumVertices)
 	}
 	for i := range n.streams {
 		n.streams[i] = &senderStream{next: 1, pending: make(map[uint64]streamFrame)}
@@ -753,9 +750,7 @@ func (n *node) rollbackStep(step int64, newRound uint64) error {
 	for i := range n.peerSeq {
 		n.peerSeq[i] = 0
 	}
-	if n.slab != nil {
-		n.slab.Reset()
-	}
+	n.slab.Reset()
 	switch {
 	case n.vf.Epoch() == step+1:
 		if err := n.vf.Rewind(step); err != nil {
@@ -895,13 +890,12 @@ func (n *node) sendData(p int, kind byte, payload []byte) error {
 }
 
 // dispatchPhase streams every interval this node hosts, in ascending
-// interval order, through core's scan with one worker: a combiner
-// program folds each interval into the node's slab and flushSlab sends
-// it; any other program's batches are cut by destination interval as the
-// scan hands them off (cutBatch). Then it signals end-of-stream to every
-// member peer and DISPATCH_OVER. Batches are formed per source interval,
-// so batch boundaries and combine groups depend only on the fixed
-// partition — routing decides where a batch goes, never how it is formed.
+// interval order, through core's scan with one worker: the scan folds
+// each interval into the node's slab and flushSlab sends it. Then it
+// signals end-of-stream to every member peer and DISPATCH_OVER. Combine
+// groups and batches are formed per source interval, so they depend
+// only on the fixed partition — routing decides where a batch goes,
+// never how it is formed.
 func (n *node) dispatchPhase(step int64, round uint64) error {
 	if err := n.vf.Begin(step, true); err != nil {
 		return err
@@ -911,17 +905,10 @@ func (n *node) dispatchPhase(step int64, round uint64) error {
 		n.peerSeq[i] = 0
 	}
 	var generated, delivered int64
-	var slabs []*core.Slab
-	if n.slab != nil {
-		slabs = []*core.Slab{n.slab}
-	}
-	src := 0
-	scan := core.NewScan(n.gf, n.vf, n.prog, slabs, 1, batchSize, func(_ int, b []core.Message) error {
-		return n.cutBatch(round, src, b, &delivered)
-	})
+	scan := core.NewScan(n.gf, n.vf, n.prog, []*core.Slab{n.slab})
 	scan.KillSite = fault.SiteNodeKillDispatch
 	scan.Killed = fmt.Errorf("cluster: node %d mid-dispatch: %w", n.id, errNodeKilled)
-	for ; src < len(n.ivs); src++ {
+	for src := range n.ivs {
 		if n.owners[src] != n.id {
 			continue
 		}
@@ -930,10 +917,8 @@ func (n *node) dispatchPhase(step int64, round uint64) error {
 		if err != nil {
 			return err
 		}
-		if n.slab != nil {
-			if err := n.flushSlab(round, src, &delivered); err != nil {
-				return err
-			}
+		if err := n.flushSlab(round, src, &delivered); err != nil {
+			return err
 		}
 	}
 	// End-of-stream on every member peer connection, then DISPATCH_OVER.
@@ -979,25 +964,6 @@ func (n *node) flushSlab(round uint64, src int, delivered *int64) error {
 		return nil
 	}
 	return n.flushBatch(round, src, d, b, delivered)
-}
-
-// cutBatch is the scan's hand-off for a program without a combiner: it
-// cuts one batch source interval src generated by destination interval,
-// keeping generation order within each piece, and sends the pieces.
-func (n *node) cutBatch(round uint64, src int, b []core.Message, delivered *int64) error {
-	parts := make([][]core.Message, len(n.ivs))
-	for _, m := range b {
-		d := n.ivOf(int64(m.Dst))
-		parts[d] = append(parts[d], m)
-	}
-	for d, p := range parts {
-		if len(p) > 0 {
-			if err := n.flushBatch(round, src, d, p, delivered); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // flushBatch sends one batch source interval src generated for
@@ -1089,8 +1055,8 @@ func (n *node) sendValues(iv int) error {
 // by interval rather than node id is what makes the fold invariant under
 // elastic membership: migrating an interval changes which node's stream
 // carries its batches, never the staging slot or fold position. Nothing
-// is compacted here: a combiner program's sender already folded each
-// (source interval, destination) pair into one message (flushSlab).
+// is compacted here: the sender already folded each (source interval,
+// destination) pair into one message (flushSlab).
 type nodeComputer struct {
 	node    *node
 	id      int
@@ -1163,7 +1129,7 @@ func (c *nodeComputer) apply() error {
 				lo, hi = n.ivBounds[iv], n.ivBounds[iv+1]
 			}
 		}
-		c.updates += core.ApplyBatch(n.vf, n.prog, b, nil)
+		c.updates += core.ApplyBatch(n.vf, n.prog, b)
 	}
 	return nil
 }

@@ -2,8 +2,7 @@ package core
 
 import "math/bits"
 
-// Slab is a dense accumulator of the slab message path (a Combiner
-// program's; others send per-message batches): Vals[i] accumulates the
+// Slab is a dense accumulator, the message path: Vals[i] accumulates the
 // combined message of the slab's i-th vertex and Bits marks which slots
 // are present. In core each (dispatcher, computer) pair owns one for the
 // engine's lifetime, covering the computer's owned vertices (slot i is

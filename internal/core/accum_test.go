@@ -13,34 +13,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// Every test program comes as a twin pair (the real ones live in
-// internal/algorithms, which imports this package): the plain program
-// has no CombineMsg and so takes the per-message batch path, its
-// Combiner twin embeds it and takes the dense slab path. The message
-// path is selected by nothing else, so running both twins is what
-// covers both paths.
-
-type prComb struct{ prProg }
-
-func (prComb) CombineMsg(a, b uint64) uint64 {
-	return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
-}
-
-type bfsComb struct{ bfsProg }
-
-func (bfsComb) CombineMsg(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// dprProg is a local copy of the delta-PageRank program: the payload
+// dprProg is a local copy of the delta-PageRank program (the real one
+// lives in internal/algorithms, which imports this package): the payload
 // packs (rank, pending residual) as float32s, messages carry float64
-// deltas; dprComb combines them by summation.
+// deltas, combined by summation.
 type dprProg struct{}
-
-type dprComb struct{ dprProg }
 
 func dprPack(rank, delta float32) uint64 {
 	return uint64(math.Float32bits(rank))<<31 | uint64(math.Float32bits(delta))>>1
@@ -72,15 +49,12 @@ func (dprProg) Compute(dst int64, cur, msg uint64, first bool) (uint64, bool) {
 	return dprPack(rank+m, delta+m), true
 }
 
-func (dprComb) CombineMsg(a, b uint64) uint64 {
+func (dprProg) CombineMsg(a, b uint64) uint64 {
 	return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
 }
 
-// ssspProg is a weighted shortest-paths program; ssspComb adds the min
-// combiner.
+// ssspProg is a weighted shortest-paths program.
 type ssspProg struct{ root graph.VertexID }
-
-type ssspComb struct{ ssspProg }
 
 func (s ssspProg) Init(v int64) (uint64, bool) {
 	if v == int64(s.root) {
@@ -100,7 +74,7 @@ func (ssspProg) Compute(dst int64, cur, msg uint64, first bool) (uint64, bool) {
 	return cur, false
 }
 
-func (ssspComb) CombineMsg(a, b uint64) uint64 {
+func (ssspProg) CombineMsg(a, b uint64) uint64 {
 	if math.Float64frombits(a) < math.Float64frombits(b) {
 		return a
 	}
@@ -149,33 +123,19 @@ func assertSame(t *testing.T, what string, got, want []uint64) {
 	}
 }
 
-// assertPaths runs the batch twin and the slab twin over g and requires
-// each to equal refRun of itself bit for bit, and each to have taken the
-// path its type selects.
-func assertPaths(t *testing.T, g *graph.CSR, batch, slab Program, cfg Config) (batchVals, slabVals []uint64) {
+// assertRef runs prog over g and requires it to equal refRun bit for
+// bit, and to deliver no more slab entries than it generated messages.
+func assertRef(t *testing.T, g *graph.CSR, prog Program, cfg Config) {
 	t.Helper()
 	steps := cfg.MaxSupersteps
 	if steps == 0 {
 		steps = DefaultMaxSupersteps
 	}
-	if _, ok := batch.(Combiner); ok {
-		t.Fatalf("%T implements Combiner: it would not take the batch path", batch)
+	vals, res := runOn(t, g, prog, cfg)
+	assertSame(t, fmt.Sprintf("%T vs refRun", prog), vals, refRun(g, prog, steps))
+	if res.Delivered > res.Messages {
+		t.Fatalf("%T delivered %d of %d messages", prog, res.Delivered, res.Messages)
 	}
-	batchVals, bres := runOn(t, g, batch, cfg)
-	assertSame(t, "batch path vs refRun", batchVals, refRun(g, batch, steps))
-	if bres.Delivered != bres.Messages {
-		t.Fatalf("batch path delivered %d of %d messages", bres.Delivered, bres.Messages)
-	}
-	slabVals, sres := runOn(t, g, slab, cfg)
-	assertSame(t, "slab path vs refRun", slabVals, refRun(g, slab, steps))
-	if sres.Delivered > sres.Messages {
-		t.Fatalf("slab path delivered %d of %d messages", sres.Delivered, sres.Messages)
-	}
-	if sres.Supersteps != bres.Supersteps || sres.Messages != bres.Messages {
-		t.Fatalf("slab path ran %d supersteps / %d messages, batch path %d / %d",
-			sres.Supersteps, sres.Messages, bres.Supersteps, bres.Messages)
-	}
-	return batchVals, slabVals
 }
 
 // shape is one graph the dense-only engine has to get right.
@@ -220,52 +180,39 @@ func adversarialShapes(t *testing.T) []shape {
 	}
 }
 
-// Min-fold programs are order- and grouping-insensitive, so both paths
-// must agree with the serial reference — and so with each other — bit
-// for bit at any worker geometry, including computers that own a ragged
-// share of the vertices or none (Computers > |V|).
+// Min-fold programs are order- and grouping-insensitive, so the slab
+// path must agree with the serial reference bit for bit at any worker
+// geometry, including computers that own a ragged share of the vertices
+// or none (Computers > |V|).
 func TestPathsMatchReferenceMinPrograms(t *testing.T) {
 	geometries := []struct{ d, c int }{{1, 1}, {3, 2}, {2, 3}, {1, 8}, {4, 7}}
 	for _, sh := range adversarialShapes(t) {
 		for _, geo := range geometries {
-			cfg := Config{Dispatchers: geo.d, Computers: geo.c, BatchSize: 32, DisableSync: true}
+			cfg := Config{Dispatchers: geo.d, Computers: geo.c, DisableSync: true}
 			t.Run(fmt.Sprintf("%s/%dx%d", sh.name, geo.d, geo.c), func(t *testing.T) {
-				b, s := assertPaths(t, sh.g, bfsProg{root: 0}, bfsComb{bfsProg{root: 0}}, cfg)
-				assertSame(t, "bfs slab vs batch", s, b)
-				sym := sh.g.Symmetrize()
-				b, s = assertPaths(t, sym, ccProg{}, ccCombining{}, cfg)
-				assertSame(t, "cc slab vs batch", s, b)
+				assertRef(t, sh.g, bfsProg{root: 0}, cfg)
+				assertRef(t, sh.g.Symmetrize(), ccProg{}, cfg)
 			})
 		}
 	}
 	t.Run("sssp", func(t *testing.T) {
 		wg := weightedGraph(t, 74, 250, 1500)
-		cfg := Config{Dispatchers: 3, Computers: 2, BatchSize: 32, DisableSync: true}
-		b, s := assertPaths(t, wg, ssspProg{root: 0}, ssspComb{ssspProg{root: 0}}, cfg)
-		assertSame(t, "sssp slab vs batch", s, b)
+		assertRef(t, wg, ssspProg{root: 0}, Config{Dispatchers: 3, Computers: 2, DisableSync: true})
 	})
 }
 
 // Float sums are order-sensitive, but with one dispatcher every vertex's
-// messages arrive in generation order on both paths — whatever the
-// number of computers — so each path must still equal its reference bit
-// for bit: the batch path applies Compute per message, the slab path
-// folds with CombineMsg first. The two groupings round differently, so
-// across paths the ranks agree to float tolerance only.
+// messages fold in generation order — whatever the number of computers —
+// exactly as refRun folds them, so the result must still equal the
+// reference bit for bit.
 func TestPathsMatchReferenceFloatPrograms(t *testing.T) {
 	for _, sh := range adversarialShapes(t) {
 		for _, computers := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/1x%d", sh.name, computers), func(t *testing.T) {
-				cfg := Config{Dispatchers: 1, Computers: computers, BatchSize: 64, MaxSupersteps: 8, DisableSync: true}
-				b, s := assertPaths(t, sh.g, prProg{}, prComb{}, cfg)
-				for v := range b {
-					x, y := math.Float64frombits(b[v]), math.Float64frombits(s[v])
-					if math.Abs(x-y) > 1e-9*math.Max(1, math.Abs(x)) {
-						t.Fatalf("vertex %d: batch path rank %v, slab path %v", v, x, y)
-					}
-				}
+				cfg := Config{Dispatchers: 1, Computers: computers, MaxSupersteps: 8, DisableSync: true}
+				assertRef(t, sh.g, prProg{}, cfg)
 				cfg.MaxSupersteps = 20
-				assertPaths(t, sh.g, dprProg{}, dprComb{}, cfg)
+				assertRef(t, sh.g, dprProg{}, cfg)
 			})
 		}
 	}
@@ -291,7 +238,7 @@ func TestSlabHandedOffOncePerPair(t *testing.T) {
 			last = now
 		},
 	}
-	_, res := runOn(t, g, prComb{}, cfg)
+	_, res := runOn(t, g, prProg{}, cfg)
 	segs := metrics.Counter(metrics.CtrAccumDenseSegs) - dense0
 	if max := int64(res.Supersteps * d * c); segs > max {
 		t.Fatalf("%d segments over %d supersteps, want at most %d", segs, res.Supersteps, max)
@@ -333,11 +280,11 @@ func TestSlabPathAllocCeiling(t *testing.T) {
 		prog Program
 		g    *graph.CSR
 	}{
-		{"pagerank", prComb{}, directed},
-		{"deltapagerank", dprComb{}, directed},
-		{"bfs", bfsComb{bfsProg{root: 0}}, directed},
-		{"cc", ccCombining{}, directed.Symmetrize()},
-		{"sssp", ssspComb{ssspProg{root: 0}}, rmat(true)},
+		{"pagerank", prProg{}, directed},
+		{"deltapagerank", dprProg{}, directed},
+		{"bfs", bfsProg{root: 0}, directed},
+		{"cc", ccProg{}, directed.Symmetrize()},
+		{"sssp", ssspProg{root: 0}, rmat(true)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, _ := setup(t, tc.g, tc.prog, Config{Dispatchers: 4, Computers: 2, MaxSupersteps: 3, DisableSync: true})
@@ -381,9 +328,9 @@ func TestAccumPoolRecycleEquivalence(t *testing.T) {
 	t.Run("slab", func(t *testing.T) {
 		g := randomGraph(t, 78, 260, 2000)
 		cfg := Config{Dispatchers: 1, Computers: 2, MaxSupersteps: 8, DisableSync: true}
-		want, _ := runOn(t, g, prComb{}, cfg)
+		want, _ := runOn(t, g, prProg{}, cfg)
 		cfg.MaxSupersteps = 4
-		eng, vf := setup(t, g, prComb{}, cfg)
+		eng, vf := setup(t, g, prProg{}, cfg)
 		for part := 0; part < 2; part++ {
 			if _, err := eng.Run(); err != nil {
 				t.Fatalf("run %d: %v", part, err)

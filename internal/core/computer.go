@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/vertexfile"
@@ -11,18 +10,16 @@ import (
 // computer is the paper's computing worker (Algorithm 3). It owns the
 // vertices v with v mod Computers == id and folds incoming messages into
 // their values, message-driven, concurrently with dispatching. Messages
-// arrive either as per-message batches (kindData, programs without a
-// Combiner) or as dense slabs (kindSegment, combiner programs) carrying
-// one pre-combined message per vertex.
+// arrive as dense slabs (kindSegment) carrying one pre-combined message
+// per vertex.
 type computer struct {
 	id  int
 	eng *Engine
 
 	updates int64
-	// pending buffers whole batches and segments when SequentialPhases
-	// disables the overlap (ablation mode): they are only processed at
-	// the barrier.
-	pending []workerMsg
+	// pending buffers whole slabs when SequentialPhases disables the
+	// overlap (ablation mode): they are only applied at the barrier.
+	pending []*Slab
 }
 
 // Execute is the computing worker's actor loop.
@@ -45,17 +42,17 @@ func (c *computer) Execute() (err error) {
 			return nil
 		}
 		switch m.kind {
-		case kindData, kindSegment:
+		case kindSegment:
 			if c.eng.cfg.SequentialPhases {
-				c.pending = append(c.pending, m)
+				c.pending = append(c.pending, m.seg)
 			} else {
-				c.process(m)
+				c.processSegment(m.seg)
 			}
 		case kindComputeOver:
-			// FIFO mailbox ordering guarantees every batch sent before
-			// the barrier has been received above.
-			for _, p := range c.pending {
-				c.process(p)
+			// FIFO mailbox ordering guarantees every slab sent before the
+			// barrier has been received above.
+			for _, s := range c.pending {
+				c.processSegment(s)
 			}
 			c.pending = c.pending[:0]
 			ack := workerMsg{kind: kindComputeOver, from: c.id, count: c.updates}
@@ -71,20 +68,14 @@ func (c *computer) Execute() (err error) {
 	}
 }
 
-func (c *computer) process(m workerMsg) {
-	if m.kind == kindSegment {
-		c.processSegment(m.seg)
-	} else {
-		c.updates += ApplyBatch(c.eng.vf, c.eng.prog, m.batch, &c.eng.aborted)
-	}
-}
-
 // processSegment folds a dense accumulator segment into the update
 // column via the value file's bulk-apply: one pre-combined message per
-// present vertex, visited in vertex order. The fault hooks and the
-// teardown poll mirror ApplyBatch so injection coverage and graceful
-// SIGINT latency are identical on both paths. The reset hands the slab
-// back to its dispatcher through the barrier ack.
+// present vertex, visited in vertex order. Each message hits the
+// computing worker's fault sites, and the abort flag is polled every 256:
+// once it is set the rest is dropped — the superstep is rolled back
+// anyway, and a prompt unwind is what bounds the latency of a graceful
+// SIGINT stop under slow user programs. The reset hands the slab back to
+// its dispatcher through the barrier ack.
 //
 //gpsa:noalloc
 func (c *computer) processSegment(seg *Slab) {
@@ -111,26 +102,14 @@ func (c *computer) processSegment(seg *Slab) {
 // ApplyBatch applies Compute for each message of batch to the update
 // column of vf's current superstep (paper Algorithm 3) — a batch always
 // belongs to the superstep running — and returns how many vertex values
-// it wrote. A core computing worker passes its engine's abort flag: the
-// batch then hits the computing worker's fault sites once per message
-// and polls the flag every 256, dropping the rest once it is set — the
-// superstep is rolled back anyway, and a prompt unwind is what bounds
-// the latency of a graceful SIGINT stop under slow user programs. The
-// cluster, which applies at its barrier, passes nil.
+// it wrote. It is the cluster's apply of the messages a node receives
+// (from its own slab or over the wire) at the barrier.
 //
 //gpsa:noalloc
-func ApplyBatch(vf *vertexfile.File, prog Program, batch []Message, aborted *atomic.Bool) (updates int64) {
+func ApplyBatch(vf *vertexfile.File, prog Program, batch []Message) (updates int64) {
 	step := vf.Epoch()
 	dcol, ucol := vertexfile.DispatchCol(step), vertexfile.UpdateCol(step)
-	for i, m := range batch {
-		if aborted != nil {
-			if i&0xFF == 0 && aborted.Load() {
-				break
-			}
-			//lint:noalloc the injection site's PanicValue materializes only when a chaos-run fault fires; production paths allocate nothing
-			fault.Panic(fault.SiteComputerMsg)
-			fault.Stall(fault.SiteComputerStall)
-		}
+	for _, m := range batch {
 		v := int64(m.Dst)
 		slot := vf.Load(ucol, v)
 		first := vertexfile.Stale(slot)

@@ -17,12 +17,10 @@ import (
 // interval becomes messages — core's dispatcher actors and the cluster's
 // nodes both drive it. It streams the interval, skips vertices whose
 // dispatch-column slot is stale, calls GenMsg for each out-edge of the
-// fresh ones and consumes them. A message goes to the worker owning its
-// destination (dst mod workers, paper §V-A): a Combiner program's folds
-// at the source, a left fold in generation order, into that worker's
-// slab at slot dst / workers (the caller owns the slabs and hands them
-// off); any other program's is batched, and each full batch leaves
-// through the handoff function, the partial ones when Run ends.
+// fresh ones and folds them at the source: a message goes to the worker
+// owning its destination (dst mod workers, paper §V-A) and combines, a
+// left fold in generation order, into that worker's slab at slot
+// dst / workers. The caller owns the slabs and hands them off.
 type Scan struct {
 	// Hooks, all optional. KillSite is a fault.Error site hit once per
 	// vertex, whose firing makes Run return Killed; MsgSite a fault.Panic
@@ -34,14 +32,10 @@ type Scan struct {
 	Aborted           *atomic.Bool
 	Pos               *atomic.Int64
 
-	gf        *graph.File
-	vf        *vertexfile.File
-	prog      Program
-	combiner  Combiner
-	slabs     []*Slab
-	bufs      [][]Message
-	batchSize int
-	handoff   func(wk int, batch []Message) error
+	gf    *graph.File
+	vf    *vertexfile.File
+	prog  Program
+	slabs []*Slab
 
 	// owner fast path, hoisted out of the per-edge loop: dst mod workers
 	// is a mask (and the slab index a shift) when the worker count is a
@@ -52,15 +46,11 @@ type Scan struct {
 	usesMask bool
 }
 
-// NewScan prepares a scan of prog over gf and vf for workers computing
-// workers: a Combiner program folds into slabs (one per worker), any
-// other passes batches of batchSize messages to handoff.
-func NewScan(gf *graph.File, vf *vertexfile.File, prog Program, slabs []*Slab, workers, batchSize int, handoff func(wk int, batch []Message) error) *Scan {
-	s := &Scan{gf: gf, vf: vf, prog: prog, slabs: slabs, workers: workers, batchSize: batchSize, handoff: handoff}
-	s.combiner, _ = prog.(Combiner)
-	if s.combiner == nil {
-		s.bufs = make([][]Message, workers)
-	}
+// NewScan prepares a scan of prog over gf and vf that folds into slabs,
+// one per computing worker.
+func NewScan(gf *graph.File, vf *vertexfile.File, prog Program, slabs []*Slab) *Scan {
+	workers := len(slabs)
+	s := &Scan{gf: gf, vf: vf, prog: prog, slabs: slabs, workers: workers}
 	if workers&(workers-1) == 0 {
 		s.usesMask = true
 		s.ownMask = graph.VertexID(workers - 1)
@@ -118,29 +108,14 @@ func (s *Scan) Run(iv graph.Interval, step int64) (sent int64, err error) {
 				//lint:noalloc the injection site's PanicValue materializes only when a chaos-run fault fires; production paths allocate nothing
 				fault.Panic(s.MsgSite)
 			}
-			if s.combiner != nil {
-				s.fold(dst, msgVal)
-			} else if err := s.send(dst, msgVal); err != nil {
-				return sent, err
-			}
+			s.fold(dst, msgVal)
 			sent++
 		}
 		// Consume: invalidate so the vertex is skipped until recomputed
 		// (paper Algorithm 2, setHighestBitTo1).
 		s.vf.Store(col, v, slot|vertexfile.StaleBit)
 	}
-	if err := cur.Err(); err != nil {
-		return sent, err
-	}
-	for wk, b := range s.bufs {
-		if len(b) > 0 {
-			s.bufs[wk] = nil
-			if err := s.handoff(wk, b); err != nil {
-				return sent, err
-			}
-		}
-	}
-	return sent, nil
+	return sent, cur.Err()
 }
 
 // fold combines a message into its slot in the owning worker's slab. A
@@ -157,44 +132,23 @@ func (s *Scan) fold(dst graph.VertexID, val uint64) {
 	sl := s.slabs[wk]
 	word, bit := idx>>6, uint64(1)<<uint(idx&63)
 	if sl.Bits[word]&bit != 0 {
-		sl.Vals[idx] = s.combiner.CombineMsg(sl.Vals[idx], val)
+		sl.Vals[idx] = s.prog.CombineMsg(sl.Vals[idx], val)
 		return
 	}
 	sl.Bits[word] |= bit
 	sl.Vals[idx] = val
 }
 
-// send buffers a message for the owning worker on the batch path,
-// handing the batch off when full.
-//
-//gpsa:noalloc
-func (s *Scan) send(dst graph.VertexID, val uint64) error {
-	wk, _ := s.route(dst)
-	if s.bufs[wk] == nil {
-		//lint:noalloc the batch path allocates one batch per hand-off by design (about 16 B/msg); only combiner programs are held to zero
-		s.bufs[wk] = make([]Message, 0, s.batchSize)
-	}
-	//lint:noalloc cap is fixed at batchSize by the make above and the batch is handed off before exceeding it; append never grows
-	s.bufs[wk] = append(s.bufs[wk], Message{Dst: dst, Val: val})
-	if len(s.bufs[wk]) < s.batchSize {
-		return nil
-	}
-	b := s.bufs[wk]
-	s.bufs[wk] = nil
-	return s.handoff(wk, b)
-}
-
 // dispatcher is the paper's dispatcher worker as an actor. It owns one
-// interval of the CSR edge file and, each superstep, scans it. A
-// Combiner program's slabs, one per computing worker, are handed off
-// whole when the interval is done; any other program's batches are put
-// in the owning worker's mailbox as the scan fills them.
+// interval of the CSR edge file and, each superstep, scans it into its
+// slabs, one per computing worker, and hands each off whole when the
+// interval is done.
 type dispatcher struct {
 	id       int
 	eng      *Engine
 	interval graph.Interval
 	scan     *Scan
-	slabs    []*Slab // row id of Engine.slabs (combiner programs)
+	slabs    []*Slab // row id of Engine.slabs
 
 	delivered int64 // messages delivered this superstep (post-combining)
 	denseSegs int64 // slabs handed off this superstep
@@ -214,10 +168,8 @@ func (d *dispatcher) Execute() (err error) {
 		}
 	}()
 	eng := d.eng
-	if eng.slabs != nil {
-		d.slabs = eng.slabs[d.id]
-	}
-	d.scan = NewScan(eng.gf, eng.vf, eng.prog, d.slabs, len(eng.toComp), eng.cfg.BatchSize, d.dispatchBatch)
+	d.slabs = eng.slabs[d.id]
+	d.scan = NewScan(eng.gf, eng.vf, eng.prog, d.slabs)
 	d.scan.MsgSite = fault.SiteDispatcherMsg
 	d.scan.Aborted = &eng.aborted
 	for {
@@ -241,7 +193,7 @@ func (d *dispatcher) Execute() (err error) {
 			if d.aborting(err) {
 				// The manager is already tearing this superstep down;
 				// park until teardown instead of failing. Partial slabs
-				// and batches die with the crew: spawn resets the slabs.
+				// die with the crew: spawn resets them.
 				continue
 			}
 			eng.toManager.Put(workerMsg{kind: kindFailed, from: d.id, err: err}) //nolint:errcheck
@@ -266,7 +218,7 @@ func (d *dispatcher) aborting(err error) bool {
 //
 //gpsa:noalloc
 func (d *dispatcher) runSuperstep(step int64) (sent int64, err error) {
-	if sent, err = d.scan.Run(d.interval, step); err != nil || d.slabs == nil {
+	if sent, err = d.scan.Run(d.interval, step); err != nil {
 		return sent, err
 	}
 	for wk := range d.slabs {
@@ -293,13 +245,4 @@ func (d *dispatcher) flushDense(wk int) error {
 	d.delivered += int64(n)
 	d.denseSegs++
 	return d.eng.toComp[wk].Put(workerMsg{kind: kindSegment, seg: s})
-}
-
-// dispatchBatch is the scan's batch-path hand-off: it puts the batch in
-// worker wk's mailbox.
-//
-//gpsa:noalloc
-func (d *dispatcher) dispatchBatch(wk int, b []Message) error {
-	d.delivered += int64(len(b))
-	return d.eng.toComp[wk].Put(workerMsg{kind: kindData, batch: b})
 }

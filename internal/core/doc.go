@@ -28,15 +28,14 @@
 //     values are written fresh; unchanged vertices stay stale and are
 //     skipped by dispatchers next superstep (selective scheduling).
 //
-// Messages are not mailed one by one. A program that implements Combiner
-// has them folded at the dispatcher into one dense slab per computing
-// worker, handed off whole at the end of the dispatcher's interval; any
-// other program has them batched (Config.BatchSize). Which of the two
-// paths runs is a property of the program, never of configuration (see
-// accum.go). Neither changes the model — mailboxes remain asynchronous
-// and FIFO, and the barrier message is only sent after all dispatcher
-// sends have completed, so FIFO ordering guarantees computing workers
-// observe it last. The scan (Scan) and the batch apply (ApplyBatch) are
-// exported because package cluster drives the same two: one dispatch,
-// fold and apply pipeline for both engines.
+// Messages are not mailed one by one. Every Program combines
+// (Program.CombineMsg), so the dispatcher folds them into one dense slab
+// per computing worker, handed off whole at the end of its interval (see
+// accum.go). That does not change the model — mailboxes remain
+// asynchronous and FIFO, and the barrier message is only sent after all
+// dispatcher sends have completed, so FIFO ordering guarantees computing
+// workers observe it last. The scan (Scan) and the batch apply
+// (ApplyBatch) are exported because package cluster drives them: the
+// scan and fold are one pipeline for both engines, and ApplyBatch
+// applies what a cluster node receives.
 package core

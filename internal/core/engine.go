@@ -18,8 +18,7 @@ import (
 type msgKind int
 
 const (
-	kindData           msgKind = iota // batch of vertex update messages
-	kindSegment                       // dense accumulator segment handoff
+	kindSegment        msgKind = iota // dense accumulator segment handoff
 	kindIterationStart                // manager -> dispatcher
 	kindDispatchOver                  // dispatcher -> manager
 	kindComputeOver                   // manager -> computer (barrier) and ack back
@@ -32,13 +31,20 @@ const (
 type workerMsg struct {
 	kind   msgKind
 	step   int64
-	batch  []Message // kindData
-	seg    *Slab     // kindSegment
-	from   int       // sender worker id
-	count  int64     // dispatchOver: messages generated; computeOver ack: updates
-	count2 int64     // dispatchOver: messages delivered after combining
-	err    error     // kindFailed
+	seg    *Slab // kindSegment
+	from   int   // sender worker id
+	count  int64 // dispatchOver: messages generated; computeOver ack: updates
+	count2 int64 // dispatchOver: messages delivered after combining
+	err    error // kindFailed
 }
+
+// computerMailboxDepth is each computing worker's mailbox depth. A
+// dispatcher hands a computer at most one slab per superstep, so the
+// depth binds only above 63 dispatchers, and then it only makes a
+// dispatcher wait: computers never wait on dispatchers. Dispatchers+1
+// would never bind, but at the MaxWorkers × MaxWorkers bound it is about
+// 1 GiB of channel buffers.
+const computerMailboxDepth = 64
 
 // Engine runs a Program over an on-disk CSR graph and a two-column vertex
 // value file using the actor-based BSP model.
@@ -66,7 +72,7 @@ type Engine struct {
 	dispStep   []atomic.Int64
 
 	// slabs[i][c] is the slab dispatcher i folds computer c's messages
-	// into, for the engine's lifetime (combiner programs only).
+	// into, for the engine's lifetime.
 	slabs [][]*Slab
 
 	// per-superstep statistics scratch, reused across runStep calls.
@@ -124,13 +130,11 @@ func New(gf *graph.File, vf *vertexfile.File, prog Program, cfg Config) (*Engine
 		return nil, err
 	}
 	e := &Engine{gf: gf, vf: vf, prog: prog, cfg: cfg, intervals: gf.Partition(cfg.Dispatchers)}
-	if _, ok := prog.(Combiner); ok { // a Combiner selects the slab message path
-		owned := (gf.NumVertices + int64(cfg.Computers) - 1) / int64(cfg.Computers)
-		e.slabs = make([][]*Slab, len(e.intervals))
-		for i := range e.slabs {
-			for range cfg.Computers {
-				e.slabs[i] = append(e.slabs[i], NewSlab(owned))
-			}
+	owned := (gf.NumVertices + int64(cfg.Computers) - 1) / int64(cfg.Computers)
+	e.slabs = make([][]*Slab, len(e.intervals))
+	for i := range e.slabs {
+		for range cfg.Computers {
+			e.slabs[i] = append(e.slabs[i], NewSlab(owned))
 		}
 	}
 	if a, ok := prog.(Aggregator); ok {
@@ -151,9 +155,10 @@ func CreateValueFile(path string, gf *graph.File, prog Program) (*vertexfile.Fil
 // spawn builds a fresh worker crew: manager mailbox, per-worker
 // mailboxes, and dispatcher/computer actors under a supervisor whose
 // restart policy revives panicking workers. Retried supersteps always
-// get a fresh crew and fresh mailboxes, so no stale batch from a failed
-// attempt can leak into the retry — and no partial sum either: every
-// slab is reset here, after teardown has waited for the old crew to exit.
+// get a fresh crew and fresh mailboxes, so no stale slab hand-off from a
+// failed attempt can leak into the retry — and no partial sum either:
+// every slab is reset here, after teardown has waited for the old crew
+// to exit.
 func (e *Engine) spawn() {
 	cfg := e.cfg
 	for _, row := range e.slabs {
@@ -170,7 +175,7 @@ func (e *Engine) spawn() {
 	}
 	e.toComp = make([]*actor.Mailbox[workerMsg], cfg.Computers)
 	for i := range e.toComp {
-		e.toComp[i] = actor.NewMailbox[workerMsg](cfg.MailboxCap)
+		e.toComp[i] = actor.NewMailbox[workerMsg](computerMailboxDepth)
 	}
 	for i := range e.toDisp {
 		d := &dispatcher{id: i, eng: e, interval: e.intervals[i]}

@@ -35,6 +35,9 @@ func (prProg) Compute(dst int64, cur, msg uint64, first bool) (uint64, bool) {
 	}
 	return math.Float64bits(math.Float64frombits(cur) + 0.85*m), true
 }
+func (prProg) CombineMsg(a, b uint64) uint64 {
+	return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
+}
 
 type bfsProg struct{ root graph.VertexID }
 
@@ -53,6 +56,7 @@ func (bfsProg) Compute(dst int64, cur, msg uint64, first bool) (uint64, bool) {
 	}
 	return cur, false
 }
+func (bfsProg) CombineMsg(a, b uint64) uint64 { return min(a, b) }
 
 type ccProg struct{}
 
@@ -66,6 +70,7 @@ func (ccProg) Compute(dst int64, cur, msg uint64, first bool) (uint64, bool) {
 	}
 	return cur, false
 }
+func (ccProg) CombineMsg(a, b uint64) uint64 { return min(a, b) }
 
 // setup writes g to disk and creates a value file for prog, returning an
 // engine ready to run.
@@ -93,15 +98,6 @@ func setup(t testing.TB, g *graph.CSR, prog Program, cfg Config) (*Engine, *vert
 	return eng, vf
 }
 
-// A mailbox is allocated whole at spawn and failing that kills the
-// process, so New refuses an absurd capacity up front.
-func TestNewRejectsUnreasonableMailboxCap(t *testing.T) {
-	eng, vf := setup(t, randomGraph(t, 80, 20, 40), ccProg{}, Config{MailboxCap: MaxMailboxCap})
-	if _, err := New(eng.gf, vf, ccProg{}, Config{MailboxCap: 1 << 40}); err == nil || !strings.Contains(err.Error(), "mailbox capacity") {
-		t.Fatalf("New with MailboxCap 1<<40: err = %v, want an unreasonable-mailbox-capacity error", err)
-	}
-}
-
 func randomGraph(t testing.TB, seed int64, v int64, e int) *graph.CSR {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -117,15 +113,14 @@ func randomGraph(t testing.TB, seed int64, v int64, e int) *graph.CSR {
 }
 
 // refRun is a deterministic serial executor with engine semantics (a
-// duplicate of algorithms.ReferenceRun, local to avoid an import cycle).
-// A program that implements Combiner is executed as it declares itself:
-// each destination's messages are folded with CombineMsg in generation
-// order and Compute sees the one combined message — which is what the
-// slab path delivers, bit for bit, when a single dispatcher generates
-// them. For min-folds the two executions are indistinguishable.
+// folding variant of algorithms.ReferenceRun, local to avoid an import
+// cycle): each destination's messages are folded with CombineMsg in
+// generation order and Compute sees the one combined message — which is
+// what the slab path delivers, bit for bit, when a single dispatcher
+// generates them. For min-folds it is indistinguishable from applying
+// every message.
 func refRun(g *graph.CSR, p Program, maxSteps int) []uint64 {
 	n := g.NumVertices
-	comb, _ := p.(Combiner)
 	vals := make([]uint64, n)
 	active := make([]bool, n)
 	upd := make([]uint64, n)
@@ -139,19 +134,6 @@ func refRun(g *graph.CSR, p Program, maxSteps int) []uint64 {
 		var msgs, updates int64
 		for i := range touched {
 			touched[i], present[i] = false, false
-		}
-		apply := func(d int64, mv uint64) {
-			first := !touched[d]
-			cur := vals[d]
-			if !first {
-				cur = upd[d]
-			}
-			nv, changed := p.Compute(d, cur, mv, first)
-			if changed {
-				upd[d] = nv
-				touched[d] = true
-				updates++
-			}
 		}
 		for v := int64(0); v < n; v++ {
 			if !active[v] {
@@ -169,19 +151,22 @@ func refRun(g *graph.CSR, p Program, maxSteps int) []uint64 {
 					continue
 				}
 				msgs++
-				switch d := int64(dst); {
-				case comb == nil:
-					apply(d, mv)
-				case present[d]:
-					acc[d] = comb.CombineMsg(acc[d], mv)
-				default:
-					acc[d], present[d] = mv, true
+				if present[dst] {
+					acc[dst] = p.CombineMsg(acc[dst], mv)
+				} else {
+					acc[dst], present[dst] = mv, true
 				}
 			}
 		}
+		// Each vertex's first (and only) message of the superstep: cur is
+		// the previous superstep's value.
 		for d := int64(0); d < n; d++ {
-			if present[d] {
-				apply(d, acc[d])
+			if !present[d] {
+				continue
+			}
+			if nv, changed := p.Compute(d, vals[d], acc[d], true); changed {
+				upd[d], touched[d] = nv, true
+				updates++
 			}
 		}
 		for v := int64(0); v < n; v++ {
@@ -199,7 +184,7 @@ func refRun(g *graph.CSR, p Program, maxSteps int) []uint64 {
 
 func TestEngineBFSMatchesReference(t *testing.T) {
 	g := randomGraph(t, 1, 300, 1200)
-	eng, vf := setup(t, g, bfsProg{root: 0}, Config{Dispatchers: 3, Computers: 4, BatchSize: 16})
+	eng, vf := setup(t, g, bfsProg{root: 0}, Config{Dispatchers: 3, Computers: 4})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -217,7 +202,7 @@ func TestEngineBFSMatchesReference(t *testing.T) {
 
 func TestEngineCCMatchesReference(t *testing.T) {
 	g := randomGraph(t, 2, 200, 500).Symmetrize()
-	eng, vf := setup(t, g, ccProg{}, Config{Dispatchers: 2, Computers: 3, BatchSize: 8})
+	eng, vf := setup(t, g, ccProg{}, Config{Dispatchers: 2, Computers: 3})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +221,7 @@ func TestEngineCCMatchesReference(t *testing.T) {
 func TestEnginePageRankMatchesReference(t *testing.T) {
 	g := randomGraph(t, 3, 150, 900)
 	const steps = 5
-	eng, vf := setup(t, g, prProg{}, Config{MaxSupersteps: steps, Dispatchers: 2, Computers: 2, BatchSize: 32})
+	eng, vf := setup(t, g, prProg{}, Config{MaxSupersteps: steps, Dispatchers: 2, Computers: 2})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +242,7 @@ func TestEnginePageRankMatchesReference(t *testing.T) {
 func TestEngineSequentialPhasesAblation(t *testing.T) {
 	g := randomGraph(t, 4, 120, 700)
 	want := refRun(g, ccProg{}, 100)
-	eng, vf := setup(t, g.Symmetrize(), ccProg{}, Config{SequentialPhases: true, MailboxCap: 4096})
+	eng, vf := setup(t, g.Symmetrize(), ccProg{}, Config{SequentialPhases: true})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +256,7 @@ func TestEngineSequentialPhasesAblation(t *testing.T) {
 
 func TestEngineSingleWorkerEachRole(t *testing.T) {
 	g := randomGraph(t, 5, 80, 300)
-	eng, vf := setup(t, g, bfsProg{root: 7}, Config{Dispatchers: 1, Computers: 1, BatchSize: 1})
+	eng, vf := setup(t, g, bfsProg{root: 7}, Config{Dispatchers: 1, Computers: 1})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +270,7 @@ func TestEngineSingleWorkerEachRole(t *testing.T) {
 
 func TestEngineManyWorkers(t *testing.T) {
 	g := randomGraph(t, 6, 64, 400)
-	eng, vf := setup(t, g, ccProg{}, Config{Dispatchers: 16, Computers: 16, BatchSize: 2, MailboxCap: 2})
+	eng, vf := setup(t, g, ccProg{}, Config{Dispatchers: 16, Computers: 16})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -466,6 +451,7 @@ func (panicProg) GenMsg(src int64, payload uint64, deg uint32, dst graph.VertexI
 func (panicProg) Compute(dst int64, cur, msg uint64, first bool) (uint64, bool) {
 	return 0, false
 }
+func (panicProg) CombineMsg(a, b uint64) uint64 { return a }
 
 func TestNewRejectsMismatchedFiles(t *testing.T) {
 	g := randomGraph(t, 11, 10, 20)
@@ -498,14 +484,13 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test is slow")
 	}
-	fn := func(seed int64, vRaw, eRaw, dRaw, cRaw, bRaw uint8) bool {
+	fn := func(seed int64, vRaw, eRaw, dRaw, cRaw uint8) bool {
 		v := int64(vRaw%50) + 2
 		e := int(eRaw) * 2
 		g := randomGraph(t, seed, v, e).Symmetrize()
 		cfg := Config{
 			Dispatchers: int(dRaw%4) + 1,
 			Computers:   int(cRaw%4) + 1,
-			BatchSize:   int(bRaw%32) + 1,
 		}
 		eng, vf := setup(t, g, ccProg{}, cfg)
 		if _, err := eng.Run(); err != nil {
@@ -601,6 +586,7 @@ func (s slowProg) GenMsg(src int64, payload uint64, deg uint32, dst graph.Vertex
 func (s slowProg) Compute(dst int64, cur, msg uint64, first bool) (uint64, bool) {
 	return msg, true
 }
+func (s slowProg) CombineMsg(a, b uint64) uint64 { return b }
 
 func TestSuperstepWatchdogAbortsWedgedRun(t *testing.T) {
 	g := randomGraph(t, 61, 30, 60)

@@ -18,7 +18,6 @@ func TestPrefetchEquivalence(t *testing.T) {
 	base := Config{
 		Dispatchers:   1,
 		Computers:     2,
-		BatchSize:     64,
 		MaxSupersteps: 6,
 		DisableSync:   true,
 	}
@@ -26,8 +25,8 @@ func TestPrefetchEquivalence(t *testing.T) {
 		name string
 		prog Program
 	}{
-		{"pagerank", prComb{}},
-		{"bfs", bfsComb{bfsProg{root: 3}}},
+		{"pagerank", prProg{}},
+		{"bfs", bfsProg{root: 3}},
 		{"cc", ccProg{}},
 	}
 	for _, tc := range progs {

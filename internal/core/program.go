@@ -2,8 +2,8 @@ package core
 
 import "repro/internal/graph"
 
-// Program is a user-defined vertex program (the paper's initialize,
-// genMsg and compute functions, Fig. 3).
+// Program is a user-defined vertex program: the paper's initialize,
+// genMsg and compute functions (Fig. 3), plus a message combiner.
 //
 // Vertex values are 63-bit payloads stored in the two-column value file;
 // see package vertexfile for helpers encoding floats and integers.
@@ -32,6 +32,16 @@ type Program interface {
 	// superstep's value", which is naturally idempotent for the
 	// min/sum-style folds vertex-centric programs use.
 	Compute(dst int64, cur uint64, msg uint64, first bool) (newVal uint64, changed bool)
+
+	// CombineMsg merges two messages bound for the same vertex into one
+	// (Pregel's message combiner). Dispatchers fold at the source, a left
+	// fold in generation order, into one dense slab entry per destination
+	// (see accum.go; the cluster folds the same way per source interval),
+	// so Compute sees one combined message per destination from each
+	// fold. Compute must not be able to tell the combined message from
+	// the two it replaces: min-folds (BFS, CC, SSSP) combine with min,
+	// PageRank's accumulation with float sum.
+	CombineMsg(a, b uint64) uint64
 }
 
 // Message is one vertex update message: the paper's (destination id,

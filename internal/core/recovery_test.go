@@ -54,7 +54,7 @@ func compareRuns(t *testing.T, ref, got *Result, refVals, gotVals []uint64) {
 // an uninjected run.
 func TestRecoveryComputerPanic(t *testing.T) {
 	g := randomGraph(t, 70, 300, 1200)
-	cfg := Config{Dispatchers: 2, Computers: 3, BatchSize: 16, Digests: true}
+	cfg := Config{Dispatchers: 2, Computers: 3, Digests: true}
 
 	ref, refVals, err := runWithPlan(t, g, bfsProg{root: 0}, cfg, nil)
 	if err != nil {
@@ -81,7 +81,7 @@ func TestRecoveryComputerPanic(t *testing.T) {
 // partial message stream that must be rolled back.
 func TestRecoveryDispatcherPanic(t *testing.T) {
 	g := randomGraph(t, 71, 200, 800).Symmetrize()
-	cfg := Config{Dispatchers: 3, Computers: 2, BatchSize: 8, Digests: true}
+	cfg := Config{Dispatchers: 3, Computers: 2, Digests: true}
 
 	ref, refVals, err := runWithPlan(t, g, ccProg{}, cfg, nil)
 	if err != nil {
@@ -110,7 +110,7 @@ func TestRecoveryDispatcherPanic(t *testing.T) {
 // deterministic.
 func TestRecoveryTornCommit(t *testing.T) {
 	g := randomGraph(t, 72, 150, 900)
-	cfg := Config{Dispatchers: 1, Computers: 2, BatchSize: 32, MaxSupersteps: 6, Digests: true}
+	cfg := Config{Dispatchers: 1, Computers: 2, MaxSupersteps: 6, Digests: true}
 
 	ref, refVals, err := runWithPlan(t, g, prProg{}, cfg, nil)
 	if err != nil {
@@ -163,6 +163,7 @@ func (s stallCompute) Compute(dst int64, cur, msg uint64, first bool) (uint64, b
 	time.Sleep(s.d)
 	return msg, true
 }
+func (s stallCompute) CombineMsg(a, b uint64) uint64 { return b }
 
 // TestWatchdogComputeBarrierStall wedges a computing worker during the
 // compute barrier; the GetTimeout-based watchdog must abort the run with
@@ -233,7 +234,7 @@ func TestRecoveryAfterWatchdog(t *testing.T) {
 func TestSlabResetOnRetry(t *testing.T) {
 	g := randomGraph(t, 74, 300, 2400)
 	cfg := Config{Dispatchers: 1, Computers: 2, MaxSupersteps: 5, Digests: true}
-	ref, refVals, err := runWithPlan(t, g, prComb{}, cfg, nil)
+	ref, refVals, err := runWithPlan(t, g, prProg{}, cfg, nil)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -249,7 +250,7 @@ func TestSlabResetOnRetry(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := fault.NewPlan(0, fault.Injection{Site: tc.site, After: tc.after})
-			res, vals, err := runWithPlan(t, g, prComb{}, cfg, plan)
+			res, vals, err := runWithPlan(t, g, prProg{}, cfg, plan)
 			if err != nil {
 				t.Fatalf("injected run did not recover: %v", err)
 			}

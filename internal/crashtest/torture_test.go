@@ -102,10 +102,9 @@ func runBaseline(t *testing.T, graphPath string, algoArgs []string, dir string) 
 // and commit-protocol phases (plus wall-clock jitter kills), resumes
 // with -resume, and requires the surviving value file to end bit-identical
 // to the uninterrupted baseline. 4 cases x 7 kills = 28 randomized
-// kill points per run of the harness. All three algorithms are combiner
-// programs, so every case runs the dense slab message path;
-// pagerank-prefetch forces the async CSR prefetcher on, so kills land
-// while madvise windows are in flight ahead of the edge cursor.
+// kill points per run of the harness. pagerank-prefetch forces the
+// async CSR prefetcher on, so kills land while madvise windows are in
+// flight ahead of the edge cursor.
 func TestTortureKillResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess torture harness")
@@ -172,9 +171,8 @@ func tortureCase(t *testing.T, graphPath string, algoArgs []string, wantKills in
 			if rerr != nil {
 				t.Fatal(rerr)
 			}
-			if !state.Equal(baseline) {
-				t.Fatalf("completed torture run diverged from baseline: epoch %d vs %d, converged %v vs %v",
-					state.Epoch, baseline.Epoch, state.Converged, baseline.Converged)
+			if d := state.Diff(baseline); d != "" {
+				t.Fatalf("completed torture run diverged from baseline: %s", d)
 			}
 			os.Remove(values)
 		default:
@@ -208,9 +206,8 @@ func tortureCase(t *testing.T, graphPath string, algoArgs []string, wantKills in
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !state.Equal(baseline) {
-		t.Fatalf("after %d kills and %d resumes: final state diverged from baseline (epoch %d vs %d, converged %v vs %v)",
-			kills, resumes, state.Epoch, baseline.Epoch, state.Converged, baseline.Converged)
+	if d := state.Diff(baseline); d != "" {
+		t.Fatalf("after %d kills and %d resumes: final state diverged from baseline: %s", kills, resumes, d)
 	}
 	t.Logf("%d SIGKILLs, %d resumes, final state bit-identical to baseline (epoch %d)", kills, resumes, state.Epoch)
 }
@@ -266,8 +263,8 @@ func TestInterruptSealsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !state.Equal(baseline) {
-		t.Fatalf("resume after SIGINT diverged from baseline (epoch %d vs %d)", state.Epoch, baseline.Epoch)
+	if d := state.Diff(baseline); d != "" {
+		t.Fatalf("resume after SIGINT diverged from baseline: %s", d)
 	}
 }
 
@@ -376,8 +373,8 @@ func killDuringResumeCase(t *testing.T, graphPath string, algoArgs []string, wan
 			if rerr != nil {
 				t.Fatal(rerr)
 			}
-			if !state.Equal(baseline) {
-				t.Fatalf("completed run diverged from baseline (epoch %d vs %d)", state.Epoch, baseline.Epoch)
+			if d := state.Diff(baseline); d != "" {
+				t.Fatalf("completed run diverged from baseline: %s", d)
 			}
 			os.Remove(values)
 		default:
@@ -404,9 +401,8 @@ func killDuringResumeCase(t *testing.T, graphPath string, algoArgs []string, wan
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !state.Equal(baseline) {
-		t.Fatalf("after %d kills-during-resume: final state diverged from baseline (epoch %d vs %d, converged %v vs %v)",
-			resumeKills, state.Epoch, baseline.Epoch, state.Converged, baseline.Converged)
+	if d := state.Diff(baseline); d != "" {
+		t.Fatalf("after %d kills-during-resume: final state diverged from baseline: %s", resumeKills, d)
 	}
 	t.Logf("%d SIGKILLs landed inside -resume runs; final state bit-identical to baseline (epoch %d)", resumeKills, state.Epoch)
 }

@@ -212,8 +212,8 @@ func runStorm(t *testing.T, site string, after int64, base harness.FileState) st
 		if err != nil {
 			t.Fatalf("site %s: run reported success but the file does not verify: %v", site, err)
 		}
-		if !st.Equal(base) {
-			t.Fatalf("site %s: run reported success with values NOT bit-identical to baseline (epoch %d vs %d) — silent corruption", site, st.Epoch, base.Epoch)
+		if d := st.Diff(base); d != "" {
+			t.Fatalf("site %s: run reported success with values NOT bit-identical to baseline — silent corruption: %s", site, d)
 		}
 		rep.Outcome = "completed"
 		return rep
@@ -244,8 +244,8 @@ func runStorm(t *testing.T, site string, after int64, base harness.FileState) st
 	if err != nil {
 		t.Fatalf("site %s: recovered file does not verify: %v", site, err)
 	}
-	if !st.Equal(base) {
-		t.Fatalf("site %s: recovered values NOT bit-identical to baseline", site)
+	if d := st.Diff(base); d != "" {
+		t.Fatalf("site %s: recovered values NOT bit-identical to baseline: %s", site, d)
 	}
 	rep.Outcome = "typed-error+recovered"
 	return rep

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -110,15 +111,34 @@ func ReadState(path string) (FileState, error) {
 	return FileState{Values: vf.Values(), Epoch: vf.Epoch(), Converged: vf.Converged()}, nil
 }
 
-// Equal reports whether two file states are bit-identical.
-func (s FileState) Equal(o FileState) bool {
-	if s.Epoch != o.Epoch || s.Converged != o.Converged || len(s.Values) != len(o.Values) {
-		return false
+// Diff compares s (got) against o (want) and returns "" when the two
+// states are bit-identical. Otherwise it names every header mismatch,
+// how many vertices differ, and the first three as (vertex, got, want),
+// so a torture failure says where the runs diverged, not just that they
+// did.
+func (s FileState) Diff(o FileState) string {
+	var parts []string
+	if s.Epoch != o.Epoch {
+		parts = append(parts, fmt.Sprintf("epoch %d, want %d", s.Epoch, o.Epoch))
 	}
-	for i := range s.Values {
-		if s.Values[i] != o.Values[i] {
-			return false
+	if s.Converged != o.Converged {
+		parts = append(parts, fmt.Sprintf("converged %v, want %v", s.Converged, o.Converged))
+	}
+	if len(s.Values) != len(o.Values) {
+		parts = append(parts, fmt.Sprintf("%d vertices, want %d", len(s.Values), len(o.Values)))
+	}
+	var differ int
+	var first []string
+	for v := range min(len(s.Values), len(o.Values)) {
+		if s.Values[v] == o.Values[v] {
+			continue
+		}
+		if differ++; differ <= 3 {
+			first = append(first, fmt.Sprintf("(%d, %#x, %#x)", v, s.Values[v], o.Values[v]))
 		}
 	}
-	return true
+	if differ > 0 {
+		parts = append(parts, fmt.Sprintf("%d vertices differ, first (vertex, got, want): %s", differ, strings.Join(first, " ")))
+	}
+	return strings.Join(parts, "; ")
 }

@@ -75,10 +75,8 @@ var noallocRequired = map[string][]string{
 	"internal/core": {
 		"(*Scan).Run",
 		"(*Scan).fold",
-		"(*Scan).send",
 		"(*dispatcher).runSuperstep",
 		"(*dispatcher).flushDense",
-		"(*dispatcher).dispatchBatch",
 		"(*computer).processSegment",
 		"ApplyBatch",
 		"(*Slab).Reset",

@@ -94,9 +94,6 @@ func NewManager(ctx context.Context, opts Options) (*Manager, error) {
 	if opts.GraphDir == "" || opts.JobsDir == "" {
 		return nil, errors.New("serve: GraphDir and JobsDir are required")
 	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(opts.JobsDir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: creating jobs dir: %w", err)
 	}
@@ -491,10 +488,6 @@ func (m *Manager) runAttempt(ctx context.Context, rg *residentGraph, spec JobSpe
 	if steps <= 0 || steps > m.opts.MaxSupersteps {
 		steps = m.opts.MaxSupersteps
 	}
-	mailbox := spec.MailboxCap
-	if mailbox <= 0 {
-		mailbox = m.opts.MailboxCap
-	}
 	prog, err := spec.program()
 	if err != nil {
 		return nil, nil, err
@@ -508,7 +501,6 @@ func (m *Manager) runAttempt(ctx context.Context, rg *residentGraph, spec JobSpe
 		Resume:      gpsa.Resumable(vpath),
 		StepRetries: m.opts.StepRetries,
 		Watchdog:    m.opts.Watchdog,
-		MailboxCap:  mailbox,
 	}
 	return gpsa.RunOn(rg.g, prog, opts)
 }

@@ -72,15 +72,12 @@ type JobSpec struct {
 	// expiry the run is cancelled, rolled back, and sealed.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Dispatchers/Computers size the job's actor pools (0 = server
-	// default). Part of the cache key: float-valued programs fold in
-	// worker order, so different pools may differ in the low bits.
+	// default, at most core.MaxWorkers). Part of the cache key:
+	// float-valued programs fold in worker order, so different pools may
+	// differ in the low bits. A job's message memory is its slab grid,
+	// ≈ Dispatchers × |V| × 8.125 bytes.
 	Dispatchers int `json:"dispatchers,omitempty"`
 	Computers   int `json:"computers,omitempty"`
-	// MailboxCap bounds the job's per-worker mailbox depth in batches
-	// (0 = server default, at most core.MaxMailboxCap). It is no memory
-	// budget: all five algorithms combine, so a job's message memory is
-	// its slab grid, ≈ Dispatchers × |V| × 8.125 bytes.
-	MailboxCap int `json:"mailbox_cap,omitempty"`
 }
 
 // normalize applies per-algorithm defaults so equal effective requests
@@ -111,11 +108,13 @@ func (s *JobSpec) validate() error {
 		return fmt.Errorf("priority %d out of range [0,9]", s.Priority)
 	}
 	if s.Root < 0 || s.Supersteps < 0 || s.DeadlineMS < 0 ||
-		s.Dispatchers < 0 || s.Computers < 0 || s.MailboxCap < 0 {
+		s.Dispatchers < 0 || s.Computers < 0 {
 		return fmt.Errorf("negative values are not allowed")
 	}
-	if s.MailboxCap > core.MaxMailboxCap {
-		return fmt.Errorf("mailbox_cap %d exceeds %d", s.MailboxCap, core.MaxMailboxCap)
+	// The engine refuses larger pools on every attempt; admitting one
+	// would only burn retries and trip the breaker for (graph, algo).
+	if s.Dispatchers > core.MaxWorkers || s.Computers > core.MaxWorkers {
+		return fmt.Errorf("dispatchers and computers are at most %d", core.MaxWorkers)
 	}
 	return nil
 }
@@ -218,7 +217,6 @@ type Options struct {
 
 	DefaultDeadline time.Duration // per-job wall-clock budget (default 5m)
 	MaxSupersteps   int           // hard superstep cap per job (default 200)
-	MailboxCap      int           // default per-job mailbox depth (default 64, at most core.MaxMailboxCap)
 	StepRetries     int           // in-run superstep retries (default 2)
 	Watchdog        time.Duration // per-superstep worker silence bound (default 60s)
 
@@ -245,15 +243,6 @@ type Options struct {
 	ScrubThrottle int64
 
 	Logf func(format string, args ...any) // optional diagnostics sink
-}
-
-// Validate rejects option values no server should start with. NewManager
-// calls it; a CLI calls it first to report them as usage errors.
-func (o Options) Validate() error {
-	if o.MailboxCap > core.MaxMailboxCap {
-		return fmt.Errorf("serve: mailbox capacity %d exceeds %d", o.MailboxCap, core.MaxMailboxCap)
-	}
-	return nil
 }
 
 func (o Options) withDefaults() Options {
@@ -285,9 +274,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSupersteps <= 0 {
 		o.MaxSupersteps = 200
-	}
-	if o.MailboxCap <= 0 {
-		o.MailboxCap = 64
 	}
 	if o.StepRetries < 0 {
 		o.StepRetries = 0

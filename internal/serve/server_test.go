@@ -7,10 +7,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -109,26 +112,74 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-// A mailbox is allocated whole when a job's engine spawns its crew, and a
-// failed channel allocation kills the process: an absurd mailbox_cap gets
-// 400 before it is journaled, the server keeps completing ordinary jobs,
-// and the same bound refuses an absurd server-wide default.
-func TestServerRejectsUnreasonableMailboxCap(t *testing.T) {
+// The engine refuses a pool larger than core.MaxWorkers on every attempt,
+// so an admitted one would burn its retries and then count a breaker
+// failure for (graph, algo) — three such POSTs would quarantine that pair
+// for every client. It gets 400 before anything is journaled, and the
+// server keeps completing ordinary jobs.
+func TestServerRejectsUnreasonableWorkerCount(t *testing.T) {
 	opts := testOptions(t)
 	rel := writeTestGraph(t, opts.GraphDir)
-	bad := opts
-	bad.MailboxCap = 1 << 40
-	if _, err := NewManager(context.Background(), bad); err == nil {
-		t.Fatal("NewManager accepted MailboxCap 1<<40")
-	}
 	srv := startTestServer(t, opts)
 	defer srv.Shutdown(context.Background())
-	if resp := postJob(t, srv.Addr(), JobSpec{Graph: rel, Algo: "bfs", MailboxCap: 1 << 40}); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("mailbox_cap 1<<40: status %d, want 400", resp.StatusCode)
+	journal := filepath.Join(opts.JobsDir, "jobs.journal")
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []JobSpec{
+		{Graph: rel, Algo: "bfs", Dispatchers: core.MaxWorkers + 1},
+		{Graph: rel, Algo: "bfs", Computers: core.MaxWorkers + 1},
+	} {
+		resp := postJob(t, srv.Addr(), spec)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("dispatchers %d, computers %d: status %d, want 400", spec.Dispatchers, spec.Computers, resp.StatusCode)
+		}
+	}
+	if after, err := os.ReadFile(journal); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refused submissions reached the journal (err %v):\n%s", err, after)
 	}
 	j := decodeJob(t, postJob(t, srv.Addr(), JobSpec{Graph: rel, Algo: "bfs", Dispatchers: 1}))
 	if got := waitStatus(t, srv.Manager(), j.ID, 15*time.Second); got.Status != StatusCompleted {
 		t.Fatalf("follow-up job %s: %q (%s)", j.ID, got.Status, got.Error)
+	}
+}
+
+// JobSpec once carried mailbox_cap. A journal written then still replays
+// (replay decodes with plain json.Unmarshal, which skips the retired
+// field), while a new submission carrying it is refused with 400 naming
+// the field (the HTTP decoder disallows unknown fields).
+func TestServerReplaysRetiredSpecField(t *testing.T) {
+	opts := testOptions(t)
+	writeTestGraph(t, opts.GraphDir)
+	if err := os.MkdirAll(opts.JobsDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec := `{"id":"j-000000","event":"submitted","spec":{"graph":"g.gpsa","algo":"bfs","dispatchers":1,"mailbox_cap":64}}` + "\n"
+	if err := os.WriteFile(filepath.Join(opts.JobsDir, "jobs.journal"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts.ResumeJobs = true
+	srv := startTestServer(t, opts)
+	defer srv.Shutdown(context.Background())
+	if got := waitStatus(t, srv.Manager(), "j-000000", 15*time.Second); got.Status != StatusCompleted || !got.Replayed {
+		t.Fatalf("journaled job: %q replayed=%v (%s), want completed and replayed", got.Status, got.Replayed, got.Error)
+	}
+
+	body := `{"graph":"g.gpsa","algo":"bfs","mailbox_cap":64}`
+	resp, err := http.Post("http://"+srv.Addr()+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, `"mailbox_cap"`) {
+		t.Fatalf("new submission with mailbox_cap: status %d (%s), want 400 naming the field", resp.StatusCode, eb.Error)
 	}
 }
 

@@ -279,9 +279,9 @@ func TestServeTortureKillResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.Equal(baseline[id]) {
-			t.Fatalf("job %s: resumed values differ from undisturbed baseline (epoch %d vs %d)",
-				id, st.Epoch, baseline[id].Epoch)
+		if d := st.Diff(baseline[id]); d != "" {
+			t.Fatalf("job %s (recovery %v, resumed_from %v): resumed values differ from undisturbed baseline: %s",
+				id, j.Result["recovery"], j.Result["resumed_from"], d)
 		}
 	}
 	if code, err := s3.Terminate(); err != nil || code != 0 {

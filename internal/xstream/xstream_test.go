@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/algorithms"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/xstream"
@@ -28,11 +29,7 @@ func prep(t testing.TB, g *graph.CSR, k int) *xstream.Layout {
 	return l
 }
 
-func run(t testing.TB, l *xstream.Layout, prog interface {
-	Init(int64) (uint64, bool)
-	GenMsg(int64, uint64, uint32, graph.VertexID, float32) (uint64, bool)
-	Compute(int64, uint64, uint64, bool) (uint64, bool)
-}, steps int) (*xstream.Engine, *xstream.Result) {
+func run(t testing.TB, l *xstream.Layout, prog core.Program, steps int) (*xstream.Engine, *xstream.Result) {
 	t.Helper()
 	e, err := xstream.NewEngine(l, prog, xstream.Config{MaxSupersteps: steps})
 	if err != nil {
