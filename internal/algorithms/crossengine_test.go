@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -163,6 +164,15 @@ var diffPrograms = []diffProgram{
 // diffShapes are the adversarial graph shapes of the cluster
 // differential plus one seeded R-MAT. Weights, when asked for, are
 // deterministic and positive.
+//
+// sparse-blocks is large enough for a CSR index stride of 3 (|V|/8192),
+// with a partial last index block. Every vertex has one out-edge, so
+// Partition's interval boundaries are predictable, and all but a path's
+// worth are self-loops: BFS and SSSP from vertex 0 walk the path one
+// vertex per superstep, through the first and last vertex of every
+// interval of a 2..7-way partition and the partial last block, so each
+// superstep's only fresh vertex sits exactly where the dispatcher's
+// block skipping must stop.
 var diffShapes = []struct {
 	name  string
 	build func(t *testing.T, weighted bool) *graph.CSR
@@ -200,6 +210,28 @@ var diffShapes = []struct {
 			t.Fatal(err)
 		}
 		return g
+	}},
+	{"sparse-blocks", func(t *testing.T, w bool) *graph.CSR {
+		const n, stride = 3*8192 + 2, 3
+		stops := []int{0, n - 2, n - 1}
+		for k := 2; k <= 7; k++ {
+			for j := 1; j < k; j++ {
+				// One edge per vertex: the boundary is the first index
+				// entry at or past n·j/k edges.
+				b := (n*j/k + stride - 1) / stride * stride
+				stops = append(stops, b-1, b)
+			}
+		}
+		slices.Sort(stops)
+		stops = slices.Compact(stops)
+		es := make([][2]int, n)
+		for v := range es {
+			es[v] = [2]int{v, v}
+		}
+		for i := 0; i+1 < len(stops); i++ {
+			es[stops[i]][1] = stops[i+1]
+		}
+		return edgeGraph(t, n, es, w)
 	}},
 }
 
@@ -345,10 +377,12 @@ func TestClusterDifferential(t *testing.T) {
 
 // TestCoreDifferential runs every program on every adversarial shape on
 // the single-machine engine at Dispatchers×Computers 1×1, 3×2, 2×3 and
-// 4×7 (computers owning no vertex included). Core applies each
-// dispatcher's slab as it arrives, so only fold-order-independent
-// programs are bit-exact against ReferenceRun; float sums must stay
-// within their stated relative bound of it.
+// 4×7 (computers owning no vertex included), on both CSR encodings: the
+// dispatchers' block skipping seeks by word offset in the plain file and
+// by byte offset in the compact one. Core applies each dispatcher's slab
+// as it arrives, so only fold-order-independent programs are bit-exact
+// against ReferenceRun; float sums must stay within their stated
+// relative bound of it.
 func TestCoreDifferential(t *testing.T) {
 	geometries := [][2]int{{1, 1}, {3, 2}, {2, 3}, {4, 7}}
 	for _, dp := range diffPrograms {
@@ -357,23 +391,28 @@ func TestCoreDifferential(t *testing.T) {
 				g := shape.build(t, dp.weighted)
 				prog := dp.prog(g.NumVertices)
 				ref, _ := algorithms.ReferenceRun(g, prog, dp.steps)
-				path := save(t, g)
-				for _, geo := range geometries {
-					vals, _, err := gpsa.Run(path, prog, gpsa.RunOptions{Dispatchers: geo[0], Computers: geo[1], Supersteps: dp.steps})
-					if err != nil {
-						t.Fatalf("%dx%d: %v", geo[0], geo[1], err)
-					}
-					for v := int64(0); v < g.NumVertices; v++ {
-						got, want := vals.Raw(v), ref[v]&vertexfile.PayloadMask
-						if dp.rel == 0 {
-							if got != want {
-								t.Fatalf("%dx%d vertex %d: core %#x, reference %#x", geo[0], geo[1], v, got, want)
-							}
-						} else if x, r := dp.decode(got), dp.decode(want); math.Abs(x-r) > dp.rel*math.Max(1, math.Abs(r)) {
-							t.Fatalf("%dx%d vertex %d: core %g, reference %g: beyond the relative bound %g", geo[0], geo[1], v, x, r, dp.rel)
+				compact := filepath.Join(t.TempDir(), "g-compact.gpsa")
+				if err := graph.WriteFileCompact(compact, g); err != nil {
+					t.Fatal(err)
+				}
+				for enc, path := range map[string]string{"plain": save(t, g), "compact": compact} {
+					for _, geo := range geometries {
+						vals, _, err := gpsa.Run(path, prog, gpsa.RunOptions{Dispatchers: geo[0], Computers: geo[1], Supersteps: dp.steps})
+						if err != nil {
+							t.Fatalf("%s %dx%d: %v", enc, geo[0], geo[1], err)
 						}
+						for v := int64(0); v < g.NumVertices; v++ {
+							got, want := vals.Raw(v), ref[v]&vertexfile.PayloadMask
+							if dp.rel == 0 {
+								if got != want {
+									t.Fatalf("%s %dx%d vertex %d: core %#x, reference %#x", enc, geo[0], geo[1], v, got, want)
+								}
+							} else if x, r := dp.decode(got), dp.decode(want); math.Abs(x-r) > dp.rel*math.Max(1, math.Abs(r)) {
+								t.Fatalf("%s %dx%d vertex %d: core %g, reference %g: beyond the relative bound %g", enc, geo[0], geo[1], v, x, r, dp.rel)
+							}
+						}
+						vals.Close()
 					}
-					vals.Close()
 				}
 			})
 		}

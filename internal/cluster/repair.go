@@ -16,7 +16,7 @@ import (
 // copy wherever a peer's sealed file owns or mirrors it. A rebuilt
 // file is indistinguishable from one the node computed itself: the
 // blobs carry payload and active flag verbatim, and AdoptInterval
-// installs the stale update-column copy Reconcile would have left.
+// installs the stale update-column copy reconcile would have left.
 
 // ErrNoReplica is returned when a needed interval has no live sealed
 // replica: repair is impossible and the job must be recomputed from

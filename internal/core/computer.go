@@ -90,7 +90,6 @@ func (c *computer) processSegment(seg *Slab) {
 				return 0, false, true
 			}
 			n++
-			//lint:noalloc the injection site's PanicValue materializes only when a chaos-run fault fires; production paths allocate nothing
 			fault.Panic(fault.SiteComputerMsg)
 			fault.Stall(fault.SiteComputerStall)
 			newVal, changed := eng.prog.Compute(v, cur, msg, first)
@@ -101,31 +100,30 @@ func (c *computer) processSegment(seg *Slab) {
 
 // ApplyBatch applies Compute for each message of batch to the update
 // column of vf's current superstep (paper Algorithm 3) — a batch always
-// belongs to the superstep running — and returns how many vertex values
-// it wrote. It is the cluster's apply of the messages a node receives
-// (from its own slab or over the wire) at the barrier.
+// belongs to the superstep running — through the value file's Updater,
+// which owns the first-message rule and the column digest's delta, and
+// returns how many vertex values it wrote. It is the cluster's apply of
+// the messages a node receives (from its own slab or over the wire) at
+// the barrier.
 //
 //gpsa:noalloc
 func ApplyBatch(vf *vertexfile.File, prog Program, batch []Message) (updates int64) {
-	step := vf.Epoch()
-	dcol, ucol := vertexfile.DispatchCol(step), vertexfile.UpdateCol(step)
+	u := vf.Updater(vf.Epoch())
+	fn := programApply{prog}.apply
 	for _, m := range batch {
-		v := int64(m.Dst)
-		slot := vf.Load(ucol, v)
-		first := vertexfile.Stale(slot)
-		var cur uint64
-		if first {
-			// First message of this superstep: the previous value lives
-			// in the dispatch column (paper §IV-F).
-			cur = vertexfile.Payload(vf.Load(dcol, v))
-		} else {
-			cur = vertexfile.Payload(slot)
-		}
-		newVal, changed := prog.Compute(v, cur, m.Val, first)
-		if changed {
-			vf.Store(ucol, v, vertexfile.Pack(newVal, false))
+		if changed, _ := u.Apply(int64(m.Dst), m.Val, fn); changed {
 			updates++
 		}
 	}
+	u.Publish()
 	return updates
+}
+
+// programApply adapts Program.Compute to vertexfile.ApplyFunc; a batch
+// never stops early.
+type programApply struct{ prog Program }
+
+func (p programApply) apply(v int64, cur, msg uint64, first bool) (uint64, bool, bool) {
+	newVal, changed := p.prog.Compute(v, cur, msg, first)
+	return newVal, changed, false
 }

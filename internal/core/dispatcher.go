@@ -21,12 +21,21 @@ import (
 // owning its destination (dst mod workers, paper §V-A) and combines, a
 // left fold in generation order, into that worker's slab at slot
 // dst / workers. The caller owns the slabs and hands them off.
+//
+// Run must be called between the value file's Begin for the superstep
+// and its commit: a stale vertex makes it look up the next vertex
+// Begin's active-set bitmap marks (vertexfile.NextActive) and jump the
+// cursor to that vertex's index block (graph.Cursor.SkipTo), so a sparse
+// frontier does not stream the whole interval. The bitmap is only a skip
+// hint — every vertex the cursor reads is still checked against its
+// stale flag — and it is exact: nothing freshens a dispatch slot during
+// a superstep, so a vertex it leaves out cannot be fresh.
 type Scan struct {
 	// Hooks, all optional. KillSite is a fault.Error site hit once per
-	// vertex, whose firing makes Run return Killed; MsgSite a fault.Panic
-	// site hit once per message. Aborted is polled once per vertex (set:
-	// Run returns errAborted), and Pos gets the cursor position once per
-	// vertex (the prefetch watermark).
+	// vertex, read or jumped, whose firing makes Run return Killed;
+	// MsgSite a fault.Panic site hit once per message. Aborted is polled
+	// once per vertex read (set: Run returns errAborted), and Pos gets the
+	// cursor position once per vertex read (the prefetch watermark).
 	KillSite, MsgSite string
 	Killed            error
 	Aborted           *atomic.Bool
@@ -79,6 +88,7 @@ func (s *Scan) Run(iv graph.Interval, step int64) (sent int64, err error) {
 	col := vertexfile.DispatchCol(step)
 	weighted := s.gf.Weighted()
 	cur := s.gf.Cursor(iv)
+	active := int64(-1) // the next vertex Begin's bitmap marks, once looked up
 	for {
 		v, deg, edges, ok := cur.Next()
 		if !ok {
@@ -95,7 +105,23 @@ func (s *Scan) Run(iv graph.Interval, step int64) (sent int64, err error) {
 		}
 		slot := s.vf.Load(col, v)
 		if vertexfile.Stale(slot) {
-			continue // not updated last superstep: skip vertex and edges
+			// Not updated last superstep: skip vertex and edges. Past the
+			// last active vertex looked up, look up the next and jump to
+			// its index block; before it, the block's stale head streams.
+			if v >= active {
+				active = s.vf.NextActive(v+1, iv.EndVertex)
+				at := iv.EndVertex
+				if active < iv.EndVertex {
+					at = cur.SkipTo(active)
+				}
+				if err := s.jumped(at - v - 1); err != nil {
+					return sent, err
+				}
+				if at == iv.EndVertex {
+					break
+				}
+			}
+			continue
 		}
 		payload := vertexfile.Payload(slot)
 		for i := 0; i < int(deg); i++ {
@@ -104,10 +130,7 @@ func (s *Scan) Run(iv graph.Interval, step int64) (sent int64, err error) {
 			if !send {
 				continue
 			}
-			if s.MsgSite != "" {
-				//lint:noalloc the injection site's PanicValue materializes only when a chaos-run fault fires; production paths allocate nothing
-				fault.Panic(s.MsgSite)
-			}
+			fault.Panic(s.MsgSite)
 			s.fold(dst, msgVal)
 			sent++
 		}
@@ -116,6 +139,24 @@ func (s *Scan) Run(iv graph.Interval, step int64) (sent int64, err error) {
 		s.vf.Store(col, v, slot|vertexfile.StaleBit)
 	}
 	return sent, cur.Err()
+}
+
+// jumped accounts for n vertices the cursor jumped over: KillSite is hit
+// once per vertex whether read or jumped, so a plan's hit index names the
+// same instant of the stream with or without skipping. Unarmed, it is
+// one flag test.
+//
+//gpsa:noalloc
+func (s *Scan) jumped(n int64) error {
+	if s.KillSite == "" || !fault.Enabled() {
+		return nil
+	}
+	for ; n > 0; n-- {
+		if fault.Error(s.KillSite) != nil {
+			return s.Killed
+		}
+	}
+	return nil
 }
 
 // fold combines a message into its slot in the owning worker's slab. A

@@ -5,8 +5,9 @@
 // paper's failure model bites — an actor dying mid-message, an mmap sync
 // failing, a vertex-file commit tearing, a cluster connection dropping —
 // and consults them through the cheap helpers below (Error, Panic,
-// Stall). When no Plan is active every helper is a single atomic pointer
-// load and a nil return, so the sites cost nothing in normal operation.
+// Stall). When no Plan is active each of those inlines into its caller as
+// one atomic flag load and a return, so the sites cost nothing in normal
+// operation — not even a call.
 //
 // Tests and examples arm a Plan: a set of Injections, each naming a
 // site, the hit index at which it starts firing, how many hits fire, and
@@ -304,15 +305,28 @@ func (p *Plan) Fired(site string) int64 {
 
 var active atomic.Pointer[Plan]
 
+// enabled mirrors active != nil as a flag the site helpers test inline:
+// a hot loop pays one atomic load per site when no plan is active, not a
+// call. Activate and Deactivate set it beside active; a helper that sees
+// it set still loads active, so a racing Deactivate only costs the slow
+// path one nil check.
+var enabled atomic.Bool
+
 // Activate makes p the process-wide active plan. Passing nil is
 // equivalent to Deactivate.
-func Activate(p *Plan) { active.Store(p) }
+func Activate(p *Plan) {
+	active.Store(p)
+	enabled.Store(p != nil)
+}
 
 // Deactivate disarms fault injection; every site becomes a no-op again.
-func Deactivate() { active.Store(nil) }
+func Deactivate() {
+	active.Store(nil)
+	enabled.Store(false)
+}
 
 // Enabled reports whether a plan is active.
-func Enabled() bool { return active.Load() != nil }
+func Enabled() bool { return enabled.Load() }
 
 // Firing describes one injected fault at a site.
 type Firing struct {
@@ -355,23 +369,50 @@ func Hit(site string) *Firing {
 	return &Firing{Site: site, Err: err, Delay: a.Delay}
 }
 
-// Error returns the injected error when site fires, nil otherwise.
+// Error returns the injected error when site fires, nil otherwise. The
+// unarmed check inlines into the caller; the rest is out of line.
 func Error(site string) error {
+	if !enabled.Load() {
+		return nil
+	}
+	return errorSlow(site)
+}
+
+//go:noinline
+func errorSlow(site string) error {
 	if f := Hit(site); f != nil {
 		return f.Err
 	}
 	return nil
 }
 
-// Panic panics with a PanicValue when site fires.
+// Panic panics with a PanicValue when site fires. Like Error, it inlines
+// to one flag test when no plan is armed.
 func Panic(site string) {
+	if !enabled.Load() {
+		return
+	}
+	panicSlow(site)
+}
+
+//go:noinline
+func panicSlow(site string) {
 	if f := Hit(site); f != nil {
 		panic(PanicValue{Site: site})
 	}
 }
 
-// Stall sleeps for the injection's Delay when site fires.
+// Stall sleeps for the injection's Delay when site fires. Like Error, it
+// inlines to one flag test when no plan is armed.
 func Stall(site string) {
+	if !enabled.Load() {
+		return
+	}
+	stallSlow(site)
+}
+
+//go:noinline
+func stallSlow(site string) {
 	if f := Hit(site); f != nil && f.Delay > 0 {
 		time.Sleep(f.Delay)
 	}

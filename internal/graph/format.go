@@ -263,7 +263,12 @@ func writeIndex(path string, stride int64, entries []IndexEntry) error {
 	return f.Close()
 }
 
-func readIndex(path string) (stride int64, entries []IndexEntry, err error) {
+// readIndex loads the sidecar index of a graph with numVertices vertices.
+// The header's stride and entry count are checked before any entry is
+// read, and entries are appended as they arrive rather than preallocated
+// from the declared count, so a corrupt count fails on a short read
+// instead of a huge allocation. checkIndex validates the entries.
+func readIndex(path string, numVertices int64) (stride int64, entries []IndexEntry, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, nil, err
@@ -279,7 +284,17 @@ func readIndex(path string) (stride int64, entries []IndexEntry, err error) {
 	}
 	stride = int64(binary.LittleEndian.Uint64(hdr[8:]))
 	n := int64(binary.LittleEndian.Uint64(hdr[16:]))
-	entries = make([]IndexEntry, 0, n)
+	if stride < 1 {
+		return 0, nil, fmt.Errorf("graph: %s: index stride %d, want at least 1", path, stride)
+	}
+	// One entry per stride vertices, plus the terminal one at numVertices.
+	want := numVertices/stride + 1
+	if numVertices%stride != 0 {
+		want++
+	}
+	if n != want {
+		return 0, nil, fmt.Errorf("graph: %s: index declares %d entries, want %d for %d vertices at stride %d", path, n, want, numVertices, stride)
+	}
 	var rec [24]byte
 	for i := int64(0); i < n; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
@@ -350,10 +365,15 @@ func OpenFile(path string, mode mmap.Mode) (*File, error) {
 		return nil, fmt.Errorf("graph: %s: unsupported version %d", path, version)
 	}
 	flags := binary.LittleEndian.Uint64(b[8:])
+	nv, ne := int64(binary.LittleEndian.Uint64(b[16:])), int64(binary.LittleEndian.Uint64(b[24:]))
+	if nv < 0 || nv > MaxVertices || ne < 0 {
+		m.Close() //lint:syncerr best-effort cleanup; the primary error is already propagating
+		return nil, fmt.Errorf("graph: %s: absurd header counts (%d vertices, %d edges)", path, nv, ne)
+	}
 	f := &File{
 		Path:        path,
-		NumVertices: int64(binary.LittleEndian.Uint64(b[16:])),
-		NumEdges:    int64(binary.LittleEndian.Uint64(b[24:])),
+		NumVertices: nv,
+		NumEdges:    ne,
 		weighted:    flags&flagWeighted != 0,
 		version:     version,
 		m:           m,
@@ -374,7 +394,7 @@ func OpenFile(path string, mode mmap.Mode) (*File, error) {
 			return nil, fmt.Errorf("graph: %s: %d record words, want %d", path, nWords, wantWords)
 		}
 	}
-	if f.stride, f.index, err = readIndex(path + ".idx"); err != nil {
+	if f.stride, f.index, err = readIndex(path+".idx", f.NumVertices); err != nil {
 		if !os.IsNotExist(err) {
 			m.Close() //lint:syncerr best-effort cleanup; the primary error is already propagating
 			return nil, err
@@ -425,22 +445,41 @@ func (f *File) rebuildIndex() error {
 	return nil
 }
 
-// checkIndex validates the final index entry against the header counts.
+// checkIndex validates every index entry, since cursors seek to them
+// (readIndex has checked the stride and the entry count): entry k sits
+// at vertex min(k·stride, |V|), the first at offset 0 with no edges
+// before it, offsets and edge counts never decrease and stay inside the
+// record region and the header's edge count, and the terminal entry
+// accounts for every edge.
 func (f *File) checkIndex() error {
-	if len(f.index) == 0 {
-		return fmt.Errorf("graph: %s: empty index", f.Path)
-	}
-	last := f.index[len(f.index)-1]
-	if last.FirstVertex != f.NumVertices || last.CumEdges != f.NumEdges {
-		return fmt.Errorf("graph: %s: index terminal entry (%d vertices, %d edges) disagrees with header (%d, %d)",
-			f.Path, last.FirstVertex, last.CumEdges, f.NumVertices, f.NumEdges)
-	}
 	limit := int64(len(f.words))
 	if f.version == fileVersionCompact {
 		limit = int64(len(f.raw)) - headerBytes
 	}
-	if last.WordOff > limit {
-		return fmt.Errorf("graph: %s: index end offset %d beyond record region (%d)", f.Path, last.WordOff, limit)
+	last := len(f.index) - 1
+	var prev IndexEntry
+	for k, e := range f.index {
+		want := int64(k) * f.stride // k < last keeps this below |V|
+		if k == last {
+			want = f.NumVertices
+		}
+		switch {
+		case e.FirstVertex != want:
+			return fmt.Errorf("graph: %s: index entry %d starts at vertex %d, want %d", f.Path, k, e.FirstVertex, want)
+		case k == 0 && (e.WordOff != 0 || e.CumEdges != 0):
+			return fmt.Errorf("graph: %s: index entry 0 at offset %d after %d edges, want 0 and 0", f.Path, e.WordOff, e.CumEdges)
+		case e.WordOff < prev.WordOff || e.CumEdges < prev.CumEdges:
+			return fmt.Errorf("graph: %s: index entry %d (offset %d, %d edges) precedes entry %d (offset %d, %d edges)",
+				f.Path, k, e.WordOff, e.CumEdges, k-1, prev.WordOff, prev.CumEdges)
+		case e.WordOff > limit:
+			return fmt.Errorf("graph: %s: index entry %d offset %d beyond record region (%d)", f.Path, k, e.WordOff, limit)
+		case e.CumEdges > f.NumEdges:
+			return fmt.Errorf("graph: %s: index entry %d counts %d edges, header has %d", f.Path, k, e.CumEdges, f.NumEdges)
+		}
+		prev = e
+	}
+	if prev.CumEdges != f.NumEdges {
+		return fmt.Errorf("graph: %s: index terminal entry counts %d edges, header has %d", f.Path, prev.CumEdges, f.NumEdges)
 	}
 	return nil
 }
@@ -559,6 +598,8 @@ func (f *File) Cursor(iv Interval) *Cursor {
 	return &Cursor{
 		words:    f.words,
 		bytes:    f.bytesRegionSafe(),
+		index:    f.index,
+		stride:   f.stride,
 		version:  f.version,
 		pos:      iv.StartWord,
 		end:      iv.EndWord,
@@ -579,8 +620,10 @@ func (f *File) bytesRegionSafe() []byte {
 // of a GPSA dispatcher actor (§V-D: "the dispatcher worker can identify
 // which vertex it is processing" from the id sequence and offsets).
 type Cursor struct {
-	words    []uint32 // version 1 record region
-	bytes    []byte   // version 2 record region
+	words    []uint32     // version 1 record region
+	bytes    []byte       // version 2 record region
+	index    []IndexEntry // the file's index, for SkipTo
+	stride   int64
 	version  uint32
 	pos, end int64
 	v, endV  int64
@@ -622,6 +665,28 @@ func (c *Cursor) Next() (v int64, deg uint32, edges []uint32, ok bool) {
 	c.pos = recEnd + 1
 	c.v++
 	return v, deg, edges, true
+}
+
+// SkipTo moves the cursor forward to the start of the index block holding
+// vertex v (index entry v/stride) when that block starts past the cursor
+// and inside its interval, and returns the vertex the next Next reads.
+// It never moves backward or out of the interval, and it lands on a
+// block start, so Next still reads every vertex from the returned one
+// up to v: a caller skipping to v steps over the rest itself. Index
+// offsets are in the file's own units, so plain and compact files seek
+// alike.
+//
+//gpsa:noalloc
+func (c *Cursor) SkipTo(v int64) int64 {
+	if c.err != nil || v <= c.v || v >= c.endV {
+		return c.v
+	}
+	if k := v / c.stride; k < int64(len(c.index)) {
+		if e := c.index[k]; e.FirstVertex > c.v && e.WordOff <= c.end {
+			c.v, c.pos = e.FirstVertex, e.WordOff
+		}
+	}
+	return c.v
 }
 
 // Err returns the first corruption error encountered, if any.

@@ -75,6 +75,7 @@ var noallocRequired = map[string][]string{
 	"internal/core": {
 		"(*Scan).Run",
 		"(*Scan).fold",
+		"(*Scan).jumped",
 		"(*dispatcher).runSuperstep",
 		"(*dispatcher).flushDense",
 		"(*computer).processSegment",
@@ -83,12 +84,15 @@ var noallocRequired = map[string][]string{
 	},
 	"internal/vertexfile": {
 		"(*File).BulkApply",
+		"(*Updater).Apply",
+		"(*File).NextActive",
 		"(*File).Load",
 		"(*File).Store",
 	},
 	"internal/graph": {
 		"(*Cursor).Next",
 		"(*Cursor).nextCompact",
+		"(*Cursor).SkipTo",
 		"DecodeEdge",
 	},
 	"internal/cluster": {

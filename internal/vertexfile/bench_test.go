@@ -28,14 +28,28 @@ func BenchmarkLoadStore(b *testing.B) {
 	}
 }
 
-// BenchmarkReconcile measures the barrier-time column reconciliation
-// sweep (the O(|V|) correctness pass DESIGN.md documents).
+// BenchmarkReconcile measures a non-durable superstep on 2^20 vertices
+// in which one vertex in 64 is updated: Begin, BulkApply and a commit
+// whose reconcile and digest visit only the active vertices.
 func BenchmarkReconcile(b *testing.B) {
-	f := benchFile(b, 1<<20)
-	b.SetBytes(16 << 20) // two columns of 8-byte slots
+	const n = 1 << 20
+	f := benchFile(b, n)
+	bits := make([]uint64, n/64)
+	for i := range bits {
+		bits[i] = 1
+	}
+	vals := make([]uint64, n)
+	inc := func(v int64, cur, msg uint64, first bool) (uint64, bool, bool) { return cur + 1, true, false }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Reconcile(int64(i))
+		step := int64(i)
+		if err := f.Begin(step, false); err != nil {
+			b.Fatal(err)
+		}
+		f.BulkApply(step, 0, 1, bits, vals, inc)
+		if err := f.Commit(step, true, false); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

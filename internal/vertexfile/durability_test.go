@@ -26,7 +26,7 @@ func TestOpenDetectsWriteOrderViolation(t *testing.T) {
 	if err := f.Begin(0, true); err != nil {
 		t.Fatal(err)
 	}
-	f.Store(UpdateCol(0), 0, Pack(50, false))
+	write(f, 0, 0, 50)
 	if err := f.Commit(0, true, true); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestOpenDetectsWriteOrderViolation(t *testing.T) {
 	if err := f.Begin(1, true); err != nil {
 		t.Fatal(err)
 	}
-	f.Store(UpdateCol(1), 1, Pack(70, false))
+	write(f, 1, 1, 70)
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestColumnSyncFaultLeavesHeaderRunning(t *testing.T) {
 	if err := f.Begin(0, true); err != nil {
 		t.Fatal(err)
 	}
-	f.Store(UpdateCol(0), 2, Pack(99, false))
+	write(f, 0, 2, 99)
 	err = f.Commit(0, true, true)
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("Commit error = %v, want injected column-sync failure", err)
@@ -118,7 +118,7 @@ func TestColumnSyncFaultLeavesHeaderRunning(t *testing.T) {
 	if err := f.Begin(0, true); err != nil {
 		t.Fatal(err)
 	}
-	f.Store(UpdateCol(0), 2, Pack(99, false))
+	write(f, 0, 2, 99)
 	if err := f.Commit(0, true, true); err != nil {
 		t.Fatal(err)
 	}

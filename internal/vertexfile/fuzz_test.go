@@ -116,7 +116,7 @@ func TestOpenRollsBackTornChecksum(t *testing.T) {
 	}
 	// Partial superstep: some update-column writes that must be discarded.
 	for v := int64(0); v < 8; v++ {
-		f.Store(UpdateCol(0), v, Pack(uint64(9999), false))
+		write(f, 0, v, uint64(9999))
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)

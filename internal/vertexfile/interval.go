@@ -121,7 +121,7 @@ func DecodeInterval(blob []byte) (epoch, first int64, slots []uint64, err error)
 // adopting across epochs would splice two different supersteps' states
 // together. Each donor slot lands verbatim in the dispatch column
 // (payload and active flag), and the update column receives the stale
-// copy the first-message rule expects, exactly the state Reconcile
+// copy the first-message rule expects, exactly the state reconcile
 // leaves behind — so the adopted range is bit-indistinguishable from one
 // the recipient computed itself. Durability keeps the file's
 // data-before-header ordering: slots sync first, then the re-sealed

@@ -15,10 +15,9 @@ func evolve(t *testing.T, f *File) {
 		if err := f.Begin(step, true); err != nil {
 			t.Fatalf("Begin(%d): %v", step, err)
 		}
-		ucol := UpdateCol(step)
 		for v := int64(0); v < f.NumVertices(); v++ {
 			if (step == 0 && v%2 == 0) || (step == 1 && v%3 == 0) {
-				f.Store(ucol, v, Pack(uint64(100*step+v), false))
+				write(f, step, v, uint64(100*step+v))
 			}
 		}
 		if err := f.Commit(step, true, true); err != nil {

@@ -85,7 +85,7 @@ func VerifyState(path string) (string, error) {
 		h := uint64(fnvOffset64)
 		for v := int64(0); v < n; v++ {
 			slot := binary.LittleEndian.Uint64(b[slotsOff+8*(2*v+col):])
-			h = fnvWord(h, Payload(slot))
+			h += mix(v, Payload(slot))
 		}
 		if h != want {
 			return "", fmt.Errorf("vertexfile: %s: column digest mismatch (%#x, header sealed %#x): %w",

@@ -19,13 +19,24 @@
 // invariant that *at the start of every superstep the dispatch column
 // holds the newest payload of every vertex*, by copying, at the superstep
 // barrier, the dispatch-column payload over every update-column slot that
-// stayed stale (Reconcile). The pass is sequential, O(|V|), raceless
-// (it runs between supersteps), and is also what makes the paper's
-// lightweight fault tolerance sound: the dispatch column of the crashed
-// superstep is a complete, payload-immutable snapshot of the previous
-// superstep's state.
+// stayed stale (reconcile, run by CommitStep). That is also what makes
+// the paper's lightweight fault tolerance sound: the dispatch column of
+// the crashed superstep is a complete, payload-immutable snapshot of the
+// previous superstep's state.
 //
-// Durability contract (format v3; the full statement lives in DESIGN.md):
+// Reconcile costs what the superstep's active set costs, not O(|V|). It
+// rests on a second invariant: *a vertex stale in the dispatch column at
+// Begin holds the same payload in both columns*. Create, reconcile
+// itself, Recover, Rollback, AdoptInterval and FastForward all leave
+// every stale vertex so, and computing actors only write the update
+// column, so only the vertices Begin's active-set bitmap marks — those
+// updated in the previous superstep — can need a copy or a re-stale. The
+// column digest follows the same way: it is a sum over vertices, and
+// every update-column write (Updater.Apply) books its change to the sum,
+// so the commit adds the booked deltas instead of rehashing the column.
+// The pass is sequential and raceless: it runs between supersteps.
+//
+// Durability contract (format v4; the full statement lives in DESIGN.md):
 // every state transition writes and syncs its data before sealing and
 // syncing the header that makes the data authoritative. Begin syncs the
 // active-set bitmap before sealing the header running; CommitState syncs
@@ -62,7 +73,7 @@ const (
 	PayloadMask = StaleBit - 1
 
 	fileMagic   = 0x46565047 // "GPVF"
-	fileVersion = 3
+	fileVersion = 4
 	headerBytes = 128
 	headerWords = headerBytes / 8
 
@@ -123,6 +134,14 @@ type File struct {
 
 	torn         bool   // Open found a torn header and rolled it back
 	lastRecovery string // "", "none", "exact", "conservative"
+
+	// begun is set by Begin on this handle and cleared by a commit,
+	// Rollback or Recover: reconcile reads Begin's bitmap and pending
+	// holds only this handle's writes, so a commit needs both.
+	begun bool
+	// pending is the digest delta booked by Updater.Publish since the
+	// last commit, Rollback or Recover (see colDigest).
+	pending atomic.Uint64
 }
 
 // Header word indices (64-bit words of the 128-byte header):
@@ -136,8 +155,8 @@ type File struct {
 //	word 6: aggregator value at the last commit (float64 bits)
 //	word 7: active-set checksum — FNV-1a over the epoch and the bitmap
 //	        region; sealed by Begin, meaningful while state is running
-//	word 8: column digest — FNV-1a over the current dispatch column's
-//	        payloads; 0 means absent (reconcile disabled)
+//	word 8: column digest — colDigest of the current dispatch column;
+//	        0 means absent (the last commit skipped reconcile)
 //	words 9-15: reserved (zero)
 //
 // Between the header and the slots sits the active-set bitmap region
@@ -209,13 +228,27 @@ func (f *File) activeSum(step int64) uint64 {
 	return h
 }
 
-// colDigest hashes the payloads of column col. The stale flags are
-// excluded: they are advisory dispatch state, mutated in place by
+// mix hashes one (vertex, payload) pair for the column digest: the
+// SplitMix64 finalizer over payload + v·golden-gamma, so equal payloads
+// at different vertices, and a flipped payload bit, land far apart.
+func mix(v int64, payload uint64) uint64 {
+	z := payload + uint64(v)*0x9E3779B97F4A7C15
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+// colDigest hashes the payloads of column col: fnvOffset64 + Σ_v
+// mix(v, payload) mod 2^64. The sum is order-independent, so a write can
+// update it in O(1) — subtract the old term, add the new (Updater.Apply)
+// — and a commit seals it without an O(|V|) pass; Open, Verify, Recover,
+// AdoptInterval and FastForward recompute it in full. The stale flags
+// are excluded: they are advisory dispatch state, mutated in place by
 // recovery, while the payloads are what resume correctness rests on.
 func (f *File) colDigest(col int) uint64 {
 	h := uint64(fnvOffset64)
 	for v := int64(0); v < f.numVertices; v++ {
-		h = fnvWord(h, Payload(f.Load(col, v)))
+		h += mix(v, Payload(f.Load(col, v)))
 	}
 	return h
 }
@@ -335,8 +368,8 @@ func (f *File) Torn() bool { return f.torn }
 func (f *File) LastRecovery() string { return f.lastRecovery }
 
 // NewMemory builds a purely in-memory value store with the same
-// interface: Begin/Commit/Reconcile/Recover all work, with durability
-// syncs as no-ops. Pairs with graph.NewMemoryFile for zero-file library
+// interface: Begin/Commit/Recover all work, with durability syncs as
+// no-ops. Pairs with graph.NewMemoryFile for zero-file library
 // embedding.
 func NewMemory(numVertices int64, init func(v int64) (payload uint64, active bool)) (*File, error) {
 	if numVertices <= 0 {
@@ -357,6 +390,7 @@ func NewMemory(numVertices int64, init func(v int64) (payload uint64, active boo
 		f.Store(0, v, Pack(payload, !active))
 		f.Store(1, v, Pack(payload, true))
 	}
+	atomic.StoreUint64(&f.header[hdrColDigest], f.colDigest(0))
 	return f, nil
 }
 
@@ -436,51 +470,114 @@ func (f *File) Store(col int, v int64, slot uint64) {
 	atomic.StoreUint64(&f.slots[2*v+int64(col)], slot)
 }
 
-// ApplyFunc folds one combined message into a vertex during BulkApply.
+// ApplyFunc folds one combined message into a vertex (Updater.Apply).
 // cur carries first-message semantics already resolved against the
-// dispatch column. Returning stop=true abandons the rest of the segment
+// dispatch column. Returning stop=true abandons the rest of the batch
 // (run teardown); changed=false leaves the slot untouched.
 type ApplyFunc func(v int64, cur, msg uint64, first bool) (newVal uint64, changed, stop bool)
 
+// Updater is one writer's handle on a superstep's update column, and
+// Apply the only way a vertex value changes. Each goroutine writing the
+// column holds its own Updater and calls Publish when its batch is done:
+// one atomic add per batch, not per write.
+type Updater struct {
+	f          *File
+	dcol, ucol int
+	delta      uint64 // booked digest delta not yet published
+}
+
+// Updater returns a write handle on superstep step's update column.
+func (f *File) Updater(step int64) Updater {
+	return Updater{f: f, dcol: DispatchCol(step), ucol: UpdateCol(step)}
+}
+
+// Apply folds msg into vertex v through fn. It applies the first-message
+// rule of the paper's Algorithm 3 — a still-stale update slot reads its
+// previous value from the dispatch column — stores a changed value
+// fresh, and books the write's digest delta mix(v, new) − mix(v, cur).
+// A superstep's deltas for v telescope to mix(v, final) − mix(v, start),
+// which is what lets CommitStep seal the next dispatch column's digest
+// without rehashing it.
+//
+//gpsa:noalloc
+func (u *Updater) Apply(v int64, msg uint64, fn ApplyFunc) (changed, stop bool) {
+	f := u.f
+	slot := f.Load(u.ucol, v)
+	first := Stale(slot)
+	cur := Payload(slot)
+	if first {
+		cur = Payload(f.Load(u.dcol, v))
+	}
+	newVal, changed, stop := fn(v, cur, msg, first)
+	if stop || !changed {
+		return false, stop
+	}
+	newVal &= PayloadMask
+	f.Store(u.ucol, v, newVal)
+	u.delta += mix(v, newVal) - mix(v, cur)
+	return true, false
+}
+
+// Publish hands the booked digest delta to the file for the next commit.
+//
+//gpsa:noalloc
+func (u *Updater) Publish() {
+	u.f.pending.Add(u.delta)
+	u.delta = 0
+}
+
 // BulkApply folds a dense accumulator segment into superstep step's
 // update column: for every set bit i of bits, vertex offset + i*stride
-// receives the combined message vals[i]. The first-message rule of the
-// paper's Algorithm 3 is applied inline — a still-stale update slot reads
-// its previous value from the dispatch column — and updated slots are
-// stored fresh, exactly like the per-message path. It returns the number
-// of vertices whose value changed. Present entries are visited in
-// ascending vertex order, which keeps the fold deterministic.
+// receives the combined message vals[i] through Updater.Apply. It returns
+// the number of vertices whose value changed. Present entries are visited
+// in ascending vertex order, which keeps the fold deterministic.
 //
 //gpsa:noalloc
 func (f *File) BulkApply(step, offset, stride int64, bits, vals []uint64, fn ApplyFunc) (updates int64) {
-	dcol, ucol := DispatchCol(step), UpdateCol(step)
+	u := f.Updater(step)
+segment:
 	for wi, word := range bits {
 		base := int64(wi) * 64
-		for word != 0 {
-			b := mathbits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			i := base + int64(b)
+		for ; word != 0; word &= word - 1 {
+			i := base + int64(mathbits.TrailingZeros64(word))
 			v := offset + i*stride
 			if v >= f.numVertices {
-				return updates
+				break segment
 			}
-			slot := f.Load(ucol, v)
-			first := Stale(slot)
-			cur := Payload(slot)
-			if first {
-				cur = Payload(f.Load(dcol, v))
-			}
-			newVal, changed, stop := fn(v, cur, vals[i], first)
+			changed, stop := u.Apply(v, vals[i], fn)
 			if stop {
-				return updates
+				break segment
 			}
 			if changed {
-				f.Store(ucol, v, Pack(newVal, false))
 				updates++
 			}
 		}
 	}
+	u.Publish()
 	return updates
+}
+
+// NextActive returns the first vertex in [v, end) that Begin's active-set
+// bitmap marks — fresh in the dispatch column when the running superstep
+// began — or end if there is none. It is a skip hint for dispatchers; a
+// slot's stale flag stays the authority.
+//
+//gpsa:noalloc
+func (f *File) NextActive(v, end int64) int64 {
+	end = min(end, f.numVertices)
+	if v >= end {
+		return end
+	}
+	wi := v >> 6
+	w := f.bitmap[wi] &^ (uint64(1)<<uint(v&63) - 1)
+	for w == 0 {
+		wi++
+		if wi<<6 >= end {
+			return end
+		}
+		w = f.bitmap[wi]
+	}
+	return min(wi<<6+int64(mathbits.TrailingZeros64(w)), end)
 }
 
 func (f *File) syncHeader() error {
@@ -533,6 +630,7 @@ func (f *File) Begin(step int64, durable bool) error {
 	atomic.StoreUint64(&f.header[hdrActiveSum], f.activeSum(step))
 	f.setState(stateRunning)
 	f.sealHeader()
+	f.begun = true
 	if !durable {
 		return nil
 	}
@@ -544,8 +642,8 @@ func (f *File) Begin(step int64, durable bool) error {
 // aggregator's value, the algorithm state a resumed run needs to be a
 // true continuation rather than a restart-from-values approximation.
 type CommitState struct {
-	// Reconcile restores the cross-superstep column invariant (see
-	// Reconcile); disable only for ablation runs of programs whose every
+	// Reconcile restores the cross-superstep column invariants (see
+	// reconcile); disable only for ablation runs of programs whose every
 	// active vertex is re-updated each superstep.
 	Reconcile bool
 	// Durable syncs columns and header (in that order) to disk.
@@ -570,10 +668,16 @@ func (f *File) Commit(step int64, reconcile, durable bool) error {
 // crash at any instant leaves either a running header (superstep s rolls
 // back) or a clean header whose digest provably matches the bytes on
 // disk (superstep s committed) — never a sealed header describing column
-// bytes that were not written.
+// bytes that were not written. The superstep must have been begun on
+// this handle: reconcile visits the vertices Begin's bitmap marks, and
+// the digest adds the deltas this handle's Updaters published, so a
+// commit without Begin is refused and leaves the file untouched.
 func (f *File) CommitStep(step int64, st CommitState) error {
 	if step != f.Epoch() {
 		return fmt.Errorf("vertexfile: commit superstep %d, but epoch is %d", step, f.Epoch())
+	}
+	if !f.begun || !f.InProgress() {
+		return fmt.Errorf("vertexfile: commit superstep %d: not begun on this handle; call Begin first", step)
 	}
 	if ferr := fault.Error(fault.SiteCommitTorn); ferr != nil {
 		// Simulate a crash tearing the header mid-flush: the state word
@@ -586,7 +690,7 @@ func (f *File) CommitStep(step int64, st CommitState) error {
 	}
 	var digest uint64
 	if st.Reconcile {
-		digest = f.reconcileDigest(step)
+		digest = f.reconcile(step)
 	}
 	fault.Crash(fault.SiteKillCommitColumns)
 	if st.Durable {
@@ -608,6 +712,8 @@ func (f *File) CommitStep(step int64, st CommitState) error {
 	atomic.StoreUint64(&f.header[hdrAggregate], math.Float64bits(st.Aggregate))
 	atomic.StoreUint64(&f.header[hdrColDigest], digest)
 	f.sealHeader()
+	f.begun = false
+	f.pending.Store(0)
 	if st.Durable {
 		if err := f.syncHeader(); err != nil {
 			return fmt.Errorf("vertexfile: commit superstep %d: header sync: %w", step, err)
@@ -617,25 +723,8 @@ func (f *File) CommitStep(step int64, st CommitState) error {
 	return nil
 }
 
-// reconcileDigest is Reconcile fused with the digest of the resulting
-// next dispatch column (the update column's payloads after the pass),
-// saving a second O(|V|) sweep per commit.
-func (f *File) reconcileDigest(step int64) uint64 {
-	d, u := DispatchCol(step), UpdateCol(step)
-	h := uint64(fnvOffset64)
-	for v := int64(0); v < f.numVertices; v++ {
-		slot := f.Load(u, v)
-		if Stale(slot) {
-			slot = Payload(f.Load(d, v)) | StaleBit
-			f.Store(u, v, slot)
-		}
-		f.Store(d, v, f.Load(d, v)|StaleBit)
-		h = fnvWord(h, Payload(slot))
-	}
-	return h
-}
-
-// Reconcile restores the cross-superstep invariants after superstep step:
+// reconcile restores the cross-superstep invariants after superstep step
+// and returns the digest of the next dispatch column:
 //
 //  1. For every vertex whose update-column slot stayed stale (not updated
 //     in step), the dispatch-column payload is copied over it, so the
@@ -644,10 +733,42 @@ func (f *File) reconcileDigest(step int64) uint64 {
 //  2. Every dispatch-column slot is re-marked stale: that column becomes
 //     the next superstep's update column, whose stale flag doubles as the
 //     first-message detector. (Dispatchers also stale consumed slots as
-//     they go, per paper Algorithm 2; this sweep additionally covers
-//     vertices that were skipped.)
-func (f *File) Reconcile(step int64) {
-	f.reconcileDigest(step)
+//     they go, per paper Algorithm 2; this pass additionally covers
+//     vertices no dispatcher scanned.)
+//
+// Both are no-ops for a vertex stale at Begin (see the package doc), so
+// only the vertices Begin's bitmap marks are visited, and the digest is
+// the sealed one plus the published deltas. A file whose last commit
+// skipped reconcile (digest word 0) never had those invariants restored,
+// so it gets the full sweep and a full digest instead. Slots already in
+// their reconciled state are not rewritten, which keeps their pages
+// clean for the column msync.
+func (f *File) reconcile(step int64) uint64 {
+	d, u := DispatchCol(step), UpdateCol(step)
+	sealed := atomic.LoadUint64(&f.header[hdrColDigest])
+	if sealed == 0 {
+		for v := int64(0); v < f.numVertices; v++ {
+			f.reconcileVertex(d, u, v)
+		}
+		return f.colDigest(u)
+	}
+	for wi, word := range f.bitmap {
+		for ; word != 0; word &= word - 1 {
+			f.reconcileVertex(d, u, int64(wi)<<6|int64(mathbits.TrailingZeros64(word)))
+		}
+	}
+	return sealed + f.pending.Load()
+}
+
+func (f *File) reconcileVertex(d, u int, v int64) {
+	if slot := f.Load(u, v); Stale(slot) {
+		if want := Payload(f.Load(d, v)) | StaleBit; want != slot {
+			f.Store(u, v, want)
+		}
+	}
+	if slot := f.Load(d, v); !Stale(slot) {
+		f.Store(d, v, slot|StaleBit)
+	}
 }
 
 // Recover rolls a crashed file back to the start of the interrupted
@@ -667,6 +788,8 @@ func (f *File) Reconcile(step int64) {
 // property). On a clean file Recover is a no-op returning the current
 // epoch.
 func (f *File) Recover() (int64, error) {
+	f.begun = false
+	f.pending.Store(0)
 	step := f.Epoch()
 	if !f.InProgress() {
 		f.lastRecovery = "none"
@@ -726,6 +849,8 @@ func (f *File) Rollback(step int64, durable bool) error {
 		f.Store(d, v, Pack(p, !active))
 		f.Store(u, v, p|StaleBit)
 	}
+	f.begun = false
+	f.pending.Store(0)
 	metrics.Inc(metrics.CtrStepRollbacks)
 	if durable {
 		if err := f.syncSlots(); err != nil {
@@ -749,7 +874,7 @@ func (f *File) Rollback(step int64, durable bool) error {
 //
 // Soundness rests on two invariants that hold between Commit(step) and
 // the next Begin: the old dispatch column DispatchCol(step) is still
-// payload-immutable (Commit's reconcile pass only toggles its flags and
+// payload-immutable (Commit's reconcile only toggles its flags and
 // writes the other column), so it remains the exact start-of-step
 // snapshot; and the bitmap region still holds the active set Begin(step)
 // sealed (Commit never touches it). Rewind therefore re-declares the

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -21,6 +22,14 @@ func create(t *testing.T, n int64, init func(v int64) (uint64, bool)) *File {
 	}
 	t.Cleanup(func() { f.Close() })
 	return f
+}
+
+// write stores val as vertex v's value in superstep step through the
+// update path (Updater.Apply), as a computing actor would.
+func write(f *File, step, v int64, val uint64) {
+	u := f.Updater(step)
+	u.Apply(v, val, func(_ int64, _, msg uint64, _ bool) (uint64, bool, bool) { return msg, true, false })
+	u.Publish()
 }
 
 func TestPackUnpack(t *testing.T) {
@@ -133,7 +142,7 @@ func TestReconcilePropagatesNewestValues(t *testing.T) {
 	if err := f.Begin(0, true); err != nil {
 		t.Fatal(err)
 	}
-	f.Store(UpdateCol(0), 0, Pack(99, false)) // compute updated vertex 0
+	write(f, 0, 0, 99) // compute updated vertex 0
 	if err := f.Commit(0, true, true); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +171,7 @@ func TestIdleVertexSurvivesManySupersteps(t *testing.T) {
 			t.Fatal(err)
 		}
 		if step == 0 {
-			f.Store(UpdateCol(0), 0, Pack(55, false))
+			write(f, 0, 0, 55)
 		}
 		if err := f.Commit(step, true, true); err != nil {
 			t.Fatal(err)
@@ -181,7 +190,7 @@ func TestOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Begin(0, true)
-	f.Store(UpdateCol(0), 1, Pack(111, false))
+	write(f, 0, 1, 111)
 	f.Commit(0, true, true)
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -227,13 +236,13 @@ func TestRecoverRollsBackCrashedSuperstep(t *testing.T) {
 	// Superstep 0 completes: all values doubled.
 	f.Begin(0, true)
 	for v := int64(0); v < 3; v++ {
-		f.Store(UpdateCol(0), v, Pack(uint64(v+1)*2, false))
+		write(f, 0, v, uint64(v+1)*2)
 	}
 	f.Commit(0, true, true)
 	// Superstep 1 crashes midway: vertex 0 got a partial update, and a
 	// dispatcher already consumed vertex 1's fresh mark.
 	f.Begin(1, true)
-	f.Store(UpdateCol(1), 0, Pack(12345, false))
+	write(f, 1, 0, 12345)
 	d := DispatchCol(1)
 	f.Store(d, 1, f.Load(d, 1)|StaleBit)
 	f.Sync()
@@ -273,7 +282,7 @@ func TestRecoverRollsBackCrashedSuperstep(t *testing.T) {
 func TestRecoverOnCleanFileIsNoop(t *testing.T) {
 	f := create(t, 2, nil)
 	f.Begin(0, true)
-	f.Store(UpdateCol(0), 0, Pack(9, false))
+	write(f, 0, 0, 9)
 	f.Commit(0, true, true)
 	step, err := f.Recover()
 	if err != nil {
@@ -321,7 +330,7 @@ func TestValueTracksLastWriteProperty(t *testing.T) {
 			}
 			if s.Update {
 				v := int64(s.Vertex % n)
-				f.Store(UpdateCol(st), v, Pack(uint64(s.Payload), false))
+				write(f, st, v, uint64(s.Payload))
 				want[v] = uint64(s.Payload)
 			}
 			if err := f.Commit(st, true, true); err != nil {
@@ -389,6 +398,18 @@ func TestOpenRejectsWrongMagicAndVersion(t *testing.T) {
 	if _, err := Open(badPath); err == nil {
 		t.Fatal("bad version accepted")
 	}
+	// A format-3 file (FNV-chained column digest) fails the version
+	// check, not the digest check.
+	bad[4] = 3
+	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(badPath); err == nil || !strings.Contains(err.Error(), "unsupported version 3") {
+		t.Fatalf("format-3 file: Open error %v, want unsupported version 3", err)
+	}
+	if err := Verify(badPath); err == nil || !strings.Contains(err.Error(), "unsupported version 3") {
+		t.Fatalf("format-3 file: Verify error %v, want unsupported version 3", err)
+	}
 	// Truncated slot region.
 	badPath = filepath.Join(dir, "truncated")
 	if err := os.WriteFile(badPath, raw[:len(raw)-8], 0o644); err != nil {
@@ -441,7 +462,7 @@ func TestRecoverRestoresLastCommitProperty(t *testing.T) {
 			if i == crashAt {
 				// Partial superstep: an update may land, then we "crash".
 				if s.Update {
-					f.Store(UpdateCol(st), int64(s.Vertex%n), Pack(uint64(s.Payload), false))
+					write(f, st, int64(s.Vertex%n), uint64(s.Payload))
 				}
 				f.Close()
 				g, err := Open(path)
@@ -470,7 +491,7 @@ func TestRecoverRestoresLastCommitProperty(t *testing.T) {
 			}
 			if s.Update {
 				v := int64(s.Vertex % n)
-				f.Store(UpdateCol(st), v, Pack(uint64(s.Payload), false))
+				write(f, st, v, uint64(s.Payload))
 				want[v] = uint64(s.Payload)
 			}
 			if err := f.Commit(st, true, true); err != nil {
@@ -495,7 +516,7 @@ func TestRewindUncommitsSuperstep(t *testing.T) {
 	if err := f.Begin(0, true); err != nil {
 		t.Fatal(err)
 	}
-	f.Store(UpdateCol(0), 0, Pack(99, false)) // vertex 0 updated, vertex 1 idle
+	write(f, 0, 0, 99) // vertex 0 updated, vertex 1 idle
 	if err := f.Commit(0, true, true); err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +546,7 @@ func TestRewindUncommitsSuperstep(t *testing.T) {
 	if err := f.Begin(0, true); err != nil {
 		t.Fatal(err)
 	}
-	f.Store(UpdateCol(0), 0, Pack(99, false))
+	write(f, 0, 0, 99)
 	if err := f.Commit(0, true, true); err != nil {
 		t.Fatal(err)
 	}
@@ -540,11 +561,11 @@ func TestRewindUncommitsSuperstep(t *testing.T) {
 func TestRewindRestoresPartialActiveSet(t *testing.T) {
 	f := create(t, 2, func(v int64) (uint64, bool) { return uint64(10 + v), true })
 	f.Begin(0, true)
-	f.Store(UpdateCol(0), 0, Pack(99, false))
+	write(f, 0, 0, 99)
 	f.Commit(0, true, true)
 	// Entering superstep 1 only vertex 0 is active.
 	f.Begin(1, true)
-	f.Store(UpdateCol(1), 0, Pack(100, false))
+	write(f, 1, 0, 100)
 	f.Commit(1, true, true)
 
 	if err := f.Rewind(1); err != nil {
