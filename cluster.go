@@ -21,7 +21,8 @@ type ClusterOptions struct {
 	// StepRetries is the rollback-and-retry budget, mirroring
 	// RunOptions.StepRetries for single-node runs: a superstep that loses
 	// a node (crash, wedge, corrupt frame) is rolled back across the
-	// cluster, the dead node replaced via the rejoin handshake, and the
+	// cluster, the dead node replaced by a same-id node sealed at the
+	// barrier (or retired, with RedistributeDead), and the
 	// step retried — at most this many times per run. Zero fails fast.
 	StepRetries int
 	// HeartbeatInterval is how often idle nodes ping the coordinator
@@ -34,7 +35,7 @@ type ClusterOptions struct {
 	// wedged-node and one-way-partition detector (0 = 4x NodeTimeout;
 	// negative disables).
 	PhaseTimeout time.Duration
-	// RecoveryTimeout bounds one rollback/rejoin cycle (0 = 30s).
+	// RecoveryTimeout bounds one rollback/replacement cycle (0 = 30s).
 	RecoveryTimeout time.Duration
 	// Splits is how many vertex intervals each initial node starts with
 	// (0 = 1). Elastic membership migrates whole intervals, so Splits >= 2
@@ -43,9 +44,10 @@ type ClusterOptions struct {
 	// Events schedules elastic-membership operations — mid-job joins and
 	// drains — at superstep barriers.
 	Events []MembershipEvent
-	// RedistributeDead retires a crashed node permanently, salvaging its
-	// sealed value file and migrating its intervals to the survivors,
-	// instead of restarting a same-id replacement.
+	// RedistributeDead retires a crashed node permanently while a member
+	// survives: at the next barrier its intervals move out of its sealed
+	// value file onto the survivors, instead of restarting a same-id
+	// replacement.
 	RedistributeDead bool
 	// Rebalance runs the greedy edge-weight balancer at every barrier,
 	// migrating intervals toward the balance point (free once balanced).

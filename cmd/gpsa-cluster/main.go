@@ -9,8 +9,8 @@
 //	gpsa-cluster -graph web-sym.gpsa -algo cc -nodes 3 -retries 3
 //
 // With -retries > 0 the run survives node deaths: a failed superstep is
-// rolled back across the cluster, the dead node is replaced via the
-// rejoin handshake (replaying its interval from its sealed value file),
+// rolled back across the cluster, the dead node is replaced by a same-id
+// node that seals its value file at the barrier and enters with JOIN,
 // and the step retried. Chaos can be injected into a run through the
 // GPSA_FAULT environment variable — the same seeded fault plans the
 // torture harness uses (internal/chaostest), e.g.
@@ -62,7 +62,7 @@ func run() int {
 		retries    = flag.Int("retries", 0, "rollback-and-retry a failed superstep up to N times, replacing dead nodes (0 = fail fast)")
 		nodeTO     = flag.Duration("node-timeout", 0, "declare a totally silent node dead after this long (0 = 15s)")
 		phaseTO    = flag.Duration("phase-timeout", 0, "fail a superstep when a node heartbeats without progress this long (0 = 4x node-timeout)")
-		recoveryTO = flag.Duration("recovery-timeout", 0, "bound one rollback/rejoin cycle (0 = 30s)")
+		recoveryTO = flag.Duration("recovery-timeout", 0, "bound one rollback/replacement cycle (0 = 30s)")
 		heartbeat  = flag.Duration("heartbeat", 0, "idle-node heartbeat interval (0 = 500ms, negative disables)")
 		splits     = flag.Int("splits", 0, "vertex intervals per node (0 = 1); >= 2 gives migration sub-node granularity")
 		drains     = flag.String("drain", "", "drain nodes mid-job: comma-separated node@step entries, e.g. 1@2,0@5")

@@ -27,11 +27,12 @@ func TestMain(m *testing.M) {
 }
 
 // runScenario executes one seeded chaos schedule and holds the disturbed
-// run to the undisturbed baseline, bit for bit. It returns the plan so
-// callers can count firings.
+// run to the undisturbed baseline, bit for bit. It logs the price of the
+// disturbance — both wall clocks, their difference, and the recovery
+// counters — and returns the plan so callers can count firings.
 func runScenario(t *testing.T, sc Scenario) *fault.Plan {
 	t.Helper()
-	want, err := fx.Baseline(sc.Baseline, sc.Prog, sc.Symmetric, sc.MaxSupersteps, sc.Splits)
+	want, baseWall, err := fx.Baseline(sc.Baseline, sc.Prog, sc.Symmetric, sc.MaxSupersteps, sc.Splits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +46,16 @@ func runScenario(t *testing.T, sc Scenario) *fault.Plan {
 	plan := fault.NewPlan(sc.Seed, sc.Injections...)
 	fault.Activate(plan)
 	defer fault.Deactivate()
+	t0 := time.Now()
 	res, values, err := cluster.Run(fx.Graph(sc.Symmetric), sc.Prog, sc.ClusterConfig())
+	wall := time.Since(t0)
 	fault.Deactivate()
 	if err != nil {
 		t.Fatalf("disturbed run failed: %v", err)
 	}
+	t.Logf("recovery cost: disturbed %v, baseline %v, difference %v; rollbacks %d, rejoins %d, redistributions %d",
+		wall.Round(time.Millisecond), baseWall.Round(time.Millisecond), (wall - baseWall).Round(time.Millisecond),
+		res.Rollbacks, res.Rejoins, res.Redistributions)
 	if len(values) != len(want) {
 		t.Fatalf("disturbed run returned %d values, baseline %d", len(values), len(want))
 	}
@@ -105,9 +111,8 @@ func runScenario(t *testing.T, sc Scenario) *fault.Plan {
 // TestChaosSmoke is the always-on slice of the torture schedule: one node
 // killed at the compute barrier of a 3-node CC job — after some nodes
 // have already committed the superstep, so the retry exercises both
-// Rewind (committed survivors) and the rejoin handshake (the
-// replacement). Runs with the ordinary test suite; the full schedule is
-// `make chaos`.
+// Rewind (committed survivors) and the replacement's JOIN handshake.
+// Runs with the ordinary test suite; the full schedule is `make chaos`.
 func TestChaosSmoke(t *testing.T) {
 	runScenario(t, Scenario{
 		Name:          "smoke-cc-kill-mid-barrier",
@@ -166,7 +171,8 @@ func TestChaosMigrationSmoke(t *testing.T) {
 }
 
 // TestChaosElastic is the always-on elastic-membership schedule: node
-// replacement after permanent death, a mid-job join, a drain under load,
+// replacement after permanent death (one node, and two in the same
+// superstep), a mid-job join, a drain under load,
 // and a node killed in the middle of a migration. Every disturbed run
 // must end bit-identical to its undisturbed fixed-membership baseline,
 // with the membership machinery provably exercised via the cluster.*
@@ -177,10 +183,10 @@ func TestChaosElastic(t *testing.T) {
 
 	scenarios := []Scenario{
 		{
-			// A node dies for good mid-dispatch: under RedistributeDead its
-			// sealed value file is salvaged and its intervals adopted by the
-			// survivors — the cluster finishes the job with 2 members and no
-			// rejoin ever happens.
+			// A node dies for good mid-dispatch: under RedistributeDead it is
+			// retired, and at the next barrier its intervals move out of its
+			// sealed value file onto the survivors — the cluster finishes
+			// the job with 2 members and no replacement ever boots.
 			Name: "cc-replace-after-permanent-death", Prog: cc, Baseline: "cc-s4", Symmetric: true, MaxSupersteps: 100, Seed: 33,
 			Splits:        4,
 			Redistribute:  true,
@@ -188,9 +194,20 @@ func TestChaosElastic(t *testing.T) {
 			WantRollbacks: true, WantRedistributions: true, WantLive: 2,
 		},
 		{
+			// Two nodes die in the same superstep under RedistributeDead:
+			// recovery retires both while the third survives, and at the
+			// next barrier every orphaned interval moves out of the dead
+			// nodes' sealed files onto the one member left.
+			Name: "cc-redistribute-double-death", Prog: cc, Baseline: "cc-s4", Symmetric: true, MaxSupersteps: 100, Seed: 40,
+			Splits:        4,
+			Redistribute:  true,
+			Injections:    []fault.Injection{{Site: fault.SiteNodeKillDispatch, After: 17, Count: 2}},
+			WantRollbacks: true, WantRedistributions: true, WantLive: 1,
+		},
+		{
 			// A brand-new node joins at the superstep-2 barrier: it boots a
-			// fresh value file fast-forwarded to the join epoch and receives
-			// intervals via live migration.
+			// fresh value file at the join epoch, enters with JOIN, and
+			// receives intervals from live donors.
 			Name: "pagerank-join-mid-job", Prog: pagerank, Baseline: "pagerank-s4", MaxSupersteps: 5, Seed: 34,
 			Splits:    4,
 			Events:    []cluster.MembershipEvent{{Step: 2, Op: cluster.OpJoin}},
@@ -206,8 +223,8 @@ func TestChaosElastic(t *testing.T) {
 		},
 		{
 			// The donor is killed handling the very first MIGRATE frame of a
-			// drain: the rollback/rejoin machinery replaces it and the drain
-			// reruns at the same barrier to completion.
+			// drain: recovery replaces it with a same-id node sealed at the
+			// barrier, and the drain reruns there to completion.
 			Name: "cc-kill-mid-migration", Prog: cc, Baseline: "cc-s4", Symmetric: true, MaxSupersteps: 100, Seed: 36,
 			Splits:        4,
 			Events:        []cluster.MembershipEvent{{Step: 2, Op: cluster.OpDrain, Node: 2}},

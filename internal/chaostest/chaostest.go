@@ -5,7 +5,7 @@
 // jitter window, connection resets, torn and bit-flipped frames — and
 // asserts the disturbed run converges to final vertex values
 // bit-identical to an undisturbed baseline, with the recovery machinery
-// (superstep rollback, node rejoin, frame checksums) provably exercised
+// (superstep rollback, node replacement, frame checksums) provably exercised
 // via the cluster.* metrics.
 //
 // The package holds only the harness plumbing; the torture schedules
@@ -35,7 +35,15 @@ type Fixture struct {
 	symmetric string
 
 	mu        sync.Mutex
-	baselines map[string][]uint64
+	baselines map[string]baseline
+}
+
+// baseline is one memoized undisturbed run: its final values and its
+// wall clock, the reference a disturbed run's recovery cost is priced
+// against.
+type baseline struct {
+	values []uint64
+	wall   time.Duration
 }
 
 // NewFixture generates the torture graphs under a fresh temp dir: a
@@ -47,7 +55,7 @@ func NewFixture() (*Fixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fixture{dir: dir, baselines: make(map[string][]uint64)}
+	f := &Fixture{dir: dir, baselines: make(map[string]baseline)}
 	g, err := gen.RMATGraph(gen.RMATConfig{Vertices: 400, Edges: 2600, Seed: 7})
 	if err != nil {
 		os.RemoveAll(dir)
@@ -95,28 +103,31 @@ func Config(maxSupersteps int) cluster.Config {
 
 // Baseline returns the undisturbed final vertex values for prog on the
 // chosen graph — the bit-exactness reference every disturbed run is held
-// to. The baseline shares the scenario's interval partition (splits) —
+// to — and the wall clock of the cluster.Run that produced them. The
+// baseline shares the scenario's interval partition (splits) —
 // partition geometry is what batch boundaries and fold order hang off —
 // but runs with FIXED membership and no chaos: an elastic run is held
 // bit-identical to a never-disturbed, never-migrated cluster. Memoized
 // per key; must not be called with a fault plan active.
-func (f *Fixture) Baseline(key string, prog core.Program, symmetric bool, maxSupersteps, splits int) ([]uint64, error) {
+func (f *Fixture) Baseline(key string, prog core.Program, symmetric bool, maxSupersteps, splits int) ([]uint64, time.Duration, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if v, ok := f.baselines[key]; ok {
-		return v, nil
+	if b, ok := f.baselines[key]; ok {
+		return b.values, b.wall, nil
 	}
 	if fault.Enabled() {
-		return nil, fmt.Errorf("chaostest: baseline %q requested while a fault plan is active", key)
+		return nil, 0, fmt.Errorf("chaostest: baseline %q requested while a fault plan is active", key)
 	}
 	cfg := Config(maxSupersteps)
 	cfg.Splits = splits
+	t0 := time.Now()
 	_, values, err := cluster.Run(f.Graph(symmetric), prog, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("chaostest: undisturbed baseline %q failed: %w", key, err)
+		return nil, 0, fmt.Errorf("chaostest: undisturbed baseline %q failed: %w", key, err)
 	}
-	f.baselines[key] = values
-	return values, nil
+	b := baseline{values: values, wall: time.Since(t0)}
+	f.baselines[key] = b
+	return b.values, b.wall, nil
 }
 
 // Scenario is one seeded chaos schedule over one algorithm.

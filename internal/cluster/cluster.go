@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mmap"
-	"repro/internal/vertexfile"
 )
 
 // Config tunes a distributed run.
@@ -42,16 +41,17 @@ type Config struct {
 	// wedged-node and one-way-partition detector (default 4x NodeTimeout;
 	// negative disables).
 	PhaseTimeout time.Duration
-	// RecoveryTimeout bounds one rollback/rejoin cycle: survivors must
+	// RecoveryTimeout bounds one rollback/replacement cycle: survivors must
 	// acknowledge the rollback and a replacement node must dial back in
 	// within it (default 30s).
 	RecoveryTimeout time.Duration
 	// StepRetries is the run's rollback-and-retry budget, mirroring
 	// core.Config.MaxStepRetries: a failed superstep (dead node, wedged
 	// phase, corrupt frame) is rolled back across the cluster — dead
-	// nodes replaced via the rejoin handshake, replaying their interval
-	// from the sealed value file — and retried, at most this many times
-	// per run. Zero (the default) fails fast on the first fault.
+	// nodes replaced by same-id nodes that seal their value file at the
+	// barrier, or retired under RedistributeDead — and retried, at most
+	// this many times per run. Zero (the default) fails fast on the first
+	// fault.
 	StepRetries int
 	// Splits is how many vertex intervals each initial node starts with
 	// (default 1). The partition is fixed for the life of the job —
@@ -65,8 +65,9 @@ type Config struct {
 	Events []MembershipEvent
 	// DeadNodes selects the recovery policy for nodes whose control
 	// connection dies: RestartDead (default) boots a same-id replacement;
-	// RedistributeDead salvages the dead node's sealed value file and
-	// migrates its intervals to survivors (N -> N-1 degradation).
+	// RedistributeDead retires the dead node and, at the next barrier,
+	// moves its intervals out of its sealed value file onto the survivors
+	// (N -> N-1 degradation).
 	DeadNodes DeadNodePolicy
 	// Rebalance, when set, runs the greedy edge-weight balancer at every
 	// barrier and migrates intervals toward the balance point (a no-op —
@@ -200,7 +201,17 @@ func Run(graphPath string, prog core.Program, cfg Config) (*Result, []uint64, er
 	nodePath := func(id int) string {
 		return filepath.Join(workDir, fmt.Sprintf("node-%d.gpvf", id))
 	}
-	boot := func(id int, mode bootMode, joinEpoch int64) error {
+	coord.boot = func(id int, step int64, mode bootMode) error {
+		// A replacement reopens (or a joiner's retry truncates) the dead
+		// incarnation's value file, so the old incarnation must have
+		// finished tearing down (the coordinator closed its control
+		// connection; its exit is bounded by its own phase timeouts)
+		// before the new one maps it.
+		if old := refs[id]; old != nil {
+			if err := awaitRef(old, cfg.RecoveryTimeout); err != nil {
+				return err
+			}
+		}
 		n, err := startNode(sys.Context(), nodeSpec{
 			id:         id,
 			total:      total,
@@ -213,7 +224,7 @@ func Run(graphPath string, prog core.Program, cfg Config) (*Result, []uint64, er
 			cfg:        cfg.Node,
 			heartbeat:  cfg.HeartbeatInterval,
 			mode:       mode,
-			joinEpoch:  joinEpoch,
+			step:       step,
 		})
 		if err != nil {
 			return fmt.Errorf("cluster: starting node %d: %w", id, err)
@@ -221,36 +232,22 @@ func Run(graphPath string, prog core.Program, cfg Config) (*Result, []uint64, er
 		refs[id] = sys.SpawnFunc(fmt.Sprintf("node-%d", id), n.runNode)
 		return nil
 	}
-	awaitOld := func(id int) error {
-		// The replacement reopens (or truncates) the dead node's value
-		// file, so the old incarnation must have finished tearing down
-		// (the coordinator closed its control connection; its exit is
-		// bounded by its own phase timeouts) before the new one maps it.
-		if old := refs[id]; old != nil {
-			return awaitRef(old, cfg.RecoveryTimeout)
-		}
-		return nil
-	}
-	coord.restart = func(id int) error {
-		if err := awaitOld(id); err != nil {
-			return err
-		}
-		return boot(id, bootRejoin, 0)
-	}
-	coord.bootJoin = func(id int, step int64) error {
-		if err := awaitOld(id); err != nil {
-			return err
-		}
-		return boot(id, bootJoin, step)
-	}
-	coord.salvage = func(id int, step int64, ivs []graph.Interval) ([][]byte, error) {
-		if err := awaitOld(id); err != nil {
+	coord.salvage = func(id int, step int64, iv graph.Interval) ([]byte, error) {
+		if err := awaitRef(refs[id], cfg.RecoveryTimeout); err != nil {
 			return nil, err
 		}
-		return salvageIntervals(nodePath(id), step, ivs)
+		vf, err := sealedAt(nodePath(id), step)
+		if err != nil {
+			return nil, err
+		}
+		blob, err := vf.ExtractInterval(iv.FirstVertex, iv.EndVertex)
+		if cerr := vf.Close(); err == nil {
+			err = cerr
+		}
+		return blob, err
 	}
 	for i := 0; i < initial; i++ {
-		if err := boot(i, bootFresh, 0); err != nil {
+		if err := coord.boot(i, 0, bootFresh); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -258,17 +255,13 @@ func Run(graphPath string, prog core.Program, cfg Config) (*Result, []uint64, er
 		return nil, nil, err
 	}
 
-	res, err := coord.run(cfg.Context, 0, cfg.MaxSupersteps)
+	res, values, err := coord.run(cfg.Context, cfg.MaxSupersteps, numVertices)
 	if err != nil {
 		// Enrich the coordinator's error with any node failure already
 		// collected; Failures snapshots without blocking on stragglers.
 		if fs := sys.Failures(); len(fs) > 0 {
 			return res, nil, fmt.Errorf("%w (node error: %v)", err, fs[0].Err)
 		}
-		return res, nil, err
-	}
-	values, err := coord.gatherValues(numVertices)
-	if err != nil {
 		return res, nil, err
 	}
 	if cerr := coord.Close(); cerr != nil {
@@ -282,9 +275,9 @@ func Run(graphPath string, prog core.Program, cfg Config) (*Result, []uint64, er
 			return res, values, err
 		}
 		if !coord.live[id] {
-			// Retired mid-run: a drained node exits cleanly, and a
-			// permanently-dead redistributed node's final error was already
-			// recovered from — neither is an error of this run.
+			// Retired mid-run: a drained node exits cleanly on HALT, and a
+			// retired dead node's final error was already recovered from —
+			// neither is an error of this run.
 			continue
 		}
 		if rerr := r.Err(); rerr != nil {
@@ -292,48 +285,6 @@ func Run(graphPath string, prog core.Program, cfg Config) (*Result, []uint64, er
 		}
 	}
 	return res, values, nil
-}
-
-// salvageIntervals opens a dead node's sealed value file and extracts
-// the given vertex ranges for redistribution. The file may be mid-commit
-// (Recover finishes or rewinds the torn step) or sealed one epoch ahead
-// of the retrying superstep — a death after local commit of the aborted
-// attempt — in which case it is rewound to step, exactly as a rejoining
-// replacement would have done before replaying.
-func salvageIntervals(path string, step int64, ivs []graph.Interval) ([][]byte, error) {
-	vf, err := vertexfile.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	if vf.InProgress() {
-		if _, err := vf.Recover(); err != nil {
-			closeQuietly(vf)
-			return nil, err
-		}
-	}
-	if vf.Epoch() == step+1 {
-		if err := vf.Rewind(step); err != nil {
-			closeQuietly(vf)
-			return nil, err
-		}
-	}
-	if vf.Epoch() != step {
-		closeQuietly(vf)
-		return nil, fmt.Errorf("cluster: salvage of %s: sealed at epoch %d while recovering superstep %d", path, vf.Epoch(), step)
-	}
-	blobs := make([][]byte, len(ivs))
-	for k, iv := range ivs {
-		b, err := vf.ExtractInterval(iv.FirstVertex, iv.EndVertex)
-		if err != nil {
-			closeQuietly(vf)
-			return nil, err
-		}
-		blobs[k] = b
-	}
-	if err := vf.Close(); err != nil {
-		return nil, err
-	}
-	return blobs, nil
 }
 
 // awaitRef waits (bounded) for one actor incarnation to finish.

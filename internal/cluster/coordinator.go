@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"time"
 
 	"repro/internal/graph"
@@ -31,7 +30,7 @@ type Result struct {
 	Delivered       int64
 	Updates         int64
 	Rollbacks       int64 // superstep rollback-and-retry cycles this run survived
-	Rejoins         int64 // dead nodes replaced via the rejoin handshake
+	Rejoins         int64 // dead nodes replaced by a same-id node admitted through JOIN
 	Migrations      int64 // intervals moved live between nodes (join/drain/rebalance)
 	Redistributions int64 // intervals of permanently dead nodes salvaged to survivors
 	Joins           int64 // new nodes absorbed mid-job
@@ -56,14 +55,16 @@ type Assignment struct {
 type DeadNodePolicy int
 
 const (
-	// RestartDead boots a same-id replacement that reopens the dead
-	// node's sealed value file and rejoins — the PR 7 recovery, which
-	// needs the node's storage (and id) to come back.
+	// RestartDead boots a same-id replacement that seals the dead node's
+	// value file at the barrier epoch and enters with JOIN — it needs the
+	// node's storage (and id) to come back.
 	RestartDead DeadNodePolicy = iota
-	// RedistributeDead salvages the dead node's intervals from its sealed
-	// value file and migrates them to the surviving members: the cluster
-	// degrades gracefully from N to N-1 instead of waiting for a
-	// same-node restart.
+	// RedistributeDead retires a dead node for good while at least one
+	// member with a live connection remains: at the next barrier its
+	// intervals move out of its sealed value file onto the least-loaded
+	// members, so the cluster degrades from N to N-1 instead of waiting
+	// for a restart. A dead node with no survivor left is restarted as
+	// under RestartDead.
 	RedistributeDead
 )
 
@@ -99,10 +100,10 @@ type MembershipEvent struct {
 	Node int
 }
 
-// stepFault is a superstep attempt failure the recovery protocol can
-// handle: err is the first fault observed, dead lists the nodes whose
-// control connections are gone (as opposed to nodes that reported a
-// retryable failure and are still alive, awaiting the rollback).
+// stepFault is a barrier failure the recovery protocol can handle: err
+// is the first fault observed, dead lists the nodes whose control
+// connections are gone (as opposed to nodes that reported a retryable
+// failure and are still alive, awaiting the rollback).
 type stepFault struct {
 	err  error
 	dead []int
@@ -120,17 +121,25 @@ func (f *stepFault) fail(i int, err error, dead bool) {
 	}
 }
 
+// nodeFault is the stepFault of a single failing node.
+func nodeFault(i int, err error, dead bool) *stepFault {
+	f := &stepFault{}
+	f.fail(i, err, dead)
+	return f
+}
+
 // coordinator is the distributed manager: it owns the control connections
 // and drives the paper's superstep protocol across nodes — extended here
 // with the failure-model state machine: detect (liveness and progress
 // timeouts, STEP_FAILED reports, corrupt frames) -> rollback (every
-// survivor discards the attempt) -> rejoin (replacements replay their
-// interval from the sealed value file) -> retry (the same superstep runs
-// again under a fresh round number).
+// survivor discards the attempt) -> replace or retire (a dead node's
+// same-id replacement seals its value file at the barrier and enters
+// with JOIN, or the node is retired and its intervals move at the next
+// barrier) -> retry (the barrier runs again under a fresh round number).
 type coordinator struct {
 	ln    net.Listener
 	nodes []*conn  // indexed by node id
-	addrs []string // data-plane address book, refreshed on rejoin
+	addrs []string // data-plane address book, refreshed on every entry
 
 	// timeout bounds how long any node may go completely silent on the
 	// control plane (heartbeats count as liveness). Zero disables.
@@ -139,7 +148,7 @@ type coordinator struct {
 	// even while heartbeating — the wedge and one-way-partition detector.
 	// Zero disables.
 	phaseTimeout time.Duration
-	// recoveryTimeout bounds one rollback/rejoin cycle.
+	// recoveryTimeout bounds one rollback/replacement cycle.
 	recoveryTimeout time.Duration
 	// stepRetries is the run's rollback-and-retry budget, mirroring
 	// core.Config.MaxStepRetries. Zero fails fast on the first fault.
@@ -150,27 +159,24 @@ type coordinator struct {
 	// droppable on arrival at any node.
 	round uint64
 
-	// restart, when set, boots a replacement incarnation of a dead node
-	// (same id, same value file) that will dial in with a REJOIN frame.
-	restart func(id int) error
-	// bootJoin, when set, boots a brand-new node (fresh value file
-	// fast-forwarded to epoch step) that will dial in with a JOIN frame.
-	bootJoin func(id int, step int64) error
-	// salvage, when set, extracts the listed vertex ranges from dead node
-	// id's sealed value file (rewinding a torn or one-ahead epoch to step
-	// first) so RedistributeDead can hand them to survivors.
-	salvage func(id int, step int64, ivs []graph.Interval) ([][]byte, error)
+	// boot starts node id sealed at barrier epoch step — a joiner's fresh
+	// file (bootJoin) or a replacement's recovered one (bootReplace) — and
+	// the node then dials in with JOIN for admit.
+	boot func(id int, step int64, mode bootMode) error
+	// salvage extracts interval iv from retired node id's value file,
+	// sealed at epoch step.
+	salvage func(id int, step int64, iv graph.Interval) ([]byte, error)
 
 	// The elastic-membership routing state. ivs is the fixed partition
 	// (it never changes for the life of the job — determinism hangs off
 	// that); owners maps interval -> owning node and is the one table
-	// migration rewrites; weights is each interval's edge count, the load
+	// move rewrites; weights is each interval's edge count, the load
 	// measure join/drain/rebalance placement balances.
 	ivs     []graph.Interval
 	owners  []int
 	weights []int64
 	// live marks current members. initial nodes start live; joins extend
-	// it, drains and redistributed deaths retire entries.
+	// it, drains and retired deaths clear entries.
 	live    []bool
 	initial int
 	// nextJoin is the id the next OpJoin will boot; join ids are assigned
@@ -342,13 +348,17 @@ func (c *coordinator) broadcastBook() error {
 	return nil
 }
 
-// run drives supersteps until convergence, maxSupersteps, or ctx
-// cancellation (checked between supersteps: a distributed superstep is
-// not interrupted mid-flight — nodes commit or the step fails whole).
-// A failed superstep consumes one unit of the run's retry budget, is
-// rolled back across the cluster (dead nodes replaced via rejoin), and
-// runs again; the budget exhausted, the fault aborts the run.
-func (c *coordinator) run(ctx context.Context, startStep int64, maxSupersteps int) (*Result, error) {
+// run drives the job barrier by barrier until convergence,
+// maxSupersteps, or ctx cancellation (checked between supersteps: a
+// distributed superstep is not interrupted mid-flight — nodes commit or
+// the step fails whole), then gathers every vertex's final payload. Each
+// barrier first moves the intervals retired nodes still own, then
+// applies the membership events due and the rebalancer, then runs the
+// superstep — or, once the run is done, the gather. A fault anywhere in
+// that consumes one unit of the run's retry budget, is rolled back
+// across the cluster (recoverStep), and the barrier runs again from the
+// top; the budget exhausted, the fault aborts the run.
+func (c *coordinator) run(ctx context.Context, maxSupersteps int, numVertices int64) (*Result, []uint64, error) {
 	res := &Result{Nodes: c.initial}
 	t0 := time.Now() //lint:nondeterministic run duration is reporting only, never vertex state
 	defer func() {
@@ -363,73 +373,46 @@ func (c *coordinator) run(ctx context.Context, startStep int64, maxSupersteps in
 		res.Assignments = c.assignments()
 	}()
 	retries := 0
-	step := startStep
-	for s := 0; s < maxSupersteps; {
-		if ctx != nil {
+	var step int64 // the barrier epoch: every member's file is sealed at it
+	for {
+		done := res.Converged || res.Supersteps >= maxSupersteps
+		if !done && ctx != nil {
 			if cerr := ctx.Err(); cerr != nil {
-				return res, fmt.Errorf("cluster: run cancelled before superstep %d: %w", step, cerr)
+				return res, nil, fmt.Errorf("cluster: run cancelled before superstep %d: %w", step, cerr)
 			}
 		}
-		// Membership changes only ever happen here, at the barrier: no
-		// superstep is in flight, every member's value file is sealed at
-		// epoch step, so an interval extracted on one node and adopted on
-		// another is bit-identical state transfer. A faulted operation
-		// consumes a retry, is rolled back like a failed superstep, and
-		// runs again at the same barrier (nextEvent has not advanced).
-		if c.nextEvent < len(c.events) && c.events[c.nextEvent].Step <= step {
-			ev := c.events[c.nextEvent]
-			if err := c.memberOp(step, ev); err != nil {
-				var flt *stepFault
-				if !errors.As(err, &flt) || retries >= c.stepRetries {
-					return res, fmt.Errorf("cluster: %s at superstep %d: %w", ev.Op, step, err)
-				}
-				retries++
-				if rerr := c.recoverStep(step, flt); rerr != nil {
-					return res, fmt.Errorf("cluster: %s at superstep %d recovery (retry %d/%d) failed: %v (original fault: %w)", ev.Op, step, retries, c.stepRetries, rerr, flt.err)
-				}
-				continue // retry the same membership op under the new round
+		err := c.moveOrphans(step)
+		if err == nil && done {
+			var values []uint64
+			if values, err = c.gatherValues(numVertices); err == nil {
+				return res, values, nil
 			}
-			c.nextEvent++
-			continue // another event may be scheduled at this same barrier
 		}
-		if c.rebalance {
-			if err := c.rebalanceStep(step); err != nil {
-				var flt *stepFault
-				if !errors.As(err, &flt) || retries >= c.stepRetries {
-					return res, err
-				}
-				retries++
-				if rerr := c.recoverStep(step, flt); rerr != nil {
-					return res, fmt.Errorf("cluster: rebalance at superstep %d recovery (retry %d/%d) failed: %v (original fault: %w)", step, retries, c.stepRetries, rerr, flt.err)
-				}
+		if err == nil {
+			err = c.membership(step)
+		}
+		if err == nil {
+			var st StepStats
+			if st, err = c.superstep(step); err == nil {
+				res.Steps = append(res.Steps, st)
+				res.Supersteps++
+				res.Messages += st.Messages
+				res.Delivered += st.Delivered
+				res.Updates += st.Updates
+				res.Converged = st.Messages == 0 && st.Updates == 0
+				step++
 				continue
 			}
 		}
-		st, err := c.superstep(step)
-		if err != nil {
-			var flt *stepFault
-			if !errors.As(err, &flt) || retries >= c.stepRetries {
-				return res, err
-			}
-			retries++
-			if rerr := c.recoverStep(step, flt); rerr != nil {
-				return res, fmt.Errorf("cluster: superstep %d recovery (retry %d/%d) failed: %v (original fault: %w)", step, retries, c.stepRetries, rerr, flt.err)
-			}
-			continue // retry the same superstep under the new round
+		var flt *stepFault
+		if !errors.As(err, &flt) || retries >= c.stepRetries {
+			return res, nil, err
 		}
-		res.Steps = append(res.Steps, st)
-		res.Supersteps++
-		res.Messages += st.Messages
-		res.Delivered += st.Delivered
-		res.Updates += st.Updates
-		if st.Messages == 0 && st.Updates == 0 {
-			res.Converged = true
-			break
+		retries++
+		if rerr := c.recoverStep(step, flt); rerr != nil {
+			return res, nil, fmt.Errorf("cluster: recovery at superstep %d (retry %d/%d) failed: %v (original fault: %w)", step, retries, c.stepRetries, rerr, flt.err)
 		}
-		step++
-		s++
 	}
-	return res, nil
 }
 
 // nodeRead receives the next protocol frame from node i, converting a
@@ -536,12 +519,15 @@ func (c *coordinator) superstep(step int64) (StepStats, error) {
 	return st, nil
 }
 
-// recoverStep is the rollback -> rejoin arc of the failure state machine:
-// every surviving node discards the aborted attempt (ROLLBACK /
-// ROLLBACK_OVER, draining whatever stale frames the abandonment left in
-// flight), nodes whose connections died are replaced via the rejoin
-// handshake, and the refreshed address book is rebroadcast so survivors
-// re-dial replacements at their new data addresses.
+// recoverStep is the rollback -> replace-or-retire arc of the failure
+// state machine: every surviving node discards the aborted attempt
+// (ROLLBACK / ROLLBACK_OVER, draining whatever stale frames the
+// abandonment left in flight), then each node whose connection died is
+// either retired — under RedistributeDead, in ascending id, while a
+// member with a live connection remains; its intervals move at the next
+// barrier — or replaced by a same-id node sealed at step, admitted
+// through JOIN. The refreshed address book and routing table then reach
+// every member.
 func (c *coordinator) recoverStep(step int64, flt *stepFault) error {
 	metrics.Inc(metrics.CtrClusterRollbacks)
 	c.rollbacks++
@@ -561,7 +547,7 @@ func (c *coordinator) recoverStep(step int64, flt *stepFault) error {
 	// Collect rollback acks, draining the aborted attempt's stale frames
 	// (DISPATCH_OVER, COMPUTE_OVER, STEP_FAILED reports) on the way. A
 	// survivor that cannot ack within the recovery budget is reclassified
-	// as dead and folded into the same rejoin pass.
+	// as dead and folded into the same pass.
 	deadline := c.progressDeadline(c.recoveryTimeout)
 	for i, n := range c.nodes {
 		if n == nil || dead[i] {
@@ -576,53 +562,48 @@ func (c *coordinator) recoverStep(step int64, flt *stepFault) error {
 			if kind != fRollbackOver {
 				continue // stale frame from the aborted attempt
 			}
-			vals, perr := readU64s(payload, 1)
-			if perr != nil || int64(vals[0]) != step {
-				continue
+			if vals, perr := readU64s(payload, 1); perr == nil && int64(vals[0]) == step {
+				break
 			}
-			break
 		}
 	}
+	// Close dead connections first: a node that is alive but wedged or
+	// partitioned unblocks from its control read, tears itself down, and
+	// releases the value file its replacement or salvage must reopen.
 	var gone []int
 	for i, d := range dead {
 		if d {
 			gone = append(gone, i)
-		}
-	}
-	sort.Ints(gone)
-	// Close dead connections first: a node that is alive but wedged or
-	// partitioned unblocks from its control read, tears itself down, and
-	// releases the value file its replacement must reopen.
-	for _, id := range gone {
-		if c.nodes[id] != nil {
-			closeQuietly(c.nodes[id])
-			c.nodes[id] = nil
-		}
-	}
-	for _, id := range gone {
-		// Under RedistributeDead a dead node is retired for good: its
-		// sealed value file is salvaged and its intervals migrate to the
-		// survivors, as long as at least one survivor remains to take them.
-		if c.policy == RedistributeDead && c.liveCount() > 1 {
-			if err := c.redistribute(id, step); err != nil {
-				return err
+			if c.nodes[i] != nil {
+				closeQuietly(c.nodes[i])
+				c.nodes[i] = nil
 			}
+		}
+	}
+	survivors := 0
+	for i, n := range c.nodes {
+		if n != nil && c.live[i] {
+			survivors++
+		}
+	}
+	for _, id := range gone {
+		if c.policy == RedistributeDead && survivors > 0 {
+			c.retire(id) // for good: moveOrphans re-homes its intervals
 			continue
 		}
-		if c.restart == nil {
-			return fmt.Errorf("cluster: node %d dead and no restart hook installed", id)
-		}
-		if err := c.restart(id); err != nil {
+		if err := c.boot(id, step, bootReplace); err != nil {
 			return fmt.Errorf("cluster: restarting node %d: %w", id, err)
 		}
-		if err := c.acceptRejoin(id, step, true); err != nil {
-			return fmt.Errorf("cluster: node %d rejoin: %w", id, err)
+		if err := c.admit(id, step); err != nil {
+			return fmt.Errorf("cluster: node %d replacement: %w", id, err)
 		}
+		metrics.Inc(metrics.CtrClusterRejoins)
+		c.rejoins++
 	}
 	if len(gone) > 0 {
-		// Every survivor (and replacement) must hold the refreshed address
-		// book AND routing table before any fStart: a redistribution just
-		// rewrote owners, and even a plain rejoin changed a data address.
+		// Every member must hold the refreshed address book AND routing
+		// table before the barrier reruns: a replacement changed a data
+		// address, a retirement removed one.
 		if err := c.syncMembership(); err != nil {
 			return fmt.Errorf("cluster: membership sync after recovery: %w", err)
 		}
@@ -630,89 +611,89 @@ func (c *coordinator) recoverStep(step int64, flt *stepFault) error {
 	return nil
 }
 
-// redistribute retires dead node id permanently, salvaging its owned
-// intervals from its sealed value file and adopting them at the
-// least-loaded survivors. It runs inside recoverStep, after every
-// survivor acked the rollback — so all live files sit clean at epoch
-// step and adoption is bit-exact. Failures here are fatal to the run
-// (there is no inner recovery inside recovery); the retry budget guards
-// the outer superstep loop, not this arc.
-func (c *coordinator) redistribute(id int, step int64) error {
-	owned := c.ownedBy(id)
+// retire removes node id from the membership for good: its connection
+// closes and its address leaves the book. Intervals it still owns stay
+// routed to it until moveOrphans moves them out of its sealed file.
+func (c *coordinator) retire(id int) {
 	c.live[id] = false
 	c.addrs[id] = ""
-	if len(owned) == 0 {
-		return nil // a joiner that died before receiving any interval
+	if c.nodes[id] != nil {
+		closeQuietly(c.nodes[id])
+		c.nodes[id] = nil
 	}
-	if c.salvage == nil {
-		return fmt.Errorf("cluster: node %d dead and no salvage hook installed", id)
-	}
-	ranges := make([]graph.Interval, len(owned))
-	for k, iv := range owned {
-		ranges[k] = c.ivs[iv]
-	}
-	blobs, err := c.salvage(id, step, ranges)
-	if err != nil {
-		return fmt.Errorf("cluster: salvaging dead node %d: %w", id, err)
-	}
-	if len(blobs) != len(owned) {
-		return fmt.Errorf("cluster: salvage of node %d returned %d blobs for %d intervals", id, len(blobs), len(owned))
-	}
-	for k, iv := range owned {
-		to := c.lightestOther(id)
-		if to < 0 {
-			return fmt.Errorf("cluster: no survivor left to adopt interval %d of dead node %d", iv, id)
+}
+
+// moveOrphans re-homes every interval a retired node still owns — a dead
+// node recovery retired under RedistributeDead — from its sealed value
+// file onto the least-loaded member: retired nodes in ascending id, each
+// one's intervals in ascending order. It opens every barrier, so the
+// recipient is always a member with a connection and a fault here is an
+// ordinary retryable one.
+func (c *coordinator) moveOrphans(step int64) error {
+	moved := false
+	for id := range c.nodes {
+		if c.live[id] {
+			continue
 		}
-		flt := &stepFault{}
-		if !c.adoptAt(to, iv, blobs[k], flt) {
-			return fmt.Errorf("cluster: redistributing interval %d of dead node %d to node %d: %w", iv, id, to, flt.err)
+		for _, iv := range c.ownedBy(id) {
+			if err := c.move(step, iv, id, c.lightestOther(id)); err != nil {
+				return err
+			}
+			moved = true
 		}
-		c.owners[iv] = to
-		c.redistributions++
-		metrics.Inc(metrics.CtrClusterRedistributions)
+	}
+	if !moved {
+		return nil
+	}
+	return c.syncMembership()
+}
+
+// membership applies every membership event due at the barrier before
+// superstep step, then the rebalancer. A completed event is consumed, so
+// a barrier rerun after a fault redoes only what is left.
+func (c *coordinator) membership(step int64) error {
+	for c.nextEvent < len(c.events) && c.events[c.nextEvent].Step <= step {
+		ev := c.events[c.nextEvent]
+		var err error
+		if ev.Op == OpJoin {
+			err = c.joinOp(step)
+		} else {
+			err = c.drainOp(step, ev.Node)
+		}
+		if err != nil {
+			return fmt.Errorf("cluster: %s at superstep %d: %w", ev.Op, step, err)
+		}
+		c.nextEvent++
+	}
+	if c.rebalance {
+		return c.rebalanceStep(step)
 	}
 	return nil
 }
 
-// memberOp applies one scheduled membership event at the barrier before
-// superstep step. A *stepFault return is retryable via recoverStep.
-func (c *coordinator) memberOp(step int64, ev MembershipEvent) error {
-	switch ev.Op {
-	case OpJoin:
-		return c.joinOp(step)
-	case OpDrain:
-		return c.drainOp(step, ev.Node)
-	}
-	return fmt.Errorf("cluster: unknown membership op %d", int(ev.Op))
-}
-
-// joinOp absorbs a brand-new node mid-job: boot it with a fresh value
-// file fast-forwarded to the current epoch, accept its JOIN handshake,
-// then live-migrate intervals onto it until the edge-weight balance has
-// nothing left to move (at minimum one interval — an empty member would
-// corrupt the barrier arithmetic). On a faulted retry the boot and any
-// completed migrations are kept; only the remaining moves rerun.
+// joinOp absorbs a brand-new node mid-job: boot it fresh at the current
+// epoch, admit its JOIN, then move intervals onto it until the
+// edge-weight balance has nothing left to move (at minimum one interval
+// — an empty member would corrupt the barrier arithmetic). On a faulted
+// retry the boot and any completed moves are kept; only the remaining
+// moves rerun.
 func (c *coordinator) joinOp(step int64) error {
 	id := c.nextJoin
 	if id >= len(c.nodes) {
 		return fmt.Errorf("cluster: no join slots left (id space %d)", len(c.nodes))
 	}
 	if c.nodes[id] == nil {
-		if c.bootJoin == nil {
-			return fmt.Errorf("cluster: no join hook installed")
-		}
-		if err := c.bootJoin(id, step); err != nil {
+		if err := c.boot(id, step, bootJoin); err != nil {
 			return fmt.Errorf("cluster: booting joiner %d: %w", id, err)
 		}
-		if err := c.acceptJoin(id, step); err != nil {
-			return &stepFault{err: err, dead: []int{id}}
+		if err := c.admit(id, step); err != nil {
+			return nodeFault(id, err, true)
 		}
 	}
 	c.live[id] = true
-	flt := &stepFault{}
 	for _, mv := range c.planMoves() {
-		if !c.migrateInterval(step, mv.iv, mv.from, mv.to, flt) {
-			return flt
+		if err := c.move(step, mv.iv, mv.from, mv.to); err != nil {
+			return err
 		}
 	}
 	if len(c.ownedBy(id)) == 0 {
@@ -739,8 +720,8 @@ func (c *coordinator) joinOp(step int64) error {
 		if best < 0 {
 			return fmt.Errorf("cluster: joiner %d cannot receive an interval: every member owns a single interval (need Splits >= 2)", id)
 		}
-		if !c.migrateInterval(step, best, from, id, flt) {
-			return flt
+		if err := c.move(step, best, from, id); err != nil {
+			return err
 		}
 	}
 	if err := c.syncMembership(); err != nil {
@@ -752,45 +733,10 @@ func (c *coordinator) joinOp(step int64) error {
 	return nil
 }
 
-// acceptJoin accepts joiner id's control connection and validates its
-// JOIN frame: right node, and a value file fast-forwarded to exactly the
-// barrier epoch (step) it is joining at.
-func (c *coordinator) acceptJoin(id int, step int64) error {
-	type deadliner interface{ SetDeadline(time.Time) error }
-	if d, ok := c.ln.(deadliner); ok && c.recoveryTimeout > 0 {
-		d.SetDeadline(c.progressDeadline(c.recoveryTimeout)) //nolint:errcheck
-		defer d.SetDeadline(time.Time{})                     //nolint:errcheck
-	}
-	for {
-		nc, err := c.ln.Accept()
-		if err != nil {
-			return fmt.Errorf("cluster: accepting join of node %d: %w", id, err)
-		}
-		cn := newConn(nc)
-		kind, payload, err := cn.readFrame()
-		if err != nil || kind != fJoin {
-			closeQuietly(cn)
-			continue // a stray dial; keep waiting for the joiner
-		}
-		jid, epoch, addr, err := parseRejoin(payload) // JOIN reuses the REJOIN payload shape
-		if err != nil || int(jid) != id {
-			closeQuietly(cn)
-			continue
-		}
-		if int64(epoch) != step {
-			closeQuietly(cn)
-			return fmt.Errorf("cluster: node %d joined at epoch %d, want %d", id, epoch, step)
-		}
-		c.nodes[id] = cn
-		c.addrs[id] = addr
-		return nil
-	}
-}
-
-// drainOp migrates every interval off node id to the least-loaded other
-// members, tells it to exit cleanly, and retires it. Draining an
-// already-retired node is a no-op (a retried drain whose node died and
-// was redistributed mid-operation lands here).
+// drainOp moves every interval off node id to the least-loaded other
+// members, then retires it: a node that owns nothing gets HALT and needs
+// no ack. Draining an already-retired node is a no-op (a retried drain
+// whose node died and was retired mid-operation lands here).
 func (c *coordinator) drainOp(step int64, id int) error {
 	if id < 0 || id >= len(c.nodes) {
 		return fmt.Errorf("cluster: drain of unknown node %d", id)
@@ -801,31 +747,13 @@ func (c *coordinator) drainOp(step int64, id int) error {
 	if c.liveCount() <= 1 {
 		return fmt.Errorf("cluster: refusing to drain node %d: it is the last member", id)
 	}
-	flt := &stepFault{}
 	for _, iv := range c.ownedBy(id) {
-		to := c.lightestOther(id)
-		if to < 0 {
-			return fmt.Errorf("cluster: no member left to take interval %d from draining node %d", iv, id)
-		}
-		if !c.migrateInterval(step, iv, id, to, flt) {
-			return flt
+		if err := c.move(step, iv, id, c.lightestOther(id)); err != nil {
+			return err
 		}
 	}
-	if err := c.nodes[id].writeFrame(fDrain, nil); err != nil {
-		flt.fail(id, fmt.Errorf("cluster: node %d lost at drain: %w", id, err), true)
-		return flt
-	}
-	kind, _, err := c.nodes[id].readFrameLive(c.timeout, c.progressDeadline(c.recoveryTimeout))
-	if err != nil || kind != fDrainOver {
-		// The node owns nothing anymore; a retried drain will skip straight
-		// to the DRAIN frame after recovery restarts it.
-		flt.fail(id, fmt.Errorf("cluster: node %d drain ack: frame %d (%v)", id, kind, err), true)
-		return flt
-	}
-	c.live[id] = false
-	c.addrs[id] = ""
-	closeQuietly(c.nodes[id])
-	c.nodes[id] = nil
+	c.nodes[id].writeFrame(fHalt, []byte{0}) //nolint:errcheck
+	c.retire(id)
 	if err := c.syncMembership(); err != nil {
 		return err
 	}
@@ -835,17 +763,16 @@ func (c *coordinator) drainOp(step int64, id int) error {
 }
 
 // rebalanceStep runs the greedy edge-weight balancer at a barrier and
-// migrates whatever it proposes. At the balanced fixed point it sends no
+// moves whatever it proposes. At the balanced fixed point it sends no
 // frames at all, so enabling rebalancing on a stable cluster is free.
 func (c *coordinator) rebalanceStep(step int64) error {
 	moves := c.planMoves()
 	if len(moves) == 0 {
 		return nil
 	}
-	flt := &stepFault{}
 	for _, mv := range moves {
-		if !c.migrateInterval(step, mv.iv, mv.from, mv.to, flt) {
-			return flt
+		if err := c.move(step, mv.iv, mv.from, mv.to); err != nil {
+			return err
 		}
 	}
 	return c.syncMembership()
@@ -912,64 +839,57 @@ func (c *coordinator) planMoves() []move {
 	return moves
 }
 
-// migrateInterval moves one interval from donor to recipient through the
-// MIGRATE protocol: MIGRATE_OUT asks the donor to extract the sealed
-// interval at the barrier epoch, MIGRATE_DATA carries the checksummed
-// blob back, MIGRATE_IN hands it to the recipient, MIGRATE_DONE acks the
-// adoption. Only then does the coordinator's owners table flip — so a
-// fault anywhere leaves the donor authoritative and the move simply
-// reruns after recovery. Reports false with the fault folded into flt.
-func (c *coordinator) migrateInterval(step int64, iv, from, to int, flt *stepFault) bool {
-	if err := c.nodes[from].writeFrame(fMigrateOut, migrateReqPayload(uint32(iv), uint64(step))); err != nil {
-		flt.fail(from, fmt.Errorf("cluster: node %d lost at migrate-out of interval %d: %w", from, iv, err), true)
-		return false
+// move transfers interval iv from node from to node to at barrier
+// epoch step — the one transfer join, drain, rebalance and dead-node
+// redistribution share. The blob comes from from's live connection
+// (MIGRATE_OUT / MIGRATE_DATA) while from is a member, or from its
+// sealed value file (salvage) once it is retired; MIGRATE_IN hands it to
+// to, which validates the blob's digest and epoch and installs the slots
+// before acking MIGRATE_DONE. Only that ack flips owners[iv] — so a
+// fault anywhere leaves from authoritative and the move simply reruns
+// after recovery.
+func (c *coordinator) move(step int64, iv, from, to int) error {
+	var blob []byte
+	if c.live[from] {
+		if err := c.nodes[from].writeFrame(fMigrateOut, migrateReqPayload(uint32(iv), uint64(step))); err != nil {
+			return nodeFault(from, fmt.Errorf("cluster: node %d lost at migrate-out of interval %d: %w", from, iv, err), true)
+		}
+		kind, payload, err := c.nodeRead(from, "migration extract")
+		if err != nil {
+			return nodeFault(from, err, deadRead(err))
+		}
+		gotIv, b, perr := parseMigrateBlob(payload)
+		if kind != fMigrateData || perr != nil || int(gotIv) != iv {
+			return nodeFault(from, fmt.Errorf("cluster: node %d answered migrate-out of interval %d with frame %d (interval %d, %v)", from, iv, kind, gotIv, perr), true)
+		}
+		blob = b
+	} else {
+		b, err := c.salvage(from, step, c.ivs[iv])
+		if err != nil {
+			return fmt.Errorf("cluster: salvaging interval %d of retired node %d: %w", iv, from, err)
+		}
+		blob = b
 	}
-	kind, payload, err := c.nodeRead(from, "migration extract")
-	if err != nil {
-		flt.fail(from, err, deadRead(err))
-		return false
-	}
-	if kind != fMigrateData {
-		flt.fail(from, fmt.Errorf("cluster: node %d sent frame %d during migration extract, want MIGRATE_DATA", from, kind), true)
-		return false
-	}
-	gotIv, blob, perr := parseMigrateBlob(payload)
-	if perr != nil || int(gotIv) != iv {
-		flt.fail(from, fmt.Errorf("cluster: node %d migrate data for interval %d, want %d (%v)", from, gotIv, iv, perr), true)
-		return false
-	}
-	if !c.adoptAt(to, iv, blob, flt) {
-		return false
-	}
-	c.owners[iv] = to
-	c.migrations++
-	metrics.Inc(metrics.CtrClusterMigrations)
-	return true
-}
-
-// adoptAt ships an extracted interval blob to node to and waits for its
-// MIGRATE_DONE ack (the node validated the blob's digest and installed
-// the slots before replying).
-func (c *coordinator) adoptAt(to, iv int, blob []byte, flt *stepFault) bool {
 	if err := c.nodes[to].writeFrame(fMigrateIn, migrateBlobPayload(uint32(iv), blob)); err != nil {
-		flt.fail(to, fmt.Errorf("cluster: node %d lost at migrate-in of interval %d: %w", to, iv, err), true)
-		return false
+		return nodeFault(to, fmt.Errorf("cluster: node %d lost at migrate-in of interval %d: %w", to, iv, err), true)
 	}
 	kind, payload, err := c.nodeRead(to, "migration adopt")
 	if err != nil {
-		flt.fail(to, err, deadRead(err))
-		return false
-	}
-	if kind != fMigrateDone {
-		flt.fail(to, fmt.Errorf("cluster: node %d sent frame %d during migration adopt, want MIGRATE_DONE", to, kind), true)
-		return false
+		return nodeFault(to, err, deadRead(err))
 	}
 	ackIv, perr := parseIv(payload)
-	if perr != nil || int(ackIv) != iv {
-		flt.fail(to, fmt.Errorf("cluster: node %d acked adoption of interval %d, want %d (%v)", to, ackIv, iv, perr), true)
-		return false
+	if kind != fMigrateDone || perr != nil || int(ackIv) != iv {
+		return nodeFault(to, fmt.Errorf("cluster: node %d answered migrate-in of interval %d with frame %d (interval %d, %v)", to, iv, kind, ackIv, perr), true)
 	}
-	return true
+	c.owners[iv] = to
+	if c.live[from] {
+		c.migrations++
+		metrics.Inc(metrics.CtrClusterMigrations)
+	} else {
+		c.redistributions++
+		metrics.Inc(metrics.CtrClusterRedistributions)
+	}
+	return nil
 }
 
 // syncMembership pushes the refreshed address book and routing table to
@@ -1008,13 +928,12 @@ func (c *coordinator) syncMembership() error {
 	return nil
 }
 
-// acceptRejoin completes the rejoin handshake with node id's replacement
-// incarnation: accept its control connection, validate the REJOIN frame
-// (right node, and a recovered epoch consistent with retrying step), and
-// — when a superstep is being rolled back — issue the ROLLBACK so a
-// replacement that had committed the aborted step rewinds it like every
-// survivor.
-func (c *coordinator) acceptRejoin(id int, step int64, rollback bool) error {
+// admit is the one late-entry handshake: accept node id's control
+// connection and its JOIN, whose epoch must be exactly the barrier epoch
+// step — a joiner's fresh file and a replacement's sealed one are both
+// built at it. Stray dials are closed and skipped; the wait is bounded
+// by the recovery timeout.
+func (c *coordinator) admit(id int, step int64) error {
 	type deadliner interface{ SetDeadline(time.Time) error }
 	if d, ok := c.ln.(deadliner); ok && c.recoveryTimeout > 0 {
 		d.SetDeadline(c.progressDeadline(c.recoveryTimeout)) //nolint:errcheck
@@ -1023,102 +942,53 @@ func (c *coordinator) acceptRejoin(id int, step int64, rollback bool) error {
 	for {
 		nc, err := c.ln.Accept()
 		if err != nil {
-			return fmt.Errorf("cluster: accepting rejoin of node %d: %w", id, err)
+			return fmt.Errorf("cluster: accepting node %d: %w", id, err)
 		}
 		cn := newConn(nc)
 		kind, payload, err := cn.readFrame()
-		if err != nil || kind != fRejoin {
-			// Not the replacement (an orphaned dial, a corrupt hello):
-			// closing it lets the stray exit; keep waiting for the rejoin.
-			closeQuietly(cn)
-			continue
+		var jid uint32
+		var epoch uint64
+		var addr string
+		if err == nil && kind == fJoin {
+			jid, epoch, addr, err = parseJoin(payload)
 		}
-		rid, epoch, addr, err := parseRejoin(payload)
-		if err != nil || int(rid) != id {
+		if err != nil || kind != fJoin || int(jid) != id {
 			closeQuietly(cn)
-			continue
+			continue // an orphaned dial or a corrupt hello; keep waiting
 		}
-		if rollback && (int64(epoch) < step || int64(epoch) > step+1) {
-			// The replacement's durable state is outside the window a
-			// coordinated commit could have left it in: its value file is
-			// not the one this run sealed. Unrecoverable.
+		if int64(epoch) != step {
 			closeQuietly(cn)
-			return fmt.Errorf("cluster: node %d rejoined at epoch %d while rolling back superstep %d", id, epoch, step)
+			return fmt.Errorf("cluster: node %d entered at epoch %d, want %d", id, epoch, step)
 		}
 		c.nodes[id] = cn
 		c.addrs[id] = addr
-		if rollback {
-			if err := cn.writeFrame(fRollback, u64Payload(uint64(step), c.round)); err != nil {
-				return err
-			}
-			if _, _, err := cn.readFrameLive(c.timeout, c.progressDeadline(c.recoveryTimeout)); err != nil {
-				return fmt.Errorf("cluster: node %d rejoin rollback ack: %w", id, err)
-			}
-		}
-		metrics.Inc(metrics.CtrClusterRejoins)
-		c.rejoins++
 		return nil
 	}
 }
 
 // gatherValues pulls every interval's vertex payloads from its owning
-// node into one slice. The gather is itself fault-tolerant: a node lost
-// after the final superstep (or a corrupt values frame) is replaced via
-// the rejoin handshake — its value file holds the committed final state —
-// and re-asked, within the same retry budget the supersteps share.
+// node into one slice. It runs at the final barrier inside run's loop,
+// so a lost owner or a corrupt values frame takes the same recovery as a
+// failed superstep — the owner replaced, or retired and its intervals
+// moved — and the gather starts over.
 func (c *coordinator) gatherValues(numVertices int64) ([]uint64, error) {
 	out := make([]uint64, numVertices)
-	retries := 0
-	for iv := 0; iv < len(c.ivs); {
-		owner := c.owners[iv]
-		err := c.gatherInterval(iv, owner, out)
-		if err == nil {
-			iv++
-			continue
+	for iv, owner := range c.owners {
+		if err := c.nodes[owner].writeFrame(fValuesReq, ivPayload(uint32(iv))); err != nil {
+			return nil, nodeFault(owner, fmt.Errorf("cluster: node %d values request for interval %d: %w", owner, iv, err), true)
 		}
-		if retries >= c.stepRetries || c.restart == nil {
-			return nil, err
+		kind, payload, err := c.nodeRead(owner, "value gather")
+		if err != nil {
+			return nil, nodeFault(owner, err, deadRead(err))
 		}
-		retries++
-		if c.nodes[owner] != nil {
-			closeQuietly(c.nodes[owner])
-			c.nodes[owner] = nil
+		first, payloads, perr := parseValues(payload)
+		if kind != fValues || perr != nil || first != c.ivs[iv].FirstVertex || first+int64(len(payloads)) != c.ivs[iv].EndVertex {
+			return nil, nodeFault(owner, fmt.Errorf("cluster: node %d answered the values request for interval %d [%d,%d) with frame %d (%d values from %d, %v)",
+				owner, iv, c.ivs[iv].FirstVertex, c.ivs[iv].EndVertex, kind, len(payloads), first, perr), true)
 		}
-		if rerr := c.restart(owner); rerr != nil {
-			return nil, fmt.Errorf("cluster: restarting node %d for value gather: %v (original fault: %w)", owner, rerr, err)
-		}
-		// No superstep is in flight: the replacement recovered the final
-		// committed state, so the rejoin skips the rollback arc. It does
-		// need the current routing table back, though — its boot spec
-		// carries the initial assignment, not the post-migration one.
-		if rerr := c.acceptRejoin(owner, 0, false); rerr != nil {
-			return nil, fmt.Errorf("cluster: node %d rejoin for value gather: %v (original fault: %w)", owner, rerr, err)
-		}
-		if berr := c.syncMembership(); berr != nil {
-			return nil, fmt.Errorf("cluster: membership sync for value gather: %v (original fault: %w)", berr, err)
-		}
+		copy(out[first:], payloads)
 	}
 	return out, nil
-}
-
-func (c *coordinator) gatherInterval(iv, owner int, out []uint64) error {
-	if err := c.nodes[owner].writeFrame(fValuesReq, ivPayload(uint32(iv))); err != nil {
-		return fmt.Errorf("cluster: node %d values request for interval %d: %w", owner, iv, err)
-	}
-	kind, payload, err := c.nodeRead(owner, "value gather")
-	if err != nil || kind != fValues {
-		return fmt.Errorf("cluster: node %d values for interval %d: frame %d (%v)", owner, iv, kind, err)
-	}
-	first, payloads, err := parseValues(payload)
-	if err != nil {
-		return err
-	}
-	if first != c.ivs[iv].FirstVertex || first+int64(len(payloads)) != c.ivs[iv].EndVertex {
-		return fmt.Errorf("cluster: node %d returned vertices [%d,%d) for interval %d, want [%d,%d)",
-			owner, first, first+int64(len(payloads)), iv, c.ivs[iv].FirstVertex, c.ivs[iv].EndVertex)
-	}
-	copy(out[first:], payloads)
-	return nil
 }
 
 // halt tells every node to shut down and closes the control plane. It is

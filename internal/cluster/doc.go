@@ -29,6 +29,18 @@
 // after end-of-stream from every peer, which — with TCP's per-connection
 // FIFO — guarantees every batch of the superstep has been folded.
 //
+// Membership and recovery rest on three shared pieces and one barrier
+// loop (coordinator.run). sealedAt brings a value file to the barrier
+// epoch (Recover a torn step, Rewind one committed ahead) and freshAt
+// creates one there; every node entering after the initial HELLO — a
+// joiner or a dead node's same-id replacement — boots through one of
+// them and is admitted by one JOIN handshake (admit). Every interval
+// transfer — join, drain, rebalance, and the redistribution of a retired
+// dead node's intervals — is one move, its blob taken from a live
+// donor's connection or a retired node's sealed file. Any fault at a
+// barrier (superstep, membership change, value gather) takes the same
+// rollback -> replace-or-retire arc and the barrier reruns.
+//
 // Nodes here run in one process connected over loopback TCP, but nothing
 // in the protocol assumes shared memory: all graph state crosses node
 // boundaries through the wire format in protocol.go. The CSR file is

@@ -69,7 +69,7 @@ func (f *flakyConn) Write(b []byte) (int, error) {
 
 // membershipFault consults the cluster.migrate.* fault sites on behalf
 // of writeFrame, which calls it once per elastic-membership frame
-// (MIGRATE/JOIN/DRAIN/ROUTING) about to hit the wire. The generic
+// (JOIN/MIGRATE/ROUTING) about to hit the wire. The generic
 // cluster.conn.* sites above fire per raw write on every link; these
 // fire per membership frame, so a seeded plan can park a disturbance on
 // exactly the Nth step of a migration. Delay stalls the frame, reset

@@ -16,7 +16,7 @@ func FuzzParseFrames(f *testing.F) {
 	f.Add(addrBookPayload([]string{"a:1", "b:2"}), uint8(1))
 	f.Add(batchPayload(1, 1, 0, nil), uint8(2))
 	f.Add(valuesPayload(0, []uint64{1, 2, 3}), uint8(3))
-	f.Add(rejoinPayload(1, 7, "127.0.0.1:9999"), uint8(5))
+	f.Add(joinPayload(1, 7, "127.0.0.1:9999"), uint8(5))
 	f.Add(stepFailedPayload(3, "peer 1 unreachable"), uint8(6))
 	f.Add(migrateReqPayload(5, 11), uint8(7))
 	f.Add(migrateBlobPayload(2, []byte{1, 2, 3, 4}), uint8(8))
@@ -55,8 +55,8 @@ func FuzzParseFrames(f *testing.F) {
 				t.Fatal("readU64s accepted short payload")
 			}
 		case 5:
-			if _, _, addr, err := parseRejoin(payload); err == nil && len(addr) > len(payload) {
-				t.Fatal("rejoin address longer than payload")
+			if _, _, addr, err := parseJoin(payload); err == nil && len(addr) > len(payload) {
+				t.Fatal("join address longer than payload")
 			}
 		case 6:
 			if _, reason, err := parseStepFailed(payload); err == nil && len(reason) > len(payload) {
@@ -135,8 +135,8 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(encodeFrame(fMigrateIn, migrateBlobPayload(1, []byte{7})), -1, uint8(0))
 	f.Add(encodeFrame(fMigrateDone, ivPayload(6)), 10, uint8(0x80))
 	f.Add(encodeFrame(fRouting, routingPayload([]int{0, 2, 1})), 11, uint8(0x02))
-	f.Add(encodeFrame(fJoin, rejoinPayload(4, 2, "127.0.0.1:7")), 9, uint8(0x08))
-	f.Add(encodeFrame(fDrain, nil), 5, uint8(0x10))
+	f.Add(encodeFrame(fJoin, joinPayload(4, 2, "127.0.0.1:7")), 9, uint8(0x08))
+	f.Add(encodeFrame(fRoutingOver, nil), 5, uint8(0x10))
 	f.Fuzz(func(t *testing.T, stream []byte, flip int, mask uint8) {
 		if flip >= 0 && flip < len(stream) && mask != 0 {
 			stream = append([]byte(nil), stream...)
@@ -160,14 +160,15 @@ func FuzzFrameDecode(f *testing.F) {
 // must all error out, and flips plus version skew must be attributed to
 // the right sentinel.
 func TestFrameDecodeRejectsCorruption(t *testing.T) {
-	// One data-plane frame and one of each new elastic-membership frame:
-	// the CRC32C framing guarantees hold for migration traffic too.
+	// One data-plane frame and one of each elastic-membership payload
+	// shape, the empty one included: the CRC32C framing guarantees hold
+	// for migration traffic too.
 	frames := map[string][]byte{
 		"batch":        encodeFrame(fBatch, batchPayload(3, 1, 2, nil)),
 		"migrate-out":  encodeFrame(fMigrateOut, migrateReqPayload(1, 4)),
 		"migrate-data": encodeFrame(fMigrateData, migrateBlobPayload(1, []byte{0xde, 0xad})),
 		"routing":      encodeFrame(fRouting, routingPayload([]int{1, 0})),
-		"drain":        encodeFrame(fDrain, nil),
+		"routing-over": encodeFrame(fRoutingOver, nil),
 	}
 	for name, frame := range frames {
 		// Truncations at every boundary.

@@ -66,7 +66,7 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // but leaves the node healthy: transport trouble, barrier timeouts, peer
 // corruption. The node reports it to the coordinator (STEP_FAILED) and
 // stays in its control loop for the rollback that follows, instead of
-// dying and forcing a full rejoin.
+// dying and forcing a replacement.
 type stepFailure struct{ err error }
 
 func (e stepFailure) Error() string { return e.err.Error() }
@@ -188,16 +188,14 @@ const (
 	// bootFresh creates a new value file and announces with HELLO (the
 	// ordinary job start).
 	bootFresh bootMode = iota
-	// bootRejoin reopens and recovers a dead incarnation's sealed value
-	// file — PR 2's durability contract is exactly what makes the
-	// intervals replayable — and announces with REJOIN and the recovered
-	// epoch.
-	bootRejoin
 	// bootJoin is a brand-new node entering a RUNNING job: its value file
-	// is created fresh and fast-forwarded to the join epoch (every vertex
-	// inert), ready for AdoptInterval to paint in the ranges it will own;
-	// it announces with JOIN.
+	// is created fresh at the barrier epoch (freshAt: every vertex inert),
+	// ready for AdoptInterval to paint in the ranges it will own.
 	bootJoin
+	// bootReplace is a same-id replacement of a dead incarnation: it seals
+	// the dead node's value file at the barrier epoch (sealedAt), which is
+	// exactly the state the rest of the cluster rolled back to.
+	bootReplace
 )
 
 // nodeSpec gathers what startNode needs to boot one node.
@@ -213,7 +211,7 @@ type nodeSpec struct {
 	cfg        NodeConfig
 	heartbeat  time.Duration // Config.HeartbeatInterval
 	mode       bootMode
-	joinEpoch  int64 // bootJoin: the epoch the running job sits at
+	step       int64 // the barrier epoch a late node enters at (0 for bootFresh)
 }
 
 // startNode boots a node: local state, data listener, coordinator
@@ -227,19 +225,10 @@ func startNode(ctx context.Context, spec nodeSpec) (*node, error) {
 		return nil, err
 	}
 	var vf *vertexfile.File
-	switch spec.mode {
-	case bootRejoin:
-		vf, err = vertexfile.Open(spec.valuesPath)
-		if err == nil {
-			_, err = vf.Recover()
-		}
-	case bootJoin:
-		vf, err = vertexfile.Create(spec.valuesPath, gf.NumVertices, spec.prog.Init)
-		if err == nil {
-			err = vf.FastForward(spec.joinEpoch, true)
-		}
-	default:
-		vf, err = vertexfile.Create(spec.valuesPath, gf.NumVertices, spec.prog.Init)
+	if spec.mode == bootReplace {
+		vf, err = sealedAt(spec.valuesPath, spec.step)
+	} else {
+		vf, err = freshAt(spec.valuesPath, gf.NumVertices, spec.prog.Init, spec.step)
 	}
 	if err != nil {
 		closeQuietly(gf)
@@ -307,15 +296,11 @@ func startNode(ctx context.Context, spec nodeSpec) (*node, error) {
 		return nil, err
 	}
 	n.coord = newConn(cc)
-	hello := helloPayload(uint32(id), ln.Addr().String())
-	kind := byte(fHello)
-	switch spec.mode {
-	case bootRejoin:
-		hello = rejoinPayload(uint32(id), uint64(vf.Epoch()), ln.Addr().String())
-		kind = fRejoin
-	case bootJoin:
-		hello = rejoinPayload(uint32(id), uint64(vf.Epoch()), ln.Addr().String())
-		kind = fJoin
+	// Every node entering after the initial HELLO is sealed at the
+	// coordinator's barrier epoch and announces it with JOIN.
+	kind, hello := byte(fJoin), joinPayload(uint32(id), uint64(vf.Epoch()), ln.Addr().String())
+	if spec.mode == bootFresh {
+		kind, hello = fHello, helloPayload(uint32(id), ln.Addr().String())
 	}
 	if err := n.coord.writeFrame(kind, hello); err != nil {
 		n.close()
@@ -563,7 +548,7 @@ func (n *node) runNode() error {
 			// Heartbeats start before peer dialing so a slow or stalled
 			// data-plane dial cannot delay the first liveness ping past
 			// the coordinator's node timeout. Spawned once: a rebroadcast
-			// address book (after a rejoin) must not stack heartbeaters.
+			// address book (after a replacement) must not stack heartbeaters.
 			// Supervised: close() closes hbStop before system.Wait, so
 			// the loop terminates and Wait covers it.
 			if n.heartbeat > 0 && n.hbStop == nil {
@@ -654,13 +639,6 @@ func (n *node) runNode() error {
 			if err := n.coord.writeFrame(fRoutingOver, nil); err != nil {
 				return fmt.Errorf("cluster: node %d routing ack: %w", n.id, err)
 			}
-		case fDrain:
-			// All intervals have been migrated off; acknowledge and exit
-			// cleanly — the value file seals at its last committed epoch.
-			if err := n.coord.writeFrame(fDrainOver, nil); err != nil {
-				return fmt.Errorf("cluster: node %d drain ack: %w", n.id, err)
-			}
-			return nil
 		case fHalt:
 			return nil
 		default:
@@ -766,7 +744,7 @@ func (n *node) rollbackStep(step int64, newRound uint64) error {
 }
 
 // updatePeers installs a (re)broadcast address book: connections to peers
-// whose address changed (a rejoined replacement) are dropped so the next
+// whose address changed (a same-id replacement) are dropped so the next
 // send dials the fresh address, and missing connections are established
 // eagerly, best-effort — a failed dial here is retried with backoff by
 // sendPeer when the dispatch phase actually needs the peer. An empty

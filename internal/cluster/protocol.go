@@ -38,22 +38,21 @@ const (
 	fEOS            = 11 // node -> node: round u64, seq u64 (the sender's final seq for the round)
 	fPeerHello      = 12 // node -> node: sender nodeID u32
 	fHeartbeat      = 13 // node -> coordinator: liveness ping, no payload semantics
-	fRejoin         = 14 // node -> coordinator: nodeID u32, epoch u64, dataAddr string
 	fRollback       = 15 // coordinator -> node: step u64, round u64 (discard in-flight state; next attempt is round)
 	fRollbackOver   = 16 // node -> coordinator: step u64 (rollback done, quiesced)
 	fStepFailed     = 17 // node -> coordinator: step u64, reason string (retryable step-level failure)
 
 	// Elastic membership frames (v3). Migration is barrier-only: the
 	// coordinator issues these between supersteps, never inside one.
-	fJoin        = 18 // node -> coordinator: nodeID u32, epoch u64, dataAddr string (a brand-new node dialing into a running job)
+	// Kinds 14, 25 and 26 (REJOIN, DRAIN, DRAIN_OVER) are retired and
+	// never reused.
+	fJoin        = 18 // node -> coordinator: nodeID u32, epoch u64, dataAddr string (any node entering after the initial HELLO, sealed at the barrier epoch)
 	fMigrateOut  = 19 // coordinator -> donor: interval u32, epoch u64 (extract and return the interval)
 	fMigrateData = 20 // donor -> coordinator: interval u32, checksummed vertexfile blob
 	fMigrateIn   = 21 // coordinator -> recipient: interval u32, blob (adopt it)
 	fMigrateDone = 22 // recipient -> coordinator: interval u32 (adopted, durable)
 	fRouting     = 23 // coordinator -> node: n u32, then n owner u32s (interval -> node table, atomically swapped)
 	fRoutingOver = 24 // node -> coordinator: routing table installed
-	fDrain       = 25 // coordinator -> node: all intervals shed; exit cleanly
-	fDrainOver   = 26 // node -> coordinator: draining acknowledged
 )
 
 // protoVersion is the frame format version. A peer speaking any other
@@ -130,7 +129,7 @@ func closeQuietly(c io.Closer) {
 // membershipFrame reports whether kind belongs to the elastic-membership
 // protocol — the frames the chaos harness can disturb through the
 // cluster.migrate.* fault sites.
-func membershipFrame(kind byte) bool { return kind >= fJoin && kind <= fDrainOver }
+func membershipFrame(kind byte) bool { return kind >= fJoin && kind <= fRoutingOver }
 
 // writeFrame sends one frame and flushes it. On data-plane connections
 // the fault sites fire before anything is buffered, so an injected drop
@@ -323,9 +322,10 @@ func parseHello(p []byte) (node uint32, addr string, err error) {
 	return node, string(p[6 : 6+n]), nil
 }
 
-// rejoinPayload is the hello of a restarted node: which node it is, the
-// epoch its recovered vertexfile sits at, and its fresh data address.
-func rejoinPayload(node uint32, epoch uint64, addr string) []byte {
+// joinPayload is the hello of a node entering a running job — a joiner
+// or a same-id replacement: which node it is, the epoch its sealed value
+// file sits at, and its fresh data address.
+func joinPayload(node uint32, epoch uint64, addr string) []byte {
 	b := make([]byte, 4+8+2+len(addr))
 	binary.LittleEndian.PutUint32(b[0:], node)
 	binary.LittleEndian.PutUint64(b[4:], epoch)
@@ -334,15 +334,15 @@ func rejoinPayload(node uint32, epoch uint64, addr string) []byte {
 	return b
 }
 
-func parseRejoin(p []byte) (node uint32, epoch uint64, addr string, err error) {
+func parseJoin(p []byte) (node uint32, epoch uint64, addr string, err error) {
 	if len(p) < 14 {
-		return 0, 0, "", fmt.Errorf("cluster: short rejoin")
+		return 0, 0, "", fmt.Errorf("cluster: short join")
 	}
 	node = binary.LittleEndian.Uint32(p[0:])
 	epoch = binary.LittleEndian.Uint64(p[4:])
 	n := int(binary.LittleEndian.Uint16(p[12:]))
 	if len(p) < 14+n {
-		return 0, 0, "", fmt.Errorf("cluster: truncated rejoin address")
+		return 0, 0, "", fmt.Errorf("cluster: truncated join address")
 	}
 	return node, epoch, string(p[14 : 14+n]), nil
 }

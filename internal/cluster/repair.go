@@ -32,6 +32,64 @@ type IntervalSource struct {
 	Path       string
 }
 
+// epochError reports a value file that cannot be sealed at the barrier
+// epoch a node or a salvage needs: after Recover and a one-step Rewind it
+// still sits at epoch, not want. A coordinated commit leaves a file at
+// most one epoch ahead of the barrier, so anything else is a file this
+// run did not seal.
+type epochError struct {
+	path        string
+	epoch, want int64
+}
+
+func (e *epochError) Error() string {
+	return fmt.Sprintf("cluster: %s is sealed at epoch %d, want %d", e.path, e.epoch, e.want)
+}
+
+// sealedAt opens the value file at path sealed at barrier epoch step —
+// the one way a file left by a dead incarnation is brought back, whether
+// a same-id replacement boots from it or a salvage extracts its
+// intervals. A torn superstep is recovered; a file that already
+// committed step (its node died after the local commit of an attempt
+// the cluster then rolled back) is rewound to it. Any other epoch is an
+// *epochError.
+func sealedAt(path string, step int64) (*vertexfile.File, error) {
+	vf, err := vertexfile.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	if vf.InProgress() {
+		_, err = vf.Recover()
+	}
+	if err == nil && vf.Epoch() == step+1 {
+		err = vf.Rewind(step)
+	}
+	if err == nil && vf.Epoch() != step {
+		err = &epochError{path: path, epoch: vf.Epoch(), want: step}
+	}
+	if err != nil {
+		closeQuietly(vf)
+		return nil, err
+	}
+	return vf, nil
+}
+
+// freshAt creates a value file at path whose every vertex holds its
+// initial payload and sits inert at epoch step (FastForward), ready for
+// AdoptInterval to paint in the ranges it will own. At step 0 it is
+// exactly the job-start file.
+func freshAt(path string, numVertices int64, init func(v int64) (payload uint64, active bool), step int64) (*vertexfile.File, error) {
+	vf, err := vertexfile.Create(path, numVertices, init)
+	if err != nil {
+		return nil, err
+	}
+	if err := vf.FastForward(step, true); err != nil {
+		closeQuietly(vf)
+		return nil, err
+	}
+	return vf, nil
+}
+
 // StaticOwners reproduces Run's initial interval-to-node assignment
 // (contiguous ascending runs, nivs intervals over nodes nodes) so an
 // offline repair of a run without membership events can locate each
@@ -48,10 +106,9 @@ func StaticOwners(nivs, nodes int) []int {
 }
 
 // RepairValuesFile rebuilds the node value file at path from the
-// sealed files of live peers: a fresh file (initial payloads from
-// init, exactly as the node's bootFresh would have built) is
-// fast-forwarded to epoch, and every interval in sources is extracted
-// from its owner and adopted. The caller has already quarantined the
+// sealed files of live peers: a fresh file at epoch (freshAt, exactly as
+// a joining node builds it) adopts every interval in sources, extracted
+// from its owner. The caller has already quarantined the
 // corrupt original — path is created anew. Each source file must be
 // sealed (no superstep in progress) at the same epoch; a source that
 // is itself unreadable or corrupt fails the repair with its own typed
@@ -91,12 +148,8 @@ func RepairValuesFile(path string, numVertices, epoch int64, init func(v int64) 
 		blobs[k] = blob
 	}
 
-	out, err := vertexfile.Create(path, numVertices, init)
+	out, err := freshAt(path, numVertices, init, epoch)
 	if err != nil {
-		return fmt.Errorf("cluster: repair of %s: %w", path, err)
-	}
-	if err := out.FastForward(epoch, true); err != nil {
-		closeQuietly(out)
 		return fmt.Errorf("cluster: repair of %s: %w", path, err)
 	}
 	for _, blob := range blobs {

@@ -138,7 +138,7 @@ const (
 	// (in-process SIGKILL): consulted with Error, a firing makes the node
 	// abandon the superstep without commit, close nothing gracefully, and
 	// exit its control loop — the coordinator must detect the death and
-	// drive rollback + rejoin.
+	// drive rollback + replacement.
 	//
 	// SiteNodeKillDispatch fires once per vertex a node dispatches, so a
 	// plan can park the death anywhere inside the dispatch stream.
@@ -149,11 +149,11 @@ const (
 	// SiteNodeKillMigrate fires when a node handles a MIGRATE frame
 	// (extract on the donor, adopt on the recipient): the node dies
 	// mid-migration, and the coordinator must roll the membership change
-	// back through the ordinary rollback/rejoin path.
+	// back through the ordinary rollback/replacement path.
 	SiteNodeKillMigrate = "cluster.node.kill.migrate"
 
 	// The cluster.migrate.* sites fire once per elastic-membership frame
-	// (MIGRATE/JOIN/DRAIN/ROUTING) a sender puts on the wire, mirroring
+	// (JOIN/MIGRATE/ROUTING) a sender puts on the wire, mirroring
 	// the per-write cluster.conn.* vocabulary at frame granularity so a
 	// plan can disturb exactly the Nth step of a migration.
 	//

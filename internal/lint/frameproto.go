@@ -13,7 +13,7 @@ import (
 // protocol (internal/cluster/protocol.go) identifies every frame by a
 // one-byte kind drawn from the package-level fXxx constant block —
 // fHello through the v3 elastic-membership frames (fJoin, fMigrate*,
-// fRouting*, fDrain*). When a new frame is added, every switch over a
+// fRouting*). When a new frame is added, every switch over a
 // frame kind must either handle it or reject it loudly: a switch with a
 // silent default (or no default and a missing case) drops the frame on
 // the floor, which for membership traffic means a node that never

@@ -67,8 +67,8 @@ const (
 	// CtrClusterRollbacks counts coordinator-driven superstep rollbacks
 	// (every node discards in-flight state and the step is retried).
 	CtrClusterRollbacks = "cluster.rollbacks"
-	// CtrClusterRejoins counts nodes that rejoined a running job via the
-	// rejoin handshake after being declared dead.
+	// CtrClusterRejoins counts dead nodes replaced by a same-id node that
+	// sealed their value file at the barrier and entered with JOIN.
 	CtrClusterRejoins = "cluster.rejoins"
 	// CtrClusterChecksumFailures counts frames rejected because their
 	// CRC32C checksum did not match — corruption detected, not applied.
