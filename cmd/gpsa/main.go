@@ -223,8 +223,10 @@ exit codes:
 	if res.Recovery != "" {
 		fmt.Printf("resumed at superstep %d (%s recovery)\n", res.ResumedFrom, res.Recovery)
 	}
-	fmt.Printf("ran %d supersteps in %v (%d messages, %d updates, converged=%v)\n",
-		res.Supersteps, res.Duration, res.Messages, res.Updates, res.Converged)
+	// The pool as resolved: a float resume is bit-identical only at the
+	// same dispatcher count.
+	fmt.Printf("ran %d supersteps on %d×%d actors in %v (%d messages, %d updates, converged=%v)\n",
+		res.Supersteps, len(res.DispatcherMessages), len(res.ComputerUpdates), res.Duration, res.Messages, res.Updates, res.Converged)
 	if res.Retries > 0 {
 		fmt.Printf("recovered from %d superstep failure(s) by rollback and retry\n", res.Retries)
 	}

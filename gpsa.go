@@ -108,10 +108,13 @@ type RunOptions struct {
 	// from the recorded superstep with the recorded convergence and
 	// aggregator state. The Resume function is shorthand for this flag.
 	Resume bool
-	// Dispatchers and Computers size the actor pools (0 = automatic, at
-	// most core.MaxWorkers each). Message memory is the slab grid,
-	// allocated when the engine is built: ≈ Dispatchers × |V| × 8.125
-	// bytes.
+	// Dispatchers and Computers size the actor pools, at most
+	// core.MaxWorkers each. 0 takes core.DefaultPool(GOMAXPROCS): a
+	// dispatcher per CPU and a computer per two. Every pool is
+	// bit-identical run over run and across resumes; float programs
+	// differ in the low bits between dispatcher counts, never between
+	// computer counts. Message memory is the slab grid, allocated when
+	// the engine is built: ≈ Dispatchers × |V| × 8.125 bytes.
 	Dispatchers int
 	Computers   int
 	// ValuesPath, when set, locates the persistent vertex value file —

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -375,16 +376,19 @@ func TestClusterDifferential(t *testing.T) {
 	}
 }
 
-// TestCoreDifferential runs every program on every adversarial shape on
-// the single-machine engine at Dispatchers×Computers 1×1, 3×2, 2×3 and
-// 4×7 (computers owning no vertex included), on both CSR encodings: the
-// dispatchers' block skipping seeks by word offset in the plain file and
-// by byte offset in the compact one. Core applies each dispatcher's slab
-// as it arrives, so only fold-order-independent programs are bit-exact
-// against ReferenceRun; float sums must stay within their stated
-// relative bound of it.
+// TestCoreDifferential runs every program on every adversarial shape
+// on the single-machine engine at Dispatchers×Computers 1×1, 2×1, 3×2,
+// 2×3 and 4×7 (computers owning no vertex included), each twice, on
+// both CSR encodings: the dispatchers' block skipping seeks by word
+// offset in the plain file and by byte offset in the compact one, and a
+// zero geometry runs the default pool. A computer applies its
+// dispatchers' slabs in ascending dispatcher order, so every cell —
+// float sums included — must equal foldedReference over the file's own
+// Partition(D) bit for bit, however the slabs arrived. Fold-order
+// independent programs must also equal ReferenceRun exactly; float sums
+// must stay within their stated relative bound of it.
 func TestCoreDifferential(t *testing.T) {
-	geometries := [][2]int{{1, 1}, {3, 2}, {2, 3}, {4, 7}}
+	geometries := [][2]int{{1, 1}, {2, 1}, {3, 2}, {2, 3}, {4, 7}, {0, 0}}
 	for _, dp := range diffPrograms {
 		for _, shape := range diffShapes {
 			t.Run(dp.name+"/"+shape.name, func(t *testing.T) {
@@ -397,26 +401,56 @@ func TestCoreDifferential(t *testing.T) {
 				}
 				for enc, path := range map[string]string{"plain": save(t, g), "compact": compact} {
 					for _, geo := range geometries {
-						vals, _, err := gpsa.Run(path, prog, gpsa.RunOptions{Dispatchers: geo[0], Computers: geo[1], Supersteps: dp.steps})
-						if err != nil {
-							t.Fatalf("%s %dx%d: %v", enc, geo[0], geo[1], err)
+						d := geo[0]
+						if d == 0 {
+							d, _ = core.DefaultPool(runtime.GOMAXPROCS(0))
 						}
-						for v := int64(0); v < g.NumVertices; v++ {
-							got, want := vals.Raw(v), ref[v]&vertexfile.PayloadMask
-							if dp.rel == 0 {
-								if got != want {
-									t.Fatalf("%s %dx%d vertex %d: core %#x, reference %#x", enc, geo[0], geo[1], v, got, want)
-								}
-							} else if x, r := dp.decode(got), dp.decode(want); math.Abs(x-r) > dp.rel*math.Max(1, math.Abs(r)) {
-								t.Fatalf("%s %dx%d vertex %d: core %g, reference %g: beyond the relative bound %g", enc, geo[0], geo[1], v, x, r, dp.rel)
+						folded := foldedReference(g, prog, intervalOf(t, path, d), dp.steps)
+						for run := range 2 {
+							what := fmt.Sprintf("%s %dx%d run %d", enc, geo[0], geo[1], run)
+							vals, _, err := gpsa.Run(path, prog, gpsa.RunOptions{Dispatchers: geo[0], Computers: geo[1], Supersteps: dp.steps})
+							if err != nil {
+								t.Fatalf("%s: %v", what, err)
 							}
+							for v := int64(0); v < g.NumVertices; v++ {
+								got, want := vals.Raw(v), ref[v]&vertexfile.PayloadMask
+								if f := folded[v] & vertexfile.PayloadMask; got != f {
+									t.Fatalf("%s vertex %d: core %#x, ordered fold %#x", what, v, got, f)
+								}
+								if dp.rel == 0 {
+									if got != want {
+										t.Fatalf("%s vertex %d: core %#x, reference %#x", what, v, got, want)
+									}
+								} else if x, r := dp.decode(got), dp.decode(want); math.Abs(x-r) > dp.rel*math.Max(1, math.Abs(r)) {
+									t.Fatalf("%s vertex %d: core %g, reference %g: beyond the relative bound %g", what, v, x, r, dp.rel)
+								}
+							}
+							vals.Close()
 						}
-						vals.Close()
 					}
 				}
 			})
 		}
 	}
+}
+
+// intervalOf maps every vertex of the CSR file at path to its interval
+// in the file's own Partition(n): the source interval a core dispatcher
+// or a cluster interval owner scans it in.
+func intervalOf(t *testing.T, path string, n int) []int {
+	t.Helper()
+	gf, err := graph.OpenFile(path, mmap.ModeAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gf.Close()
+	ivOf := make([]int, gf.NumVertices)
+	for i, iv := range gf.Partition(n) {
+		for v := iv.FirstVertex; v < iv.EndVertex; v++ {
+			ivOf[v] = i
+		}
+	}
+	return ivOf
 }
 
 // TestCombineMsgCommutativeAssociative: a fold-order-independent

@@ -198,33 +198,45 @@ func TestClusterCombining(t *testing.T) {
 	}
 }
 
-// TestClusterOneNodeEqualsCore pins the cluster's fold to core's: with
-// one node and one interval, every destination's messages fold in
-// generation order into one message, exactly as core's single dispatcher
-// slab does, so float PageRank is bit-identical whatever the node's
-// computer count.
+// TestClusterOneNodeEqualsCore pins the cluster's fold to core's. Core
+// dispatcher i folds interval i of Partition(D) into one slab per
+// computer, and every computer applies the D slabs in ascending
+// dispatcher order; the cluster folds per source interval of
+// Partition(Nodes×Splits) and applies in ascending interval. So float
+// PageRank at core D×C is bit-identical to the cluster at 1×D and D×1,
+// whatever C and the node's computer count.
 func TestClusterOneNodeEqualsCore(t *testing.T) {
 	for _, seed := range []int64{3, 5, 7} {
 		path := save(t, rmat(t, 3000, 40000, seed))
-		vals, _, err := gpsa.Run(path, algorithms.PageRank{}, gpsa.RunOptions{Supersteps: 5, Dispatchers: 1, Computers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]uint64, vals.NumVertices())
-		for v := range want {
-			want[v] = vals.Raw(int64(v))
-		}
-		if err := vals.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for _, computers := range []int{1, 2, 3} {
-			_, got, err := cluster.Run(path, algorithms.PageRank{}, cluster.Config{
-				Nodes: 1, MaxSupersteps: 5, Node: cluster.NodeConfig{Computers: computers},
-			})
-			if err != nil {
-				t.Fatal(err)
+		for _, d := range []int{1, 2, 3, 6} {
+			var want []uint64
+			for _, cl := range []struct{ nodes, splits, computers int }{{1, d, 1}, {1, d, 3}, {d, 1, 2}} {
+				_, got, err := cluster.Run(path, algorithms.PageRank{}, cluster.Config{
+					Nodes: cl.nodes, Splits: cl.splits, MaxSupersteps: 5, Node: cluster.NodeConfig{Computers: cl.computers},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+					continue
+				}
+				assertSameValues(t, fmt.Sprintf("seed %d: cluster %dx%d with %d computers vs 1x%d", seed, cl.nodes, cl.splits, cl.computers, d), got, want)
 			}
-			assertSameValues(t, fmt.Sprintf("seed %d, %d computers", seed, computers), got, want)
+			for _, c := range []int{1, 2, 3} {
+				vals, _, err := gpsa.Run(path, algorithms.PageRank{}, gpsa.RunOptions{Supersteps: 5, Dispatchers: d, Computers: c})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]uint64, vals.NumVertices())
+				for v := range got {
+					got[v] = vals.Raw(int64(v))
+				}
+				if err := vals.Close(); err != nil {
+					t.Fatal(err)
+				}
+				assertSameValues(t, fmt.Sprintf("seed %d: core %dx%d vs cluster 1x%d", seed, d, c, d), got, want)
+			}
 		}
 	}
 }

@@ -7,7 +7,7 @@ import "math/bits"
 // are present. In core each (dispatcher, computer) pair owns one for the
 // engine's lifetime, covering the computer's owned vertices (slot i is
 // vertex i*Computers + computer): the dispatcher hands it off at the end
-// of its interval if anything landed, and the computer applies and
+// of its interval, and the computer applies it in dispatcher order and
 // resets it before acking the barrier, so the next superstep finds it
 // empty. A cluster node owns one covering every vertex.
 type Slab struct {

@@ -123,16 +123,21 @@ func assertSame(t *testing.T, what string, got, want []uint64) {
 	}
 }
 
-// assertRef runs prog over g and requires it to equal refRun bit for
-// bit, and to deliver no more slab entries than it generated messages.
+// assertRef runs prog over g and requires it to equal refRun over the
+// engine's dispatcher intervals bit for bit, and to deliver no more slab
+// entries than it generated messages.
 func assertRef(t *testing.T, g *graph.CSR, prog Program, cfg Config) {
 	t.Helper()
 	steps := cfg.MaxSupersteps
 	if steps == 0 {
 		steps = DefaultMaxSupersteps
 	}
-	vals, res := runOn(t, g, prog, cfg)
-	assertSame(t, fmt.Sprintf("%T vs refRun", prog), vals, refRun(g, prog, steps))
+	eng, vf := setup(t, g, prog, cfg)
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatalf("%T: %v", prog, err)
+	}
+	assertSame(t, fmt.Sprintf("%T vs refRun", prog), vf.Values(), refRun(g, prog, eng.intervals, steps))
 	if res.Delivered > res.Messages {
 		t.Fatalf("%T delivered %d of %d messages", prog, res.Delivered, res.Messages)
 	}
@@ -201,21 +206,34 @@ func TestPathsMatchReferenceMinPrograms(t *testing.T) {
 	})
 }
 
-// Float sums are order-sensitive, but with one dispatcher every vertex's
-// messages fold in generation order — whatever the number of computers —
-// exactly as refRun folds them, so the result must still equal the
-// reference bit for bit.
+// Float sums are order-sensitive, but every computer applies its
+// dispatchers' slabs in ascending dispatcher order, and within a slab a
+// vertex's messages fold in generation order — whatever the number of
+// computers — exactly as refRun folds them over the engine's intervals,
+// so the result must equal it bit for bit.
 func TestPathsMatchReferenceFloatPrograms(t *testing.T) {
 	for _, sh := range adversarialShapes(t) {
-		for _, computers := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/1x%d", sh.name, computers), func(t *testing.T) {
-				cfg := Config{Dispatchers: 1, Computers: computers, MaxSupersteps: 8, DisableSync: true}
-				assertRef(t, sh.g, prProg{}, cfg)
-				cfg.MaxSupersteps = 20
-				assertRef(t, sh.g, dprProg{}, cfg)
-			})
+		for _, dispatchers := range []int{1, 2, 3} {
+			for _, computers := range []int{1, 3} {
+				t.Run(fmt.Sprintf("%s/%dx%d", sh.name, dispatchers, computers), func(t *testing.T) {
+					cfg := Config{Dispatchers: dispatchers, Computers: computers, MaxSupersteps: 8, DisableSync: true}
+					assertRef(t, sh.g, prProg{}, cfg)
+					cfg.MaxSupersteps = 20
+					assertRef(t, sh.g, dprProg{}, cfg)
+				})
+			}
 		}
 	}
+	// The zero pool is DefaultPool, a dispatcher per core: what
+	// `go test -cpu` varies.
+	t.Run("default-pool", func(t *testing.T) {
+		cfg := Config{MaxSupersteps: 8, DisableSync: true}
+		d, c := DefaultPool(runtime.GOMAXPROCS(0))
+		if got := cfg.withDefaults(); got.Dispatchers != d || got.Computers != c {
+			t.Fatalf("zero pool resolved to %dx%d, DefaultPool gives %dx%d", got.Dispatchers, got.Computers, d, c)
+		}
+		assertRef(t, randomGraph(t, 77, 300, 1800), prProg{}, cfg)
+	})
 }
 
 // The hand-off rule is derived from slab geometry, not configured: a
@@ -318,8 +336,9 @@ func TestSlabPathAllocCeiling(t *testing.T) {
 // overwritten with the poison pattern — must leave every slab empty and
 // produce a vertex file bit-identical to a fresh engine running straight
 // through. Any read of a reset slab that escapes the presence bitmap
-// would fold poison into a value and diverge loudly. One dispatcher
-// keeps the float fold order, and so PageRank's bits, deterministic.
+// would fold poison into a value and diverge loudly. Computers apply
+// slabs in dispatcher order, so PageRank's bits are deterministic at any
+// dispatcher count.
 func TestAccumPoolRecycleEquivalence(t *testing.T) {
 	restore := poisonResets
 	poisonResets = true
@@ -327,20 +346,24 @@ func TestAccumPoolRecycleEquivalence(t *testing.T) {
 
 	t.Run("slab", func(t *testing.T) {
 		g := randomGraph(t, 78, 260, 2000)
-		cfg := Config{Dispatchers: 1, Computers: 2, MaxSupersteps: 8, DisableSync: true}
-		want, _ := runOn(t, g, prProg{}, cfg)
-		cfg.MaxSupersteps = 4
-		eng, vf := setup(t, g, prProg{}, cfg)
-		for part := 0; part < 2; part++ {
-			if _, err := eng.Run(); err != nil {
-				t.Fatalf("run %d: %v", part, err)
-			}
-			for _, s := range slices.Concat(eng.slabs...) {
-				if n := s.Len(); n != 0 {
-					t.Fatalf("run %d left a slab non-empty (%d present)", part, n)
+		for _, dispatchers := range []int{1, 2, 3} {
+			t.Run(fmt.Sprintf("%dx2", dispatchers), func(t *testing.T) {
+				cfg := Config{Dispatchers: dispatchers, Computers: 2, MaxSupersteps: 8, DisableSync: true}
+				want, _ := runOn(t, g, prProg{}, cfg)
+				cfg.MaxSupersteps = 4
+				eng, vf := setup(t, g, prProg{}, cfg)
+				for part := 0; part < 2; part++ {
+					if _, err := eng.Run(); err != nil {
+						t.Fatalf("run %d: %v", part, err)
+					}
+					for _, s := range slices.Concat(eng.slabs...) {
+						if n := s.Len(); n != 0 {
+							t.Fatalf("run %d left a slab non-empty (%d present)", part, n)
+						}
+					}
 				}
-			}
+				assertSame(t, "reused engine vs fresh engine", vf.Values(), want)
+			})
 		}
-		assertSame(t, "reused engine vs fresh engine", vf.Values(), want)
 	})
 }

@@ -209,7 +209,7 @@ func (h *vertexFileHandle) resumeAndCompare(t *testing.T, gf *graph.File, g *gra
 	if !res.Converged {
 		t.Fatal("resumed run did not converge")
 	}
-	want := refRun(g, ccProg{}, DefaultMaxSupersteps)
+	want := refRun(g, ccProg{}, nil, DefaultMaxSupersteps)
 	for v := int64(0); v < g.NumVertices; v++ {
 		if got := h.vf.Value(v); got != want[v] {
 			t.Fatalf("vertex %d = %d after resume, want %d", v, got, want[v])

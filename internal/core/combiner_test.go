@@ -10,7 +10,7 @@ import (
 
 func TestCombiningPreservesResults(t *testing.T) {
 	g := randomGraph(t, 31, 200, 1200).Symmetrize()
-	want := refRun(g, ccProg{}, 100)
+	want := refRun(g, ccProg{}, nil, 100)
 
 	eng, vf := setup(t, g, ccProg{}, Config{})
 	res, err := eng.Run()
@@ -56,7 +56,7 @@ func TestPerWorkerStatsSumToTotals(t *testing.T) {
 
 func TestDisableSyncStillCorrect(t *testing.T) {
 	g := randomGraph(t, 36, 150, 800)
-	want := refRun(g, bfsProg{root: 1}, 100)
+	want := refRun(g, bfsProg{root: 1}, nil, 100)
 	eng, vf := setup(t, g, bfsProg{root: 1}, Config{DisableSync: true})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestDisableSyncStillCorrect(t *testing.T) {
 func TestEngineRunsOnCompactFormat(t *testing.T) {
 	// The compact (varint) on-disk format must be a drop-in replacement.
 	g := randomGraph(t, 38, 300, 1800).Symmetrize()
-	want := refRun(g, ccProg{}, 100)
+	want := refRun(g, ccProg{}, nil, 100)
 
 	dir := t.TempDir()
 	gpath := dir + "/g2.gpsa"

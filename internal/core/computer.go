@@ -11,15 +11,37 @@ import (
 // vertices v with v mod Computers == id and folds incoming messages into
 // their values, message-driven, concurrently with dispatching. Messages
 // arrive as dense slabs (kindSegment) carrying one pre-combined message
-// per vertex.
+// per vertex, exactly one from each dispatcher every superstep, and are
+// applied in ascending dispatcher order — the cluster's ascending source
+// interval — so float sums are bit-identical at every pool geometry.
 type computer struct {
 	id  int
 	eng *Engine
 
 	updates int64
-	// pending buffers whole slabs when SequentialPhases disables the
-	// overlap (ablation mode): they are only applied at the barrier.
-	pending []*Slab
+	// held[i] is dispatcher i's slab of this superstep once it has
+	// arrived and until its turn (noSlab marks an empty one); next is the
+	// dispatcher whose slab applies next. SequentialPhases (ablation
+	// mode) holds every slab until the barrier.
+	held []*Slab
+	next int
+}
+
+// noSlab is what a computer holds for a dispatcher whose slab arrived
+// empty: its turn passes without an apply.
+var noSlab = new(Slab)
+
+// missingSlabsError is a computer reaching the barrier without a slab
+// (or empty marker) from every dispatcher: a broken hand-off, since a
+// dispatcher sends one to each computer before it reports DISPATCH_OVER.
+type missingSlabsError struct {
+	computer, applied, dispatchers int
+	step                           int64
+}
+
+func (e *missingSlabsError) Error() string {
+	return fmt.Sprintf("core: computer %d reached the superstep %d barrier with %d of %d dispatcher slabs applied",
+		e.computer, e.step, e.applied, e.dispatchers)
 }
 
 // Execute is the computing worker's actor loop.
@@ -35,7 +57,8 @@ func (c *computer) Execute() (err error) {
 		}
 	}()
 	c.updates = 0
-	c.pending = c.pending[:0]
+	c.held = make([]*Slab, len(c.eng.intervals))
+	c.next = 0
 	for {
 		m, ok := c.eng.toComp[c.id].Get()
 		if !ok {
@@ -43,18 +66,24 @@ func (c *computer) Execute() (err error) {
 		}
 		switch m.kind {
 		case kindSegment:
-			if c.eng.cfg.SequentialPhases {
-				c.pending = append(c.pending, m.seg)
-			} else {
-				c.processSegment(m.seg)
+			s := m.seg
+			if m.count == 0 {
+				s = noSlab
+			}
+			c.held[m.from] = s
+			if !c.eng.cfg.SequentialPhases {
+				c.applyHeld()
 			}
 		case kindComputeOver:
 			// FIFO mailbox ordering guarantees every slab sent before the
 			// barrier has been received above.
-			for _, s := range c.pending {
-				c.processSegment(s)
+			c.applyHeld()
+			if c.next != len(c.held) {
+				err := &missingSlabsError{computer: c.id, applied: c.next, dispatchers: len(c.held), step: m.step}
+				c.eng.toManager.Put(workerMsg{kind: kindFailed, from: c.id, err: err}) //nolint:errcheck
+				return err
 			}
-			c.pending = c.pending[:0]
+			c.next = 0
 			ack := workerMsg{kind: kindComputeOver, from: c.id, count: c.updates}
 			c.updates = 0
 			if err := c.eng.toManager.Put(ack); err != nil {
@@ -64,6 +93,21 @@ func (c *computer) Execute() (err error) {
 			return nil
 		default:
 			return fmt.Errorf("core: computer %d: unexpected message kind %v", c.id, m.kind)
+		}
+	}
+}
+
+// applyHeld applies the held slabs whose turn has come: from next up to
+// the first dispatcher whose slab has not arrived yet.
+//
+//gpsa:noalloc
+func (c *computer) applyHeld() {
+	for c.next < len(c.held) && c.held[c.next] != nil {
+		s := c.held[c.next]
+		c.held[c.next] = nil
+		c.next++
+		if s != noSlab {
+			c.processSegment(s)
 		}
 	}
 }

@@ -254,8 +254,8 @@ func (d *dispatcher) aborting(err error) bool {
 	return errors.Is(err, errAborted) || errors.Is(err, actor.ErrMailboxClosed) || d.eng.aborted.Load()
 }
 
-// runSuperstep scans the interval, then hands every slab something
-// landed in to its computer, in worker order (deterministic).
+// runSuperstep scans the interval, then hands every computer its slab,
+// in worker order.
 //
 //gpsa:noalloc
 func (d *dispatcher) runSuperstep(step int64) (sent int64, err error) {
@@ -273,17 +273,18 @@ func (d *dispatcher) runSuperstep(step int64) (sent int64, err error) {
 	return sent, nil
 }
 
-// flushDense hands slab wk to its computer if anything landed in it;
-// the dispatcher does not touch it again until the next superstep.
+// flushDense hands slab wk to its computer; the dispatcher does not
+// touch it again until the next superstep. An empty slab goes as a
+// marker with count 0 — the computer applies slabs in dispatcher order,
+// so it must hear from every dispatcher — and is not counted.
 //
 //gpsa:noalloc
 func (d *dispatcher) flushDense(wk int) error {
 	s := d.slabs[wk]
-	n := s.Len()
-	if n == 0 {
-		return nil
+	n := int64(s.Len())
+	if n > 0 {
+		d.delivered += n
+		d.denseSegs++
 	}
-	d.delivered += int64(n)
-	d.denseSegs++
-	return d.eng.toComp[wk].Put(workerMsg{kind: kindSegment, seg: s})
+	return d.eng.toComp[wk].Put(workerMsg{kind: kindSegment, from: d.id, seg: s, count: n})
 }

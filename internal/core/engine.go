@@ -33,17 +33,19 @@ type workerMsg struct {
 	step   int64
 	seg    *Slab // kindSegment
 	from   int   // sender worker id
-	count  int64 // dispatchOver: messages generated; computeOver ack: updates
+	count  int64 // segment: slots present (0: empty marker); dispatchOver: messages generated; computeOver ack: updates
 	count2 int64 // dispatchOver: messages delivered after combining
 	err    error // kindFailed
 }
 
-// computerMailboxDepth is each computing worker's mailbox depth. A
-// dispatcher hands a computer at most one slab per superstep, so the
-// depth binds only above 63 dispatchers, and then it only makes a
-// dispatcher wait: computers never wait on dispatchers. Dispatchers+1
-// would never bind, but at the MaxWorkers × MaxWorkers bound it is about
-// 1 GiB of channel buffers.
+// computerMailboxDepth is each computing worker's mailbox depth. Every
+// dispatcher hands every computer exactly one slab (or empty marker) per
+// superstep, so a computer receives exactly Dispatchers messages and the
+// barrier per step: the depth binds only above 63 dispatchers, and then
+// it only makes a dispatcher wait — a computer holds a slab that arrives
+// before its turn instead of waiting on it, so computers never wait on
+// dispatchers. Dispatchers+1 would never bind, but at the MaxWorkers ×
+// MaxWorkers bound it is about 1 GiB of channel buffers.
 const computerMailboxDepth = 64
 
 // Engine runs a Program over an on-disk CSR graph and a two-column vertex

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -114,12 +115,13 @@ func randomGraph(t testing.TB, seed int64, v int64, e int) *graph.CSR {
 
 // refRun is a deterministic serial executor with engine semantics (a
 // folding variant of algorithms.ReferenceRun, local to avoid an import
-// cycle): each destination's messages are folded with CombineMsg in
-// generation order and Compute sees the one combined message — which is
-// what the slab path delivers, bit for bit, when a single dispatcher
-// generates them. For min-folds it is indistinguishable from applying
-// every message.
-func refRun(g *graph.CSR, p Program, maxSteps int) []uint64 {
+// cycle): the messages one interval of ivs sends to one destination fold
+// with CombineMsg in generation order, and each destination applies the
+// combined messages in ascending interval — which is what the slab path
+// delivers, bit for bit, when its dispatchers scan ivs (Engine.intervals),
+// whatever the number of computers. nil ivs is a single interval. For
+// min-folds it is indistinguishable from applying every message.
+func refRun(g *graph.CSR, p Program, ivs []graph.Interval, maxSteps int) []uint64 {
 	n := g.NumVertices
 	vals := make([]uint64, n)
 	active := make([]bool, n)
@@ -130,12 +132,34 @@ func refRun(g *graph.CSR, p Program, maxSteps int) []uint64 {
 	for v := int64(0); v < n; v++ {
 		vals[v], active[v] = p.Init(v)
 	}
-	for s := 0; s < maxSteps; s++ {
-		var msgs, updates int64
-		for i := range touched {
-			touched[i], present[i] = false, false
+	var updates int64
+	// apply hands each destination the interval's combined message: cur
+	// is the previous superstep's value at the vertex's first one.
+	apply := func() {
+		for d := int64(0); d < n; d++ {
+			if !present[d] {
+				continue
+			}
+			present[d] = false
+			first, cur := !touched[d], vals[d]
+			if !first {
+				cur = upd[d]
+			}
+			if nv, changed := p.Compute(d, cur, acc[d], first); changed {
+				upd[d], touched[d] = nv, true
+				updates++
+			}
 		}
+	}
+	for s := 0; s < maxSteps; s++ {
+		var msgs int64
+		updates = 0
+		clear(touched)
+		k := 0
 		for v := int64(0); v < n; v++ {
+			for ; k < len(ivs) && v >= ivs[k].EndVertex; k++ {
+				apply()
+			}
 			if !active[v] {
 				continue
 			}
@@ -158,17 +182,7 @@ func refRun(g *graph.CSR, p Program, maxSteps int) []uint64 {
 				}
 			}
 		}
-		// Each vertex's first (and only) message of the superstep: cur is
-		// the previous superstep's value.
-		for d := int64(0); d < n; d++ {
-			if !present[d] {
-				continue
-			}
-			if nv, changed := p.Compute(d, vals[d], acc[d], true); changed {
-				upd[d], touched[d] = nv, true
-				updates++
-			}
-		}
+		apply()
 		for v := int64(0); v < n; v++ {
 			active[v] = touched[v]
 			if touched[v] {
@@ -192,7 +206,7 @@ func TestEngineBFSMatchesReference(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("BFS did not converge in %d supersteps", res.Supersteps)
 	}
-	want := refRun(g, bfsProg{root: 0}, 100)
+	want := refRun(g, bfsProg{root: 0}, nil, 100)
 	for v := int64(0); v < g.NumVertices; v++ {
 		if got := vf.Value(v); got != want[v]&vertexfile.PayloadMask {
 			t.Fatalf("vertex %d: level %d, want %d", v, got, want[v])
@@ -210,7 +224,7 @@ func TestEngineCCMatchesReference(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("CC did not converge")
 	}
-	want := refRun(g, ccProg{}, 100)
+	want := refRun(g, ccProg{}, nil, 100)
 	for v := int64(0); v < g.NumVertices; v++ {
 		if got := vf.Value(v); got != want[v] {
 			t.Fatalf("vertex %d: label %d, want %d", v, got, want[v])
@@ -229,24 +243,22 @@ func TestEnginePageRankMatchesReference(t *testing.T) {
 	if res.Supersteps != steps {
 		t.Fatalf("ran %d supersteps, want %d", res.Supersteps, steps)
 	}
-	want := refRun(g, prProg{}, steps)
+	want := refRun(g, prProg{}, eng.intervals, steps)
 	for v := int64(0); v < g.NumVertices; v++ {
-		got := math.Float64frombits(vf.Value(v))
-		ref := math.Float64frombits(want[v] & vertexfile.PayloadMask)
-		if math.Abs(got-ref) > 1e-9*(1+math.Abs(ref)) {
-			t.Fatalf("vertex %d: rank %g, want %g", v, got, ref)
+		if got, ref := vf.Value(v), want[v]&vertexfile.PayloadMask; got != ref {
+			t.Fatalf("vertex %d: rank %g, want %g", v, math.Float64frombits(got), math.Float64frombits(ref))
 		}
 	}
 }
 
 func TestEngineSequentialPhasesAblation(t *testing.T) {
 	g := randomGraph(t, 4, 120, 700)
-	want := refRun(g, ccProg{}, 100)
+	want := refRun(g, ccProg{}, nil, 100)
 	eng, vf := setup(t, g.Symmetrize(), ccProg{}, Config{SequentialPhases: true})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want = refRun(g.Symmetrize(), ccProg{}, 100)
+	want = refRun(g.Symmetrize(), ccProg{}, nil, 100)
 	for v := int64(0); v < g.NumVertices; v++ {
 		if got := vf.Value(v); got != want[v] {
 			t.Fatalf("sequential mode: vertex %d = %d, want %d", v, got, want[v])
@@ -260,7 +272,7 @@ func TestEngineSingleWorkerEachRole(t *testing.T) {
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := refRun(g, bfsProg{root: 7}, 100)
+	want := refRun(g, bfsProg{root: 7}, nil, 100)
 	for v := int64(0); v < g.NumVertices; v++ {
 		if vf.Value(v) != want[v]&vertexfile.PayloadMask {
 			t.Fatalf("vertex %d mismatch", v)
@@ -274,7 +286,7 @@ func TestEngineManyWorkers(t *testing.T) {
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := refRun(g, ccProg{}, 100)
+	want := refRun(g, ccProg{}, nil, 100)
 	for v := int64(0); v < g.NumVertices; v++ {
 		if vf.Value(v) != want[v] {
 			t.Fatalf("vertex %d mismatch", v)
@@ -497,7 +509,7 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 			t.Logf("run: %v", err)
 			return false
 		}
-		want := refRun(g, ccProg{}, 100)
+		want := refRun(g, ccProg{}, nil, 100)
 		for x := int64(0); x < v; x++ {
 			if vf.Value(x) != want[x] {
 				return false
@@ -616,5 +628,23 @@ func TestWatchdogDisabledByDefault(t *testing.T) {
 	eng, _ := setup(t, g, bfsProg{root: 0}, Config{})
 	if _, err := eng.Run(); err != nil {
 		t.Fatalf("normal run failed: %v", err)
+	}
+}
+
+// A computer applies slabs in dispatcher order and must hear from every
+// dispatcher each superstep: one that reaches the barrier short of that
+// fails typed instead of acking a partial apply.
+func TestComputerMissingSlabFailsTyped(t *testing.T) {
+	eng, _ := setup(t, randomGraph(t, 5, 50, 200), ccProg{}, Config{Dispatchers: 2, Computers: 1})
+	eng.runCtx = context.Background()
+	eng.spawn()
+	defer eng.teardown() //nolint:errcheck
+	if err := eng.toComp[0].Put(workerMsg{kind: kindComputeOver, step: 0}); err != nil {
+		t.Fatal(err)
+	}
+	m, ok := eng.toManager.Get()
+	var me *missingSlabsError
+	if !ok || m.kind != kindFailed || !errors.As(m.err, &me) || me.applied != 0 || me.dispatchers != 2 {
+		t.Fatalf("barrier without slabs: got %v %v, want a kindFailed *missingSlabsError (0 of 2)", m.kind, m.err)
 	}
 }

@@ -62,9 +62,9 @@ func TestKillAtSuperstepResumeBitIdentical(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			// Single dispatcher: message order — and so float accumulation
-			// order — is deterministic, making bit-identity meaningful.
-			opts := gpsa.RunOptions{Dispatchers: 1, Supersteps: tc.steps}
+			// The default pool: slabs apply in dispatcher order, so float
+			// accumulation order — and bit-identity — is deterministic.
+			opts := gpsa.RunOptions{Supersteps: tc.steps}
 
 			baseOpts := opts
 			baseOpts.ValuesPath = filepath.Join(dir, tc.name+"-base.gpvf")

@@ -82,7 +82,7 @@ func resumable(path string) bool {
 func runBaseline(t *testing.T, graphPath string, algoArgs []string, dir string) harness.FileState {
 	t.Helper()
 	values := filepath.Join(dir, "baseline.gpvf")
-	args := append([]string{"-graph", graphPath, "-dispatchers", "1", "-values", values}, algoArgs...)
+	args := append([]string{"-graph", graphPath, "-values", values}, algoArgs...)
 	res, err := runBinary(gpsaBin, args, "", 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func tortureCase(t *testing.T, graphPath string, algoArgs []string, wantKills in
 	baseline := runBaseline(t, graphPath, algoArgs, dir)
 
 	values := filepath.Join(dir, "torture.gpvf")
-	commonArgs := append([]string{"-graph", graphPath, "-dispatchers", "1", "-values", values}, algoArgs...)
+	commonArgs := append([]string{"-graph", graphPath, "-values", values}, algoArgs...)
 	rng := rand.New(rand.NewSource(seed))
 	kills, resumes := 0, 0
 	for attempt := 0; kills < wantKills; attempt++ {
@@ -226,7 +226,7 @@ func TestInterruptSealsCleanly(t *testing.T) {
 	baseline := runBaseline(t, directedGraph, algoArgs, dir)
 
 	values := filepath.Join(dir, "int.gpvf")
-	args := append([]string{"-graph", directedGraph, "-dispatchers", "1", "-values", values}, algoArgs...)
+	args := append([]string{"-graph", directedGraph, "-values", values}, algoArgs...)
 	// Stall every computed message so superstep 0 is still in flight when
 	// the SIGINT lands.
 	res, err := runBinary(gpsaBin, args, "site="+fault.SiteComputerStall+",count=-1,delay=2ms", 0, 400*time.Millisecond)
@@ -337,7 +337,7 @@ func killDuringResumeCase(t *testing.T, graphPath string, algoArgs []string, wan
 	baseline := runBaseline(t, graphPath, algoArgs, dir)
 
 	values := filepath.Join(dir, "resume-torture.gpvf")
-	commonArgs := append([]string{"-graph", graphPath, "-dispatchers", "1", "-values", values}, algoArgs...)
+	commonArgs := append([]string{"-graph", graphPath, "-values", values}, algoArgs...)
 	rng := rand.New(rand.NewSource(seed))
 	resumeKills := 0
 	for attempt := 0; resumeKills < wantResumeKills; attempt++ {

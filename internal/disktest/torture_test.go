@@ -25,14 +25,13 @@ import (
 )
 
 // engineOpts is the storm runs' engine shape: PageRank's fixed budget
-// with one dispatcher, the configuration under which the engine's
-// bit-identical recovery claim is strongest (order-sensitive floats).
+// at the default pool — order-sensitive floats, the strongest test of
+// the engine's bit-identical recovery claim.
 func engineOpts(ctx context.Context, valuesPath string) gpsa.RunOptions {
 	return gpsa.RunOptions{
-		Supersteps:  5,
-		Dispatchers: 1,
-		ValuesPath:  valuesPath,
-		Context:     ctx,
+		Supersteps: 5,
+		ValuesPath: valuesPath,
+		Context:    ctx,
 	}
 }
 

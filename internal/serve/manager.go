@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
 	"repro"
 	"repro/internal/actor"
+	"repro/internal/core"
 	"repro/internal/diskio"
 	"repro/internal/fault"
 	"repro/internal/metrics"
@@ -492,11 +494,20 @@ func (m *Manager) runAttempt(ctx context.Context, rg *residentGraph, spec JobSpe
 	if err != nil {
 		return nil, nil, err
 	}
+	// A job shares the host with up to Workers-1 others, so a zero pool
+	// is sized from its share of the cores, not from all of them.
+	dispatchers, computers := core.DefaultPool(max(1, runtime.GOMAXPROCS(0)/m.opts.Workers))
+	if spec.Dispatchers > 0 {
+		dispatchers = spec.Dispatchers
+	}
+	if spec.Computers > 0 {
+		computers = spec.Computers
+	}
 	opts := gpsa.RunOptions{
 		Supersteps:  steps,
 		Context:     ctx,
-		Dispatchers: spec.Dispatchers,
-		Computers:   spec.Computers,
+		Dispatchers: dispatchers,
+		Computers:   computers,
 		ValuesPath:  vpath,
 		Resume:      gpsa.Resumable(vpath),
 		StepRetries: m.opts.StepRetries,

@@ -71,11 +71,14 @@ type JobSpec struct {
 	// the moment it starts executing; 0 means the server default. On
 	// expiry the run is cancelled, rolled back, and sealed.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Dispatchers/Computers size the job's actor pools (0 = server
-	// default, at most core.MaxWorkers). Part of the cache key:
-	// float-valued programs fold in worker order, so different pools may
-	// differ in the low bits. A job's message memory is its slab grid,
-	// ≈ Dispatchers × |V| × 8.125 bytes.
+	// Dispatchers/Computers size the job's actor pools, at most
+	// core.MaxWorkers. 0 takes core.DefaultPool of the job's share of
+	// the cores, GOMAXPROCS/Workers (at least 1): 1×1 on a 2-CPU server
+	// with 4 workers. Part of the cache key: float-valued programs fold
+	// per dispatcher interval, so results at different Dispatchers may
+	// differ in the low bits, while Computers never changes a bit. A
+	// job's message memory is its slab grid, ≈ Dispatchers × |V| × 8.125
+	// bytes.
 	Dispatchers int `json:"dispatchers,omitempty"`
 	Computers   int `json:"computers,omitempty"`
 }

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/diskio"
 	"repro/internal/fault"
 	"repro/internal/gen"
@@ -753,5 +755,36 @@ func waitStatus(t *testing.T, m *Manager, id string, timeout time.Duration) Job 
 			t.Fatalf("job %s stuck in %q after %v", id, j.Status, timeout)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// A job that leaves its pool at 0 shares the host with Workers-1
+// others, so it runs at DefaultPool of its share of the cores: its
+// values equal an explicit job at that pool bit for bit (the two specs
+// differ in the cache key, so both run).
+func TestZeroPoolTakesWorkersShare(t *testing.T) {
+	opts := testOptions(t)
+	rel := writeTestGraph(t, opts.GraphDir)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m, err := NewManager(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := func(spec JobSpec) string {
+		j, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := waitStatus(t, m, j.ID, 10*time.Second)
+		if done.Status != StatusCompleted || done.Result == nil {
+			t.Fatalf("%+v finished %q (%s), want completed", spec, done.Status, done.Error)
+		}
+		return done.Result.ValuesDigest
+	}
+	d, c := core.DefaultPool(max(1, runtime.GOMAXPROCS(0)/opts.Workers))
+	zero := digest(JobSpec{Graph: rel, Algo: "pagerank", Supersteps: 5})
+	if want := digest(JobSpec{Graph: rel, Algo: "pagerank", Supersteps: 5, Dispatchers: d, Computers: c}); zero != want {
+		t.Fatalf("zero-pool job digest %s, explicit %dx%d job %s", zero, d, c, want)
 	}
 }

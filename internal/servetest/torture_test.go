@@ -49,16 +49,17 @@ func TestMain(m *testing.M) {
 }
 
 // tortureSpecs are the concurrent jobs of the kill/resume scenarios:
-// mixed programs over both graphs, dispatchers pinned to 1 so the
-// float-valued programs commit bit-identical values run over run.
+// mixed programs over both graphs at the server's default pool. Slabs
+// apply in dispatcher order, so the float-valued programs commit
+// bit-identical values run over run at any pool.
 func tortureSpecs() []map[string]any {
 	return []map[string]any{
-		{"graph": "torture.gpsa", "algo": "pagerank", "supersteps": 5, "dispatchers": 1},
-		{"graph": "torture.gpsa", "algo": "deltapagerank", "supersteps": 5, "dispatchers": 1},
-		{"graph": "torture.gpsa", "algo": "bfs", "root": 0, "dispatchers": 1},
-		{"graph": "torture-sym.gpsa", "algo": "cc", "dispatchers": 1},
-		{"graph": "torture-sym.gpsa", "algo": "pagerank", "supersteps": 5, "dispatchers": 1},
-		{"graph": "torture.gpsa", "algo": "bfs", "root": 1, "dispatchers": 1},
+		{"graph": "torture.gpsa", "algo": "pagerank", "supersteps": 5},
+		{"graph": "torture.gpsa", "algo": "deltapagerank", "supersteps": 5},
+		{"graph": "torture.gpsa", "algo": "bfs", "root": 0},
+		{"graph": "torture-sym.gpsa", "algo": "cc"},
+		{"graph": "torture-sym.gpsa", "algo": "pagerank", "supersteps": 5},
+		{"graph": "torture.gpsa", "algo": "bfs", "root": 1},
 	}
 }
 
@@ -182,8 +183,8 @@ func TestServeSmoke(t *testing.T) {
 	}
 	defer s.Kill()
 
-	spec := map[string]any{"graph": "torture.gpsa", "algo": "pagerank", "supersteps": 5, "dispatchers": 1}
-	ids := submitAll(t, s, []map[string]any{spec, {"graph": "torture.gpsa", "algo": "bfs", "root": 0, "dispatchers": 1}})
+	spec := map[string]any{"graph": "torture.gpsa", "algo": "pagerank", "supersteps": 5}
+	ids := submitAll(t, s, []map[string]any{spec, {"graph": "torture.gpsa", "algo": "bfs", "root": 0}})
 	byID := waitAllTerminal(t, s, ids, 60*time.Second)
 	for _, id := range ids {
 		if byID[id].Status != "completed" {
@@ -313,7 +314,7 @@ func TestServeTortureOverloadDrain(t *testing.T) {
 		// Distinct epsilons keep every submission out of the result cache.
 		code, j, hdr, err := s.Submit(map[string]any{
 			"graph": "torture.gpsa", "algo": "pagerank", "supersteps": 5,
-			"dispatchers": 1, "epsilon": float64(i+1) / 1000,
+			"epsilon": float64(i+1) / 1000,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -389,7 +390,7 @@ func TestServeTortureDeadline(t *testing.T) {
 
 	code, j, _, err := s.Submit(map[string]any{
 		"graph": "torture.gpsa", "algo": "pagerank", "supersteps": 5,
-		"dispatchers": 1, "deadline_ms": 50,
+		"deadline_ms": 50,
 	})
 	if err != nil || code != 202 {
 		t.Fatalf("submit = %d (%v)", code, err)
