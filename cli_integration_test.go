@@ -102,7 +102,6 @@ func TestCLIEndToEnd(t *testing.T) {
 		{[]string{"gpsa-bench", "-exp", "nope"}, "scalability, all, scale"},
 		{[]string{"gpsa-bench", "-exp", "hotpath"}, "scalability, all, scale"},
 		{[]string{"gpsa-compare", "-bench", "old.json", "new.json"}, ""},
-		{[]string{"gpsa-cluster", "-graph", gpath, "-computers", "1000000000"}, "-computers 1000000000"},
 		{[]string{"gpsa-cluster", "-graph", gpath, "-nodes", "4", "-splits", "2000000000"}, "-splits 2000000000"},
 	} {
 		out, err := exec.Command(filepath.Join(bin, bad.args[0]), bad.args[1:]...).CombinedOutput()

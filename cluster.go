@@ -14,8 +14,6 @@ type ClusterOptions struct {
 	Nodes int
 	// Supersteps caps the run (0 = run to convergence, up to 100).
 	Supersteps int
-	// ComputersPerNode sizes each node's computing actor pool (0 = 2).
-	ComputersPerNode int
 	// Context, when non-nil, cancels the run between supersteps.
 	Context context.Context
 	// StepRetries is the rollback-and-retry budget, mirroring
@@ -77,9 +75,9 @@ const (
 // dispatch/fold pipeline drives both engines. Each node folds into one
 // slab (8 B per vertex plus a presence bitmap) and sends each (source
 // interval, destination) pair at most once per superstep. Cross-node
-// messages travel over loopback
-// TCP and fold at the barrier in source-interval order, so a retried
-// superstep is bit-identical.
+// messages travel over loopback TCP; each node stages what it receives
+// and applies it at its own barrier in source-interval order, so a
+// retried superstep is bit-identical.
 func RunDistributed(graphPath string, prog Program, opts ClusterOptions) (*ClusterResult, []uint64, error) {
 	policy := cluster.RestartDead
 	if opts.RedistributeDead {
@@ -98,6 +96,5 @@ func RunDistributed(graphPath string, prog Program, opts ClusterOptions) (*Clust
 		Events:            opts.Events,
 		DeadNodes:         policy,
 		Rebalance:         opts.Rebalance,
-		Node:              cluster.NodeConfig{Computers: opts.ComputersPerNode},
 	})
 }

@@ -58,7 +58,6 @@ func run() int {
 		root       = flag.Uint("root", 0, "root/source vertex for bfs and sssp")
 		nodes      = flag.Int("nodes", 2, "cluster size")
 		supersteps = flag.Int("supersteps", 0, "superstep cap (0 = algorithm default)")
-		computers  = flag.Int("computers", 0, "computing actors per node (0 = default)")
 		retries    = flag.Int("retries", 0, "rollback-and-retry a failed superstep up to N times, replacing dead nodes (0 = fail fast)")
 		nodeTO     = flag.Duration("node-timeout", 0, "declare a totally silent node dead after this long (0 = 15s)")
 		phaseTO    = flag.Duration("phase-timeout", 0, "fail a superstep when a node heartbeats without progress this long (0 = 4x node-timeout)")
@@ -134,7 +133,6 @@ exit codes:
 	res, values, err := gpsa.RunDistributed(*graphPath, prog, gpsa.ClusterOptions{
 		Nodes:             *nodes,
 		Supersteps:        *supersteps,
-		ComputersPerNode:  *computers,
 		Context:           ctx,
 		StepRetries:       *retries,
 		HeartbeatInterval: *heartbeat,
@@ -148,8 +146,8 @@ exit codes:
 	})
 	var se *cluster.SizeError
 	if errors.As(err, &se) {
-		flagName := map[string]string{"Nodes": "-nodes", "Splits": "-splits", "Node.Computers": "-computers"}[se.Field]
-		fmt.Fprintf(os.Stderr, "gpsa-cluster: %s %d is too large: -nodes × -splits and -computers are at most %d\n", flagName, se.Value, cluster.MaxWorkers)
+		flagName := map[string]string{"Nodes": "-nodes", "Splits": "-splits"}[se.Field]
+		fmt.Fprintf(os.Stderr, "gpsa-cluster: %s %d is too large: -nodes × -splits is at most %d\n", flagName, se.Value, cluster.MaxWorkers)
 		return exitUsage
 	}
 	if err != nil {

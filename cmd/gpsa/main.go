@@ -223,8 +223,8 @@ exit codes:
 	if res.Recovery != "" {
 		fmt.Printf("resumed at superstep %d (%s recovery)\n", res.ResumedFrom, res.Recovery)
 	}
-	// The pool as resolved: a float resume is bit-identical only at the
-	// same dispatcher count.
+	// The pool as resolved: a resume runs at the dispatcher count its
+	// value file records, whatever -dispatchers says.
 	fmt.Printf("ran %d supersteps on %d×%d actors in %v (%d messages, %d updates, converged=%v)\n",
 		res.Supersteps, len(res.DispatcherMessages), len(res.ComputerUpdates), res.Duration, res.Messages, res.Updates, res.Converged)
 	if res.Retries > 0 {

@@ -111,10 +111,13 @@ type RunOptions struct {
 	// Dispatchers and Computers size the actor pools, at most
 	// core.MaxWorkers each. 0 takes core.DefaultPool(GOMAXPROCS): a
 	// dispatcher per CPU and a computer per two. Every pool is
-	// bit-identical run over run and across resumes; float programs
-	// differ in the low bits between dispatcher counts, never between
-	// computer counts. Message memory is the slab grid, allocated when
-	// the engine is built: ≈ Dispatchers × |V| × 8.125 bytes.
+	// bit-identical run over run; float programs differ in the low bits
+	// between dispatcher counts, never between computer counts. The
+	// value file records the dispatcher count its computation started
+	// at, and a resume runs at that count whatever Dispatchers says, so
+	// a resumed run is bit-identical to the uninterrupted one. Message
+	// memory is the slab grid, allocated when the engine is built:
+	// ≈ Dispatchers × |V| × 8.125 bytes.
 	Dispatchers int
 	Computers   int
 	// ValuesPath, when set, locates the persistent vertex value file —

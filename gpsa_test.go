@@ -142,6 +142,56 @@ func TestResumeContinuesRun(t *testing.T) {
 	}
 }
 
+// TestResumeKeepsRecordedDispatchers pins that a value file records the
+// dispatcher count its computation started at: PageRank written at 2
+// dispatchers for 3 supersteps and resumed with Dispatchers 3 to 6 must
+// run the resume at 2 and end bit-identical to an uninterrupted 2×1 run.
+// Float programs fold per dispatcher interval, so a resume at 3 would
+// change the low bits of most vertices.
+func TestResumeKeepsRecordedDispatchers(t *testing.T) {
+	g, err := gen.RMATGraph(gen.RMATConfig{Vertices: 3000, Edges: 40000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "g.gpsa")
+	if err := gpsa.SaveGraph(path, g); err != nil {
+		t.Fatal(err)
+	}
+	prog := algorithms.PageRank{}
+	want, _, err := gpsa.Run(path, prog, gpsa.RunOptions{Supersteps: 6, Dispatchers: 2, Computers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Close()
+
+	values := filepath.Join(dir, "v.gpvf")
+	vals, _, err := gpsa.Run(path, prog, gpsa.RunOptions{Supersteps: 3, Dispatchers: 2, Computers: 1, ValuesPath: values})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vals.Close(); err != nil {
+		t.Fatal(err)
+	}
+	vals, res, err := gpsa.Resume(path, values, prog, gpsa.RunOptions{Supersteps: 6, Dispatchers: 3, Computers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vals.Close()
+	differ := 0
+	for v := int64(0); v < g.NumVertices; v++ {
+		if vals.Raw(v) != want.Raw(v) {
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d vertices differ from the uninterrupted 2x1 run", differ, g.NumVertices)
+	}
+	if d := len(res.DispatcherMessages); d != 2 {
+		t.Fatalf("resume ran on %d dispatchers, want the recorded 2", d)
+	}
+}
+
 func TestPageRankDefaultsToFiveSupersteps(t *testing.T) {
 	path, _ := saveSample(t)
 	_, res, err := gpsa.PageRank(path, gpsa.RunOptions{})

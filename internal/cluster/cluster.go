@@ -75,22 +75,21 @@ type Config struct {
 	Rebalance bool
 }
 
-// MaxWorkers bounds Nodes×Splits and Node.Computers with core's worker
-// bound: every interval and every computer costs channels, mailboxes and
-// partition work before the first superstep, so an absurd size would
+// MaxWorkers bounds Nodes×Splits with core's worker bound: every node
+// costs connections and a value file, and every interval partition and
+// staging work, before the first superstep, so an absurd size would
 // exhaust memory or spin instead of failing.
 const MaxWorkers = core.MaxWorkers
 
 // SizeError is Run's typed error for a size past MaxWorkers. Field names
-// the Config field: "Nodes", "Splits" (Nodes×Splits too large) or
-// "Node.Computers".
+// the Config field: "Nodes" or "Splits" (Nodes×Splits too large).
 type SizeError struct {
 	Field string
 	Value int
 }
 
 func (e *SizeError) Error() string {
-	return fmt.Sprintf("cluster: %s %d too large: Nodes×Splits and Node.Computers are at most %d", e.Field, e.Value, MaxWorkers)
+	return fmt.Sprintf("cluster: %s %d too large: Nodes×Splits is at most %d", e.Field, e.Value, MaxWorkers)
 }
 
 // Run executes prog over the on-disk CSR graph at graphPath on an
@@ -133,8 +132,6 @@ func Run(graphPath string, prog core.Program, cfg Config) (*Result, []uint64, er
 		return nil, nil, &SizeError{Field: "Nodes", Value: cfg.Nodes}
 	case cfg.Splits > MaxWorkers/cfg.Nodes:
 		return nil, nil, &SizeError{Field: "Splits", Value: cfg.Splits}
-	case cfg.Node.Computers > MaxWorkers:
-		return nil, nil, &SizeError{Field: "Node.Computers", Value: cfg.Node.Computers}
 	}
 	joins := 0
 	for _, ev := range cfg.Events {

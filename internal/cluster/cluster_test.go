@@ -204,16 +204,14 @@ func TestClusterCombining(t *testing.T) {
 // dispatcher order; the cluster folds per source interval of
 // Partition(Nodes×Splits) and applies in ascending interval. So float
 // PageRank at core D×C is bit-identical to the cluster at 1×D and D×1,
-// whatever C and the node's computer count.
+// whatever C.
 func TestClusterOneNodeEqualsCore(t *testing.T) {
 	for _, seed := range []int64{3, 5, 7} {
 		path := save(t, rmat(t, 3000, 40000, seed))
 		for _, d := range []int{1, 2, 3, 6} {
 			var want []uint64
-			for _, cl := range []struct{ nodes, splits, computers int }{{1, d, 1}, {1, d, 3}, {d, 1, 2}} {
-				_, got, err := cluster.Run(path, algorithms.PageRank{}, cluster.Config{
-					Nodes: cl.nodes, Splits: cl.splits, MaxSupersteps: 5, Node: cluster.NodeConfig{Computers: cl.computers},
-				})
+			for _, cl := range [][2]int{{1, d}, {d, 1}} {
+				_, got, err := cluster.Run(path, algorithms.PageRank{}, cluster.Config{Nodes: cl[0], Splits: cl[1], MaxSupersteps: 5})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -221,7 +219,7 @@ func TestClusterOneNodeEqualsCore(t *testing.T) {
 					want = got
 					continue
 				}
-				assertSameValues(t, fmt.Sprintf("seed %d: cluster %dx%d with %d computers vs 1x%d", seed, cl.nodes, cl.splits, cl.computers, d), got, want)
+				assertSameValues(t, fmt.Sprintf("seed %d: cluster %dx%d vs 1x%d", seed, cl[0], cl[1], d), got, want)
 			}
 			for _, c := range []int{1, 2, 3} {
 				vals, _, err := gpsa.Run(path, algorithms.PageRank{}, gpsa.RunOptions{Supersteps: 5, Dispatchers: d, Computers: c})
@@ -290,18 +288,16 @@ func TestClusterLabelPropagation(t *testing.T) {
 	}
 }
 
-// TestClusterSizesBounded pins the MaxWorkers bound on Nodes×Splits and
-// Node.Computers: a size past it fails with a typed *SizeError before
-// any channel, mailbox or partition is built — at these sizes either
-// would exhaust memory or spin for minutes — while Nodes×Splits at the
-// bound runs.
+// TestClusterSizesBounded pins the MaxWorkers bound on Nodes×Splits: a
+// size past it fails with a typed *SizeError before any node, channel or
+// partition is built — at these sizes either would exhaust memory or
+// spin for minutes — while Nodes×Splits at the bound runs.
 func TestClusterSizesBounded(t *testing.T) {
 	path := save(t, rmat(t, 64, 300, 1))
 	for _, tc := range []struct {
 		field string
 		cfg   cluster.Config
 	}{
-		{"Node.Computers", cluster.Config{Node: cluster.NodeConfig{Computers: 1_000_000_000}}},
 		{"Splits", cluster.Config{Nodes: 4, Splits: 2_000_000_000}},
 		{"Nodes", cluster.Config{Nodes: cluster.MaxWorkers + 1}},
 	} {

@@ -10,24 +10,27 @@
 //     supersteps over TCP control connections.
 //   - Each Node hosts a set of vertex intervals (balanced by edge
 //     count), streams them through the same scan core's dispatchers run
-//     (core.Scan: one worker, the node's one |V|-wide slab), and folds
-//     messages with local computing actors backed by its own two-column
-//     vertex value file, through core's batch apply (core.ApplyBatch).
+//     (core.Scan: one worker, the node's one |V|-wide slab), and applies
+//     the messages it receives to its own two-column vertex value file
+//     at its barrier, through core's batch apply (core.ApplyBatch).
 //   - Every program folds at the source, as in core, so a round sends
 //     each (source interval, destination) pair at most once.
 //   - Actor location transparency becomes explicit: a batch for a
-//     co-hosted interval goes through the loopback into the computing
-//     workers' mailboxes; any other is framed onto the owning node's
-//     data connection. Batches are staged per source interval as they
-//     arrive and folded at the barrier in interval order (see
-//     nodeComputer), so a retried superstep folds bit-identically.
+//     co-hosted interval is staged through the loopback; any other is
+//     framed onto the owning node's data connection. Batches are staged
+//     per source interval as they arrive and applied at the barrier in
+//     interval order (see node.applyStaged), so a retried superstep
+//     folds bit-identically. The paper's computing actors fold on
+//     arrival; here arrival order across peers is a race, so the node
+//     holds the batches and its control loop applies them.
 //
 // The superstep barrier generalizes the single-machine one: after a node
 // finishes dispatching (and has flushed its peer connections) it sends an
 // end-of-stream marker on every data connection and DISPATCH_OVER to the
-// coordinator; a node acknowledges the coordinator's COMPUTE barrier only
-// after end-of-stream from every peer, which — with TCP's per-connection
-// FIFO — guarantees every batch of the superstep has been folded.
+// coordinator; at the coordinator's COMPUTE barrier a node applies its
+// staged batches only after end-of-stream from every peer, which — with
+// each sender's in-order stream — guarantees every batch of the
+// superstep has been staged, and then acknowledges.
 //
 // Membership and recovery rest on three shared pieces and one barrier
 // loop (coordinator.run). sealedAt brings a value file to the barrier

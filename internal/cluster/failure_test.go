@@ -9,8 +9,8 @@ import (
 	"repro/internal/graph"
 )
 
-// bombProg panics inside Compute for one vertex, killing whichever node's
-// computing actor owns it. The cluster must surface an error promptly
+// bombProg panics inside Compute for one vertex, in the barrier apply of
+// whichever node hosts it. The cluster must surface an error promptly
 // instead of deadlocking at the barrier.
 type bombProg struct{ bomb graph.VertexID }
 
@@ -50,6 +50,6 @@ func TestClusterSurvivesComputePanicWithoutDeadlock(t *testing.T) {
 			t.Fatalf("unexpected error: %v", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("cluster deadlocked after a computing-actor panic")
+		t.Fatal("cluster deadlocked after a Compute panic")
 	}
 }

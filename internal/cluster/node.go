@@ -23,13 +23,10 @@ import (
 
 // NodeConfig tunes one node.
 type NodeConfig struct {
-	// Computers is the number of computing actors per node (default 2,
-	// at most MaxWorkers).
-	Computers int
 	// BarrierTimeout bounds how long the node waits at the compute
-	// barrier for peer end-of-stream markers and local computer acks; on
-	// expiry the superstep fails with a labelled error instead of
-	// hanging on a lost peer (default 15s; negative disables).
+	// barrier for peer end-of-stream markers; on expiry the superstep
+	// fails with a labelled error instead of hanging on a lost peer
+	// (default 15s; negative disables).
 	BarrierTimeout time.Duration
 	// RedialBackoff is the sleep before the first redial of a failed
 	// data-plane write, doubling per attempt up to redialBackoffMax
@@ -50,9 +47,6 @@ const (
 )
 
 func (c NodeConfig) withDefaults() NodeConfig {
-	if c.Computers <= 0 {
-		c.Computers = 2
-	}
 	if c.BarrierTimeout == 0 {
 		c.BarrierTimeout = 15 * time.Second
 	}
@@ -80,23 +74,6 @@ func stepFailf(format string, args ...any) error {
 // in-process SIGKILL): the control loop exits without commit or graceful
 // protocol, and the coordinator must recover.
 var errNodeKilled = errors.New("cluster: node killed by injected chaos")
-
-// compMsg is the node-local computer mailbox envelope. src is the
-// SOURCE INTERVAL the batch was generated from — not a node id: staging
-// and fold order are keyed by the fixed interval partition, so they are
-// invariant under migration, join, and drain.
-type compMsg struct {
-	src     int
-	round   uint64
-	batch   []core.Message
-	barrier bool
-	// quiesce, when non-nil, makes the computer discard all staged state
-	// for the aborted round and close the channel; because the mailbox is
-	// FIFO, every stale batch enqueued before the rollback is consumed
-	// first.
-	quiesce chan struct{}
-	done    bool
-}
 
 // eosMark records one peer's end-of-stream for one superstep attempt.
 type eosMark struct {
@@ -157,10 +134,8 @@ type node struct {
 	peerSeq   []uint64 // per-peer data-plane sequence counter, reset each round
 	listener  net.Listener
 	system    *actor.System
-	toComp    []*actor.Mailbox[compMsg]
-	ackCh     chan int64
 	eosCh     chan eosMark
-	failCh    chan error // peer disconnects and computing-actor panics
+	failCh    chan error // corrupt or bogus peer frames
 	hbStop    chan struct{}
 
 	// slab is the source-side fold: core's scan folds the interval being
@@ -179,6 +154,14 @@ type node struct {
 	begunStep int64
 	// streams reassembles each peer's data frames, indexed by node id.
 	streams []*senderStream
+
+	// staged holds the round's batches until the barrier applies them,
+	// indexed by SOURCE INTERVAL — not by node id, so the fold order is
+	// keyed by the fixed partition and invariant under migration, join
+	// and drain. The wire receivers and the loopback append under
+	// stageMu; rollbackStep clears it under the same lock.
+	stageMu sync.Mutex
+	staged  [][]core.Message
 }
 
 // bootMode selects how a node enters the cluster.
@@ -249,11 +232,11 @@ func startNode(ctx context.Context, spec nodeSpec) (*node, error) {
 		peerSeq:   make([]uint64, total),
 		streams:   make([]*senderStream, total),
 		system:    actor.NewSystem(fmt.Sprintf("node-%d", id), actor.RestartPolicy{}),
-		ackCh:     make(chan int64, cfg.Computers),
 		eosCh:     make(chan eosMark, 4*total+4),
-		failCh:    make(chan error, total+cfg.Computers+1),
+		failCh:    make(chan error, total+1),
 		slab:      core.NewSlab(gf.NumVertices),
 		begunStep: -1,
+		staged:    make([][]core.Message, len(spec.ivs)),
 	}
 	for i := range n.streams {
 		n.streams[i] = &senderStream{next: 1, pending: make(map[uint64]streamFrame)}
@@ -265,14 +248,6 @@ func startNode(ctx context.Context, spec nodeSpec) (*node, error) {
 	if err := n.installRouting(spec.owners); err != nil {
 		n.close()
 		return nil, err
-	}
-
-	// Computing actors must exist before any peer traffic can arrive.
-	n.toComp = make([]*actor.Mailbox[compMsg], cfg.Computers)
-	for i := range n.toComp {
-		n.toComp[i] = actor.NewMailbox[compMsg](64)
-		w := &nodeComputer{node: n, id: i}
-		n.system.Spawn(fmt.Sprintf("node-%d-computer-%d", id, i), w)
 	}
 
 	// Data listener for incoming peer connections.
@@ -357,10 +332,6 @@ func (n *node) close() {
 			closeQuietly(p)
 		}
 	}
-	for _, mb := range n.toComp {
-		mb.TryPut(compMsg{done: true})
-		mb.Close()
-	}
 	n.system.Wait() //nolint:errcheck
 	if n.vf != nil {
 		closeQuietly(n.vf)
@@ -385,7 +356,7 @@ func (n *node) acceptLoop() {
 	}
 }
 
-// receive folds one peer's frames into the local computers. A clean read
+// receive stages one peer's batches for the barrier. A clean read
 // error ends the receiver silently: with sender-side reconnect a dropped
 // connection is routine — the peer redials, a fresh receiver takes over,
 // and the stream's sequence numbers absorb the overlap. A corrupt frame
@@ -430,7 +401,7 @@ func (n *node) receive(c *conn) {
 				return
 			}
 			// |V| never changes, so this check is race-free; whether this
-			// node hosts dst is checked at the barrier (nodeComputer.apply).
+			// node hosts dst is checked at the barrier (applyStaged).
 			for _, m := range batch {
 				if int64(m.Dst) >= n.ivBounds[len(n.ivs)] {
 					n.reportFailure(stepFailf("cluster: node %d: batch from peer %d names vertex %d of %d", n.id, sender, m.Dst, n.ivBounds[len(n.ivs)]))
@@ -491,7 +462,7 @@ func (n *node) deliverData(sender int, round, seq uint64, fr streamFrame) {
 		if f.eos {
 			n.eosCh <- eosMark{sender: sender, round: s.round} //lint:actorshare eosCh is buffered past one mark per peer per in-flight round, and rollback drains it
 		} else {
-			n.routeLocal(s.round, f.src, f.batch)
+			n.stage(s.round, f.src, f.batch)
 		}
 	}
 }
@@ -505,27 +476,21 @@ func (n *node) reportFailure(err error) {
 	}
 }
 
-// routeLocal distributes a batch generated by source interval src across
-// the node's computing actors. Both the wire path (receive) and the
-// co-hosted loopback path (flushBatch) come through here, so a batch is
-// split across workers identically whether its source interval lives on
-// this node or another — the property that keeps results bit-identical
-// across migrations.
-func (n *node) routeLocal(round uint64, src int, batch []core.Message) {
-	if len(n.toComp) == 1 {
-		n.toComp[0].Put(compMsg{src: src, round: round, batch: batch}) //nolint:errcheck
+// stage holds a batch generated by source interval src for the barrier.
+// Both the wire path (receive) and the co-hosted loopback path
+// (flushBatch) come through here, so a batch is staged identically
+// whether its source interval lives on this node or another — the
+// property that keeps results bit-identical across migrations. A batch
+// of a round older than the gate (an aborted attempt's straggler) is
+// dropped: checked under stageMu, which rollbackStep takes after moving
+// the gate, so no such batch survives its clear.
+func (n *node) stage(round uint64, src int, batch []core.Message) {
+	n.stageMu.Lock()
+	defer n.stageMu.Unlock()
+	if round < n.round.Load() {
 		return
 	}
-	parts := make([][]core.Message, len(n.toComp))
-	for _, m := range batch {
-		w := int(m.Dst) % len(n.toComp)
-		parts[w] = append(parts[w], m)
-	}
-	for w, p := range parts {
-		if len(p) > 0 {
-			n.toComp[w].Put(compMsg{src: src, round: round, batch: p}) //nolint:errcheck
-		}
-	}
+	n.staged[src] = append(n.staged[src], batch...)
 }
 
 // runNode executes the node's control loop until HALT. Failures are
@@ -687,11 +652,11 @@ func (n *node) stepOutcome(step int64, err error) error {
 
 // rollbackStep discards every trace of the aborted superstep attempt:
 // the round gate advances (in-flight stragglers drop on arrival), the
-// peer streams reset, the computers quiesce their staged batches, the
-// barrier bookkeeping drains, and the value file rolls back to the start
-// of step — via Rollback if this node was mid-step, via Rewind if it had
-// already committed before the failure was detected elsewhere, or not at
-// all if it never began the step (the file is already at its start).
+// peer streams reset, the staged batches clear, the barrier bookkeeping
+// drains, and the value file rolls back to the start of step — via
+// Rollback if this node was mid-step, via Rewind if it had already
+// committed before the failure was detected elsewhere, or not at all if
+// it never began the step (the file is already at its start).
 func (n *node) rollbackStep(step int64, newRound uint64) error {
 	n.round.Store(newRound)
 	for _, s := range n.streams {
@@ -703,20 +668,16 @@ func (n *node) rollbackStep(step int64, newRound uint64) error {
 		}
 		s.mu.Unlock()
 	}
-	// Quiesce the computers. The marker lands behind any stale batch in
-	// the FIFO mailboxes (deliverData publishes under the stream lock the
-	// reset above just held, so nothing stale can be enqueued after it).
-	for _, mb := range n.toComp {
-		q := make(chan struct{})
-		if err := mb.Put(compMsg{quiesce: q}); err != nil {
-			return err
-		}
-		<-q
+	// The gate moved first, so stage drops every batch of the aborted
+	// round that arrives after this clear.
+	n.stageMu.Lock()
+	for i := range n.staged {
+		n.staged[i] = n.staged[i][:0]
 	}
+	n.stageMu.Unlock()
 	for drained := false; !drained; {
 		select {
 		case <-n.eosCh:
-		case <-n.ackCh:
 		case <-n.failCh:
 		default:
 			drained = true
@@ -915,7 +876,8 @@ func (n *node) dispatchPhase(step int64, round uint64) error {
 // the set bits in ascending vertex order, cuts each destination interval
 // into batches of at most batchSize messages, and resets the slab. The
 // round therefore carries at most one message per (source interval,
-// destination), in ascending destination order.
+// destination), in ascending destination order. Both sends copy the
+// batch (framing and staging), so one buffer serves every batch.
 func (n *node) flushSlab(round uint64, src int, delivered *int64) error {
 	s := n.slab
 	d := 0 // destination interval of the batch being filled
@@ -928,7 +890,7 @@ func (n *node) flushSlab(round uint64, src int, delivered *int64) error {
 					if err := n.flushBatch(round, src, d, b, delivered); err != nil {
 						return err
 					}
-					b = make([]core.Message, 0, batchSize)
+					b = b[:0]
 				}
 				for v >= n.ivBounds[d+1] {
 					d++
@@ -946,25 +908,24 @@ func (n *node) flushSlab(round uint64, src int, delivered *int64) error {
 
 // flushBatch sends one batch source interval src generated for
 // destination interval d: over the wire to d's owner, or through the
-// loopback (routeLocal) when d is co-hosted.
+// loopback (stage) when d is co-hosted.
 func (n *node) flushBatch(round uint64, src, d int, b []core.Message, delivered *int64) error {
 	*delivered += int64(len(b))
 	if owner := n.owners[d]; owner != n.id {
 		return n.sendData(owner, fBatch, batchPayload(round, n.peerSeq[owner]+1, uint32(src), b))
 	}
-	n.routeLocal(round, src, b)
+	n.stage(round, src, b)
 	return nil
 }
 
-// barrierPhase waits for every peer's end-of-stream, folds the staged
-// batches, commits the superstep, and acknowledges the coordinator. Peer
-// disconnects and computing-actor failures unwind the wait as step
-// failures instead of deadlocking it.
+// barrierPhase waits for every peer's end-of-stream, applies the staged
+// batches, commits the superstep, and acknowledges the coordinator. A
+// corrupt peer stream unwinds the wait as a step failure instead of
+// deadlocking it.
 func (n *node) barrierPhase(step int64) error {
 	round := n.round.Load()
-	// One budget for the whole barrier: a lost peer (no end-of-stream)
-	// or a wedged computer fails the superstep with a labelled error
-	// instead of blocking the cluster forever.
+	// A lost peer (no end-of-stream) fails the superstep with a labelled
+	// error instead of blocking the cluster forever.
 	var timeoutC <-chan time.Time
 	if n.cfg.BarrierTimeout > 0 {
 		tm := time.NewTimer(n.cfg.BarrierTimeout)
@@ -985,21 +946,9 @@ func (n *node) barrierPhase(step int64) error {
 			return stepFailf("cluster: node %d: superstep %d compute barrier timed out after %v waiting for peer end-of-stream", n.id, step, n.cfg.BarrierTimeout)
 		}
 	}
-	for _, mb := range n.toComp {
-		if err := mb.Put(compMsg{barrier: true, round: round}); err != nil {
-			return err
-		}
-	}
-	var updates int64
-	for range n.toComp {
-		select {
-		case u := <-n.ackCh:
-			updates += u
-		case err := <-n.failCh:
-			return stepFailure{err: err}
-		case <-timeoutC:
-			return stepFailf("cluster: node %d: superstep %d compute barrier timed out after %v waiting for computer acks", n.id, step, n.cfg.BarrierTimeout)
-		}
+	updates, err := n.applyStaged()
+	if err != nil {
+		return err
 	}
 	if fault.Error(fault.SiteNodeKillBarrier) != nil {
 		return fmt.Errorf("cluster: node %d mid-barrier: %w", n.id, errNodeKilled)
@@ -1023,91 +972,41 @@ func (n *node) sendValues(iv int) error {
 	return n.coord.writeFrame(fValues, valuesPayload(first, payloads))
 }
 
-// nodeComputer is the node-local computing actor (paper Algorithm 3, with
-// remote batches arriving through the same mailbox). Unlike the
-// single-machine engine it does not fold messages the moment they
-// arrive: arrival order across peers is a race, and a bit-identical
-// retry needs a deterministic fold. Batches are staged per SOURCE
-// INTERVAL — each source's stream is already in deterministic (dispatch)
-// order — and folded at the barrier in ascending interval order. Keying
-// by interval rather than node id is what makes the fold invariant under
-// elastic membership: migrating an interval changes which node's stream
-// carries its batches, never the staging slot or fold position. Nothing
-// is compacted here: the sender already folded each (source interval,
-// destination) pair into one message (flushSlab).
-type nodeComputer struct {
-	node    *node
-	id      int
-	updates int64
-	staged  [][]core.Message // indexed by source interval
-}
-
-// Execute runs the computing actor loop. Panics in the vertex program are
-// converted to failures so the node's barrier can unwind.
-func (c *nodeComputer) Execute() (err error) {
+// applyStaged folds the staged batches into the update column, source
+// interval by source interval in ascending order. It runs at the barrier,
+// not on arrival (paper Algorithm 3 folds as messages arrive): arrival
+// order across peers is a race, and a bit-identical retry needs a
+// deterministic fold. Each source's batches are already in dispatch
+// order, and keying by interval rather than node id keeps the fold
+// invariant under elastic membership: migrating an interval changes
+// which stream carries its batches, never its slot or fold position.
+// Nothing is compacted here: the sender already folded each (source
+// interval, destination) pair into one message (flushSlab).
+//
+// A batch naming a destination this node does not host fails the step
+// before any of it is applied, and a panic in the vertex program is a
+// step failure too, so the node stays alive for the rollback.
+func (n *node) applyStaged() (updates int64, err error) {
+	n.stageMu.Lock()
+	defer n.stageMu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("cluster: node %d computer %d: panic: %v", c.node.id, c.id, r)
-			c.node.reportFailure(err)
+			err = stepFailf("cluster: node %d: apply panic: %v", n.id, r)
 		}
 	}()
-	n := c.node
-	c.staged = make([][]core.Message, len(n.ivs))
-	for {
-		m, ok := n.toComp[c.id].Get()
-		if !ok || m.done {
-			return nil
-		}
-		if m.quiesce != nil {
-			for i := range c.staged {
-				c.staged[i] = nil
-			}
-			c.updates = 0
-			close(m.quiesce)
-			continue
-		}
-		if m.barrier {
-			if m.round == n.round.Load() {
-				if err := c.apply(); err != nil {
-					// No ack: the barrier fails on the report, and the
-					// rollback's quiesce still finds this actor reading.
-					n.reportFailure(err)
-					c.updates = 0
-					continue
-				}
-			}
-			//lint:ctxblock ackCh is buffered to the computer count, so one ack per barrier can never block
-			n.ackCh <- c.updates //lint:actorshare ackCh is buffered to the computer count, so one ack per barrier can never block
-			c.updates = 0
-			continue
-		}
-		if m.round < n.round.Load() {
-			continue // straggler from an aborted attempt
-		}
-		c.staged[m.src] = append(c.staged[m.src], m.batch...)
-	}
-}
-
-// apply folds the staged batches into the update column, source interval
-// by source interval in ascending order — the deterministic,
-// membership-invariant fold the staging exists for. A batch naming a
-// destination this node does not host fails the step before any of it
-// is applied.
-func (c *nodeComputer) apply() error {
-	n := c.node
 	var lo, hi int64 // the hosted interval the last destination fell in
-	for snd, b := range c.staged {
-		c.staged[snd] = nil
+	for src, b := range n.staged {
+		n.staged[src] = b[:0]
 		for _, msg := range b {
 			if v := int64(msg.Dst); v < lo || v >= hi {
 				iv := n.ivOf(v)
 				if n.owners[iv] != n.id {
-					return stepFailf("cluster: node %d: batch from interval %d names vertex %d, hosted by node %d", n.id, snd, v, n.owners[iv])
+					return updates, stepFailf("cluster: node %d: batch from interval %d names vertex %d, hosted by node %d", n.id, src, v, n.owners[iv])
 				}
 				lo, hi = n.ivBounds[iv], n.ivBounds[iv+1]
 			}
 		}
-		c.updates += core.ApplyBatch(n.vf, n.prog, b)
+		updates += core.ApplyBatch(n.vf, n.prog, b)
 	}
-	return nil
+	return updates, nil
 }

@@ -16,9 +16,10 @@ import (
 )
 
 // TestBadPeerBatchFailsStep feeds node 0 of a two-node partition one
-// peer BATCH naming a vertex it must not apply — past the vertex count,
-// or inside the interval node 1 hosts — and requires a typed step
-// failure, not a panic, with the computers still alive for the rollback.
+// peer BATCH it must not apply — naming a vertex past the vertex count or
+// inside the interval node 1 hosts, or a vertex it hosts under a program
+// whose Compute panics — and requires the barrier to return a typed step
+// failure, not a panic, and the rollback after it to complete.
 func TestBadPeerBatchFailsStep(t *testing.T) {
 	g, err := gen.RMATGraph(gen.RMATConfig{Vertices: 64, Edges: 400, Seed: 1})
 	if err != nil {
@@ -73,11 +74,14 @@ func TestBadPeerBatchFailsStep(t *testing.T) {
 	cases := []struct {
 		name string
 		dst  graph.VertexID
+		prog core.Program
 	}{
-		{"past the vertex count", graph.VertexID(g.NumVertices + 5)},
-		{"in the peer's interval", graph.VertexID(ivs[1].FirstVertex)},
+		{"past the vertex count", graph.VertexID(g.NumVertices + 5), algorithms.PageRank{}},
+		{"in the peer's interval", graph.VertexID(ivs[1].FirstVertex), algorithms.PageRank{}},
+		{"compute panics", graph.VertexID(ivs[0].FirstVertex), panicProg{}},
 	}
 	for i, tc := range cases {
+		n.prog = tc.prog
 		round := uint64(i + 1)
 		n.round.Store(round)
 		if err := n.vf.Begin(0, false); err != nil {
@@ -116,9 +120,14 @@ func TestBadPeerBatchFailsStep(t *testing.T) {
 	}
 }
 
+// panicProg is PageRank whose Compute panics on every message.
+type panicProg struct{ algorithms.PageRank }
+
+func (panicProg) Compute(int64, uint64, uint64, bool) (uint64, bool) { panic("compute bomb") }
+
 // within runs f, failing the test if it does not return in time — a
-// computer that died on the bad batch leaves the rollback's quiesce
-// waiting forever.
+// barrier that lost its failure would wait for the timeout, and a
+// rollback that waited on a dead apply would never return.
 func within(t *testing.T, what string, f func() error) error {
 	t.Helper()
 	done := make(chan error, 1)

@@ -39,7 +39,7 @@ const (
 	fPeerHello      = 12 // node -> node: sender nodeID u32
 	fHeartbeat      = 13 // node -> coordinator: liveness ping, no payload semantics
 	fRollback       = 15 // coordinator -> node: step u64, round u64 (discard in-flight state; next attempt is round)
-	fRollbackOver   = 16 // node -> coordinator: step u64 (rollback done, quiesced)
+	fRollbackOver   = 16 // node -> coordinator: step u64 (rollback done, staging cleared)
 	fStepFailed     = 17 // node -> coordinator: step u64, reason string (retryable step-level failure)
 
 	// Elastic membership frames (v3). Migration is barrier-only: the

@@ -22,7 +22,7 @@ type Aggregator interface {
 
 // aggregate runs the manager-side aggregation pass for superstep step.
 // It executes between the compute barrier and the commit, when the update
-// column is quiescent and fresh flags mark exactly the updated vertices.
+// column is settled and fresh flags mark exactly the updated vertices.
 func (e *Engine) aggregate(agg Aggregator, step int64) float64 {
 	d, u := vertexfile.DispatchCol(step), vertexfile.UpdateCol(step)
 	acc := agg.AggInit()

@@ -60,7 +60,7 @@ func (c *computer) Execute() (err error) {
 	c.held = make([]*Slab, len(c.eng.intervals))
 	c.next = 0
 	for {
-		m, ok := c.eng.toComp[c.id].Get()
+		m, ok := c.eng.toApply[c.id].Get()
 		if !ok {
 			return nil
 		}
@@ -125,7 +125,7 @@ func (c *computer) applyHeld() {
 func (c *computer) processSegment(seg *Slab) {
 	eng := c.eng
 	step := eng.vf.Epoch()
-	stride := int64(len(eng.toComp))
+	stride := int64(len(eng.toApply))
 	n := 0
 	c.updates += eng.vf.BulkApply(step, int64(c.id), stride, seg.Bits, seg.Vals,
 		//lint:noalloc one closure per segment, not per message, and the compiler stack-allocates it (gpsa-lint -escape proves no heap escape here)

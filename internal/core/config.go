@@ -24,7 +24,10 @@ type Config struct {
 	// applies their slabs in ascending dispatcher order, so results are
 	// bit-identical run over run at any pool; float programs differ in
 	// the low bits between dispatcher counts, as they would between
-	// cluster interval counts.
+	// cluster interval counts. New runs a value file that records a
+	// dispatcher count at that count, ignoring this field, and stamps
+	// the resolved count into one that records none, so a resume keeps
+	// the count its computation started at.
 	Dispatchers int
 
 	// Computers is the number of computing worker actors (default: one

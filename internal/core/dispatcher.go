@@ -286,5 +286,5 @@ func (d *dispatcher) flushDense(wk int) error {
 		d.delivered += n
 		d.denseSegs++
 	}
-	return d.eng.toComp[wk].Put(workerMsg{kind: kindSegment, from: d.id, seg: s, count: n})
+	return d.eng.toApply[wk].Put(workerMsg{kind: kindSegment, from: d.id, seg: s, count: n})
 }

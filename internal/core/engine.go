@@ -60,7 +60,7 @@ type Engine struct {
 	system     *actor.System
 	toManager  *actor.Mailbox[workerMsg]
 	toDisp     []*actor.Mailbox[workerMsg]
-	toComp     []*actor.Mailbox[workerMsg]
+	toApply    []*actor.Mailbox[workerMsg] // one per computer
 	toPrefetch []*actor.Mailbox[workerMsg]
 	intervals  []graph.Interval // one per dispatcher; may be fewer than cfg.Dispatchers
 
@@ -127,9 +127,21 @@ func New(gf *graph.File, vf *vertexfile.File, prog Program, cfg Config) (*Engine
 	if prog == nil {
 		return nil, fmt.Errorf("core: nil program")
 	}
+	// The value file keeps the dispatcher count its computation started
+	// at: a resume at another count would fold over other intervals and
+	// change float low bits. A file that records none is stamped.
+	switch d := vf.Dispatchers(); {
+	case d < 0 || d > MaxWorkers:
+		return nil, fmt.Errorf("core: value file records %d dispatchers", d)
+	case d > 0:
+		cfg.Dispatchers = d
+	}
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	if vf.Dispatchers() == 0 {
+		vf.SetDispatchers(cfg.Dispatchers)
 	}
 	e := &Engine{gf: gf, vf: vf, prog: prog, cfg: cfg, intervals: gf.Partition(cfg.Dispatchers)}
 	owned := (gf.NumVertices + int64(cfg.Computers) - 1) / int64(cfg.Computers)
@@ -175,15 +187,15 @@ func (e *Engine) spawn() {
 	for i := range e.toDisp {
 		e.toDisp[i] = actor.NewMailbox[workerMsg](1)
 	}
-	e.toComp = make([]*actor.Mailbox[workerMsg], cfg.Computers)
-	for i := range e.toComp {
-		e.toComp[i] = actor.NewMailbox[workerMsg](computerMailboxDepth)
+	e.toApply = make([]*actor.Mailbox[workerMsg], cfg.Computers)
+	for i := range e.toApply {
+		e.toApply[i] = actor.NewMailbox[workerMsg](computerMailboxDepth)
 	}
 	for i := range e.toDisp {
 		d := &dispatcher{id: i, eng: e, interval: e.intervals[i]}
 		e.system.Spawn(fmt.Sprintf("dispatcher-%d", i), d)
 	}
-	for i := range e.toComp {
+	for i := range e.toApply {
 		c := &computer{id: i, eng: e}
 		e.system.Spawn(fmt.Sprintf("computer-%d", i), c)
 	}
@@ -229,7 +241,7 @@ func (e *Engine) teardown() error {
 		mb.TryPut(workerMsg{kind: kindSystemOver})
 		mb.Close()
 	}
-	for _, mb := range e.toComp {
+	for _, mb := range e.toApply {
 		mb.TryPut(workerMsg{kind: kindSystemOver})
 		mb.Close()
 	}
@@ -279,7 +291,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	if e.vf.Converged() {
 		// The file's last commit sealed convergence: the computation is
 		// finished, and re-running supersteps could perturb programs whose
-		// halting condition is aggregator-based rather than quiescence.
+		// halting condition is aggregator-based rather than an idle step.
 		res.Converged = true
 		return res, nil
 	}
@@ -308,7 +320,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 			continue
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			// Cancelled mid-superstep: quiesce the crew, then roll the
+			// Cancelled mid-superstep: stop the crew, then roll the
 			// interrupted superstep back so the file seals clean — the
 			// graceful-shutdown path behind SIGINT/SIGTERM.
 			e.teardown() //nolint:errcheck
@@ -325,7 +337,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 			runErr = err
 			break
 		}
-		// Supervised recovery: quiesce the crew (its failure is the reason
+		// Supervised recovery: stop the crew (its failure is the reason
 		// we are here — discard it), roll the value file back to the
 		// superstep's start, back off, and re-run with a fresh crew.
 		retries++
@@ -456,7 +468,7 @@ func (e *Engine) runStep(step int64, res *Result) (converged bool, err error) {
 
 	// Barrier: COMPUTE_OVER to every computing worker; they reply
 	// after draining everything queued before it (FIFO).
-	for _, mb := range e.toComp {
+	for _, mb := range e.toApply {
 		if err := mb.Put(workerMsg{kind: kindComputeOver, step: step}); err != nil {
 			return false, &stepError{step: step, phase: "compute barrier", err: err, retryable: false}
 		}
@@ -466,7 +478,7 @@ func (e *Engine) runStep(step int64, res *Result) (converged bool, err error) {
 	for i := range compUpd {
 		compUpd[i] = 0
 	}
-	for i := 0; i < len(e.toComp); i++ {
+	for i := 0; i < len(e.toApply); i++ {
 		m, err := e.managerGet("compute barrier")
 		if err != nil {
 			return false, &stepError{step: step, phase: "compute barrier", err: err, retryable: true}

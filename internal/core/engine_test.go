@@ -639,7 +639,7 @@ func TestComputerMissingSlabFailsTyped(t *testing.T) {
 	eng.runCtx = context.Background()
 	eng.spawn()
 	defer eng.teardown() //nolint:errcheck
-	if err := eng.toComp[0].Put(workerMsg{kind: kindComputeOver, step: 0}); err != nil {
+	if err := eng.toApply[0].Put(workerMsg{kind: kindComputeOver, step: 0}); err != nil {
 		t.Fatal(err)
 	}
 	m, ok := eng.toManager.Get()

@@ -77,8 +77,9 @@ type JobSpec struct {
 	// with 4 workers. Part of the cache key: float-valued programs fold
 	// per dispatcher interval, so results at different Dispatchers may
 	// differ in the low bits, while Computers never changes a bit. A
-	// job's message memory is its slab grid, ≈ Dispatchers × |V| × 8.125
-	// bytes.
+	// resumed job runs at the dispatcher count its value file records,
+	// even when the server's share of the cores changed. A job's message
+	// memory is its slab grid, ≈ Dispatchers × |V| × 8.125 bytes.
 	Dispatchers int `json:"dispatchers,omitempty"`
 	Computers   int `json:"computers,omitempty"`
 }

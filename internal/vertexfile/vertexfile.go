@@ -157,7 +157,9 @@ type File struct {
 //	        region; sealed by Begin, meaningful while state is running
 //	word 8: column digest — colDigest of the current dispatch column;
 //	        0 means absent (the last commit skipped reconcile)
-//	words 9-15: reserved (zero)
+//	word 9: dispatcher count the computation runs at (SetDispatchers);
+//	        0 means not recorded
+//	words 10-15: reserved (zero)
 //
 // Between the header and the slots sits the active-set bitmap region
 // (ceil(numVertices/64) words): bit v records whether vertex v was fresh
@@ -180,6 +182,7 @@ const (
 	hdrAggregate = 6
 	hdrActiveSum = 7
 	hdrColDigest = 8
+	hdrDispatch  = 9
 )
 
 const flagConverged = 1 << 0
@@ -448,6 +451,19 @@ func (f *File) Converged() bool {
 // the program does not aggregate).
 func (f *File) Aggregate() float64 {
 	return math.Float64frombits(atomic.LoadUint64(&f.header[hdrAggregate]))
+}
+
+// Dispatchers returns the dispatcher count SetDispatchers recorded, or 0
+// if none was.
+func (f *File) Dispatchers() int { return int(atomic.LoadUint64(&f.header[hdrDispatch])) }
+
+// SetDispatchers records the dispatcher count the computation runs at.
+// Float programs fold per dispatcher interval, so only a resume at the
+// recorded count continues the uninterrupted run bit for bit. The header
+// is resealed in place; the next Begin makes the record durable.
+func (f *File) SetDispatchers(d int) {
+	atomic.StoreUint64(&f.header[hdrDispatch], uint64(d))
+	f.sealHeader()
 }
 
 // DispatchCol returns the dispatch (read) column for a superstep.
