@@ -129,7 +129,6 @@ func main() {
 		shapes     = flag.String("shapes", "", "scale: comma-separated dataset shapes, each 'name' or 'name/denominator' (base, google, soc-pokec, soc-liveJournal, twitter-2010); default base,soc-liveJournal,twitter-2010/16")
 		memLimit   = flag.Int64("mem-limit", 0, "scale: Go soft heap cap in bytes for GPSA runs (0 = 1 GiB)")
 		cores      = flag.String("cores", "", "scale: comma-separated GPSA core sweep (default: powers of two up to NumCPU)")
-		noPrefetch = flag.Bool("no-prefetch", false, "scale: disable the async CSR prefetch actors")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		tracefile  = flag.String("trace", "", "write a runtime execution trace to this file")
@@ -265,16 +264,14 @@ func main() {
 			WorkDir:    *work,
 			Cores:      coreList,
 			MemLimit:   *memLimit,
-			NoPrefetch: *noPrefetch,
 			Rev:        *rev,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gpsa-bench: scale: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("scale — out-of-core COST sweep (heap cap %d MiB, prefetch %v)\n%s",
-			rep.MemLimit>>20, rep.Prefetch, bench.FormatScale(rep))
-		fmt.Printf("prefetch: %d WILLNEED windows, %.1f MiB covered\n", rep.PrefetchWindows, float64(rep.PrefetchBytes)/(1<<20))
+		fmt.Printf("scale — out-of-core COST sweep (heap cap %d MiB)\n%s",
+			rep.MemLimit>>20, bench.FormatScale(rep))
 		if *costJSON != "" {
 			if err := rep.WriteJSON(*costJSON); err != nil {
 				fmt.Fprintf(os.Stderr, "gpsa-bench: scale: %v\n", err)

@@ -78,8 +78,6 @@ func run() int {
 		watchdog    = flag.Duration("watchdog", 0, "abort a superstep when a worker is silent this long (0 = off)")
 		dump        = flag.String("dump", "", "write per-vertex results as 'vertex<TAB>value' lines to this file")
 		verbose     = flag.Bool("v", false, "print per-superstep progress")
-		prefetch    = flag.Bool("prefetch", false, "async CSR prefetch: madvise(WILLNEED) window ahead of each dispatcher, DONTNEED trail behind")
-		prefetchWin = flag.Int("prefetch-window", 0, "prefetch window bytes per dispatcher (0 = 8 MiB)")
 		scrubIvl    = flag.Duration("scrub-interval", 0, "background scrub cadence: re-verify the graph CSR checksum and the sealed -values digest while running (0 disables)")
 		scrubRate   = flag.Int64("scrub-throttle", 0, "scrub read rate cap in bytes/sec (0 = unthrottled)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -135,16 +133,14 @@ exit codes:
 	defer stop()
 
 	opts := gpsa.RunOptions{
-		Supersteps:     *supersteps,
-		Context:        ctx,
-		Resume:         *resume,
-		Dispatchers:    *dispatchers,
-		Computers:      *computers,
-		ValuesPath:     *values,
-		StepRetries:    *retries,
-		Watchdog:       *watchdog,
-		Prefetch:       *prefetch,
-		PrefetchWindow: *prefetchWin,
+		Supersteps:  *supersteps,
+		Context:     ctx,
+		Resume:      *resume,
+		Dispatchers: *dispatchers,
+		Computers:   *computers,
+		ValuesPath:  *values,
+		StepRetries: *retries,
+		Watchdog:    *watchdog,
 	}
 	if *verbose {
 		opts.Progress = func(s gpsa.StepStats) {

@@ -134,14 +134,6 @@ type RunOptions struct {
 	Watchdog time.Duration
 	// Progress, when non-nil, receives per-superstep statistics.
 	Progress func(StepStats)
-	// Prefetch spawns an async CSR prefetch actor per dispatcher: a
-	// windowed madvise(WILLNEED) walker ahead of each edge cursor with
-	// a DONTNEED trail behind it, overlapping page-in I/O with dispatch
-	// on out-of-core graphs. Best-effort; inactive for in-memory graphs.
-	Prefetch bool
-	// PrefetchWindow is the WILLNEED window size in bytes (0 = engine
-	// default, 8 MiB). Only meaningful with Prefetch.
-	PrefetchWindow int
 }
 
 func (o RunOptions) engineConfig() core.Config {
@@ -152,8 +144,6 @@ func (o RunOptions) engineConfig() core.Config {
 		MaxStepRetries:   o.StepRetries,
 		SuperstepTimeout: o.Watchdog,
 		Progress:         o.Progress,
-		Prefetch:         o.Prefetch,
-		PrefetchWindow:   o.PrefetchWindow,
 	}
 }
 

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
@@ -225,7 +227,13 @@ func MeasureCell(a *Artifacts, sys System, alg Algo, opts Options) (Cell, error)
 		run := func() error {
 			switch sys {
 			case SysGPSA:
-				steps, err = runGPSA(a, alg, opts, r, &sample)
+				prog, path := gpsaProgram(a, alg)
+				vpath := filepath.Join(a.Dir, fmt.Sprintf("values-%d.gpvf", r))
+				cfg := core.Config{MaxSupersteps: opts.Supersteps, Dispatchers: opts.Dispatchers, Computers: opts.Computers}
+				var res *core.Result
+				if res, sample, _, err = runGPSA(prog, path, vpath, cfg, 0); err == nil {
+					steps = res.Supersteps
+				}
 			case SysGraphChi:
 				steps, err = runGraphChi(a, alg, opts, r, &sample)
 			case SysXStream:
@@ -261,36 +269,41 @@ func gpsaProgram(a *Artifacts, alg Algo) (core.Program, string) {
 	}
 }
 
-func runGPSA(a *Artifacts, alg Algo, opts Options, r int, sample *metrics.CPUSample) (int, error) {
-	prog, path := gpsaProgram(a, alg)
-	gf, err := graph.OpenFile(path, mmap.ModeAuto)
+// runGPSA is the one measured GPSA run: the CSR at csr opened from
+// disk, values in a fresh on-disk file at vpath (removed afterwards),
+// the engine run under a soft heap cap of memLimit bytes (0 = none). It
+// returns the result, the run's wall and CPU sample, and the heap bytes
+// the run allocated.
+func runGPSA(prog core.Program, csr, vpath string, cfg core.Config, memLimit int64) (res *core.Result, sample metrics.CPUSample, alloc uint64, err error) {
+	gf, err := graph.OpenFile(csr, mmap.ModeAuto)
 	if err != nil {
-		return 0, err
+		return nil, sample, 0, err
 	}
 	defer gf.Close() //lint:syncerr benchmark harness teardown of scratch files; no durability contract
-	vpath := filepath.Join(a.Dir, fmt.Sprintf("values-%d.gpvf", r))
 	vf, err := vertexfile.Create(vpath, gf.NumVertices, prog.Init)
 	if err != nil {
-		return 0, err
+		return nil, sample, 0, err
 	}
 	defer os.Remove(vpath)
 	defer vf.Close() //lint:syncerr benchmark harness teardown of scratch files; no durability contract
-	eng, err := core.New(gf, vf, prog, core.Config{
-		MaxSupersteps: opts.Supersteps,
-		Dispatchers:   opts.Dispatchers,
-		Computers:     opts.Computers,
-	})
+	eng, err := core.New(gf, vf, prog, cfg)
 	if err != nil {
-		return 0, err
+		return nil, sample, 0, err
 	}
-	var res *core.Result
-	*sample = metrics.MeasureCPU(func() {
+	if memLimit > 0 {
+		defer debug.SetMemoryLimit(debug.SetMemoryLimit(memLimit))
+		runtime.GC() // start the capped run from a collected heap
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sample = metrics.MeasureCPU(func() {
 		res, err = eng.Run()
 	})
+	runtime.ReadMemStats(&after)
 	if err != nil {
-		return 0, err
+		return nil, sample, 0, err
 	}
-	return res.Supersteps, nil
+	return res, sample, after.TotalAlloc - before.TotalAlloc, nil
 }
 
 func runGraphChi(a *Artifacts, alg Algo, opts Options, r int, sample *metrics.CPUSample) (int, error) {

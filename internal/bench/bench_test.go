@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 )
 
@@ -133,5 +135,25 @@ func TestSpeedupComputation(t *testing.T) {
 	}
 	if _, ok := r.Speedup(SysGraphChi, AlgoCC); ok {
 		t.Fatal("Speedup for missing cell reported ok")
+	}
+}
+
+// TestScaleRunsDefaultPool pins the COST sweep to the pool a user gets:
+// a scale cell at c cores runs core.DefaultPool(c), not a fraction of it.
+func TestScaleRunsDefaultPool(t *testing.T) {
+	a, err := BuildArtifacts(gen.Google, 512, 1, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cores = 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cores))
+	res, _, err := scaleRun(a, AlgoPageRank, ScaleOptions{}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, c := core.DefaultPool(cores)
+	if len(res.DispatcherMessages) != d || len(res.ComputerUpdates) != c {
+		t.Fatalf("scale run at %d cores ran %d×%d, want core.DefaultPool's %d×%d",
+			cores, len(res.DispatcherMessages), len(res.ComputerUpdates), d, c)
 	}
 }

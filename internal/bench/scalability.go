@@ -9,9 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/metrics"
-	"repro/internal/mmap"
-	"repro/internal/vertexfile"
 )
 
 // ScalabilityPoint is one actor-count measurement.
@@ -100,35 +97,14 @@ func RunScalability(opts ScalabilityOptions) ([]ScalabilityPoint, error) {
 }
 
 func scalabilityRun(csr string, actors int, opts ScalabilityOptions, r int) (float64, float64, error) {
-	gf, err := graph.OpenFile(csr, mmap.ModeAuto)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer gf.Close() //lint:syncerr benchmark harness teardown of scratch files; no durability contract
 	vpath := csr + fmt.Sprintf(".values-%d-%d", actors, r)
-	vf, err := vertexfile.Create(vpath, gf.NumVertices, algorithms.PageRank{}.Init)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer os.Remove(vpath)
-	defer vf.Close() //lint:syncerr benchmark harness teardown of scratch files; no durability contract
-	eng, err := core.New(gf, vf, algorithms.PageRank{}, core.Config{
+	_, sample, _, err := runGPSA(algorithms.PageRank{}, csr, vpath, core.Config{
 		Dispatchers:   actors / 2,
 		Computers:     actors - actors/2,
 		MaxSupersteps: opts.Supersteps,
 		DisableSync:   true,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	var runErr error
-	sample := metrics.MeasureCPU(func() {
-		_, runErr = eng.Run()
-	})
-	if runErr != nil {
-		return 0, 0, runErr
-	}
-	return sample.Wall.Seconds(), sample.Percent, nil
+	}, 0)
+	return sample.Wall.Seconds(), sample.Percent, err
 }
 
 // FormatScalability renders the sweep.

@@ -4,20 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-
 	"path/filepath"
-	"repro/internal/diskio"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/diskio"
 	"repro/internal/gen"
-	"repro/internal/graph"
-	"repro/internal/metrics"
-	"repro/internal/mmap"
-	"repro/internal/vertexfile"
 )
 
 // The scale experiment answers the COST question (McSherry et al.,
@@ -25,9 +19,9 @@ import (
 // before it beats a competent single-threaded baseline? It sweeps
 // R-MAT shapes from the hot-path baseline up to paper-scale
 // soc-LiveJournal dimensions, runs GPSA out-of-core — CSR and values
-// on disk, a Go heap cap enforced, async prefetch on — across a
-// 1..NumCPU core sweep, and measures the single-threaded GraphChi and
-// X-Stream reference engines on the same inputs. The crossover core
+// on disk, a Go heap cap enforced, the engine at its default pool —
+// across a 1..NumCPU core sweep, and measures the single-threaded
+// GraphChi and X-Stream reference engines on the same inputs. The crossover core
 // count per algorithm is the COST metric, recorded in COST_<rev>.json.
 
 // ScaleOptions configures the scale sweep.
@@ -52,11 +46,8 @@ type ScaleOptions struct {
 	// from the disk mappings, not a heap-resident copy. References
 	// run uncapped, which only flatters them (a conservative COST).
 	MemLimit int64
-	// NoPrefetch disables the async CSR prefetch actors that scale
-	// GPSA runs otherwise enable.
-	NoPrefetch bool
-	Algos      []Algo
-	Rev        string
+	Algos    []Algo
+	Rev      string
 }
 
 func (o ScaleOptions) withDefaults() ScaleOptions {
@@ -131,7 +122,6 @@ type CostReport struct {
 	Supersteps int           `json:"supersteps"`
 	Runs       int           `json:"runs"`
 	MemLimit   int64         `json:"mem_limit_bytes"`
-	Prefetch   bool          `json:"prefetch"`
 	Shapes     []gen.Dataset `json:"shapes"`
 	Cores      []int         `json:"cores"`
 	Cells      []ScaleCell   `json:"cells"`
@@ -143,10 +133,6 @@ type CostReport struct {
 	// shape; 0 means no crossover within the sweep (the COST verdict
 	// "unbounded" at this scale).
 	Crossover map[string]int `json:"crossover_cores"`
-	// Prefetch activity across the whole sweep (core.prefetch.*
-	// counter deltas): windows issued and bytes covered by WILLNEED.
-	PrefetchWindows int64 `json:"prefetch_windows"`
-	PrefetchBytes   int64 `json:"prefetch_bytes"`
 }
 
 // WriteJSON writes the report, indented, to path.
@@ -158,57 +144,14 @@ func (r *CostReport) WriteJSON(path string) error {
 	return diskio.WriteFileAtomic(path, append(data, '\n'), 0o644)
 }
 
-// memCapped runs fn under the configured soft heap cap, restoring the
-// previous limit afterwards.
-func memCapped(limit int64, fn func() error) error {
-	prev := debug.SetMemoryLimit(limit)
-	defer debug.SetMemoryLimit(prev)
-	return fn()
-}
-
-// runGPSAScale is one out-of-core GPSA run: CSR opened from disk,
-// values in a fresh on-disk file, prefetch per opts.
-func runGPSAScale(a *Artifacts, alg Algo, cores int, opts ScaleOptions) (*core.Result, uint64, error) {
+// scaleRun is one out-of-core GPSA run of the sweep. The engine
+// resolves its own pool from the GOMAXPROCS RunScale set for the cell,
+// so each core count runs the pool a user gets on that many CPUs.
+func scaleRun(a *Artifacts, alg Algo, opts ScaleOptions) (*core.Result, uint64, error) {
 	prog, path := gpsaProgram(a, alg)
-	gf, err := graph.OpenFile(path, mmap.ModeAuto)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer gf.Close() //lint:syncerr benchmark harness teardown of scratch files; no durability contract
 	vpath := filepath.Join(a.Dir, "scale-values.gpvf")
-	vf, err := vertexfile.Create(vpath, gf.NumVertices, prog.Init)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer os.Remove(vpath)
-	defer vf.Close() //lint:syncerr benchmark harness teardown of scratch files; no durability contract
-
-	workers := cores / 2
-	if workers < 1 {
-		workers = 1
-	}
-	eng, err := core.New(gf, vf, prog, core.Config{
-		MaxSupersteps: opts.Supersteps,
-		Dispatchers:   workers,
-		Computers:     workers,
-		Prefetch:      !opts.NoPrefetch,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	var res *core.Result
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	err = memCapped(opts.MemLimit, func() error {
-		res, err = eng.Run()
-		return err
-	})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, after.TotalAlloc - before.TotalAlloc, nil
+	res, _, alloc, err := runGPSA(prog, path, vpath, core.Config{MaxSupersteps: opts.Supersteps}, opts.MemLimit)
+	return res, alloc, err
 }
 
 // RunScale executes the full sweep and assembles the COST report.
@@ -231,15 +174,12 @@ func RunScale(opts ScaleOptions) (*CostReport, error) {
 		Supersteps: opts.Supersteps,
 		Runs:       opts.Runs,
 		MemLimit:   opts.MemLimit,
-		Prefetch:   !opts.NoPrefetch,
 		Shapes:     opts.Shapes,
 		Cores:      opts.Cores,
 		Reference:  map[string]float64{},
 		Crossover:  map[string]int{},
 	}
 	refOpts := Options{Supersteps: opts.Supersteps, Runs: opts.Runs, Seed: opts.Seed}
-	windows0 := metrics.Counter(metrics.CtrPrefetchWindows)
-	bytes0 := metrics.Counter(metrics.CtrPrefetchBytes)
 
 	for si, shape := range opts.Shapes {
 		dir := filepath.Join(opts.WorkDir, fmt.Sprintf("shape-%d", si))
@@ -286,7 +226,7 @@ func RunScale(opts ScaleOptions) (*CostReport, error) {
 				var runErr error
 				for r := 0; r < opts.Runs; r++ {
 					start := time.Now()
-					res, alloc, err := runGPSAScale(a, alg, cores, opts)
+					res, alloc, err := scaleRun(a, alg, opts)
 					wall := time.Since(start).Seconds()
 					if err != nil {
 						runErr = err
@@ -316,8 +256,6 @@ func RunScale(opts ScaleOptions) (*CostReport, error) {
 		// next rung.
 		os.RemoveAll(dir)
 	}
-	rep.PrefetchWindows = metrics.Counter(metrics.CtrPrefetchWindows) - windows0
-	rep.PrefetchBytes = metrics.Counter(metrics.CtrPrefetchBytes) - bytes0
 	return rep, nil
 }
 

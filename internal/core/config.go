@@ -60,19 +60,6 @@ type Config struct {
 	// trading the paper's lightweight fault tolerance for speed.
 	DisableSync bool
 
-	// Prefetch spawns one async prefetch actor per dispatcher. Each
-	// walks ahead of its dispatcher's edge cursor issuing windowed
-	// madvise(WILLNEED) on the CSR mapping and releases consumed pages
-	// behind it with DONTNEED, so out-of-core runs overlap page-in I/O
-	// with dispatch instead of stalling on major faults. Best-effort:
-	// silently inactive for memory images and heap-backed mappings.
-	Prefetch bool
-
-	// PrefetchWindow is the size in bytes of the WILLNEED window each
-	// prefetch actor keeps ahead of its dispatcher's cursor (default
-	// 8 MiB). The DONTNEED trail follows one window behind the cursor.
-	PrefetchWindow int
-
 	// MaxStepRetries is how many times the manager retries a failed
 	// superstep (worker panic or failure, watchdog timeout, failed
 	// begin/commit) before surfacing the error. Between attempts the
@@ -127,9 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSupersteps <= 0 {
 		c.MaxSupersteps = DefaultMaxSupersteps
-	}
-	if c.PrefetchWindow <= 0 {
-		c.PrefetchWindow = 8 << 20
 	}
 	return c
 }

@@ -34,12 +34,10 @@ type Scan struct {
 	// Hooks, all optional. KillSite is a fault.Error site hit once per
 	// vertex, read or jumped, whose firing makes Run return Killed;
 	// MsgSite a fault.Panic site hit once per message. Aborted is polled
-	// once per vertex read (set: Run returns errAborted), and Pos gets the
-	// cursor position once per vertex read (the prefetch watermark).
+	// once per vertex read (set: Run returns errAborted).
 	KillSite, MsgSite string
 	Killed            error
 	Aborted           *atomic.Bool
-	Pos               *atomic.Int64
 
 	gf    *graph.File
 	vf    *vertexfile.File
@@ -93,9 +91,6 @@ func (s *Scan) Run(iv graph.Interval, step int64) (sent int64, err error) {
 		v, deg, edges, ok := cur.Next()
 		if !ok {
 			break
-		}
-		if s.Pos != nil {
-			s.Pos.Store(cur.Pos())
 		}
 		if s.Aborted != nil && s.Aborted.Load() {
 			return sent, errAborted
@@ -222,13 +217,6 @@ func (d *dispatcher) Execute() (err error) {
 			return fmt.Errorf("core: dispatcher %d: unexpected command %v", d.id, cmd.kind)
 		}
 		d.delivered, d.denseSegs = 0, 0
-		if eng.prefetchOn {
-			// Announce the new superstep to the prefetch actor: its
-			// WILLNEED window rewinds to the interval top with us.
-			eng.dispPos[d.id].Store(d.interval.StartWord)
-			eng.dispStep[d.id].Store(cmd.step)
-			d.scan.Pos = &eng.dispPos[d.id]
-		}
 		sent, err := d.runSuperstep(cmd.step)
 		if err != nil {
 			if d.aborting(err) {

@@ -61,17 +61,7 @@ type Engine struct {
 	toManager  *actor.Mailbox[workerMsg]
 	toDisp     []*actor.Mailbox[workerMsg]
 	toApply    []*actor.Mailbox[workerMsg] // one per computer
-	toPrefetch []*actor.Mailbox[workerMsg]
-	intervals  []graph.Interval // one per dispatcher; may be fewer than cfg.Dispatchers
-
-	// prefetchOn gates the async CSR prefetch actors (Config.Prefetch
-	// and a mapping that supports advice). When set, each dispatcher
-	// publishes its cursor position and superstep generation through
-	// dispPos/dispStep — the only coupling between the dispatch loop
-	// and its prefetcher (see prefetch.go).
-	prefetchOn bool
-	dispPos    []atomic.Int64
-	dispStep   []atomic.Int64
+	intervals  []graph.Interval            // one per dispatcher; may be fewer than cfg.Dispatchers
 
 	// slabs[i][c] is the slab dispatcher i folds computer c's messages
 	// into, for the engine's lifetime.
@@ -199,27 +189,6 @@ func (e *Engine) spawn() {
 		c := &computer{id: i, eng: e}
 		e.system.Spawn(fmt.Sprintf("computer-%d", i), c)
 	}
-	e.prefetchOn = cfg.Prefetch && e.gf.SupportsAdvise()
-	e.toPrefetch = nil
-	if e.prefetchOn {
-		e.dispPos = make([]atomic.Int64, len(e.intervals))
-		e.dispStep = make([]atomic.Int64, len(e.intervals))
-		e.toPrefetch = make([]*actor.Mailbox[workerMsg], len(e.intervals))
-		for i := range e.toPrefetch {
-			e.dispPos[i].Store(e.intervals[i].StartWord)
-			e.dispStep[i].Store(-1)
-			e.toPrefetch[i] = actor.NewMailbox[workerMsg](1)
-			p := &prefetcher{id: i, eng: e, interval: e.intervals[i]}
-			p.resetWindow()
-			p.lastStep = -1
-			// Issue the first WILLNEED window synchronously: page-in I/O
-			// for the interval head starts before the first dispatch
-			// touches the mapping, and a short run cannot finish before
-			// the actor goroutine is ever scheduled.
-			p.pass()
-			e.system.Spawn(fmt.Sprintf("prefetcher-%d", i), p)
-		}
-	}
 }
 
 // teardown stops and collects the current worker crew. After it returns
@@ -242,10 +211,6 @@ func (e *Engine) teardown() error {
 		mb.Close()
 	}
 	for _, mb := range e.toApply {
-		mb.TryPut(workerMsg{kind: kindSystemOver})
-		mb.Close()
-	}
-	for _, mb := range e.toPrefetch {
 		mb.TryPut(workerMsg{kind: kindSystemOver})
 		mb.Close()
 	}

@@ -497,36 +497,6 @@ func (f *File) AdviseSequential() error {
 	return f.m.Advise(mmap.AccessSequential)
 }
 
-// SupportsAdvise reports whether the file is backed by a real mapping
-// that can accept ranged access-pattern advice. Memory images (and the
-// heap fallback, transparently) have nothing to advise.
-func (f *File) SupportsAdvise() bool { return f.m != nil }
-
-// UnitBytes returns the byte width of one interval/cursor offset unit:
-// 4 for version-1 word offsets, 1 for the compact format's byte
-// offsets. Callers holding Interval or Cursor.Pos offsets multiply by
-// this to reason about file bytes.
-func (f *File) UnitBytes() int64 {
-	if f.version == fileVersionCompact {
-		return 1
-	}
-	return 4
-}
-
-// AdviseRange re-advises the record-region span [startOff, endOff) —
-// offsets in the file version's interval units, as carried by Interval
-// and Cursor.Pos — translating them to byte ranges of the mapping.
-// This is the primitive behind async CSR prefetch: AccessWillNeed
-// ahead of the streaming cursor, AccessDontNeed behind it. Best-effort
-// and a no-op for memory images or empty ranges.
-func (f *File) AdviseRange(startOff, endOff int64, pattern mmap.Access) error {
-	if f.m == nil || endOff <= startOff {
-		return nil
-	}
-	u := f.UnitBytes()
-	return f.m.AdviseRange(headerBytes+startOff*u, (endOff-startOff)*u, pattern)
-}
-
 // Close unmaps the file (no-op for memory images).
 func (f *File) Close() error {
 	if f.m == nil {
@@ -691,12 +661,6 @@ func (c *Cursor) SkipTo(v int64) int64 {
 
 // Err returns the first corruption error encountered, if any.
 func (c *Cursor) Err() error { return c.err }
-
-// Pos returns the cursor's current offset within the record region, in
-// the file version's interval units (comparable to Interval.StartWord
-// and EndWord). The async prefetch actor samples it to pace a WILLNEED
-// window ahead of the stream and a DONTNEED trail behind it.
-func (c *Cursor) Pos() int64 { return c.pos }
 
 // DecodeEdge extracts edge i from a raw edge slice returned by Next.
 //

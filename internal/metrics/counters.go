@@ -46,17 +46,6 @@ const (
 	// reports it as a per-layer row.
 	CtrAccumSparseSegs = "core.accum.segments.sparse"
 
-	// CtrPrefetchWindows counts WILLNEED windows the async CSR prefetch
-	// actors issued ahead of the dispatch cursors; CtrPrefetchBytes the
-	// bytes those windows covered; CtrPrefetchEvicted the bytes released
-	// with DONTNEED behind the cursors; CtrPrefetchErrors madvise calls
-	// that failed (prefetch is best-effort, errors are counted, never
-	// fatal).
-	CtrPrefetchWindows = "core.prefetch.windows"
-	CtrPrefetchBytes   = "core.prefetch.bytes"
-	CtrPrefetchEvicted = "core.prefetch.evicted"
-	CtrPrefetchErrors  = "core.prefetch.errors"
-
 	// The cluster.* counters record the distributed recovery machinery;
 	// the chaos harness asserts on them to prove a disturbed run actually
 	// exercised rollback and rejoin rather than getting lucky.

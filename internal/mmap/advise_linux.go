@@ -4,7 +4,6 @@ package mmap
 
 import (
 	"fmt"
-	"os"
 	"syscall"
 )
 
@@ -14,10 +13,6 @@ func adviceFor(pattern Access) (int, error) {
 		return syscall.MADV_SEQUENTIAL, nil
 	case AccessRandom:
 		return syscall.MADV_RANDOM, nil
-	case AccessWillNeed:
-		return syscall.MADV_WILLNEED, nil
-	case AccessDontNeed:
-		return syscall.MADV_DONTNEED, nil
 	case AccessNormal:
 		return syscall.MADV_NORMAL, nil
 	}
@@ -40,36 +35,6 @@ func (m *Map) Advise(pattern Access) error {
 		uintptr(addrOf(m.data)), uintptr(len(m.data)), uintptr(advice))
 	if errno != 0 {
 		return fmt.Errorf("mmap: madvise: %w", errno)
-	}
-	return nil
-}
-
-// AdviseRange re-advises only the byte range [off, off+n) of the
-// mapping — the primitive behind async prefetch, where a walker issues
-// AccessWillNeed ahead of the streaming cursor and AccessDontNeed
-// behind it. madvise demands a page-aligned address, so the range is
-// widened down to the containing page boundary (advising more than
-// asked is safe: WILLNEED over-reads a page, DONTNEED drops a page the
-// cursor already consumed). Heap-backed maps are fully resident and
-// return nil.
-func (m *Map) AdviseRange(off, n int64, pattern Access) error {
-	if off < 0 || n < 0 || off+n > int64(len(m.data)) {
-		return fmt.Errorf("mmap: advise range [%d, +%d) out of range (len %d)", off, n, len(m.data))
-	}
-	if m.heap || n == 0 {
-		return nil
-	}
-	advice, err := adviceFor(pattern)
-	if err != nil {
-		return err
-	}
-	page := int64(os.Getpagesize())
-	start := off &^ (page - 1)
-	length := off + n - start
-	_, _, errno := syscall.Syscall(syscall.SYS_MADVISE,
-		addrOf(m.data)+uintptr(start), uintptr(length), uintptr(advice))
-	if errno != 0 {
-		return fmt.Errorf("mmap: madvise [%d, +%d): %w", start, length, errno)
 	}
 	return nil
 }

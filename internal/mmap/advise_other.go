@@ -2,17 +2,5 @@
 
 package mmap
 
-import "fmt"
-
 // Advise is a no-op on platforms without madvise support.
 func (m *Map) Advise(pattern Access) error { return nil }
-
-// AdviseRange validates its arguments exactly like the Linux
-// implementation — callers must not compile in range bugs just because
-// they developed on another platform — and otherwise does nothing.
-func (m *Map) AdviseRange(off, n int64, pattern Access) error {
-	if off < 0 || n < 0 || off+n > int64(len(m.data)) {
-		return fmt.Errorf("mmap: advise range [%d, +%d) out of range (len %d)", off, n, len(m.data))
-	}
-	return nil
-}

@@ -243,15 +243,9 @@ func (m *Map) Close() error {
 // Access describes an expected access pattern for Advise.
 type Access int
 
-// Access patterns accepted by Advise and AdviseRange.
+// Access patterns accepted by Advise.
 const (
 	AccessNormal Access = iota
 	AccessSequential
 	AccessRandom
-	AccessWillNeed
-	// AccessDontNeed tells the kernel the range will not be touched
-	// again soon, releasing its page-cache residency. The prefetch actor
-	// trails it behind the dispatch cursor so a streamed CSR interval
-	// does not evict the vertex value working set on out-of-core runs.
-	AccessDontNeed
 )

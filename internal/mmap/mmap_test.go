@@ -247,7 +247,7 @@ func TestAdvise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range []Access{AccessNormal, AccessSequential, AccessRandom, AccessWillNeed} {
+		for _, p := range []Access{AccessNormal, AccessSequential, AccessRandom} {
 			if err := m.Advise(p); err != nil {
 				t.Fatalf("Advise(%v) on %s map: %v", p, modeName(mode), err)
 			}
