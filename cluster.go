@@ -71,13 +71,13 @@ const (
 // an in-process TCP cluster — the paper's actor model extended across
 // nodes. It returns the final payload of every vertex. Each node hosts
 // edge-balanced vertex intervals with its own value file and streams
-// them through the same interval scan and source-side fold as Run: one
-// dispatch/fold pipeline drives both engines. Each node folds into one
-// slab (8 B per vertex plus a presence bitmap) and sends each (source
-// interval, destination) pair at most once per superstep. Cross-node
-// messages travel over loopback TCP; each node stages what it receives
-// and applies it at its own barrier in source-interval order, so a
-// retried superstep is bit-identical.
+// them through the same worker crew as Run: one dispatch/fold/apply
+// pipeline drives both engines. Each owned interval is a dispatcher
+// folding into its own slab (8 B per vertex plus a presence bitmap), and
+// each (source interval, destination) pair is sent at most once per
+// superstep. Cross-node messages travel over loopback TCP; each node's
+// computer applies its own slabs and what it receives in source-interval
+// order, so a retried superstep is bit-identical.
 func RunDistributed(graphPath string, prog Program, opts ClusterOptions) (*ClusterResult, []uint64, error) {
 	policy := cluster.RestartDead
 	if opts.RedistributeDead {

@@ -21,7 +21,8 @@
 // interval the node owns live-migrates to the survivors before it
 // exits), -join grows it (new nodes boot mid-job and receive intervals
 // by migration), and -redistribute retires crashed nodes permanently
-// instead of restarting them. -splits controls migration granularity.
+// instead of restarting them. -splits sets how many intervals, and so
+// dispatchers, each node starts with, and with it migration granularity.
 //
 //	gpsa-cluster -graph g.gpsa -algo cc -nodes 3 -splits 4 -drain 1@2
 //	gpsa-cluster -graph g.gpsa -algo pagerank -nodes 3 -splits 4 -join 2 -rebalance
@@ -63,7 +64,7 @@ func run() int {
 		phaseTO    = flag.Duration("phase-timeout", 0, "fail a superstep when a node heartbeats without progress this long (0 = 4x node-timeout)")
 		recoveryTO = flag.Duration("recovery-timeout", 0, "bound one rollback/replacement cycle (0 = 30s)")
 		heartbeat  = flag.Duration("heartbeat", 0, "idle-node heartbeat interval (0 = 500ms, negative disables)")
-		splits     = flag.Int("splits", 0, "vertex intervals per node (0 = 1); >= 2 gives migration sub-node granularity")
+		splits     = flag.Int("splits", 0, "vertex intervals per node (0 = 1), a dispatcher each; >= 2 gives migration sub-node granularity")
 		drains     = flag.String("drain", "", "drain nodes mid-job: comma-separated node@step entries, e.g. 1@2,0@5")
 		joins      = flag.String("join", "", "join new nodes mid-job: comma-separated barrier steps, e.g. 2,5")
 		rebalance  = flag.Bool("rebalance", false, "migrate intervals toward the edge-weight balance point at every barrier")

@@ -5,7 +5,8 @@ import (
 )
 
 // BenchmarkMailboxPutGet measures raw per-message mailbox cost — the
-// number motivating the engine's message batching (DESIGN.md).
+// number behind the engine mailing one folded slab per computer per
+// superstep rather than a message per edge (DESIGN.md "Message path").
 func BenchmarkMailboxPutGet(b *testing.B) {
 	mb := NewMailbox[int](1024)
 	done := make(chan struct{})
@@ -55,7 +56,7 @@ func BenchmarkMailboxBatched(b *testing.B) {
 // BenchmarkSpawn measures actor creation cost (Kilim's "tasks start up
 // quite fast" claim, §II-C).
 func BenchmarkSpawn(b *testing.B) {
-	s := NewSystem("bench", RestartPolicy{})
+	s := NewSystem("bench", nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.SpawnFunc("", func() error { return nil })

@@ -16,7 +16,7 @@
 //   - Pausable methods                 -> ordinary blocking channel ops
 //
 // The runtime adds supervision: a panicking actor is isolated (its panic is
-// converted to an error and reported to the system) and may optionally be
-// restarted, so a long-running graph computation is not torn down by one
-// misbehaving worker.
+// converted to an error), and every failure is recorded and reported to
+// the system's failure callback. Nothing is restarted: the engine's
+// recovery is the superstep retry, which replaces the whole crew.
 package actor

@@ -35,28 +35,21 @@ func (f Failure) Error() string {
 	return fmt.Sprintf("actor %q failed: %v", f.Name, f.Err)
 }
 
-// RestartPolicy controls what the system does when an actor panics.
-type RestartPolicy struct {
-	// MaxRestarts is the number of times a panicking actor is re-executed
-	// before its failure is recorded. Zero means never restart.
-	MaxRestarts int
-}
+func (f Failure) Unwrap() error { return f.Err }
 
 // Ref is a handle to a spawned actor.
 type Ref struct {
 	name string
 	done chan struct{}
 
-	mu       sync.Mutex
-	err      error
-	restarts int
+	mu  sync.Mutex
+	err error
 }
 
 // Name returns the actor's registered name.
 func (r *Ref) Name() string { return r.name }
 
-// Done returns a channel closed when the actor has terminated (after any
-// restarts).
+// Done returns a channel closed when the actor has terminated.
 func (r *Ref) Done() <-chan struct{} { return r.done }
 
 // Err returns the actor's terminal error, or nil. It must only be trusted
@@ -67,21 +60,14 @@ func (r *Ref) Err() error {
 	return r.err
 }
 
-// Restarts returns how many times the actor was restarted after panics.
-func (r *Ref) Restarts() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.restarts
-}
-
 // System owns a set of actors and supervises their execution. It is the
 // analogue of a Kilim scheduler instance: spawning is cheap, actors run
 // concurrently, and the owner can wait for collective termination and
 // inspect failures.
 type System struct {
-	name   string
-	policy RestartPolicy
-	ctx    context.Context
+	name      string
+	ctx       context.Context
+	onFailure func(Failure)
 
 	wg sync.WaitGroup
 
@@ -91,23 +77,26 @@ type System struct {
 	seq      int
 }
 
-// NewSystem creates an actor system. The name is used in diagnostics only.
-func NewSystem(name string, policy RestartPolicy) *System {
+// NewSystem creates an actor system. The name is used in diagnostics
+// only. onFailure, when non-nil, hears every failure as it is recorded,
+// on the failed actor's goroutine: the one way a supervisor learns that
+// an actor died, whether Execute returned an error, panicked, or never
+// ran. The system restarts nothing; what a failure costs is the
+// supervisor's decision.
+func NewSystem(name string, onFailure func(Failure)) *System {
 	//lint:ctxblock documented convenience wrapper; cancellable callers use NewSystemContext
-	return NewSystemContext(context.Background(), name, policy)
+	return NewSystemContext(context.Background(), name, onFailure)
 }
 
-// NewSystemContext creates an actor system bound to ctx. The context does
-// not preempt running actors — Go cannot forcibly stop a goroutine, and
-// GPSA's workers observe cancellation through their mailboxes — but once
-// ctx is cancelled the supervisor stops restarting panicking actors:
-// during a teardown a restarted worker would only block on closed
-// mailboxes and delay collection.
-func NewSystemContext(ctx context.Context, name string, policy RestartPolicy) *System {
+// NewSystemContext creates an actor system bound to ctx, which actors
+// read through Context. The context does not preempt running actors — Go
+// cannot forcibly stop a goroutine, and GPSA's workers observe
+// cancellation through their mailboxes.
+func NewSystemContext(ctx context.Context, name string, onFailure func(Failure)) *System {
 	if ctx == nil {
 		ctx = context.Background() //lint:ctxblock defensive default for nil ctx; callers who want cancellation pass one
 	}
-	return &System{name: name, policy: policy, ctx: ctx, refs: make(map[string]*Ref)}
+	return &System{name: name, ctx: ctx, onFailure: onFailure, refs: make(map[string]*Ref)}
 }
 
 // Context returns the context the system was created with.
@@ -142,30 +131,25 @@ func (s *System) SpawnFunc(name string, fn func() error) *Ref {
 func (s *System) run(ref *Ref, a Actor) {
 	defer s.wg.Done()
 	defer close(ref.done)
-
-	for attempt := 0; ; attempt++ {
-		err, stack := s.executeOnce(a)
-		if err == nil {
-			return
-		}
-		if stack != nil && attempt < s.policy.MaxRestarts && s.ctx.Err() == nil {
-			ref.mu.Lock()
-			ref.restarts++
-			ref.mu.Unlock()
-			continue
-		}
-		ref.mu.Lock()
-		ref.err = err
-		ref.mu.Unlock()
-		s.mu.Lock()
-		s.failures = append(s.failures, Failure{Name: ref.name, Err: err, Stack: stack})
-		s.mu.Unlock()
+	err, stack := execute(a)
+	if err == nil {
 		return
+	}
+	ref.mu.Lock()
+	ref.err = err
+	ref.mu.Unlock()
+	f := Failure{Name: ref.name, Err: err, Stack: stack}
+	s.mu.Lock()
+	s.failures = append(s.failures, f)
+	s.mu.Unlock()
+	if s.onFailure != nil {
+		s.onFailure(f)
 	}
 }
 
-// executeOnce runs the actor once, converting panics into errors.
-func (s *System) executeOnce(a Actor) (err error, stack []byte) {
+// execute runs the actor, converting panics — its own, or the injected
+// one that kills it before Execute starts — into errors.
+func execute(a Actor) (err error, stack []byte) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)

@@ -3,6 +3,7 @@ package actor
 import (
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 )
 
 func TestSystemWaitCollectsActors(t *testing.T) {
-	s := NewSystem("test", RestartPolicy{})
+	s := NewSystem("test", nil)
 	var n atomic.Int32
 	for i := 0; i < 10; i++ {
 		s.SpawnFunc("", func() error {
@@ -31,7 +32,7 @@ func TestSystemWaitCollectsActors(t *testing.T) {
 }
 
 func TestSystemReportsActorError(t *testing.T) {
-	s := NewSystem("test", RestartPolicy{})
+	s := NewSystem("test", nil)
 	boom := errors.New("boom")
 	ref := s.SpawnFunc("worker", func() error { return boom })
 	<-ref.Done()
@@ -45,7 +46,7 @@ func TestSystemReportsActorError(t *testing.T) {
 }
 
 func TestSystemIsolatesPanics(t *testing.T) {
-	s := NewSystem("test", RestartPolicy{})
+	s := NewSystem("test", nil)
 	healthy := s.SpawnFunc("healthy", func() error {
 		time.Sleep(10 * time.Millisecond)
 		return nil
@@ -64,46 +65,10 @@ func TestSystemIsolatesPanics(t *testing.T) {
 	}
 }
 
-func TestSystemRestartPolicy(t *testing.T) {
-	s := NewSystem("test", RestartPolicy{MaxRestarts: 3})
-	var attempts atomic.Int32
-	ref := s.SpawnFunc("flaky", func() error {
-		if attempts.Add(1) < 3 {
-			panic("transient")
-		}
-		return nil
-	})
-	if err := s.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if attempts.Load() != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts.Load())
-	}
-	if ref.Restarts() != 2 {
-		t.Fatalf("Restarts = %d, want 2", ref.Restarts())
-	}
-}
-
-func TestSystemRestartExhaustionRecordsFailure(t *testing.T) {
-	s := NewSystem("test", RestartPolicy{MaxRestarts: 2})
-	var attempts atomic.Int32
-	s.SpawnFunc("hopeless", func() error {
-		attempts.Add(1)
-		panic("always")
-	})
-	err := s.Wait()
-	if err == nil {
-		t.Fatal("Wait succeeded for always-panicking actor")
-	}
-	if attempts.Load() != 3 { // initial + 2 restarts
-		t.Fatalf("attempts = %d, want 3", attempts.Load())
-	}
-}
-
 func TestSystemErrorsAreNotRestarted(t *testing.T) {
-	// Restart policy applies to panics only; a clean error return is a
-	// deliberate terminal state.
-	s := NewSystem("test", RestartPolicy{MaxRestarts: 5})
+	// An error return is terminal: the actor runs once and its failure
+	// is recorded.
+	s := NewSystem("test", nil)
 	var attempts atomic.Int32
 	s.SpawnFunc("erroring", func() error {
 		attempts.Add(1)
@@ -113,12 +78,12 @@ func TestSystemErrorsAreNotRestarted(t *testing.T) {
 		t.Fatal("Wait succeeded, want error")
 	}
 	if attempts.Load() != 1 {
-		t.Fatalf("attempts = %d, want 1 (errors must not trigger restart)", attempts.Load())
+		t.Fatalf("attempts = %d, want 1", attempts.Load())
 	}
 }
 
 func TestSystemNameCollisionsGetUniqueRefs(t *testing.T) {
-	s := NewSystem("test", RestartPolicy{})
+	s := NewSystem("test", nil)
 	block := make(chan struct{})
 	a := s.SpawnFunc("dup", func() error { <-block; return nil })
 	b := s.SpawnFunc("dup", func() error { <-block; return nil })
@@ -138,7 +103,7 @@ func TestSystemWaitFirstFailureIsNameOrdered(t *testing.T) {
 	// "zz" fails first in wall-clock time, but Wait must surface the
 	// name-ordered first failure ("aa") so which error a caller sees does
 	// not depend on goroutine scheduling.
-	s := NewSystem("test", RestartPolicy{})
+	s := NewSystem("test", nil)
 	zz := s.SpawnFunc("zz", func() error { return errors.New("late alphabet, early crash") })
 	<-zz.Done()
 	s.SpawnFunc("aa", func() error { return errors.New("early alphabet") })
@@ -151,32 +116,55 @@ func TestSystemWaitFirstFailureIsNameOrdered(t *testing.T) {
 	}
 }
 
-func TestSystemInjectedExecutePanicIsRestarted(t *testing.T) {
-	// The actor.execute.panic site kills the actor the moment it is
-	// scheduled; the restart policy must revive it and the second
-	// incarnation runs normally.
+func TestSystemInjectedExecutePanicIsReported(t *testing.T) {
+	// The actor.execute.panic site kills the actor before its Execute
+	// runs; the failure must still be recorded and reach onFailure, or a
+	// supervisor waiting on the actor would wait forever.
 	fault.Activate(fault.NewPlan(0, fault.Injection{Site: fault.SiteActorExecute}))
 	defer fault.Deactivate()
-	s := NewSystem("test", RestartPolicy{MaxRestarts: 1})
+	var heard []Failure
+	s := NewSystem("test", func(f Failure) { heard = append(heard, f) })
 	var runs atomic.Int32
-	ref := s.SpawnFunc("victim", func() error {
+	s.SpawnFunc("victim", func() error {
 		runs.Add(1)
 		return nil
 	})
-	if err := s.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if err := s.Wait(); err == nil {
+		t.Fatal("Wait succeeded for an actor killed before Execute")
 	}
-	if runs.Load() != 1 {
-		t.Fatalf("actor body ran %d times, want 1 (first incarnation died before Execute)", runs.Load())
+	if runs.Load() != 0 {
+		t.Fatalf("actor body ran %d times, want 0", runs.Load())
 	}
-	if ref.Restarts() != 1 {
-		t.Fatalf("Restarts = %d, want 1", ref.Restarts())
+	if len(heard) != 1 || heard[0].Name != "victim" || len(heard[0].Stack) == 0 {
+		t.Fatalf("onFailure heard %+v, want one victim panic", heard)
+	}
+}
+
+func TestSystemReportsEveryFailure(t *testing.T) {
+	// onFailure hears an error return and a panic alike, once each, and a
+	// clean exit not at all.
+	var mu sync.Mutex
+	heard := map[string]error{}
+	s := NewSystem("test", func(f Failure) {
+		mu.Lock()
+		heard[f.Name] = f
+		mu.Unlock()
+	})
+	boom := errors.New("boom")
+	s.SpawnFunc("errs", func() error { return boom })
+	s.SpawnFunc("panics", func() error { panic("kaboom") })
+	s.SpawnFunc("clean", func() error { return nil })
+	if err := s.Wait(); err == nil {
+		t.Fatal("Wait succeeded, want the failures")
+	}
+	if len(heard) != 2 || !errors.Is(heard["errs"], boom) || !strings.Contains(heard["panics"].Error(), "kaboom") {
+		t.Fatalf("onFailure heard %v, want errs (boom) and panics (kaboom)", heard)
 	}
 }
 
 func TestActorsCommunicateViaMailboxes(t *testing.T) {
 	// A miniature dispatcher/computer pair: the shape the GPSA engine uses.
-	s := NewSystem("pipe", RestartPolicy{})
+	s := NewSystem("pipe", nil)
 	data := NewMailbox[int](4)
 	result := NewMailbox[int](1)
 

@@ -76,9 +76,9 @@ type Config struct {
 }
 
 // MaxWorkers bounds Nodes×Splits with core's worker bound: every node
-// costs connections and a value file, and every interval partition and
-// staging work, before the first superstep, so an absurd size would
-// exhaust memory or spin instead of failing.
+// costs connections and a value file, and every interval a dispatcher
+// and a |V|-wide slab, before the first superstep, so an absurd size
+// would exhaust memory or spin instead of failing.
 const MaxWorkers = core.MaxWorkers
 
 // SizeError is Run's typed error for a size past MaxWorkers. Field names
@@ -193,7 +193,7 @@ func Run(graphPath string, prog core.Program, cfg Config) (*Result, []uint64, er
 	// node: recovery replaces a dead node's entry, and the end-of-run
 	// check consults refs — not the system-wide failure list — because a
 	// recovered-from incarnation's death is not an error of this run.
-	sys := actor.NewSystemContext(cfg.Context, "cluster-nodes", actor.RestartPolicy{})
+	sys := actor.NewSystemContext(cfg.Context, "cluster-nodes", nil)
 	refs := make([]*actor.Ref, total)
 	nodePath := func(id int) string {
 		return filepath.Join(workDir, fmt.Sprintf("node-%d.gpvf", id))

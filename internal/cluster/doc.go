@@ -9,28 +9,30 @@
 //   - The manager actor becomes a Coordinator process coordinating
 //     supersteps over TCP control connections.
 //   - Each Node hosts a set of vertex intervals (balanced by edge
-//     count), streams them through the same scan core's dispatchers run
-//     (core.Scan: one worker, the node's one |V|-wide slab), and applies
-//     the messages it receives to its own two-column vertex value file
-//     at its barrier, through core's batch apply (core.ApplyBatch).
+//     count) and runs core's worker crew over them (core.Crew): a
+//     dispatcher actor per owned interval, each scanning into its own
+//     |V|-wide slab, and one computing actor applying to the node's own
+//     two-column vertex value file.
 //   - Every program folds at the source, as in core, so a round sends
 //     each (source interval, destination) pair at most once.
-//   - Actor location transparency becomes explicit: a batch for a
-//     co-hosted interval is staged through the loopback; any other is
-//     framed onto the owning node's data connection. Batches are staged
-//     per source interval as they arrive and applied at the barrier in
-//     interval order (see node.applyStaged), so a retried superstep
-//     folds bit-identically. The paper's computing actors fold on
-//     arrival; here arrival order across peers is a race, so the node
-//     holds the batches and its control loop applies them.
+//   - Actor location transparency becomes explicit: at the end of its
+//     interval a dispatcher's hand-off frames the entries for intervals
+//     another node owns onto that owner's data connection; the rest of
+//     the slab goes to the node's computer. The wire receivers feed the
+//     same computer, keyed by source interval. The computer applies in
+//     ascending source interval, as core's does, holding what arrives
+//     before its turn — or before the node has begun the superstep — so
+//     a retried superstep folds bit-identically.
 //
-// The superstep barrier generalizes the single-machine one: after a node
-// finishes dispatching (and has flushed its peer connections) it sends an
-// end-of-stream marker on every data connection and DISPATCH_OVER to the
-// coordinator; at the coordinator's COMPUTE barrier a node applies its
-// staged batches only after end-of-stream from every peer, which — with
-// each sender's in-order stream — guarantees every batch of the
-// superstep has been staged, and then acknowledges.
+// The superstep barrier generalizes the single-machine one: after a
+// node's dispatchers finish (and have flushed their peer writes) it
+// sends an end-of-stream marker on every data connection and
+// DISPATCH_OVER to the coordinator. A peer's end-of-stream completes, at
+// the receiving node's computer, every interval that peer owns; at the
+// coordinator's COMPUTE barrier a node waits for end-of-stream from every
+// peer — which, with each sender's in-order stream, guarantees every
+// batch of the superstep has reached its computer — then runs its crew's
+// barrier, commits, and acknowledges.
 //
 // Membership and recovery rest on three shared pieces and one barrier
 // loop (coordinator.run). sealedAt brings a value file to the barrier

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"net"
 	"sort"
@@ -35,8 +36,7 @@ type NodeConfig struct {
 }
 
 const (
-	// batchSize caps the messages of one batch, on the wire and through
-	// the loopback.
+	// batchSize caps the messages of one wire batch.
 	batchSize = 512
 	// peerRedials is how many times a failed data-plane write redials the
 	// peer before the superstep fails.
@@ -116,33 +116,32 @@ type senderStream struct {
 type node struct {
 	id        int
 	total     int // size of the node ID SPACE (initial nodes + plannable joins), not the live member count
-	prog      core.Program
 	cfg       NodeConfig
 	heartbeat time.Duration // coordinator ping interval; <= 0 disables
 	ctx       context.Context
 
 	gf        *graph.File
 	vf        *vertexfile.File
-	ivs       []graph.Interval // the fixed partition, immutable for the job
-	ivBounds  []int64          // ivBounds[i] = first vertex of interval i; len(ivs)+1
+	ivs       []graph.Interval // the fixed partition, contiguous over [0, |V|) and immutable for the job
 	owners    []int            // owners[i] = node currently hosting interval i
 	member    []bool           // member[id] = node id owns at least one interval
 	nMembers  int
 	coord     *conn
-	peers     []*conn  // outgoing data connections, indexed by node id (nil for self)
-	peerAddrs []string // data addresses from the address book, for redials
-	peerSeq   []uint64 // per-peer data-plane sequence counter, reset each round
+	peers     []*conn      // outgoing data connections, indexed by node id (nil for self)
+	peerAddrs []string     // data addresses from the address book, for redials
+	peerSeq   []uint64     // per-peer data-plane sequence counter, reset each round
+	peerMu    []sync.Mutex // orders each peer's sequence numbers and writes across dispatchers
 	listener  net.Listener
 	system    *actor.System
 	eosCh     chan eosMark
 	failCh    chan error // corrupt or bogus peer frames
 	hbStop    chan struct{}
 
-	// slab is the source-side fold: core's scan folds the interval being
-	// dispatched into it, one slot per global vertex id, and flushSlab's
-	// walk empties it. Allocated once per node, 8 B×|V| + |V|/8 B, and
-	// reused by every interval and superstep.
-	slab *core.Slab
+	// crew is core's worker crew over the intervals this node owns, with
+	// one computer; rebuilt when routing changes, respawned by rollback.
+	crew   *core.Crew
+	killMu sync.Mutex
+	killed bool // the node-death site fired (kill)
 
 	// round gates the data plane: frames tagged with an older superstep
 	// attempt are dropped at arrival, so an aborted attempt's stragglers
@@ -154,14 +153,6 @@ type node struct {
 	begunStep int64
 	// streams reassembles each peer's data frames, indexed by node id.
 	streams []*senderStream
-
-	// staged holds the round's batches until the barrier applies them,
-	// indexed by SOURCE INTERVAL — not by node id, so the fold order is
-	// keyed by the fixed partition and invariant under migration, join
-	// and drain. The wire receivers and the loopback append under
-	// stageMu; rollbackStep clears it under the same lock.
-	stageMu sync.Mutex
-	staged  [][]core.Message
 }
 
 // bootMode selects how a node enters the cluster.
@@ -220,31 +211,25 @@ func startNode(ctx context.Context, spec nodeSpec) (*node, error) {
 	n := &node{
 		id:        id,
 		total:     total,
-		prog:      spec.prog,
 		cfg:       cfg,
 		heartbeat: spec.heartbeat,
 		ctx:       ctx,
 		gf:        gf,
 		vf:        vf,
 		ivs:       spec.ivs,
-		ivBounds:  make([]int64, len(spec.ivs)+1),
 		peers:     make([]*conn, total),
 		peerSeq:   make([]uint64, total),
+		peerMu:    make([]sync.Mutex, total),
 		streams:   make([]*senderStream, total),
-		system:    actor.NewSystem(fmt.Sprintf("node-%d", id), actor.RestartPolicy{}),
+		system:    actor.NewSystem(fmt.Sprintf("node-%d", id), nil),
 		eosCh:     make(chan eosMark, 4*total+4),
 		failCh:    make(chan error, total+1),
-		slab:      core.NewSlab(gf.NumVertices),
 		begunStep: -1,
-		staged:    make([][]core.Message, len(spec.ivs)),
 	}
 	for i := range n.streams {
 		n.streams[i] = &senderStream{next: 1, pending: make(map[uint64]streamFrame)}
 	}
-	for i, iv := range spec.ivs {
-		n.ivBounds[i] = iv.FirstVertex
-	}
-	n.ivBounds[len(spec.ivs)] = gf.NumVertices
+	n.crew = core.NewNodeCrew(gf, vf, spec.prog, spec.ivs, n.kill, n.handoff)
 	if err := n.installRouting(spec.owners); err != nil {
 		n.close()
 		return nil, err
@@ -284,39 +269,42 @@ func startNode(ctx context.Context, spec nodeSpec) (*node, error) {
 	return n, nil
 }
 
-// installRouting atomically swaps in a new interval -> node table. It is
-// only called between supersteps (boot, or an fRouting frame at a
-// membership barrier), so no dispatch or fold is in flight.
+// installRouting atomically swaps in a new interval -> node table and
+// respawns the crew over the intervals it routes here, keeping its
+// slabs. It is only called between supersteps (boot, or an fRouting
+// frame at a membership barrier), so no dispatch, fold or apply is in
+// flight.
 func (n *node) installRouting(owners []int) error {
 	if len(owners) != len(n.ivs) {
 		return fmt.Errorf("cluster: node %d: routing table of %d intervals, want %d", n.id, len(owners), len(n.ivs))
 	}
-	member := make([]bool, n.total)
+	member, count := make([]bool, n.total), 0
+	var local []int
 	for iv, o := range owners {
 		if o < 0 || o >= n.total {
 			return fmt.Errorf("cluster: node %d: interval %d routed to bogus node %d", n.id, iv, o)
 		}
-		member[o] = true
-	}
-	count := 0
-	for _, m := range member {
-		if m {
+		if !member[o] {
+			member[o] = true
 			count++
+		}
+		if o == n.id {
+			local = append(local, iv)
 		}
 	}
 	n.owners = append([]int(nil), owners...)
 	n.member = member
 	n.nMembers = count
+	n.crew.Teardown() //nolint:errcheck // between supersteps: nothing can have failed
+	n.crew.Reassign(local)
+	// The coordinator halts a node between supersteps, so its phases
+	// wait on the crew without the run's cancellation.
+	n.crew.Spawn(context.WithoutCancel(n.ctx), 0)
 	return nil
 }
 
-// ivOf returns the interval containing vertex v.
-func (n *node) ivOf(v int64) int {
-	// ivBounds is sorted; find the last bound <= v.
-	return sort.Search(len(n.ivs), func(i int) bool { return n.ivBounds[i+1] > v })
-}
-
 func (n *node) close() {
+	n.crew.Teardown() //nolint:errcheck // the node is going away; its error, if any, is already out
 	if n.hbStop != nil {
 		close(n.hbStop)
 		n.hbStop = nil
@@ -356,7 +344,7 @@ func (n *node) acceptLoop() {
 	}
 }
 
-// receive stages one peer's batches for the barrier. A clean read
+// receive feeds one peer's data frames to the crew. A clean read
 // error ends the receiver silently: with sender-side reconnect a dropped
 // connection is routine — the peer redials, a fresh receiver takes over,
 // and the stream's sequence numbers absorb the overlap. A corrupt frame
@@ -396,18 +384,6 @@ func (n *node) receive(c *conn) {
 				n.reportFailure(stepFailf("cluster: node %d: data batch before peer hello", n.id))
 				return
 			}
-			if int(src) >= len(n.ivs) {
-				n.reportFailure(stepFailf("cluster: node %d: batch from bogus interval %d", n.id, src))
-				return
-			}
-			// |V| never changes, so this check is race-free; whether this
-			// node hosts dst is checked at the barrier (applyStaged).
-			for _, m := range batch {
-				if int64(m.Dst) >= n.ivBounds[len(n.ivs)] {
-					n.reportFailure(stepFailf("cluster: node %d: batch from peer %d names vertex %d of %d", n.id, sender, m.Dst, n.ivBounds[len(n.ivs)]))
-					return
-				}
-			}
 			n.deliverData(sender, round, seq, streamFrame{src: int(src), batch: batch})
 		case fEOS:
 			vals, perr := readU64s(payload, 2)
@@ -428,16 +404,17 @@ func (n *node) receive(c *conn) {
 }
 
 // deliverData feeds one data frame into the sender's reassembly stream,
-// releasing any frames that are now in order. Frames from a round older
-// than the gate (an aborted attempt's stragglers) are dropped.
+// releasing any frames now in order to the crew's computer: a batch, or
+// an end-of-stream as the completion of every interval the sender owns
+// (and to the barrier). Frames from a round older than the gate (an
+// aborted attempt's stragglers) are dropped, under the stream's lock,
+// which rollbackStep takes only after moving the gate and tearing the
+// crew down: no such frame reaches the crew it respawns.
 func (n *node) deliverData(sender int, round, seq uint64, fr streamFrame) {
-	if round < n.round.Load() {
-		return
-	}
 	s := n.streams[sender]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if round < s.round {
+	if round < n.round.Load() || round < s.round {
 		return
 	}
 	if round > s.round {
@@ -460,11 +437,40 @@ func (n *node) deliverData(sender int, round, seq uint64, fr streamFrame) {
 		delete(s.pending, s.next)
 		s.next++
 		if f.eos {
+			for iv, o := range n.owners {
+				if o == sender {
+					n.crew.Complete(iv) //nolint:errcheck // fails only once the attempt is over, and the frame with it
+				}
+			}
 			n.eosCh <- eosMark{sender: sender, round: s.round} //lint:actorshare eosCh is buffered past one mark per peer per in-flight round, and rollback drains it
+		} else if err := n.checkBatch(sender, f); err != nil {
+			n.reportFailure(err)
+			s.next = math.MaxUint64 // release nothing more this round: no end-of-stream lets the barrier pass
+			return
 		} else {
-			n.stage(s.round, f.src, f.batch)
+			n.crew.Deliver(f.src, f.batch) //nolint:errcheck // fails only once the attempt is over, and the frame with it
 		}
 	}
+}
+
+// checkBatch fails a batch whose source interval its sender does not
+// own, or that names a vertex this node does not host. Routing changes
+// only at barriers, so it holds for the round being released.
+func (n *node) checkBatch(sender int, f streamFrame) error {
+	if f.src >= len(n.ivs) || n.owners[f.src] != sender {
+		return stepFailf("cluster: node %d: batch from peer %d for interval %d it does not host", n.id, sender, f.src)
+	}
+	var lo, hi int64 // the hosted interval the last destination fell in
+	for _, m := range f.batch {
+		if v := int64(m.Dst); v < lo || v >= hi {
+			iv := sort.Search(len(n.ivs), func(i int) bool { return n.ivs[i].EndVertex > v })
+			if iv == len(n.ivs) || n.owners[iv] != n.id {
+				return stepFailf("cluster: node %d: batch from interval %d names vertex %d, which it does not host", n.id, f.src, v)
+			}
+			lo, hi = n.ivs[iv].FirstVertex, n.ivs[iv].EndVertex
+		}
+	}
+	return nil
 }
 
 // reportFailure never blocks: failCh is buffered generously, and during a
@@ -474,23 +480,6 @@ func (n *node) reportFailure(err error) {
 	case n.failCh <- err:
 	default:
 	}
-}
-
-// stage holds a batch generated by source interval src for the barrier.
-// Both the wire path (receive) and the co-hosted loopback path
-// (flushBatch) come through here, so a batch is staged identically
-// whether its source interval lives on this node or another — the
-// property that keeps results bit-identical across migrations. A batch
-// of a round older than the gate (an aborted attempt's straggler) is
-// dropped: checked under stageMu, which rollbackStep takes after moving
-// the gate, so no such batch survives its clear.
-func (n *node) stage(round uint64, src int, batch []core.Message) {
-	n.stageMu.Lock()
-	defer n.stageMu.Unlock()
-	if round < n.round.Load() {
-		return
-	}
-	n.staged[src] = append(n.staged[src], batch...)
 }
 
 // runNode executes the node's control loop until HALT. Failures are
@@ -652,13 +641,17 @@ func (n *node) stepOutcome(step int64, err error) error {
 
 // rollbackStep discards every trace of the aborted superstep attempt:
 // the round gate advances (in-flight stragglers drop on arrival), the
-// peer streams reset, the staged batches clear, the barrier bookkeeping
+// crew is torn down, the peer streams reset, the barrier bookkeeping
 // drains, and the value file rolls back to the start of step — via
 // Rollback if this node was mid-step, via Rewind if it had already
 // committed before the failure was detected elsewhere, or not at all if
-// it never began the step (the file is already at its start).
+// it never began the step. A fresh crew spawns, its slabs empty.
 func (n *node) rollbackStep(step int64, newRound uint64) error {
 	n.round.Store(newRound)
+	// The teardown comes before the stream locks: a receiver handing the
+	// old crew's computer a batch holds its stream's lock, and the
+	// teardown's close releases it.
+	n.crew.Teardown() //nolint:errcheck // the attempt's failure is why we roll back
 	for _, s := range n.streams {
 		s.mu.Lock()
 		if s.round < newRound {
@@ -668,13 +661,6 @@ func (n *node) rollbackStep(step int64, newRound uint64) error {
 		}
 		s.mu.Unlock()
 	}
-	// The gate moved first, so stage drops every batch of the aborted
-	// round that arrives after this clear.
-	n.stageMu.Lock()
-	for i := range n.staged {
-		n.staged[i] = n.staged[i][:0]
-	}
-	n.stageMu.Unlock()
 	for drained := false; !drained; {
 		select {
 		case <-n.eosCh:
@@ -683,13 +669,6 @@ func (n *node) rollbackStep(step int64, newRound uint64) error {
 			drained = true
 		}
 	}
-	// Reset the data-plane sequence counters for the retry, and empty the
-	// slab: a send that failed mid-walk leaves partial sums set, which the
-	// retry would otherwise fold into its first interval.
-	for i := range n.peerSeq {
-		n.peerSeq[i] = 0
-	}
-	n.slab.Reset()
 	switch {
 	case n.vf.Epoch() == step+1:
 		if err := n.vf.Rewind(step); err != nil {
@@ -701,6 +680,7 @@ func (n *node) rollbackStep(step int64, newRound uint64) error {
 		}
 	}
 	n.begunStep = -1
+	n.crew.Spawn(context.WithoutCancel(n.ctx), 0)
 	return nil
 }
 
@@ -819,109 +799,111 @@ func (n *node) sendPeer(p int, kind byte, payload []byte) error {
 	return stepFailf("cluster: node %d: peer %d unreachable after %d redials: %w", n.id, p, peerRedials, err)
 }
 
-// sendData sends the next in-sequence data frame of the current round to
-// peer p. The sequence number advances even when the send fails: the
-// frame may have reached the peer anyway, and burning the seq keeps a
-// half-delivered attempt from colliding with a later resend.
-func (n *node) sendData(p int, kind byte, payload []byte) error {
+// sendData sends peer p the next in-sequence data frame of the current
+// round, built around its sequence number; peerMu[p] keeps the two
+// together across dispatchers. The sequence number advances even when
+// the send fails: the frame may have reached the peer anyway, and
+// burning the seq keeps a half-delivered attempt from colliding with a
+// later resend.
+func (n *node) sendData(p int, kind byte, payload func(seq uint64) []byte) error {
+	n.peerMu[p].Lock()
+	defer n.peerMu[p].Unlock()
 	n.peerSeq[p]++
-	return n.sendPeer(p, kind, payload)
+	return n.sendPeer(p, kind, payload(n.peerSeq[p]))
 }
 
-// dispatchPhase streams every interval this node hosts, in ascending
-// interval order, through core's scan with one worker: the scan folds
-// each interval into the node's slab and flushSlab sends it. Then it
-// signals end-of-stream to every member peer and DISPATCH_OVER. Combine
-// groups and batches are formed per source interval, so they depend
-// only on the fixed partition — routing decides where a batch goes,
-// never how it is formed.
+// dispatchPhase begins the superstep and runs the crew's dispatch phase,
+// then signals end-of-stream to every member peer and DISPATCH_OVER.
+// Combine groups and batches are formed per source interval, so they
+// depend only on the fixed partition — routing decides where a batch
+// goes, never how it is formed.
 func (n *node) dispatchPhase(step int64, round uint64) error {
 	if err := n.vf.Begin(step, true); err != nil {
 		return err
 	}
 	n.begunStep = step
-	for i := range n.peerSeq {
-		n.peerSeq[i] = 0
-	}
-	var generated, delivered int64
-	scan := core.NewScan(n.gf, n.vf, n.prog, []*core.Slab{n.slab})
-	scan.KillSite = fault.SiteNodeKillDispatch
-	scan.Killed = fmt.Errorf("cluster: node %d mid-dispatch: %w", n.id, errNodeKilled)
-	for src := range n.ivs {
-		if n.owners[src] != n.id {
-			continue
-		}
-		sent, err := scan.Run(n.ivs[src], step)
-		generated += sent
-		if err != nil {
-			return err
-		}
-		if err := n.flushSlab(round, src, &delivered); err != nil {
-			return err
-		}
+	clear(n.peerSeq) // sequence numbers are per round
+	generated, delivered, err := n.crew.Dispatch(step)
+	if err != nil {
+		return stepFailure{err: err} // an injected kill inside stays fatal (stepOutcome)
 	}
 	// End-of-stream on every member peer connection, then DISPATCH_OVER.
 	for i := range n.peers {
 		if i == n.id || !n.member[i] {
 			continue
 		}
-		if err := n.sendData(i, fEOS, u64Payload(round, n.peerSeq[i]+1)); err != nil {
+		if err := n.sendData(i, fEOS, func(seq uint64) []byte { return u64Payload(round, seq) }); err != nil {
 			return stepFailf("cluster: node %d EOS to %d: %w", n.id, i, err)
 		}
 	}
 	return n.coord.writeFrame(fDispatchOver, u64Payload(uint64(step), uint64(generated), uint64(delivered)))
 }
 
-// flushSlab sends what source interval src folded into the slab: it walks
-// the set bits in ascending vertex order, cuts each destination interval
-// into batches of at most batchSize messages, and resets the slab. The
-// round therefore carries at most one message per (source interval,
-// destination), in ascending destination order. Both sends copy the
-// batch (framing and staging), so one buffer serves every batch.
-func (n *node) flushSlab(round uint64, src int, delivered *int64) error {
-	s := n.slab
-	d := 0 // destination interval of the batch being filled
-	b := make([]core.Message, 0, batchSize)
-	for w, word := range s.Bits {
-		for ; word != 0; word &= word - 1 {
-			v := int64(w)<<6 | int64(bits.TrailingZeros64(word))
-			if v >= n.ivBounds[d+1] || len(b) == batchSize {
-				if len(b) > 0 {
-					if err := n.flushBatch(round, src, d, b, delivered); err != nil {
-						return err
-					}
-					b = b[:0]
-				}
-				for v >= n.ivBounds[d+1] {
-					d++
-				}
-			}
-			b = append(b, core.Message{Dst: graph.VertexID(v), Val: s.Vals[v]})
-		}
+// kill is the crew's kill hook, the node-death site. A node dies whole,
+// as a process does: once the site fires, its other dispatchers fail
+// with the kill without consuming another hit.
+func (n *node) kill() error {
+	n.killMu.Lock()
+	defer n.killMu.Unlock()
+	if n.killed || fault.Error(fault.SiteNodeKillDispatch) != nil {
+		n.killed = true
+		return fmt.Errorf("cluster: node %d mid-dispatch: %w", n.id, errNodeKilled)
 	}
-	s.Reset()
-	if len(b) == 0 {
-		return nil
-	}
-	return n.flushBatch(round, src, d, b, delivered)
-}
-
-// flushBatch sends one batch source interval src generated for
-// destination interval d: over the wire to d's owner, or through the
-// loopback (stage) when d is co-hosted.
-func (n *node) flushBatch(round uint64, src, d int, b []core.Message, delivered *int64) error {
-	*delivered += int64(len(b))
-	if owner := n.owners[d]; owner != n.id {
-		return n.sendData(owner, fBatch, batchPayload(round, n.peerSeq[owner]+1, uint32(src), b))
-	}
-	n.stage(round, src, b)
 	return nil
 }
 
-// barrierPhase waits for every peer's end-of-stream, applies the staged
-// batches, commits the superstep, and acknowledges the coordinator. A
-// corrupt peer stream unwinds the wait as a step failure instead of
-// deadlocking it.
+// handoff is the crew's hand-off: it moves what source interval src
+// folded for intervals other nodes host out of the slab and onto their
+// owners' streams, in ascending vertex order and batches of at most
+// batchSize, so a round carries at most one message per (source
+// interval, destination). batchPayload copies, so one buffer serves.
+func (n *node) handoff(src int, s *core.Slab) (sent int64, err error) {
+	round := n.round.Load()
+	b := make([]core.Message, 0, batchSize)
+	send := func(owner int) error {
+		sent += int64(len(b))
+		err := n.sendData(owner, fBatch, func(seq uint64) []byte { return batchPayload(round, seq, uint32(src), b) })
+		b = b[:0]
+		return err
+	}
+	for d, owner := range n.owners {
+		lo, hi := n.ivs[d].FirstVertex, n.ivs[d].EndVertex
+		if owner == n.id || lo >= hi {
+			continue
+		}
+		for w := lo >> 6; w<<6 < hi; w++ {
+			mask := ^uint64(0)
+			if w == lo>>6 {
+				mask <<= uint(lo & 63)
+			}
+			if w == (hi-1)>>6 {
+				mask &= ^uint64(0) >> uint(63-(hi-1)&63)
+			}
+			word := s.Bits[w] & mask
+			s.Bits[w] &^= word
+			for ; word != 0; word &= word - 1 {
+				if len(b) == batchSize {
+					if err := send(owner); err != nil {
+						return sent, err
+					}
+				}
+				v := w<<6 | int64(bits.TrailingZeros64(word))
+				b = append(b, core.Message{Dst: graph.VertexID(v), Val: s.Vals[v]})
+			}
+		}
+		if len(b) > 0 {
+			if err := send(owner); err != nil {
+				return sent, err
+			}
+		}
+	}
+	return sent, nil
+}
+
+// barrierPhase waits for every peer's end-of-stream, runs the crew's
+// compute barrier, commits the superstep, and acknowledges the
+// coordinator. A corrupt peer stream unwinds the wait as a step failure
+// instead of deadlocking it.
 func (n *node) barrierPhase(step int64) error {
 	round := n.round.Load()
 	// A lost peer (no end-of-stream) fails the superstep with a labelled
@@ -946,9 +928,9 @@ func (n *node) barrierPhase(step int64) error {
 			return stepFailf("cluster: node %d: superstep %d compute barrier timed out after %v waiting for peer end-of-stream", n.id, step, n.cfg.BarrierTimeout)
 		}
 	}
-	updates, err := n.applyStaged()
+	updates, err := n.crew.Barrier(step)
 	if err != nil {
-		return err
+		return stepFailure{err: err} // an injected kill inside stays fatal (stepOutcome)
 	}
 	if fault.Error(fault.SiteNodeKillBarrier) != nil {
 		return fmt.Errorf("cluster: node %d mid-barrier: %w", n.id, errNodeKilled)
@@ -970,43 +952,4 @@ func (n *node) sendValues(iv int) error {
 		payloads = append(payloads, n.vf.Value(v))
 	}
 	return n.coord.writeFrame(fValues, valuesPayload(first, payloads))
-}
-
-// applyStaged folds the staged batches into the update column, source
-// interval by source interval in ascending order. It runs at the barrier,
-// not on arrival (paper Algorithm 3 folds as messages arrive): arrival
-// order across peers is a race, and a bit-identical retry needs a
-// deterministic fold. Each source's batches are already in dispatch
-// order, and keying by interval rather than node id keeps the fold
-// invariant under elastic membership: migrating an interval changes
-// which stream carries its batches, never its slot or fold position.
-// Nothing is compacted here: the sender already folded each (source
-// interval, destination) pair into one message (flushSlab).
-//
-// A batch naming a destination this node does not host fails the step
-// before any of it is applied, and a panic in the vertex program is a
-// step failure too, so the node stays alive for the rollback.
-func (n *node) applyStaged() (updates int64, err error) {
-	n.stageMu.Lock()
-	defer n.stageMu.Unlock()
-	defer func() {
-		if r := recover(); r != nil {
-			err = stepFailf("cluster: node %d: apply panic: %v", n.id, r)
-		}
-	}()
-	var lo, hi int64 // the hosted interval the last destination fell in
-	for src, b := range n.staged {
-		n.staged[src] = b[:0]
-		for _, msg := range b {
-			if v := int64(msg.Dst); v < lo || v >= hi {
-				iv := n.ivOf(v)
-				if n.owners[iv] != n.id {
-					return updates, stepFailf("cluster: node %d: batch from interval %d names vertex %d, hosted by node %d", n.id, src, v, n.owners[iv])
-				}
-				lo, hi = n.ivBounds[iv], n.ivBounds[iv+1]
-			}
-		}
-		updates += core.ApplyBatch(n.vf, n.prog, b)
-	}
-	return updates, nil
 }

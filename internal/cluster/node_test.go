@@ -3,8 +3,10 @@ package cluster
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,12 +17,12 @@ import (
 	"repro/internal/mmap"
 )
 
-// TestBadPeerBatchFailsStep feeds node 0 of a two-node partition one
-// peer BATCH it must not apply — naming a vertex past the vertex count or
-// inside the interval node 1 hosts, or a vertex it hosts under a program
-// whose Compute panics — and requires the barrier to return a typed step
-// failure, not a panic, and the rollback after it to complete.
-func TestBadPeerBatchFailsStep(t *testing.T) {
+// testNode boots node 0 of a two-node partition of a small R-MAT graph,
+// hosting interval 1 of the two it returns, under a coordinator that only
+// accepts: the node's frames land in the socket buffer and nothing else
+// is asked of it.
+func testNode(t *testing.T, prog core.Program) (*node, []graph.Interval) {
+	t.Helper()
 	g, err := gen.RMATGraph(gen.RMATConfig{Vertices: 64, Edges: 400, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -41,14 +43,11 @@ func TestBadPeerBatchFailsStep(t *testing.T) {
 	if len(ivs) != 2 {
 		t.Fatalf("partition of %d intervals, want 2", len(ivs))
 	}
-
-	// A coordinator that only accepts: the node's hello lands in the
-	// socket buffer and nothing else is asked of it.
 	coord, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeQuietly(coord)
+	t.Cleanup(func() { closeQuietly(coord) })
 	go func() {
 		if c, err := coord.Accept(); err == nil {
 			defer closeQuietly(c)
@@ -63,61 +62,136 @@ func TestBadPeerBatchFailsStep(t *testing.T) {
 	n, err := startNode(context.Background(), nodeSpec{
 		id: 0, total: 2, coordAddr: coord.Addr().String(),
 		graphPath: gpath, valuesPath: filepath.Join(dir, "v.gpvf"),
-		prog: algorithms.PageRank{}, ivs: ivs, owners: []int{0, 1},
+		prog: prog, ivs: ivs, owners: []int{1, 0},
 		cfg: NodeConfig{BarrierTimeout: 10 * time.Second}, heartbeat: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.close()
+	t.Cleanup(n.close)
+	return n, ivs
+}
 
+// dialAsPeer connects to n's data listener as node 1.
+func dialAsPeer(t *testing.T, n *node) *conn {
+	t.Helper()
+	peer, err := net.Dial("tcp", n.listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := newConn(peer)
+	t.Cleanup(func() { closeQuietly(pc) })
+	if err := pc.writeFrame(fPeerHello, []byte{1, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	return pc
+}
+
+// TestBadPeerBatchFailsStep feeds node 0 of a two-node partition, which
+// hosts interval 1, one peer BATCH from interval 0 that it must not apply
+// — naming a vertex past the vertex count or inside the interval node 1
+// hosts, or a vertex it hosts under a program whose Compute panics — and
+// requires the barrier to return a typed step failure, not a panic, and
+// the rollback after it to complete. The first two fail as the batch is
+// released in order; the third in the crew's computer, which applies the
+// held batch at the barrier.
+func TestBadPeerBatchFailsStep(t *testing.T) {
 	cases := []struct {
 		name string
-		dst  graph.VertexID
+		dst  func(ivs []graph.Interval) graph.VertexID
 		prog core.Program
+		want string // in the step failure
 	}{
-		{"past the vertex count", graph.VertexID(g.NumVertices + 5), algorithms.PageRank{}},
-		{"in the peer's interval", graph.VertexID(ivs[1].FirstVertex), algorithms.PageRank{}},
-		{"compute panics", graph.VertexID(ivs[0].FirstVertex), panicProg{}},
+		{"past the vertex count", func(ivs []graph.Interval) graph.VertexID { return graph.VertexID(ivs[1].EndVertex + 5) }, algorithms.PageRank{}, "names vertex"},
+		{"in the peer's interval", func(ivs []graph.Interval) graph.VertexID { return graph.VertexID(ivs[0].FirstVertex) }, algorithms.PageRank{}, "does not host"},
+		{"compute panics", func(ivs []graph.Interval) graph.VertexID { return graph.VertexID(ivs[1].FirstVertex) }, panicProg{}, "compute bomb"},
 	}
-	for i, tc := range cases {
-		n.prog = tc.prog
-		round := uint64(i + 1)
+	for _, tc := range cases {
+		n, ivs := testNode(t, tc.prog)
+		const round = 1
 		n.round.Store(round)
 		if err := n.vf.Begin(0, false); err != nil {
 			t.Fatal(err)
 		}
 		n.begunStep = 0
 
-		peer, err := net.Dial("tcp", n.listener.Addr().String())
-		if err != nil {
+		pc := dialAsPeer(t, n)
+		batch := []core.Message{{Dst: tc.dst(ivs), Val: 1}}
+		if err := pc.writeFrame(fBatch, batchPayload(round, 1, 0, batch)); err != nil {
 			t.Fatal(err)
 		}
-		pc := newConn(peer)
-		batch := []core.Message{{Dst: tc.dst, Val: 1}}
-		for _, f := range []struct {
-			kind    byte
-			payload []byte
-		}{
-			{fPeerHello, []byte{1, 0, 0, 0}},
-			{fBatch, batchPayload(round, 1, 1, batch)},
-			{fEOS, u64Payload(round, 2)},
-		} {
-			if err := pc.writeFrame(f.kind, f.payload); err != nil {
-				t.Fatal(err)
-			}
+		if err := pc.writeFrame(fEOS, u64Payload(round, 2)); err != nil {
+			t.Fatal(err)
 		}
 
-		err = within(t, tc.name+": barrier", func() error { return n.barrierPhase(0) })
+		err := within(t, tc.name+": barrier", func() error { return n.barrierPhase(0) })
 		var sf stepFailure
-		if !errors.As(err, &sf) {
-			t.Fatalf("%s: barrier returned %v, want a step failure", tc.name, err)
+		if !errors.As(err, &sf) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: barrier returned %v, want a step failure naming %q", tc.name, err, tc.want)
 		}
 		if err := within(t, tc.name+": rollback", func() error { return n.rollbackStep(0, round+1) }); err != nil {
 			t.Fatalf("%s: rollback: %v", tc.name, err)
 		}
-		closeQuietly(pc)
 	}
+}
+
+// TestEarlyPeerBatchWaitsForBegin sends node 0 a peer's superstep-0
+// batch before the node has begun the step — the coordinator writes START
+// to its members one after another, so a peer can be streaming before
+// this node reads its own — and then rolls the step back without the node
+// having begun it, as when the START write to the node fails. The retry
+// must commit exactly what a node that never saw the early batch commits:
+// had the computer applied it, the retry would find its update slot
+// already written at this epoch and fold into it.
+func TestEarlyPeerBatchWaitsForBegin(t *testing.T) {
+	run := func(early bool) []uint64 {
+		n, ivs := testNode(t, silentProg{})
+		pc := dialAsPeer(t, n)
+		batch := []core.Message{{Dst: graph.VertexID(ivs[1].FirstVertex), Val: math.Float64bits(1)}}
+		round := uint64(1)
+		n.round.Store(round)
+		if early {
+			if err := pc.writeFrame(fBatch, batchPayload(round, 1, 0, batch)); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(200 * time.Millisecond) // the node's computer has received it
+			if err := within(t, "rollback", func() error { return n.rollbackStep(0, round+1) }); err != nil {
+				t.Fatal(err)
+			}
+			round++
+		}
+		if err := n.vf.Begin(0, true); err != nil {
+			t.Fatal(err)
+		}
+		n.begunStep = 0
+		if err := pc.writeFrame(fBatch, batchPayload(round, 1, 0, batch)); err != nil {
+			t.Fatal(err)
+		}
+		if err := pc.writeFrame(fEOS, u64Payload(round, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := n.crew.Dispatch(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := within(t, "barrier", func() error { return n.barrierPhase(0) }); err != nil {
+			t.Fatal(err)
+		}
+		return n.vf.Values()
+	}
+	got, want := run(true), run(false)
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("vertex %d: %#x after an early batch and a rollback, want %#x: the early batch was applied", v, got[v], want[v])
+		}
+	}
+}
+
+// silentProg is PageRank whose dispatchers send nothing, so a test node's
+// only messages are the ones its test streams to it.
+type silentProg struct{ algorithms.PageRank }
+
+func (silentProg) GenMsg(int64, uint64, uint32, graph.VertexID, float32) (uint64, bool) {
+	return 0, false
 }
 
 // panicProg is PageRank whose Compute panics on every message.

@@ -39,7 +39,7 @@ const (
 	fPeerHello      = 12 // node -> node: sender nodeID u32
 	fHeartbeat      = 13 // node -> coordinator: liveness ping, no payload semantics
 	fRollback       = 15 // coordinator -> node: step u64, round u64 (discard in-flight state; next attempt is round)
-	fRollbackOver   = 16 // node -> coordinator: step u64 (rollback done, staging cleared)
+	fRollbackOver   = 16 // node -> coordinator: step u64 (rollback done, fresh crew spawned)
 	fStepFailed     = 17 // node -> coordinator: step u64, reason string (retryable step-level failure)
 
 	// Elastic membership frames (v3). Migration is barrier-only: the
@@ -418,9 +418,9 @@ func parseAddrBook(p []byte) ([]string, error) {
 // frame that was in fact delivered is deduplicated by seq, frames racing
 // across an old and a redialed connection are released in seq order, and
 // anything from an aborted round is dropped at the gate. The src tag
-// keys the receiver's compute staging by interval rather than by node,
-// so the barrier fold order — and with it bit-identical results — is
-// invariant under migration, join, and drain.
+// gives the batch its turn at the receiver's computer by interval
+// rather than by node, so the apply order — and with it bit-identical
+// results — is invariant under migration, join, and drain.
 func batchPayload(round, seq uint64, src uint32, batch []core.Message) []byte {
 	b := make([]byte, 24+12*len(batch))
 	binary.LittleEndian.PutUint64(b[0:], round)

@@ -4,19 +4,20 @@ import "math/bits"
 
 // Slab is a dense accumulator, the message path: Vals[i] accumulates the
 // combined message of the slab's i-th vertex and Bits marks which slots
-// are present. In core each (dispatcher, computer) pair owns one for the
-// engine's lifetime, covering the computer's owned vertices (slot i is
+// are present. Each (dispatcher, computer) pair of a crew owns one for
+// the crew's lifetime, covering the computer's owned vertices (slot i is
 // vertex i*Computers + computer): the dispatcher hands it off at the end
-// of its interval, and the computer applies it in dispatcher order and
+// of its interval, and the computer applies it in interval order and
 // resets it before acking the barrier, so the next superstep finds it
-// empty. A cluster node owns one covering every vertex.
+// empty. A cluster node's crew has one computer, so its slabs cover
+// every vertex.
 type Slab struct {
 	Vals []uint64
 	Bits []uint64
 }
 
-// NewSlab allocates an empty slab of the given number of slots.
-func NewSlab(slots int64) *Slab {
+// newSlab allocates an empty slab of the given number of slots.
+func newSlab(slots int64) *Slab {
 	return &Slab{Vals: make([]uint64, slots), Bits: make([]uint64, (slots+63)/64)}
 }
 

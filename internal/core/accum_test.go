@@ -137,7 +137,7 @@ func assertRef(t *testing.T, g *graph.CSR, prog Program, cfg Config) {
 	if err != nil {
 		t.Fatalf("%T: %v", prog, err)
 	}
-	assertSame(t, fmt.Sprintf("%T vs refRun", prog), vf.Values(), refRun(g, prog, eng.intervals, steps))
+	assertSame(t, fmt.Sprintf("%T vs refRun", prog), vf.Values(), refRun(g, prog, eng.crew.intervals, steps))
 	if res.Delivered > res.Messages {
 		t.Fatalf("%T delivered %d of %d messages", prog, res.Delivered, res.Messages)
 	}
@@ -356,7 +356,7 @@ func TestAccumPoolRecycleEquivalence(t *testing.T) {
 					if _, err := eng.Run(); err != nil {
 						t.Fatalf("run %d: %v", part, err)
 					}
-					for _, s := range slices.Concat(eng.slabs...) {
+					for _, s := range slices.Concat(eng.crew.slabs...) {
 						if n := s.Len(); n != 0 {
 							t.Fatalf("run %d left a slab non-empty (%d present)", part, n)
 						}

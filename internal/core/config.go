@@ -78,15 +78,6 @@ type Config struct {
 	// they return.
 	SuperstepTimeout time.Duration
 
-	// Digests, when set, computes an FNV-1a digest of the committed
-	// column after every superstep (StepStats.Digest). For integer-valued
-	// programs (BFS, CC, label propagation) digests are identical across
-	// any worker count or engine — a cheap cross-run and cross-engine
-	// equivalence check. Float programs fold per dispatcher interval:
-	// their digests are identical across computer counts, and differ in
-	// the low bits between dispatcher counts.
-	Digests bool
-
 	// Progress, when non-nil, receives per-superstep statistics as the
 	// run proceeds.
 	Progress func(StepStats)
@@ -98,7 +89,7 @@ type Config struct {
 // (R-MAT 2^18 / 4M edges, `gpsa -algo pagerank -supersteps 10`, medians
 // of 15) 1×1 took 1.55 s wall / 1.07 s user, 2×1 1.11 s / 1.16 s, and
 // 2×2 1.20 s / 1.26 s: a second computer puts the dispatchers on
-// Scan.route's mask path and doubles the BulkApply passes, which costs
+// dispatcher.route's mask path and doubles the BulkApply passes, which costs
 // more than the apply it parallelises.
 func DefaultPool(cores int) (dispatchers, computers int) {
 	return max(1, cores), max(1, cores/2)
@@ -132,8 +123,14 @@ type StepStats struct {
 	Delivered int64   // messages delivered after combining (slab entries handed to computers)
 	Updates   int64   // vertex values written
 	Aggregate float64 // the program's global aggregate (programs implementing Aggregator)
-	Digest    uint64  // FNV-1a of the committed column (Config.Digests)
-	Duration  time.Duration
+	// Digest is the column digest the commit sealed
+	// (vertexfile.File.Digest): for integer-valued programs (BFS, CC,
+	// label propagation) identical across any worker count or engine, a
+	// cheap cross-run equivalence check; float programs' differ between
+	// dispatcher counts, as their low bits do. It is 0 only after a
+	// commit that skipped reconcile (Config.DisableReconcile).
+	Digest   uint64
+	Duration time.Duration
 }
 
 // Result summarizes a run.

@@ -11,7 +11,6 @@ import (
 func TestDigestsDeterministicAcrossConfigurations(t *testing.T) {
 	g := randomGraph(t, 51, 250, 1500).Symmetrize()
 	digests := func(cfg Config) []uint64 {
-		cfg.Digests = true
 		eng, _ := setup(t, g, ccProg{}, cfg)
 		res, err := eng.Run()
 		if err != nil {
@@ -43,7 +42,7 @@ func TestDigestsDeterministicAcrossConfigurations(t *testing.T) {
 
 func TestDigestChangesWithState(t *testing.T) {
 	g := randomGraph(t, 52, 100, 600).Symmetrize()
-	eng, _ := setup(t, g, ccProg{}, Config{Digests: true})
+	eng, _ := setup(t, g, ccProg{}, Config{})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -56,22 +55,8 @@ func TestDigestChangesWithState(t *testing.T) {
 	}
 	if res.Steps[0].Digest == res.Steps[len(res.Steps)-2].Digest && res.Steps[0].Updates != 0 {
 		// Labels changed between superstep 0 and the last updating one,
-		// so digests must differ (FNV collisions are astronomically
-		// unlikely on this input).
+		// so digests must differ (collisions are astronomically unlikely
+		// on this input).
 		t.Fatal("digest did not change despite updates")
-	}
-}
-
-func TestDigestsOffByDefault(t *testing.T) {
-	g := randomGraph(t, 53, 50, 200)
-	eng, _ := setup(t, g, ccProg{}, Config{})
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range res.Steps {
-		if s.Digest != 0 {
-			t.Fatal("digest computed without Config.Digests")
-		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/actor"
 	"repro/internal/fault"
@@ -13,36 +12,32 @@ import (
 	"repro/internal/vertexfile"
 )
 
-// Scan is the paper's dispatcher loop (Algorithm 2), the one way a CSR
-// interval becomes messages — core's dispatcher actors and the cluster's
-// nodes both drive it. It streams the interval, skips vertices whose
-// dispatch-column slot is stale, calls GenMsg for each out-edge of the
-// fresh ones and folds them at the source: a message goes to the worker
-// owning its destination (dst mod workers, paper §V-A) and combines, a
-// left fold in generation order, into that worker's slab at slot
-// dst / workers. The caller owns the slabs and hands them off.
+// dispatcher is the paper's dispatcher worker (Algorithm 2) as an actor,
+// and its scan the one way a CSR interval becomes messages. It owns one
+// interval of the CSR edge file and, each superstep, streams it, skips
+// vertices whose dispatch-column slot is stale, calls GenMsg for each
+// out-edge of the fresh ones and folds them at the source: a message goes
+// to the computer owning its destination (dst mod computers, paper §V-A)
+// and combines, a left fold in generation order, into that computer's
+// slab at slot dst / computers. When the interval is done it hands each
+// slab off whole.
 //
-// Run must be called between the value file's Begin for the superstep
-// and its commit: a stale vertex makes it look up the next vertex
-// Begin's active-set bitmap marks (vertexfile.NextActive) and jump the
-// cursor to that vertex's index block (graph.Cursor.SkipTo), so a sparse
-// frontier does not stream the whole interval. The bitmap is only a skip
-// hint — every vertex the cursor reads is still checked against its
-// stale flag — and it is exact: nothing freshens a dispatch slot during
-// a superstep, so a vertex it leaves out cannot be fresh.
-type Scan struct {
-	// Hooks, all optional. KillSite is a fault.Error site hit once per
-	// vertex, read or jumped, whose firing makes Run return Killed;
-	// MsgSite a fault.Panic site hit once per message. Aborted is polled
-	// once per vertex read (set: Run returns errAborted).
-	KillSite, MsgSite string
-	Killed            error
-	Aborted           *atomic.Bool
-
-	gf    *graph.File
-	vf    *vertexfile.File
-	prog  Program
-	slabs []*Slab
+// A stale vertex makes the scan look up the next vertex Begin's
+// active-set bitmap marks (vertexfile.NextActive) and jump the cursor to
+// that vertex's index block (graph.Cursor.SkipTo), so a sparse frontier
+// does not stream the whole interval. The bitmap is only a skip hint —
+// every vertex the cursor reads is still checked against its stale flag
+// — and it is exact: nothing freshens a dispatch slot during a
+// superstep, so a vertex it leaves out cannot be fresh.
+type dispatcher struct {
+	k        int // index into the crew's local intervals
+	src      int // the interval's index in the partition
+	crew     *Crew
+	interval graph.Interval
+	gf       *graph.File
+	vf       *vertexfile.File
+	prog     Program
+	slabs    []*Slab // row k of Crew.slabs
 
 	// owner fast path, hoisted out of the per-edge loop: dst mod workers
 	// is a mask (and the slab index a shift) when the worker count is a
@@ -51,65 +46,60 @@ type Scan struct {
 	ownMask  graph.VertexID // workers-1 when workers is a power of two
 	ownShift uint           // log2(workers) for the slab index
 	usesMask bool
-}
 
-// NewScan prepares a scan of prog over gf and vf that folds into slabs,
-// one per computing worker.
-func NewScan(gf *graph.File, vf *vertexfile.File, prog Program, slabs []*Slab) *Scan {
-	workers := len(slabs)
-	s := &Scan{gf: gf, vf: vf, prog: prog, slabs: slabs, workers: workers}
-	if workers&(workers-1) == 0 {
-		s.usesMask = true
-		s.ownMask = graph.VertexID(workers - 1)
-		s.ownShift = uint(bits.TrailingZeros(uint(workers)))
-	}
-	return s
+	delivered int64 // messages delivered this superstep (post-combining)
+	denseSegs int64 // slabs handed off this superstep
 }
 
 // route resolves the worker owning dst and dst's slot in its slab. One
 // worker is its own case: the mask path costs a cluster scan ~8%.
-func (s *Scan) route(dst graph.VertexID) (wk int, slot int64) {
-	if s.workers == 1 {
+func (d *dispatcher) route(dst graph.VertexID) (wk int, slot int64) {
+	if d.workers == 1 {
 		return 0, int64(dst)
 	}
-	if s.usesMask {
-		return int(dst & s.ownMask), int64(dst >> s.ownShift)
+	if d.usesMask {
+		return int(dst & d.ownMask), int64(dst >> d.ownShift)
 	}
-	return int(dst) % s.workers, int64(dst) / int64(s.workers)
+	return int(dst) % d.workers, int64(dst) / int64(d.workers)
 }
 
-// Run scans interval iv in superstep step and returns how many messages
-// it generated.
+// scan streams the interval in superstep step, between the value file's
+// Begin and commit, and returns how many messages it generated. The
+// abort flag is polled, and the crew's kill hook called, once per vertex
+// read.
 //
 //gpsa:noalloc
-func (s *Scan) Run(iv graph.Interval, step int64) (sent int64, err error) {
+func (d *dispatcher) scan(step int64) (sent int64, err error) {
+	iv, cr := d.interval, d.crew
 	col := vertexfile.DispatchCol(step)
-	weighted := s.gf.Weighted()
-	cur := s.gf.Cursor(iv)
+	weighted := d.gf.Weighted()
+	cur := d.gf.Cursor(iv)
 	active := int64(-1) // the next vertex Begin's bitmap marks, once looked up
 	for {
 		v, deg, edges, ok := cur.Next()
 		if !ok {
 			break
 		}
-		if s.Aborted != nil && s.Aborted.Load() {
+		if cr.aborted.Load() {
 			return sent, errAborted
 		}
-		if fault.Error(s.KillSite) != nil {
-			return sent, s.Killed
+		if cr.kill != nil && fault.Enabled() {
+			if err := cr.kill(); err != nil {
+				return sent, err
+			}
 		}
-		slot := s.vf.Load(col, v)
+		slot := d.vf.Load(col, v)
 		if vertexfile.Stale(slot) {
 			// Not updated last superstep: skip vertex and edges. Past the
 			// last active vertex looked up, look up the next and jump to
 			// its index block; before it, the block's stale head streams.
 			if v >= active {
-				active = s.vf.NextActive(v+1, iv.EndVertex)
+				active = d.vf.NextActive(v+1, iv.EndVertex)
 				at := iv.EndVertex
 				if active < iv.EndVertex {
 					at = cur.SkipTo(active)
 				}
-				if err := s.jumped(at - v - 1); err != nil {
+				if err := d.jumped(at - v - 1); err != nil {
 					return sent, err
 				}
 				if at == iv.EndVertex {
@@ -121,34 +111,36 @@ func (s *Scan) Run(iv graph.Interval, step int64) (sent int64, err error) {
 		payload := vertexfile.Payload(slot)
 		for i := 0; i < int(deg); i++ {
 			dst, w := graph.DecodeEdge(edges, i, weighted)
-			msgVal, send := s.prog.GenMsg(v, payload, deg, dst, w)
+			msgVal, send := d.prog.GenMsg(v, payload, deg, dst, w)
 			if !send {
 				continue
 			}
-			fault.Panic(s.MsgSite)
-			s.fold(dst, msgVal)
+			fault.Panic(fault.SiteDispatcherMsg)
+			d.fold(dst, msgVal)
 			sent++
 		}
 		// Consume: invalidate so the vertex is skipped until recomputed
 		// (paper Algorithm 2, setHighestBitTo1).
-		s.vf.Store(col, v, slot|vertexfile.StaleBit)
+		d.vf.Store(col, v, slot|vertexfile.StaleBit)
 	}
 	return sent, cur.Err()
 }
 
-// jumped accounts for n vertices the cursor jumped over: KillSite is hit
-// once per vertex whether read or jumped, so a plan's hit index names the
-// same instant of the stream with or without skipping. Unarmed, it is
-// one flag test.
+// jumped accounts for n vertices the cursor jumped over: the kill hook is
+// called once per vertex whether read or jumped, so a plan's hit index
+// names the same instant of one dispatcher's stream with or without
+// skipping (a node's dispatchers share the count as they interleave).
+// Unarmed, it is one flag test.
 //
 //gpsa:noalloc
-func (s *Scan) jumped(n int64) error {
-	if s.KillSite == "" || !fault.Enabled() {
+func (d *dispatcher) jumped(n int64) error {
+	kill := d.crew.kill
+	if kill == nil || !fault.Enabled() {
 		return nil
 	}
 	for ; n > 0; n-- {
-		if fault.Error(s.KillSite) != nil {
-			return s.Killed
+		if err := kill(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -163,92 +155,69 @@ func (s *Scan) jumped(n int64) error {
 // path").
 //
 //gpsa:noalloc
-func (s *Scan) fold(dst graph.VertexID, val uint64) {
-	wk, idx := s.route(dst)
-	sl := s.slabs[wk]
+func (d *dispatcher) fold(dst graph.VertexID, val uint64) {
+	wk, idx := d.route(dst)
+	sl := d.slabs[wk]
 	word, bit := idx>>6, uint64(1)<<uint(idx&63)
 	if sl.Bits[word]&bit != 0 {
-		sl.Vals[idx] = s.prog.CombineMsg(sl.Vals[idx], val)
+		sl.Vals[idx] = d.prog.CombineMsg(sl.Vals[idx], val)
 		return
 	}
 	sl.Bits[word] |= bit
 	sl.Vals[idx] = val
 }
 
-// dispatcher is the paper's dispatcher worker as an actor. It owns one
-// interval of the CSR edge file and, each superstep, scans it into its
-// slabs, one per computing worker, and hands each off whole when the
-// interval is done.
-type dispatcher struct {
-	id       int
-	eng      *Engine
-	interval graph.Interval
-	scan     *Scan
-	slabs    []*Slab // row id of Engine.slabs
-
-	delivered int64 // messages delivered this superstep (post-combining)
-	denseSegs int64 // slabs handed off this superstep
-}
-
 // Execute is the dispatcher's actor loop: block on a command, run the
-// superstep, notify the manager, repeat until SYSTEM_OVER.
-func (d *dispatcher) Execute() (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			ferr := fmt.Errorf("core: dispatcher %d: panic: %v", d.id, r)
-			// Unblock the manager, which is waiting for DISPATCH_OVER,
-			// then re-panic so the supervisor's restart policy decides
-			// whether a fresh incarnation takes over this mailbox.
-			d.eng.toManager.Put(workerMsg{kind: kindFailed, from: d.id, err: ferr}) //nolint:errcheck
-			panic(r)
-		}
-	}()
-	eng := d.eng
-	d.slabs = eng.slabs[d.id]
-	d.scan = NewScan(eng.gf, eng.vf, eng.prog, d.slabs)
-	d.scan.MsgSite = fault.SiteDispatcherMsg
-	d.scan.Aborted = &eng.aborted
+// superstep, notify the manager, repeat until SYSTEM_OVER. A failure is
+// returned, and the actor system reports it to the manager (Crew.failed).
+func (d *dispatcher) Execute() error {
+	cr := d.crew
+	d.gf, d.vf, d.prog, d.slabs = cr.gf, cr.vf, cr.prog, cr.slabs[d.k]
+	if d.workers = len(d.slabs); d.workers&(d.workers-1) == 0 {
+		d.usesMask = true
+		d.ownMask = graph.VertexID(d.workers - 1)
+		d.ownShift = uint(bits.TrailingZeros(uint(d.workers)))
+	}
 	for {
-		cmd, ok := eng.toDisp[d.id].Get()
+		cmd, ok := cr.toDisp[d.k].Get()
 		if !ok || cmd.kind == kindSystemOver {
 			return nil
 		}
 		if cmd.kind != kindIterationStart {
-			return fmt.Errorf("core: dispatcher %d: unexpected command %v", d.id, cmd.kind)
+			return fmt.Errorf("core: dispatcher %d: unexpected command %v", d.src, cmd.kind)
 		}
 		d.delivered, d.denseSegs = 0, 0
 		sent, err := d.runSuperstep(cmd.step)
 		if err != nil {
-			if d.aborting(err) {
-				// The manager is already tearing this superstep down;
-				// park until teardown instead of failing. Partial slabs
-				// die with the crew: spawn resets them.
+			if errors.Is(err, errAborted) || errors.Is(err, actor.ErrMailboxClosed) || cr.aborted.Load() {
+				// Teardown fallout, not a failure: the manager is already
+				// tearing this superstep down, so park until it does.
+				// Partial slabs die with the attempt: Spawn resets them.
 				continue
 			}
-			eng.toManager.Put(workerMsg{kind: kindFailed, from: d.id, err: err}) //nolint:errcheck
 			return err
 		}
-		over := workerMsg{kind: kindDispatchOver, from: d.id, count: sent, count2: d.delivered}
-		if err := eng.toManager.Put(over); err != nil {
+		over := workerMsg{kind: kindDispatchOver, from: d.k, count: sent, count2: d.delivered}
+		if err := cr.toManager.Put(over); err != nil {
 			return nil // manager mailbox closed: teardown in progress
 		}
 	}
 }
 
-// aborting reports whether err is teardown fallout rather than a real
-// failure: an explicit abort, a mailbox closed under the dispatcher, or
-// anything that happened after the engine raised the abort flag.
-func (d *dispatcher) aborting(err error) bool {
-	return errors.Is(err, errAborted) || errors.Is(err, actor.ErrMailboxClosed) || d.eng.aborted.Load()
-}
-
-// runSuperstep scans the interval, then hands every computer its slab,
-// in worker order.
+// runSuperstep scans the interval, runs the crew's hand-off if it has
+// one, then hands every computer its slab, in worker order.
 //
 //gpsa:noalloc
 func (d *dispatcher) runSuperstep(step int64) (sent int64, err error) {
-	if sent, err = d.scan.Run(d.interval, step); err != nil {
+	if sent, err = d.scan(step); err != nil {
 		return sent, err
+	}
+	if h := d.crew.handoff; h != nil {
+		n, err := h(d.src, d.slabs[0])
+		d.delivered += n
+		if err != nil {
+			return sent, err
+		}
 	}
 	for wk := range d.slabs {
 		if err := d.flushDense(wk); err != nil {
@@ -263,7 +232,7 @@ func (d *dispatcher) runSuperstep(step int64) (sent int64, err error) {
 
 // flushDense hands slab wk to its computer; the dispatcher does not
 // touch it again until the next superstep. An empty slab goes as a
-// marker with count 0 — the computer applies slabs in dispatcher order,
+// marker with count 0 — the computer applies slabs in interval order,
 // so it must hear from every dispatcher — and is not counted.
 //
 //gpsa:noalloc
@@ -274,5 +243,5 @@ func (d *dispatcher) flushDense(wk int) error {
 		d.delivered += n
 		d.denseSegs++
 	}
-	return d.eng.toApply[wk].Put(workerMsg{kind: kindSegment, from: d.id, seg: s, count: n})
+	return d.crew.toApply[wk].Put(workerMsg{kind: kindSegment, from: d.src, seg: s, count: n})
 }

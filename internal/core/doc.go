@@ -34,8 +34,9 @@
 // accum.go). That does not change the model — mailboxes remain
 // asynchronous and FIFO, and the barrier message is only sent after all
 // dispatcher sends have completed, so FIFO ordering guarantees computing
-// workers observe it last. The scan (Scan) and the batch apply
-// (ApplyBatch) are exported because package cluster drives them: the
-// scan and fold are one pipeline for both engines, and ApplyBatch
-// applies what a cluster node receives.
+// workers observe it last. The worker crew (Crew) is exported because
+// package cluster drives it too: a cluster node runs one over the
+// intervals it owns, its hand-off framing what other nodes' intervals
+// need, and feeds its computer what arrives off the wire, so dispatch,
+// fold and apply are one pipeline for both engines.
 package core

@@ -4,83 +4,24 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/actor"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/vertexfile"
 )
 
-// control message kinds of the paper's command protocol (§V-C).
-type msgKind int
-
-const (
-	kindSegment        msgKind = iota // dense accumulator segment handoff
-	kindIterationStart                // manager -> dispatcher
-	kindDispatchOver                  // dispatcher -> manager
-	kindComputeOver                   // manager -> computer (barrier) and ack back
-	kindSystemOver                    // manager -> everyone: shut down
-	kindFailed                        // worker -> manager: actor died
-)
-
-// workerMsg is the single envelope type flowing between actors. Control
-// fields are interpreted per kind.
-type workerMsg struct {
-	kind   msgKind
-	step   int64
-	seg    *Slab // kindSegment
-	from   int   // sender worker id
-	count  int64 // segment: slots present (0: empty marker); dispatchOver: messages generated; computeOver ack: updates
-	count2 int64 // dispatchOver: messages delivered after combining
-	err    error // kindFailed
-}
-
-// computerMailboxDepth is each computing worker's mailbox depth. Every
-// dispatcher hands every computer exactly one slab (or empty marker) per
-// superstep, so a computer receives exactly Dispatchers messages and the
-// barrier per step: the depth binds only above 63 dispatchers, and then
-// it only makes a dispatcher wait — a computer holds a slab that arrives
-// before its turn instead of waiting on it, so computers never wait on
-// dispatchers. Dispatchers+1 would never bind, but at the MaxWorkers ×
-// MaxWorkers bound it is about 1 GiB of channel buffers.
-const computerMailboxDepth = 64
-
 // Engine runs a Program over an on-disk CSR graph and a two-column vertex
 // value file using the actor-based BSP model.
 type Engine struct {
-	gf   *graph.File
-	vf   *vertexfile.File
-	prog Program
-	cfg  Config
+	vf  *vertexfile.File
+	cfg Config
 
 	aggregator Aggregator // non-nil when the program aggregates
-	system     *actor.System
-	toManager  *actor.Mailbox[workerMsg]
-	toDisp     []*actor.Mailbox[workerMsg]
-	toApply    []*actor.Mailbox[workerMsg] // one per computer
-	intervals  []graph.Interval            // one per dispatcher; may be fewer than cfg.Dispatchers
-
-	// slabs[i][c] is the slab dispatcher i folds computer c's messages
-	// into, for the engine's lifetime.
-	slabs [][]*Slab
-
-	// per-superstep statistics scratch, reused across runStep calls.
-	dispMsgs []int64
-	compUpd  []int64
-
-	// runCtx is the context of the current RunContext call; cancellation
-	// stops the run cleanly between supersteps, or rolls the in-flight
-	// superstep back so the value file seals clean and resumable.
-	runCtx context.Context
-
-	// aborted is set when the run is being torn down early (watchdog or
-	// failure); dispatchers poll it between vertices so a wedged or
-	// long-running superstep unwinds promptly instead of streaming its
-	// whole interval.
-	aborted atomic.Bool
+	// crew dispatches every interval of the partition: one dispatcher
+	// each, and cfg.Computers computers.
+	crew *Crew
 }
 
 // ErrCrashInjected wraps the fault.SiteStepCrash injection: a simulated
@@ -93,13 +34,12 @@ var ErrCrashInjected = errors.New("core: injected crash")
 // superstep down; it signals a clean early exit, not a failure.
 var errAborted = errors.New("core: superstep aborted")
 
-// stepError wraps a superstep failure with its phase and whether the
-// supervised retry path may roll back and re-execute the superstep.
+// stepError is a superstep failure, labelled with its phase, that the
+// supervised retry path may roll back and re-execute.
 type stepError struct {
-	step      int64
-	phase     string
-	err       error
-	retryable bool
+	step  int64
+	phase string
+	err   error
 }
 
 func (e *stepError) Error() string {
@@ -133,14 +73,14 @@ func New(gf *graph.File, vf *vertexfile.File, prog Program, cfg Config) (*Engine
 	if vf.Dispatchers() == 0 {
 		vf.SetDispatchers(cfg.Dispatchers)
 	}
-	e := &Engine{gf: gf, vf: vf, prog: prog, cfg: cfg, intervals: gf.Partition(cfg.Dispatchers)}
-	owned := (gf.NumVertices + int64(cfg.Computers) - 1) / int64(cfg.Computers)
-	e.slabs = make([][]*Slab, len(e.intervals))
-	for i := range e.slabs {
-		for range cfg.Computers {
-			e.slabs[i] = append(e.slabs[i], NewSlab(owned))
-		}
+	ivs := gf.Partition(cfg.Dispatchers) // may be fewer than cfg.Dispatchers
+	local := make([]int, len(ivs))
+	for i := range local {
+		local[i] = i
 	}
+	e := &Engine{vf: vf, cfg: cfg, crew: &Crew{gf: gf, vf: vf, prog: prog, intervals: ivs,
+		compUpd: make([]int64, cfg.Computers), sequential: cfg.SequentialPhases}}
+	e.crew.Reassign(local)
 	if a, ok := prog.(Aggregator); ok {
 		e.aggregator = a
 	}
@@ -154,69 +94,6 @@ func New(gf *graph.File, vf *vertexfile.File, prog Program, cfg Config) (*Engine
 // CreateValueFile initializes a value file for prog at path, sized for gf.
 func CreateValueFile(path string, gf *graph.File, prog Program) (*vertexfile.File, error) {
 	return vertexfile.Create(path, gf.NumVertices, prog.Init)
-}
-
-// spawn builds a fresh worker crew: manager mailbox, per-worker
-// mailboxes, and dispatcher/computer actors under a supervisor whose
-// restart policy revives panicking workers. Retried supersteps always
-// get a fresh crew and fresh mailboxes, so no stale slab hand-off from a
-// failed attempt can leak into the retry — and no partial sum either:
-// every slab is reset here, after teardown has waited for the old crew
-// to exit.
-func (e *Engine) spawn() {
-	cfg := e.cfg
-	for _, row := range e.slabs {
-		for _, s := range row {
-			s.Reset()
-		}
-	}
-	e.aborted.Store(false)
-	e.system = actor.NewSystemContext(e.runCtx, "gpsa", actor.RestartPolicy{MaxRestarts: cfg.MaxStepRetries + 1})
-	e.toManager = actor.NewMailbox[workerMsg](cfg.Dispatchers + cfg.Computers + 1)
-	e.toDisp = make([]*actor.Mailbox[workerMsg], len(e.intervals))
-	for i := range e.toDisp {
-		e.toDisp[i] = actor.NewMailbox[workerMsg](1)
-	}
-	e.toApply = make([]*actor.Mailbox[workerMsg], cfg.Computers)
-	for i := range e.toApply {
-		e.toApply[i] = actor.NewMailbox[workerMsg](computerMailboxDepth)
-	}
-	for i := range e.toDisp {
-		d := &dispatcher{id: i, eng: e, interval: e.intervals[i]}
-		e.system.Spawn(fmt.Sprintf("dispatcher-%d", i), d)
-	}
-	for i := range e.toApply {
-		c := &computer{id: i, eng: e}
-		e.system.Spawn(fmt.Sprintf("computer-%d", i), c)
-	}
-}
-
-// teardown stops and collects the current worker crew. After it returns
-// every worker goroutine has exited (a vertex program wedged in user code
-// may delay that — see Config.SuperstepTimeout). The returned error is
-// the crew's name-ordered first failure, if any.
-func (e *Engine) teardown() error {
-	if e.system == nil {
-		return nil
-	}
-	// SYSTEM_OVER, then close: TryPut so a full mailbox cannot block the
-	// manager — closing releases blocked senders and receivers drain
-	// whatever is buffered before seeing the close. The manager mailbox
-	// closes first so no worker can block on it while being collected;
-	// workers treat a closed manager mailbox as an abort.
-	e.aborted.Store(true)
-	e.toManager.Close()
-	for _, mb := range e.toDisp {
-		mb.TryPut(workerMsg{kind: kindSystemOver})
-		mb.Close()
-	}
-	for _, mb := range e.toApply {
-		mb.TryPut(workerMsg{kind: kindSystemOver})
-		mb.Close()
-	}
-	waitErr := e.system.Wait()
-	e.system = nil
-	return waitErr
 }
 
 // Run executes supersteps starting at the value file's current epoch
@@ -245,14 +122,11 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background() //lint:ctxblock defensive default for nil ctx; callers who want cancellation pass one
 	}
-	e.runCtx = ctx
 	cfg := e.cfg
 	res := &Result{
-		DispatcherMessages: make([]int64, len(e.intervals)),
+		DispatcherMessages: make([]int64, len(e.crew.local)),
 		ComputerUpdates:    make([]int64, cfg.Computers),
 	}
-	e.dispMsgs = make([]int64, len(e.intervals))
-	e.compUpd = make([]int64, cfg.Computers)
 	if e.vf.Converged() {
 		// The file's last commit sealed convergence: the computation is
 		// finished, and re-running supersteps could perturb programs whose
@@ -261,7 +135,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 		return res, nil
 	}
 
-	e.spawn()
+	e.crew.Spawn(ctx, cfg.SuperstepTimeout)
 	runStart := now()
 	retries := 0
 	var runErr error
@@ -288,7 +162,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 			// Cancelled mid-superstep: stop the crew, then roll the
 			// interrupted superstep back so the file seals clean — the
 			// graceful-shutdown path behind SIGINT/SIGTERM.
-			e.teardown() //nolint:errcheck
+			e.crew.Teardown() //nolint:errcheck
 			metrics.Inc(metrics.CtrRunsCancelled)
 			if rerr := e.vf.Rollback(step, !cfg.DisableSync); rerr != nil {
 				runErr = fmt.Errorf("core: rolling back cancelled superstep %d: %w", step, errors.Join(cerr, rerr))
@@ -298,7 +172,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 			break
 		}
 		var se *stepError
-		if !errors.As(err, &se) || !se.retryable || retries >= cfg.MaxStepRetries {
+		if !errors.As(err, &se) || retries >= cfg.MaxStepRetries {
 			runErr = err
 			break
 		}
@@ -307,16 +181,16 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 		// superstep's start, back off, and re-run with a fresh crew.
 		retries++
 		res.Retries++
-		e.teardown() //nolint:errcheck
+		e.crew.Teardown() //nolint:errcheck
 		if rerr := e.vf.Rollback(step, !cfg.DisableSync); rerr != nil {
 			runErr = fmt.Errorf("core: rolling back superstep %d after %v: %w", step, err, rerr)
 			break
 		}
 		time.Sleep(retryBackoff(stepRetryBackoff, retries))
-		e.spawn()
+		e.crew.Spawn(ctx, cfg.SuperstepTimeout)
 	}
 	res.Duration = now().Sub(runStart)
-	waitErr := e.teardown()
+	waitErr := e.crew.Teardown()
 	if runErr != nil {
 		return res, runErr
 	}
@@ -341,86 +215,18 @@ func retryBackoff(base time.Duration, retry int) time.Duration {
 	return base << uint(shift)
 }
 
-// managerGet receives the next worker notification, honoring both the
-// watchdog timeout and context cancellation. With neither in play it
-// blocks outright; otherwise it polls in short slices so a cancelled run
-// notices within ~20ms even when no worker is producing notifications.
-// The manager mailbox is only ever closed by this goroutine (teardown),
-// so inside managerGet a timed-out GetTimeout always means "no message
-// yet", never "closed".
-func (e *Engine) managerGet(phase string) (workerMsg, error) {
-	var deadline time.Time
-	if e.cfg.SuperstepTimeout > 0 {
-		deadline = now().Add(e.cfg.SuperstepTimeout)
-	}
-	if deadline.IsZero() && e.runCtx.Done() == nil {
-		m, ok := e.toManager.Get()
-		if !ok {
-			return workerMsg{}, errors.New("core: manager mailbox closed")
-		}
-		return m, nil
-	}
-	const tick = 20 * time.Millisecond
-	for {
-		if cerr := e.runCtx.Err(); cerr != nil {
-			return workerMsg{}, fmt.Errorf("core: %s interrupted: %w", phase, cerr)
-		}
-		wait := tick
-		if !deadline.IsZero() {
-			rem := deadline.Sub(now())
-			if rem <= 0 {
-				return workerMsg{}, fmt.Errorf("core: superstep watchdog: no worker notification within %v during %s", e.cfg.SuperstepTimeout, phase)
-			}
-			if rem < wait {
-				wait = rem
-			}
-		}
-		if m, ok := e.toManager.GetTimeout(wait); ok {
-			return m, nil
-		}
-	}
-}
-
 // runStep executes one superstep — the body of the paper's Algorithm 1 —
 // and reports whether the computation converged. Statistics are buffered
 // locally and only merged into res after the commit succeeds, so a
 // retried superstep is counted exactly once.
 func (e *Engine) runStep(step int64, res *Result) (converged bool, err error) {
 	if err := e.vf.Begin(step, !e.cfg.DisableSync); err != nil {
-		return false, &stepError{step: step, phase: "begin", err: err, retryable: true}
+		return false, &stepError{step: step, phase: "begin", err: err}
 	}
 	t0 := now()
-
-	// ITERATION_START to every dispatcher.
-	for _, mb := range e.toDisp {
-		if err := mb.Put(workerMsg{kind: kindIterationStart, step: step}); err != nil {
-			return false, &stepError{step: step, phase: "dispatch", err: err, retryable: false}
-		}
-	}
-
-	// Collect DISPATCH_OVER from every dispatcher. Computing workers
-	// are processing concurrently the whole time (the overlap).
-	var messages, delivered int64
-	dispMsgs := e.dispMsgs
-	for i := range dispMsgs {
-		dispMsgs[i] = 0
-	}
-	for i := 0; i < len(e.toDisp); i++ {
-		m, err := e.managerGet("dispatch")
-		if err != nil {
-			return false, &stepError{step: step, phase: "dispatch", err: err, retryable: true}
-		}
-		switch m.kind {
-		case kindDispatchOver:
-			messages += m.count
-			delivered += m.count2
-			dispMsgs[m.from] += m.count
-		case kindFailed:
-			return false, &stepError{step: step, phase: "dispatch", err: m.err, retryable: true}
-		default:
-			return false, &stepError{step: step, phase: "dispatch",
-				err: fmt.Errorf("core: manager got unexpected %v", m.kind), retryable: false}
-		}
+	messages, delivered, err := e.crew.Dispatch(step)
+	if err != nil {
+		return false, err
 	}
 
 	if ferr := fault.Error(fault.SiteStepCrash); ferr != nil {
@@ -431,33 +237,9 @@ func (e *Engine) runStep(step int64, res *Result) (converged bool, err error) {
 	}
 	fault.Crash(fault.SiteKillDispatch)
 
-	// Barrier: COMPUTE_OVER to every computing worker; they reply
-	// after draining everything queued before it (FIFO).
-	for _, mb := range e.toApply {
-		if err := mb.Put(workerMsg{kind: kindComputeOver, step: step}); err != nil {
-			return false, &stepError{step: step, phase: "compute barrier", err: err, retryable: false}
-		}
-	}
-	var updates int64
-	compUpd := e.compUpd
-	for i := range compUpd {
-		compUpd[i] = 0
-	}
-	for i := 0; i < len(e.toApply); i++ {
-		m, err := e.managerGet("compute barrier")
-		if err != nil {
-			return false, &stepError{step: step, phase: "compute barrier", err: err, retryable: true}
-		}
-		switch m.kind {
-		case kindComputeOver:
-			updates += m.count
-			compUpd[m.from] += m.count
-		case kindFailed:
-			return false, &stepError{step: step, phase: "compute barrier", err: m.err, retryable: true}
-		default:
-			return false, &stepError{step: step, phase: "compute barrier",
-				err: fmt.Errorf("core: manager got unexpected %v", m.kind), retryable: false}
-		}
+	updates, err := e.crew.Barrier(step)
+	if err != nil {
+		return false, err
 	}
 
 	fault.Crash(fault.SiteKillBarrier)
@@ -479,24 +261,19 @@ func (e *Engine) runStep(step int64, res *Result) (converged bool, err error) {
 		Converged: converged,
 		Aggregate: aggVal,
 	}); err != nil {
-		return false, &stepError{step: step, phase: "commit", err: err, retryable: true}
+		return false, &stepError{step: step, phase: "commit", err: err}
 	}
 
-	var digest uint64
-	if e.cfg.Digests {
-		digest = e.digest(step)
-	}
-
-	st := StepStats{Step: step, Messages: messages, Delivered: delivered, Updates: updates, Aggregate: aggVal, Digest: digest, Duration: now().Sub(t0)}
+	st := StepStats{Step: step, Messages: messages, Delivered: delivered, Updates: updates, Aggregate: aggVal, Digest: e.vf.Digest(), Duration: now().Sub(t0)}
 	res.Steps = append(res.Steps, st)
 	res.Supersteps++
 	res.Messages += messages
 	res.Delivered += delivered
 	res.Updates += updates
-	for i, c := range dispMsgs {
+	for i, c := range e.crew.dispMsgs {
 		res.DispatcherMessages[i] += c
 	}
-	for i, c := range compUpd {
+	for i, c := range e.crew.compUpd {
 		res.ComputerUpdates[i] += c
 	}
 	if e.cfg.Progress != nil {

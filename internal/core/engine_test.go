@@ -118,7 +118,7 @@ func randomGraph(t testing.TB, seed int64, v int64, e int) *graph.CSR {
 // cycle): the messages one interval of ivs sends to one destination fold
 // with CombineMsg in generation order, and each destination applies the
 // combined messages in ascending interval — which is what the slab path
-// delivers, bit for bit, when its dispatchers scan ivs (Engine.intervals),
+// delivers, bit for bit, when its dispatchers scan ivs (Crew.intervals),
 // whatever the number of computers. nil ivs is a single interval. For
 // min-folds it is indistinguishable from applying every message.
 func refRun(g *graph.CSR, p Program, ivs []graph.Interval, maxSteps int) []uint64 {
@@ -243,7 +243,7 @@ func TestEnginePageRankMatchesReference(t *testing.T) {
 	if res.Supersteps != steps {
 		t.Fatalf("ran %d supersteps, want %d", res.Supersteps, steps)
 	}
-	want := refRun(g, prProg{}, eng.intervals, steps)
+	want := refRun(g, prProg{}, eng.crew.intervals, steps)
 	for v := int64(0); v < g.NumVertices; v++ {
 		if got, ref := vf.Value(v), want[v]&vertexfile.PayloadMask; got != ref {
 			t.Fatalf("vertex %d: rank %g, want %g", v, math.Float64frombits(got), math.Float64frombits(ref))
@@ -636,15 +636,14 @@ func TestWatchdogDisabledByDefault(t *testing.T) {
 // fails typed instead of acking a partial apply.
 func TestComputerMissingSlabFailsTyped(t *testing.T) {
 	eng, _ := setup(t, randomGraph(t, 5, 50, 200), ccProg{}, Config{Dispatchers: 2, Computers: 1})
-	eng.runCtx = context.Background()
-	eng.spawn()
-	defer eng.teardown() //nolint:errcheck
-	if err := eng.toApply[0].Put(workerMsg{kind: kindComputeOver, step: 0}); err != nil {
+	eng.crew.Spawn(context.Background(), 0)
+	defer eng.crew.Teardown() //nolint:errcheck
+	if err := eng.crew.toApply[0].Put(workerMsg{kind: kindComputeOver, step: 0}); err != nil {
 		t.Fatal(err)
 	}
-	m, ok := eng.toManager.Get()
+	m, ok := eng.crew.toManager.Get()
 	var me *missingSlabsError
-	if !ok || m.kind != kindFailed || !errors.As(m.err, &me) || me.applied != 0 || me.dispatchers != 2 {
+	if !ok || m.kind != kindFailed || !errors.As(m.err, &me) || me.applied != 0 || me.intervals != 2 {
 		t.Fatalf("barrier without slabs: got %v %v, want a kindFailed *missingSlabsError (0 of 2)", m.kind, m.err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -54,7 +55,7 @@ func compareRuns(t *testing.T, ref, got *Result, refVals, gotVals []uint64) {
 // an uninjected run.
 func TestRecoveryComputerPanic(t *testing.T) {
 	g := randomGraph(t, 70, 300, 1200)
-	cfg := Config{Dispatchers: 2, Computers: 3, Digests: true}
+	cfg := Config{Dispatchers: 2, Computers: 3}
 
 	ref, refVals, err := runWithPlan(t, g, bfsProg{root: 0}, cfg, nil)
 	if err != nil {
@@ -81,7 +82,7 @@ func TestRecoveryComputerPanic(t *testing.T) {
 // partial message stream that must be rolled back.
 func TestRecoveryDispatcherPanic(t *testing.T) {
 	g := randomGraph(t, 71, 200, 800).Symmetrize()
-	cfg := Config{Dispatchers: 3, Computers: 2, Digests: true}
+	cfg := Config{Dispatchers: 3, Computers: 2}
 
 	ref, refVals, err := runWithPlan(t, g, ccProg{}, cfg, nil)
 	if err != nil {
@@ -110,7 +111,7 @@ func TestRecoveryDispatcherPanic(t *testing.T) {
 // deterministic.
 func TestRecoveryTornCommit(t *testing.T) {
 	g := randomGraph(t, 72, 150, 900)
-	cfg := Config{Dispatchers: 1, Computers: 2, MaxSupersteps: 6, Digests: true}
+	cfg := Config{Dispatchers: 1, Computers: 2, MaxSupersteps: 6}
 
 	ref, refVals, err := runWithPlan(t, g, prProg{}, cfg, nil)
 	if err != nil {
@@ -202,7 +203,6 @@ func TestRecoveryAfterWatchdog(t *testing.T) {
 		MaxStepRetries:   3,
 		Dispatchers:      1,
 		Computers:        1,
-		Digests:          true,
 	}
 	ref, refVals, err := runWithPlan(t, g, bfsProg{root: 0}, cfg, nil)
 	if err != nil {
@@ -233,7 +233,7 @@ func TestRecoveryAfterWatchdog(t *testing.T) {
 // float digests).
 func TestSlabResetOnRetry(t *testing.T) {
 	g := randomGraph(t, 74, 300, 2400)
-	cfg := Config{Dispatchers: 1, Computers: 2, MaxSupersteps: 5, Digests: true}
+	cfg := Config{Dispatchers: 1, Computers: 2, MaxSupersteps: 5}
 	ref, refVals, err := runWithPlan(t, g, prProg{}, cfg, nil)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
@@ -263,4 +263,50 @@ func TestSlabResetOnRetry(t *testing.T) {
 			compareRuns(t, ref, res, refVals, vals)
 		})
 	}
+}
+
+// TestRecoveryWorkerDeathBeforeExecute kills crew workers before their
+// Execute runs (actor.execute.panic), where no recover of the worker's
+// own is in place yet: the death must still reach the manager as a step
+// failure. Firing on every hit, Run must end with a typed step error
+// within a bound, at any retry budget; firing once, the superstep retry
+// must recover to bit-identical values.
+func TestRecoveryWorkerDeathBeforeExecute(t *testing.T) {
+	g := chainGraph(t, 60)
+	cfg := Config{Dispatchers: 1, Computers: 1}
+	for _, retries := range []int{0, 2} {
+		cfg.MaxStepRetries = retries
+		eng, _ := setup(t, g, ccProg{}, cfg)
+		fault.Activate(fault.NewPlan(0, fault.Injection{Site: fault.SiteActorExecute, Count: -1}))
+		defer fault.Deactivate()
+		done := make(chan error, 1)
+		go func() {
+			_, err := eng.Run()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			var se *stepError
+			if !errors.As(err, &se) || !strings.Contains(err.Error(), fault.SiteActorExecute) {
+				t.Fatalf("retries %d: Run returned %v, want a step error naming %s", retries, err, fault.SiteActorExecute)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("retries %d: Run hung with every worker dying before Execute", retries)
+		}
+		fault.Deactivate()
+	}
+
+	cfg.MaxStepRetries = 1
+	ref, refVals, err := runWithPlan(t, g, ccProg{}, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, vals, err := runWithPlan(t, g, ccProg{}, cfg, fault.NewPlan(0, fault.Injection{Site: fault.SiteActorExecute}))
+	if err != nil {
+		t.Fatalf("one worker death before Execute was not recovered: %v", err)
+	}
+	if res.Retries != 1 {
+		t.Fatalf("recovered with %d superstep retries, want 1", res.Retries)
+	}
+	compareRuns(t, ref, res, refVals, vals)
 }

@@ -141,7 +141,11 @@ const (
 	// drive rollback + replacement.
 	//
 	// SiteNodeKillDispatch fires once per vertex a node dispatches, so a
-	// plan can park the death anywhere inside the dispatch stream.
+	// plan can park the death anywhere inside the dispatch stream. A
+	// node's dispatchers run concurrently and share the hit count (as
+	// in-process nodes do), so on a node owning more than one interval a
+	// hit index names no reproducible vertex. What replays is the
+	// recovered result, bit-identical wherever the death fell.
 	SiteNodeKillDispatch = "cluster.node.kill.dispatch"
 	// SiteNodeKillBarrier fires at the compute barrier, before the
 	// node commits — mid-barrier death, update column dirty.

@@ -73,13 +73,13 @@ const NoallocPragma = "//gpsa:noalloc"
 // pinned by TestNoallocPragmaDeletionFails.
 var noallocRequired = map[string][]string{
 	"internal/core": {
-		"(*Scan).Run",
-		"(*Scan).fold",
-		"(*Scan).jumped",
+		"(*dispatcher).scan",
+		"(*dispatcher).fold",
+		"(*dispatcher).jumped",
 		"(*dispatcher).runSuperstep",
 		"(*dispatcher).flushDense",
 		"(*computer).processSegment",
-		"ApplyBatch",
+		"(*computer).applyBatch",
 		"(*Slab).Reset",
 	},
 	"internal/vertexfile": {

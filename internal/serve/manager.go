@@ -110,7 +110,7 @@ func NewManager(ctx context.Context, opts Options) (*Manager, error) {
 		q:      newJobQueue(opts.QueueCap),
 		jour:   jour,
 		brk:    newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
-		sys:    actor.NewSystemContext(jobCtx, "serve", actor.RestartPolicy{}),
+		sys:    actor.NewSystemContext(jobCtx, "serve", nil),
 		jobCtx: jobCtx,
 		cancel: cancel,
 		jobs:   make(map[string]*Job),

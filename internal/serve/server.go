@@ -43,7 +43,7 @@ func NewServer(ctx context.Context, opts Options) (*Server, error) {
 		m:    m,
 		opts: opts,
 		ln:   ln,
-		sys:  actor.NewSystemContext(ctx, "serve-http", actor.RestartPolicy{}),
+		sys:  actor.NewSystemContext(ctx, "serve-http", nil),
 	}
 	s.hs = &http.Server{Handler: s.routes()}
 	return s, nil

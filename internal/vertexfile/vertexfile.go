@@ -453,6 +453,12 @@ func (f *File) Aggregate() float64 {
 	return math.Float64frombits(atomic.LoadUint64(&f.header[hdrAggregate]))
 }
 
+// Digest returns the column digest the last commit sealed: colDigest of
+// the current dispatch column, kept from the published deltas, so
+// reading it is O(1). It is 0 after a commit that skipped reconcile
+// (CommitState.Reconcile false), which seals none.
+func (f *File) Digest() uint64 { return atomic.LoadUint64(&f.header[hdrColDigest]) }
+
 // Dispatchers returns the dispatcher count SetDispatchers recorded, or 0
 // if none was.
 func (f *File) Dispatchers() int { return int(atomic.LoadUint64(&f.header[hdrDispatch])) }
