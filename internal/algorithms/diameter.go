@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -65,6 +66,10 @@ func (r ReachSet) Compute(dst int64, cur uint64, msg uint64, first bool) (uint64
 
 // CombineMsg ORs masks (OR is the natural combiner here).
 func (r ReachSet) CombineMsg(a, b uint64) uint64 { return a | b }
+
+// Fold declares that the message ignores dst and weight and CombineMsg
+// is a uint64 or.
+func (r ReachSet) Fold() core.Fold { return core.FoldOrUint64 }
 
 // ReachCount returns how many sampled sources reached the vertex with
 // this payload.

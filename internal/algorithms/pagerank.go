@@ -3,6 +3,7 @@ package algorithms
 import (
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -62,6 +63,10 @@ func (p PageRank) Compute(dst int64, cur uint64, msg uint64, first bool) (uint64
 func (p PageRank) CombineMsg(a, b uint64) uint64 {
 	return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
 }
+
+// Fold declares that the message ignores dst and weight and CombineMsg
+// is a float64 sum, so the dispatcher calls GenMsg once per vertex.
+func (p PageRank) Fold() core.Fold { return core.FoldSumFloat64 }
 
 // AggInit starts the L1 rank-change aggregate at zero.
 func (p PageRank) AggInit() float64 { return 0 }
@@ -157,6 +162,10 @@ func unpackPair(p uint64) (rank, delta float32) {
 func (p DeltaPageRank) CombineMsg(a, b uint64) uint64 {
 	return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
 }
+
+// Fold declares that the message ignores dst and weight and CombineMsg
+// is a float64 sum.
+func (p DeltaPageRank) Fold() core.Fold { return core.FoldSumFloat64 }
 
 // DeltaRankOf decodes the rank from a DeltaPageRank payload.
 func DeltaRankOf(payload uint64) float64 {

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/vertexfile"
 )
@@ -45,6 +46,10 @@ func (b BFS) CombineMsg(a, c uint64) uint64 {
 	return c
 }
 
+// Fold declares that the message ignores dst and weight and CombineMsg
+// is a uint64 min.
+func (b BFS) Fold() core.Fold { return core.FoldMinUint64 }
+
 // ConnectedComponents labels every vertex with the smallest vertex id in
 // its component (the paper's CC workload). Run it on a symmetrized graph
 // for weakly connected components.
@@ -73,6 +78,10 @@ func (ConnectedComponents) CombineMsg(a, b uint64) uint64 {
 	}
 	return b
 }
+
+// Fold declares that the message ignores dst and weight and CombineMsg
+// is a uint64 min.
+func (ConnectedComponents) Fold() core.Fold { return core.FoldMinUint64 }
 
 // SSSP computes single-source shortest paths over edge weights (an
 // extension beyond the paper's workloads; it exercises the weighted CSR

@@ -130,8 +130,9 @@ func TestChaosSmoke(t *testing.T) {
 // TestChaosSmokeSlabReset drops a burst of data-plane writes on a 3-node
 // PageRank job, longer than a sender's redial budget: a dispatch phase
 // fails mid-walk of its slab as a step failure the node survives, and the
-// superstep rolls back and retries. It pins rollbackStep's slab clear —
-// partial sums left set by the aborted walk would fold into the retry.
+// superstep rolls back and retries. It pins the slab reset in
+// Crew.Spawn, which the rollback's respawn runs — partial sums left set
+// by the aborted walk would fold into the retry.
 // Only a sum fold can catch that: min is idempotent, so the CC scenarios
 // pass either way. Runs as part of the `make check` chaos slice.
 func TestChaosSmokeSlabReset(t *testing.T) {

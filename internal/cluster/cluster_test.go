@@ -240,9 +240,10 @@ func TestClusterOneNodeEqualsCore(t *testing.T) {
 }
 
 // TestClusterGeometryInvariant runs one 6-interval partition as
-// Nodes×Splits = 1×6, 2×3, 3×2 and 6×1: the same intervals go over the
-// loopback in one geometry and over the wire in another, so bit-identical
-// PageRank pins that both paths form batches the same way.
+// Nodes×Splits = 1×6, 2×3, 3×2 and 6×1: the same intervals reach their
+// computer as a local slab in one geometry and as wire batches in
+// another, so bit-identical PageRank pins that both paths deliver the
+// same combined messages in the same order.
 func TestClusterGeometryInvariant(t *testing.T) {
 	path := save(t, rmat(t, 3000, 40000, 3))
 	var want []uint64

@@ -229,7 +229,11 @@ func startNode(ctx context.Context, spec nodeSpec) (*node, error) {
 	for i := range n.streams {
 		n.streams[i] = &senderStream{next: 1, pending: make(map[uint64]streamFrame)}
 	}
-	n.crew = core.NewNodeCrew(gf, vf, spec.prog, spec.ivs, n.kill, n.handoff)
+	if n.crew, err = core.NewNodeCrew(gf, vf, spec.prog, spec.ivs, n.kill, n.handoff); err != nil {
+		closeQuietly(vf)
+		closeQuietly(gf)
+		return nil, err
+	}
 	if err := n.installRouting(spec.owners); err != nil {
 		n.close()
 		return nil, err

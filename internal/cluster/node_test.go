@@ -194,6 +194,33 @@ func (silentProg) GenMsg(int64, uint64, uint32, graph.VertexID, float32) (uint64
 	return 0, false
 }
 
+// TestSilentProgSendsNothing: silentProg inherits PageRank's Fold, and
+// the dispatcher takes the one message per vertex from the program's own
+// GenMsg, so the override still suppresses every message and each
+// vertex keeps its initial rank.
+func TestSilentProgSendsNothing(t *testing.T) {
+	g, err := gen.RMATGraph(gen.RMATConfig{Vertices: 500, Edges: 4000, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.gpsa")
+	if err := graph.WriteFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	res, vals, err := Run(path, silentProg{}, Config{Nodes: 2, Splits: 2, MaxSupersteps: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Messages != 0 || res.Updates != 0 {
+		t.Fatalf("silentProg sent %d messages and made %d updates, want none", res.Messages, res.Updates)
+	}
+	for v, x := range vals {
+		if x != math.Float64bits(1) {
+			t.Fatalf("vertex %d: %#x, want its initial rank 1", v, x)
+		}
+	}
+}
+
 // panicProg is PageRank whose Compute panics on every message.
 type panicProg struct{ algorithms.PageRank }
 

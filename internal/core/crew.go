@@ -72,6 +72,7 @@ type Crew struct {
 	gf         *graph.File
 	vf         *vertexfile.File
 	prog       Program
+	fold       Fold             // prog's declared kernel, checked (foldOf)
 	intervals  []graph.Interval // the partition; computers apply in its order
 	local      []int            // the intervals dispatched here, ascending
 	// slabs[k][c] is where local[k]'s dispatcher folds computer c's
@@ -99,10 +100,15 @@ type Crew struct {
 
 // NewNodeCrew builds a cluster node's crew of prog over gf and vf, with
 // the node's hooks and one computer, which applies every vertex the node
-// hosts. It dispatches no interval until Reassign.
+// hosts. It dispatches no interval until Reassign. A program whose
+// declared Fold does not match its CombineMsg is an ErrFoldMismatch.
 func NewNodeCrew(gf *graph.File, vf *vertexfile.File, prog Program, ivs []graph.Interval,
-	kill func() error, handoff func(src int, s *Slab) (int64, error)) *Crew {
-	return &Crew{gf: gf, vf: vf, prog: prog, intervals: ivs, compUpd: make([]int64, 1), kill: kill, handoff: handoff}
+	kill func() error, handoff func(src int, s *Slab) (int64, error)) (*Crew, error) {
+	fold, err := foldOf(prog)
+	if err != nil {
+		return nil, err
+	}
+	return &Crew{gf: gf, vf: vf, prog: prog, fold: fold, intervals: ivs, compUpd: make([]int64, 1), kill: kill, handoff: handoff}, nil
 }
 
 // Reassign sets the intervals the crew dispatches (ascending indices into

@@ -16,11 +16,12 @@ import (
 // and its scan the one way a CSR interval becomes messages. It owns one
 // interval of the CSR edge file and, each superstep, streams it, skips
 // vertices whose dispatch-column slot is stale, calls GenMsg for each
-// out-edge of the fresh ones and folds them at the source: a message goes
-// to the computer owning its destination (dst mod computers, paper §V-A)
-// and combines, a left fold in generation order, into that computer's
-// slab at slot dst / computers. When the interval is done it hands each
-// slab off whole.
+// out-edge of the fresh ones (once per fresh vertex for a program that
+// declares a Fold; see foldAll) and folds them at the source: a message
+// goes to the computer owning its destination (dst mod computers, paper
+// §V-A) and combines, a left fold in generation order, into that
+// computer's slab at slot dst / computers. When the interval is done it
+// hands each slab off whole.
 //
 // A stale vertex makes the scan look up the next vertex Begin's
 // active-set bitmap marks (vertexfile.NextActive) and jump the cursor to
@@ -37,6 +38,7 @@ type dispatcher struct {
 	gf       *graph.File
 	vf       *vertexfile.File
 	prog     Program
+	kernel   Fold    // the program's checked Fold (Crew.fold)
 	slabs    []*Slab // row k of Crew.slabs
 
 	// owner fast path, hoisted out of the per-edge loop: dst mod workers
@@ -73,6 +75,10 @@ func (d *dispatcher) scan(step int64) (sent int64, err error) {
 	iv, cr := d.interval, d.crew
 	col := vertexfile.DispatchCol(step)
 	weighted := d.gf.Weighted()
+	stride := 1 // words per edge
+	if weighted {
+		stride = 2
+	}
 	cur := d.gf.Cursor(iv)
 	active := int64(-1) // the next vertex Begin's bitmap marks, once looked up
 	for {
@@ -109,15 +115,26 @@ func (d *dispatcher) scan(step int64) (sent int64, err error) {
 			continue
 		}
 		payload := vertexfile.Payload(slot)
-		for i := 0; i < int(deg); i++ {
-			dst, w := graph.DecodeEdge(edges, i, weighted)
-			msgVal, send := d.prog.GenMsg(v, payload, deg, dst, w)
-			if !send {
-				continue
+		if d.kernel != FoldPerEdge && deg > 0 && !fault.Enabled() {
+			// One message for every out-edge (Program's Fold). Armed
+			// fault injection takes the per-edge path below, so the
+			// message site's hits still count messages.
+			dst, w := graph.DecodeEdge(edges, 0, weighted)
+			if msgVal, send := d.prog.GenMsg(v, payload, deg, dst, w); send {
+				d.foldAll(edges, stride, msgVal)
+				sent += int64(deg)
 			}
-			fault.Panic(fault.SiteDispatcherMsg)
-			d.fold(dst, msgVal)
-			sent++
+		} else {
+			for i := 0; i < int(deg); i++ {
+				dst, w := graph.DecodeEdge(edges, i, weighted)
+				msgVal, send := d.prog.GenMsg(v, payload, deg, dst, w)
+				if !send {
+					continue
+				}
+				fault.Panic(fault.SiteDispatcherMsg)
+				d.fold(dst, msgVal)
+				sent++
+			}
 		}
 		// Consume: invalidate so the vertex is skipped until recomputed
 		// (paper Algorithm 2, setHighestBitTo1).
@@ -158,13 +175,113 @@ func (d *dispatcher) jumped(n int64) error {
 func (d *dispatcher) fold(dst graph.VertexID, val uint64) {
 	wk, idx := d.route(dst)
 	sl := d.slabs[wk]
+	if claim(sl.Bits, idx) {
+		val = d.prog.CombineMsg(sl.Vals[idx], val)
+	}
+	sl.Vals[idx] = val
+}
+
+// claim marks slot idx present and reports whether it already was.
+func claim(bits []uint64, idx int64) bool {
 	word, bit := idx>>6, uint64(1)<<uint(idx&63)
-	if sl.Bits[word]&bit != 0 {
-		sl.Vals[idx] = d.prog.CombineMsg(sl.Vals[idx], val)
+	had := bits[word]&bit != 0
+	bits[word] |= bit
+	return had
+}
+
+// foldAll folds val, the one message a fresh vertex of a program
+// declaring a Fold sends along every out-edge, into each destination's
+// slot: a left fold in edge order, as fold's, so both paths leave the
+// same slab bit for bit. edges holds a destination every stride words.
+// The kernel is chosen here, once per vertex: each is its own loop with
+// the combiner inlined, and with one computer the slab row is hoisted
+// out of it.
+//
+//gpsa:noalloc
+func (d *dispatcher) foldAll(edges []uint32, stride int, val uint64) {
+	switch d.kernel {
+	case FoldSumFloat64:
+		d.foldSum(edges, stride, val)
+	case FoldMinUint64:
+		d.foldMin(edges, stride, val)
+	case FoldOrUint64:
+		d.foldOr(edges, stride, val)
+	}
+}
+
+// foldSum is foldAll's float64-sum loop.
+//
+//gpsa:noalloc
+func (d *dispatcher) foldSum(edges []uint32, stride int, val uint64) {
+	if d.workers == 1 {
+		vals, bits := d.slabs[0].Vals, d.slabs[0].Bits
+		for i := 0; i < len(edges); i += stride {
+			idx, m := int64(edges[i]), val
+			if claim(bits, idx) {
+				m = sumFloat64(vals[idx], val)
+			}
+			vals[idx] = m
+		}
 		return
 	}
-	sl.Bits[word] |= bit
-	sl.Vals[idx] = val
+	for i := 0; i < len(edges); i += stride {
+		wk, idx := d.route(edges[i])
+		sl, m := d.slabs[wk], val
+		if claim(sl.Bits, idx) {
+			m = sumFloat64(sl.Vals[idx], val)
+		}
+		sl.Vals[idx] = m
+	}
+}
+
+// foldMin is foldAll's uint64-min loop.
+//
+//gpsa:noalloc
+func (d *dispatcher) foldMin(edges []uint32, stride int, val uint64) {
+	if d.workers == 1 {
+		vals, bits := d.slabs[0].Vals, d.slabs[0].Bits
+		for i := 0; i < len(edges); i += stride {
+			idx, m := int64(edges[i]), val
+			if claim(bits, idx) {
+				m = minUint64(vals[idx], val)
+			}
+			vals[idx] = m
+		}
+		return
+	}
+	for i := 0; i < len(edges); i += stride {
+		wk, idx := d.route(edges[i])
+		sl, m := d.slabs[wk], val
+		if claim(sl.Bits, idx) {
+			m = minUint64(sl.Vals[idx], val)
+		}
+		sl.Vals[idx] = m
+	}
+}
+
+// foldOr is foldAll's uint64-or loop.
+//
+//gpsa:noalloc
+func (d *dispatcher) foldOr(edges []uint32, stride int, val uint64) {
+	if d.workers == 1 {
+		vals, bits := d.slabs[0].Vals, d.slabs[0].Bits
+		for i := 0; i < len(edges); i += stride {
+			idx, m := int64(edges[i]), val
+			if claim(bits, idx) {
+				m = orUint64(vals[idx], val)
+			}
+			vals[idx] = m
+		}
+		return
+	}
+	for i := 0; i < len(edges); i += stride {
+		wk, idx := d.route(edges[i])
+		sl, m := d.slabs[wk], val
+		if claim(sl.Bits, idx) {
+			m = orUint64(sl.Vals[idx], val)
+		}
+		sl.Vals[idx] = m
+	}
 }
 
 // Execute is the dispatcher's actor loop: block on a command, run the
@@ -172,7 +289,7 @@ func (d *dispatcher) fold(dst graph.VertexID, val uint64) {
 // returned, and the actor system reports it to the manager (Crew.failed).
 func (d *dispatcher) Execute() error {
 	cr := d.crew
-	d.gf, d.vf, d.prog, d.slabs = cr.gf, cr.vf, cr.prog, cr.slabs[d.k]
+	d.gf, d.vf, d.prog, d.kernel, d.slabs = cr.gf, cr.vf, cr.prog, cr.fold, cr.slabs[d.k]
 	if d.workers = len(d.slabs); d.workers&(d.workers-1) == 0 {
 		d.usesMask = true
 		d.ownMask = graph.VertexID(d.workers - 1)

@@ -15,7 +15,8 @@
 //     edge file, balanced by edge count. Every superstep they stream
 //     their interval sequentially through the memory mapping, skip
 //     vertices whose dispatch-column slot carries the stale flag, call
-//     the program's GenMsg for each out-edge of fresh vertices, and send
+//     the program's GenMsg for each out-edge of fresh vertices (once per
+//     vertex for a program that declares a Fold), and send
 //     the resulting messages to the computing worker that owns the
 //     destination vertex.
 //

@@ -57,6 +57,10 @@ func New(gf *graph.File, vf *vertexfile.File, prog Program, cfg Config) (*Engine
 	if prog == nil {
 		return nil, fmt.Errorf("core: nil program")
 	}
+	fold, err := foldOf(prog)
+	if err != nil {
+		return nil, err
+	}
 	// The value file keeps the dispatcher count its computation started
 	// at: a resume at another count would fold over other intervals and
 	// change float low bits. A file that records none is stamped.
@@ -78,7 +82,7 @@ func New(gf *graph.File, vf *vertexfile.File, prog Program, cfg Config) (*Engine
 	for i := range local {
 		local[i] = i
 	}
-	e := &Engine{vf: vf, cfg: cfg, crew: &Crew{gf: gf, vf: vf, prog: prog, intervals: ivs,
+	e := &Engine{vf: vf, cfg: cfg, crew: &Crew{gf: gf, vf: vf, prog: prog, fold: fold, intervals: ivs,
 		compUpd: make([]int64, cfg.Computers), sequential: cfg.SequentialPhases}}
 	e.crew.Reassign(local)
 	if a, ok := prog.(Aggregator); ok {

@@ -6,7 +6,9 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -100,6 +102,12 @@ func (g *CSR) Validate() error {
 	return nil
 }
 
+// ErrNaNWeight is wrapped by the error ingest returns for a NaN edge
+// weight, naming its edge, line or record. A min over NaN depends on the
+// order it folds in, so a NaN weight would make SSSP's result depend on
+// the dispatcher count. ±Inf weights are accepted.
+var ErrNaNWeight = errors.New("graph: NaN edge weight")
+
 // FromEdges builds a CSR from an edge list using a counting sort on the
 // source vertex, O(V+E). numVertices must exceed every vertex id that
 // appears; pass 0 to infer it from the edges. Weighted selects whether
@@ -127,9 +135,12 @@ func FromEdges(edges []Edge, numVertices int64, weighted bool) (*CSR, error) {
 	if weighted {
 		g.Weights = make([]float32, len(edges))
 	}
-	for _, e := range edges {
+	for i, e := range edges {
 		if int64(e.Src) >= numVertices || int64(e.Dst) >= numVertices {
 			return nil, fmt.Errorf("graph: edge %d->%d outside vertex range %d", e.Src, e.Dst, numVertices)
+		}
+		if weighted && math.IsNaN(float64(e.Weight)) {
+			return nil, fmt.Errorf("graph: edge %d (%d->%d): %w", i+1, e.Src, e.Dst, ErrNaNWeight)
 		}
 		g.Indptr[e.Src+1]++
 	}

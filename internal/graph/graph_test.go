@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -85,6 +87,22 @@ func TestWeightsRetained(t *testing.T) {
 	}
 	if g.EdgeWeights(1) == nil {
 		t.Fatal("weighted graph returned nil weights for vertex 1")
+	}
+}
+
+// FromEdges, which every in-memory CSR passes through, rejects a NaN
+// weight when it keeps weights, and keeps ±Inf.
+func TestFromEdgesRejectsNaNWeight(t *testing.T) {
+	edges := []Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: float32(math.NaN())}}
+	if _, err := FromEdges(edges, 3, true); !errors.Is(err, ErrNaNWeight) {
+		t.Fatalf("NaN weight: err = %v, want ErrNaNWeight", err)
+	}
+	if _, err := FromEdges(edges, 3, false); err != nil {
+		t.Fatalf("NaN weight, unweighted: %v", err)
+	}
+	edges[1].Weight = float32(math.Inf(-1))
+	if _, err := FromEdges(edges, 3, true); err != nil {
+		t.Fatalf("-Inf weight: %v", err)
 	}
 }
 

@@ -75,6 +75,10 @@ var noallocRequired = map[string][]string{
 	"internal/core": {
 		"(*dispatcher).scan",
 		"(*dispatcher).fold",
+		"(*dispatcher).foldAll",
+		"(*dispatcher).foldSum",
+		"(*dispatcher).foldMin",
+		"(*dispatcher).foldOr",
 		"(*dispatcher).jumped",
 		"(*dispatcher).runSuperstep",
 		"(*dispatcher).flushDense",

@@ -313,6 +313,9 @@ func (s *sorter) read(r EdgeReader) error {
 		if int64(e.Src) >= s.limit || int64(e.Dst) >= s.limit {
 			return s.rangeError(r, e)
 		}
+		if s.opt.Weighted && math.IsNaN(float64(e.Weight)) {
+			return fmt.Errorf("preprocess: %s: %w", s.where(r), graph.ErrNaNWeight)
+		}
 		if len(s.src) == s.opt.ChunkEdges {
 			if err := s.spill(); err != nil {
 				return err
@@ -339,15 +342,20 @@ func (s *sorter) rangeError(r EdgeReader, e graph.Edge) error {
 	if int64(e.Src) < s.limit {
 		which, id = "destination", e.Dst
 	}
-	where := fmt.Sprintf("edge %d", s.numEdges+1)
-	if p, ok := r.(positioner); ok {
-		where = p.position()
-	}
 	bound := fmt.Sprintf("the id limit %d", graph.MaxVertices)
 	if s.opt.NumVertices > 0 {
 		bound = fmt.Sprintf("NumVertices %d", s.opt.NumVertices)
 	}
-	return fmt.Errorf("preprocess: %s: %s id %d is not below %s", where, which, id, bound)
+	return fmt.Errorf("preprocess: %s: %s id %d is not below %s", s.where(r), which, id, bound)
+}
+
+// where names the edge r returned last: its line, or its ordinal (for a
+// binary edge list, its record).
+func (s *sorter) where(r EdgeReader) string {
+	if p, ok := r.(positioner); ok {
+		return p.position()
+	}
+	return fmt.Sprintf("edge %d", s.numEdges+1)
 }
 
 // place groups the chunk by source into s.placed, keeping input order

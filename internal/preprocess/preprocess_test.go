@@ -507,6 +507,45 @@ func TestRejectsOutOfRangeIDs(t *testing.T) {
 	}
 }
 
+// A NaN weight is rejected on every weighted ingest path, naming its
+// line or record: SSSP's min folds NaN order-dependently, so the graph
+// below ran vertex 3 to +Inf at one dispatcher and to 2 at two. ±Inf
+// stays accepted, and an unweighted conversion drops the column unread.
+func TestRejectsNaNWeights(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "g.gpsa")
+	in := filepath.Join(dir, "in")
+	const text = "0 1 1\n0 2 1\n1 3 1\n1 4 1\n1 5 1\n2 3 NaN\n2 6 1\n2 7 1\n"
+	writeFile(t, in, func(f *os.File) error { _, err := f.WriteString(text); return err })
+	edges, err := readAllText(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(dir, "in.bin")
+	writeFile(t, bin, func(f *os.File) error { return WriteBinaryEdgeList(f, edges, true) })
+	weighted := Options{Weighted: true}
+	for _, c := range []struct {
+		name string
+		conv func() (*Stats, error)
+		want string
+	}{
+		{"text", func() (*Stats, error) { return EdgeListToCSR(in, out, weighted) }, "line 6"},
+		{"binary", func() (*Stats, error) { return BinaryEdgeListToCSR(bin, out, weighted) }, "edge 6"},
+		{"EdgesToCSR", func() (*Stats, error) { return EdgesToCSR(edges, out, weighted) }, "edge 6"},
+	} {
+		if _, err := c.conv(); !errors.Is(err, graph.ErrNaNWeight) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want graph.ErrNaNWeight naming %q", c.name, err, c.want)
+		}
+	}
+	if _, err := EdgeListToCSR(in, out, Options{}); err != nil {
+		t.Errorf("unweighted conversion: %v", err)
+	}
+	inf := []graph.Edge{{Src: 0, Dst: 1, Weight: float32(math.Inf(1))}, {Src: 1, Dst: 0, Weight: float32(math.Inf(-1))}}
+	if _, err := EdgesToCSR(inf, out, weighted); err != nil {
+		t.Errorf("±Inf weights: %v", err)
+	}
+}
+
 func readAllText(input string) ([]graph.Edge, error) {
 	r := newTextEdgeReader(strings.NewReader(input))
 	var edges []graph.Edge
