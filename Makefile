@@ -99,13 +99,16 @@ vet:
 	gofmt -l .
 
 # Out-of-core COST sweep (R-MAT ladder up to paper-scale shapes, core
-# sweep vs single-threaded GraphChi/X-Stream references); writes
-# COST_<rev>.json. Hours-scale at default shapes — see -shapes to trim.
+# sweep vs single-threaded GraphChi/X-Stream references), one run per
+# cell; writes COST_<rev>.json. Hours-scale at default shapes — see
+# -shapes to trim.
 bench-scale:
-	$(GO) run ./cmd/gpsa-bench -exp scale -rev $(REV) -cost-json COST_$(REV).json
+	$(GO) run ./cmd/gpsa-bench -exp scale -runs 1 -rev $(REV) -cost-json COST_$(REV).json
 
 # Regenerate the paper's full evaluation (Table I, Figs 7-11,
-# scalability) at default scales; see EXPERIMENTS.md for recorded output.
+# scalability) at default scales, each cell averaged over 3 runs; see
+# EXPERIMENTS.md for recorded output. `gpsa-bench -graph <file>` runs
+# the same three-system comparison on your own graph.
 repro:
 	$(GO) run ./cmd/gpsa-bench -exp all
 

@@ -9,14 +9,15 @@ import (
 )
 
 // TestCLIEndToEnd builds every command-line tool and drives the full
-// workflow: generate -> preprocess -> run -> cluster -> inspect.
+// workflow: generate -> preprocess -> run -> cluster -> inspect ->
+// compare.
 func TestCLIEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short")
 	}
 	bin := t.TempDir()
 	work := t.TempDir()
-	for _, tool := range []string{"gpsa", "gpsa-gen", "gpsa-preprocess", "gpsa-bench", "gpsa-cluster", "gpsa-inspect", "gpsa-compare"} {
+	for _, tool := range []string{"gpsa", "gpsa-gen", "gpsa-preprocess", "gpsa-bench", "gpsa-cluster", "gpsa-inspect"} {
 		out, err := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool).CombinedOutput()
 		if err != nil {
 			t.Fatalf("building %s: %v\n%s", tool, err, out)
@@ -80,6 +81,37 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("gpsa-inspect output: %s", out)
 	}
 
+	// The three-system comparison on a user's graph: every workload on
+	// every system, each timed against GPSA.
+	out = run("gpsa-bench", "-graph", "g.gpsa", "-runs", "1", "-supersteps", "2")
+	if !strings.Contains(out, "2 supersteps x 1 runs") {
+		t.Fatalf("gpsa-bench -graph output: %s", out)
+	}
+	var header string
+	rows := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		switch f := strings.Fields(line); {
+		case len(f) > 0 && f[0] == "Algo":
+			header = line
+		case len(f) == 6 && header != "":
+			rows[f[0]+"/"+f[1]] = f[5]
+		}
+	}
+	if h := strings.Fields(header); strings.Join(h, " ") != "Algo System Seconds Sec/Step CPU% vs GPSA" {
+		t.Fatalf("gpsa-bench -graph header %q:\n%s", header, out)
+	}
+	for _, alg := range []string{"PageRank", "CC", "BFS"} {
+		for _, sys := range []string{"GPSA", "GraphChi", "X-Stream"} {
+			vs, ok := rows[alg+"/"+sys]
+			if !ok || (sys == "GPSA") != (vs == "-") || (sys != "GPSA" && !strings.HasSuffix(vs, "x")) {
+				t.Fatalf("gpsa-bench -graph: row %s/%s vs GPSA = %q (present %v):\n%s", alg, sys, vs, ok, out)
+			}
+		}
+	}
+	if len(rows) != 9 {
+		t.Fatalf("gpsa-bench -graph printed %d rows, want 9:\n%s", len(rows), out)
+	}
+
 	// Bad invocations must fail loudly.
 	cmd := exec.Command(filepath.Join(bin, "gpsa"), "-graph", "missing.gpsa", "-algo", "pagerank")
 	cmd.Dir = work
@@ -91,9 +123,10 @@ func TestCLIEndToEnd(t *testing.T) {
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Fatalf("gpsa with unknown algorithm succeeded: %s", out)
 	}
-	// An unknown gpsa-bench experiment id, gpsa-compare's removed -bench
-	// flag and a cluster size past the bound are usage errors: exit 2,
-	// gpsa-bench names the valid ids and gpsa-cluster the flag.
+	// An unknown gpsa-bench experiment id, workload or core count and a
+	// cluster size past the bound are usage errors: exit 2 before any
+	// work, gpsa-bench names the valid ids or the flag and gpsa-cluster
+	// the flag.
 	gpath := filepath.Join(work, "g.gpsa")
 	for _, bad := range []struct {
 		args []string
@@ -101,7 +134,8 @@ func TestCLIEndToEnd(t *testing.T) {
 	}{
 		{[]string{"gpsa-bench", "-exp", "nope"}, "scalability, all, scale"},
 		{[]string{"gpsa-bench", "-exp", "hotpath"}, "scalability, all, scale"},
-		{[]string{"gpsa-compare", "-bench", "old.json", "new.json"}, ""},
+		{[]string{"gpsa-bench", "-graph", gpath, "-algo", "nope"}, "pagerank, cc, bfs, all"},
+		{[]string{"gpsa-bench", "-exp", "scale", "-cores", "0"}, "-cores"},
 		{[]string{"gpsa-cluster", "-graph", gpath, "-nodes", "4", "-splits", "2000000000"}, "-splits 2000000000"},
 	} {
 		out, err := exec.Command(filepath.Join(bin, bad.args[0]), bad.args[1:]...).CombinedOutput()

@@ -18,10 +18,11 @@ import (
 // to run to the tree that has to run it: every `gpsa-bench -exp <id>`
 // must be an id this command accepts, every `make <target>` a target in
 // the Makefile's .PHONY list, every Benchmark* name a function some
-// _test.go defines, and every command-line flag one that a repo command
-// declares (see checkDocFlags). A deleted experiment, target, benchmark
-// or flag that a document still advertises fails here, not in a
-// reader's terminal.
+// _test.go defines, every gpsa-<name> command a directory under cmd,
+// and every command-line flag one that a repo command declares (see
+// checkDocFlags). A deleted experiment, target, benchmark, command or
+// flag that a document still advertises fails here, not in a reader's
+// terminal.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	root := filepath.Join("..", "..")
 	docs, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
@@ -141,14 +142,17 @@ func declaredFlags(t *testing.T, cmdDir string) map[string][]string {
 }
 
 var (
+	cmdWordRe  = regexp.MustCompile(`^gpsa-[a-z]+$`)
 	flagRe     = regexp.MustCompile(`(?:^|[\s\[(])--?([a-zA-Z][\w-]*)`)
 	shellSepRe = regexp.MustCompile(`&&|\|\||[|;&]`)
 )
 
-// checkDocFlags holds a document's command lines to the flags the
-// commands declare. A repo command is a cmd directory's name, as a bare
+// checkDocFlags holds a document's command lines to the commands and
+// flags that exist. A repo command is a cmd directory's name, as a bare
 // word or the last element of a path (`gpsa`, `./cmd/gpsa`,
-// `/tmp/gpsa`). Every -flag that follows one within a backtick span, or
+// `/tmp/gpsa`); a gpsa-<name> word or path with no such directory is an
+// error (`pokec.gpsa-sym` is a file, not a command). Every -flag that
+// follows a repo command within a backtick span, or
 // within one line of a fenced block (backslash continuations joined,
 // shell comments dropped, up to the next |, ;, & or &&), must be
 // declared by that command's main.go. A span that is only a flag
@@ -168,6 +172,10 @@ func checkDocFlags(t *testing.T, doc, text string, flags map[string][]string) {
 		for i, f := range fields {
 			cmd := f[strings.LastIndex(f, "/")+1:]
 			valid, ok := flags[cmd]
+			if !ok && cmdWordRe.MatchString(cmd) {
+				t.Errorf("%s: %q names %s, which is not a directory under cmd", doc, strings.Join(fields, " "), cmd)
+				return
+			}
 			if !ok {
 				continue
 			}

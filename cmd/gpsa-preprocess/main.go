@@ -65,12 +65,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gpsa-preprocess: %v\n", err)
 			os.Exit(1)
 		}
-		sym, err := symmetrizeFile(f, *weighted)
+		g, err := f.CSR()
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gpsa-preprocess: %v\n", err)
 			os.Exit(1)
 		}
+		sym := g.Symmetrize()
 		symPath := symName(*out)
 		if err := graph.WriteFile(symPath, sym); err != nil {
 			fmt.Fprintf(os.Stderr, "gpsa-preprocess: %v\n", err)
@@ -86,29 +87,4 @@ func symName(out string) string {
 		return out[:len(out)-len(ext)] + "-sym" + ext
 	}
 	return out + "-sym"
-}
-
-// symmetrizeFile rebuilds an in-memory CSR from the on-disk file and
-// doubles its edges.
-func symmetrizeFile(f *graph.File, weighted bool) (*graph.CSR, error) {
-	edges := make([]graph.Edge, 0, f.NumEdges)
-	c := f.Cursor(f.WholeInterval())
-	for {
-		v, deg, raw, ok := c.Next()
-		if !ok {
-			break
-		}
-		for i := 0; i < int(deg); i++ {
-			d, w := graph.DecodeEdge(raw, i, f.Weighted())
-			edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: d, Weight: w})
-		}
-	}
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	g, err := graph.FromEdges(edges, f.NumVertices, weighted)
-	if err != nil {
-		return nil, err
-	}
-	return g.Symmetrize(), nil
 }

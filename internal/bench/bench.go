@@ -1,11 +1,14 @@
 // Package bench regenerates the paper's evaluation: Table I (datasets),
 // Figures 7–10 (PageRank / Connected Components / BFS runtimes on four
-// graphs across GPSA, GraphChi and X-Stream) and Figure 11 (CPU
-// utilization), plus the actor-count scalability sweep and the
-// out-of-core COST ladder. It gates nothing: the numbers a change is
-// judged by come from the repository benchmark (benchmark/).
+// graphs across GPSA, GraphChi and X-Stream), Figure 11 (CPU
+// utilization), the actor-count scalability sweep, the out-of-core COST
+// ladder and the same three-system comparison on a user's own graph. It
+// gates nothing: the numbers a change is judged by come from the
+// repository benchmark (benchmark/).
 //
-// Methodology follows §VI-B: each measurement is the elapsed time of (up
+// Every experiment but Table I is a list of cells — (graph, workload,
+// system, GPSA configuration, cores) — measured by one runner. The
+// methodology follows §VI-B: each measurement is the elapsed time of (up
 // to) five supersteps, averaged over three runs, on R-MAT graphs shaped
 // like Table I at a recorded scale factor. Preprocessing (CSR conversion,
 // sharding, partitioning) is excluded from timings, as in the paper.
@@ -55,23 +58,23 @@ const (
 // AllAlgos is the paper's workload set.
 var AllAlgos = []Algo{AlgoPageRank, AlgoCC, AlgoBFS}
 
-// Options configures one figure run.
-type Options struct {
-	Dataset    gen.Dataset
-	Scale      int64 // divide the dataset dimensions by this factor
-	Seed       int64
-	Supersteps int // measurement length (default 5, the paper's)
-	Runs       int // averaging runs (default 3, the paper's)
-	WorkDir    string
-	Systems    []System
-	Algos      []Algo
+// Baseline engine geometry: GraphChi shards and X-Stream partitions.
+const (
+	shards     = 4
+	partitions = 4
+)
 
-	// Shards and Partitions size the baselines (defaults 4 and 4).
-	Shards     int
-	Partitions int
-	// GPSA worker counts (0 = engine defaults).
-	Dispatchers int
-	Computers   int
+// Options sets how every experiment measures.
+type Options struct {
+	Seed       int64  // dataset generator seed
+	Supersteps int    // measured supersteps per run (default 5, the paper's)
+	Runs       int    // runs averaged per cell (default 3, the paper's)
+	WorkDir    string // scratch directory (default: a temporary one, removed afterwards)
+	Algos      []Algo // workloads of a comparison or the scale sweep (default AllAlgos)
+	// MemLimit is the Go soft heap cap in bytes on the scale sweep's
+	// GPSA runs (default 1 GiB). It keeps the sweep out-of-core honest:
+	// graph data must come from the disk mappings, not a heap copy.
+	MemLimit int64
 }
 
 func (o Options) withDefaults() Options {
@@ -81,95 +84,98 @@ func (o Options) withDefaults() Options {
 	if o.Runs <= 0 {
 		o.Runs = 3
 	}
-	if o.Scale <= 0 {
-		o.Scale = 1
-	}
-	if len(o.Systems) == 0 {
-		o.Systems = AllSystems
-	}
 	if len(o.Algos) == 0 {
 		o.Algos = AllAlgos
 	}
-	if o.Shards <= 0 {
-		o.Shards = 4
-	}
-	if o.Partitions <= 0 {
-		o.Partitions = 4
+	if o.MemLimit <= 0 {
+		o.MemLimit = 1 << 30
 	}
 	return o
 }
 
-// Cell is one bar of a figure: a (system, algorithm) measurement.
-type Cell struct {
-	System     System
-	Algo       Algo
-	Seconds    float64 // elapsed seconds for the measured supersteps, averaged
-	PerStep    float64 // Seconds / supersteps executed
-	Supersteps int
-	CPUPercent float64 // average CPU utilization during the run
-	Runs       int
-}
-
-// FigureResult holds every cell of one figure.
-type FigureResult struct {
-	Dataset gen.Dataset // scaled dimensions
-	Scale   int64
-	Cells   []Cell
-}
-
-// Artifacts holds the preprocessed on-disk inputs shared by runs.
-type Artifacts struct {
-	Dir     string
-	G       *graph.CSR // directed graph (PageRank, BFS)
-	GSym    *graph.CSR // symmetrized (CC)
-	CSRPath string
-	CSRSym  string
-	XS      *xstream.Layout
-	XSSym   *xstream.Layout
-	BFSRoot graph.VertexID
-}
-
-// BuildArtifacts generates the scaled dataset and preprocesses it for
-// every engine (GraphChi shards are program-specific and built per run).
-func BuildArtifacts(ds gen.Dataset, scale, seed int64, dir string) (*Artifacts, error) {
-	return BuildArtifactsK(ds, scale, seed, dir, 4)
-}
-
-// BuildArtifactsK is BuildArtifacts with an explicit X-Stream partition
-// count.
-func BuildArtifactsK(ds gen.Dataset, scale, seed int64, dir string, partitions int) (*Artifacts, error) {
-	scaled := ds.Scaled(scale)
-	g, err := scaled.Generate(seed)
-	if err != nil {
-		return nil, err
+// workDir returns dir, or a fresh temporary directory when dir is empty,
+// and the function that removes what it created.
+func workDir(dir string) (string, func(), error) {
+	if dir != "" {
+		return dir, func() {}, nil
 	}
-	return BuildArtifactsFromCSR(g, dir, partitions)
+	tmp, err := os.MkdirTemp("", "gpsa-bench-*")
+	if err != nil {
+		return "", nil, err
+	}
+	return tmp, func() { os.RemoveAll(tmp) }, nil
 }
 
-// BuildArtifactsFromCSR preprocesses an arbitrary in-memory graph (e.g. a
-// user's own dataset) for every engine.
-func BuildArtifactsFromCSR(g *graph.CSR, dir string, partitions int) (*Artifacts, error) {
+// Row is one measured cell: its coordinates and the average of its runs.
+// Its JSON form is a cell of COST_<rev>.json.
+type Row struct {
+	Shape  string `json:"shape"`
+	Algo   Algo   `json:"algo"`
+	System System `json:"system"`
+	Cores  int    `json:"cores"` // GOMAXPROCS of the runs (0 = the process's)
+	// Dispatchers and Computers are the pool a GPSA run ran.
+	Dispatchers int     `json:"-"`
+	Computers   int     `json:"-"`
+	Seconds     float64 `json:"seconds"` // elapsed seconds of the measured supersteps
+	Supersteps  int     `json:"supersteps"`
+	Messages    int64   `json:"messages,omitempty"`     // GPSA: messages generated
+	MsgsPerSec  float64 `json:"msgs_per_sec,omitempty"` // GPSA
+	AllocBytes  uint64  `json:"alloc_bytes,omitempty"`  // GPSA: heap allocated during a run
+	CPUPercent  float64 `json:"-"`                      // average CPU utilization during a run
+}
+
+// PerStep is the average seconds per executed superstep.
+func (r Row) PerStep() float64 {
+	if r.Supersteps == 0 {
+		return 0
+	}
+	return r.Seconds / float64(r.Supersteps)
+}
+
+// artifacts holds one graph preprocessed for every engine (GraphChi
+// shards are program-specific and built per run).
+type artifacts struct {
+	name      string
+	dir       string
+	g, gsym   *graph.CSR // directed (PageRank, BFS) and symmetrized (CC)
+	csr, csrS string
+	xs, xsS   *xstream.Layout
+	bfsRoot   graph.VertexID
+}
+
+// newArtifacts writes g, named name, into dir for every engine.
+func newArtifacts(name string, g *graph.CSR, dir string) (*artifacts, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	a := &Artifacts{Dir: dir, G: g, GSym: g.Symmetrize()}
-	a.CSRPath = filepath.Join(dir, "graph.gpsa")
-	a.CSRSym = filepath.Join(dir, "graph-sym.gpsa")
-	if err := graph.WriteFile(a.CSRPath, a.G); err != nil {
+	a := &artifacts{
+		name: name, dir: dir, g: g, gsym: g.Symmetrize(),
+		csr: filepath.Join(dir, "graph.gpsa"), csrS: filepath.Join(dir, "graph-sym.gpsa"),
+		bfsRoot: maxDegreeVertex(g),
+	}
+	if err := graph.WriteFile(a.csr, a.g); err != nil {
 		return nil, err
 	}
-	if err := graph.WriteFile(a.CSRSym, a.GSym); err != nil {
+	if err := graph.WriteFile(a.csrS, a.gsym); err != nil {
 		return nil, err
 	}
 	var err error
-	if a.XS, err = xstream.Preprocess(a.G, filepath.Join(dir, "xs"), partitions); err != nil {
+	if a.xs, err = xstream.Preprocess(a.g, filepath.Join(dir, "xs"), partitions); err != nil {
 		return nil, err
 	}
-	if a.XSSym, err = xstream.Preprocess(a.GSym, filepath.Join(dir, "xs-sym"), partitions); err != nil {
+	if a.xsS, err = xstream.Preprocess(a.gsym, filepath.Join(dir, "xs-sym"), partitions); err != nil {
 		return nil, err
 	}
-	a.BFSRoot = maxDegreeVertex(g)
 	return a, nil
+}
+
+// generated builds the artifacts of the R-MAT graph shaped like ds.
+func generated(ds gen.Dataset, seed int64, dir string) (*artifacts, error) {
+	g, err := ds.Generate(seed)
+	if err != nil {
+		return nil, fmt.Errorf("bench: generating %s: %w", ds.Name, err)
+	}
+	return newArtifacts(ds.Name, g, dir)
 }
 
 // maxDegreeVertex picks the BFS root: the vertex with the largest
@@ -186,133 +192,130 @@ func maxDegreeVertex(g *graph.CSR) graph.VertexID {
 	return best
 }
 
-// RunFigure measures every (system, algorithm) cell for one dataset —
-// one of the paper's Figures 7–10 (and, with the CPU column, Fig. 11).
-func RunFigure(opts Options) (*FigureResult, error) {
-	opts = opts.withDefaults()
-	if opts.WorkDir == "" {
-		dir, err := os.MkdirTemp("", "gpsa-bench-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		opts.WorkDir = dir
-	}
-	a, err := BuildArtifactsK(opts.Dataset, opts.Scale, opts.Seed, opts.WorkDir, opts.Partitions)
-	if err != nil {
-		return nil, err
-	}
-	res := &FigureResult{Dataset: opts.Dataset.Scaled(opts.Scale), Scale: opts.Scale}
-	for _, alg := range opts.Algos {
-		for _, sys := range opts.Systems {
-			cell, err := MeasureCell(a, sys, alg, opts)
+// cell is one measurement: a workload on one system over one graph, run
+// at GOMAXPROCS cores (0 = the process's). GPSA cells also carry the
+// engine configuration (the runner sets MaxSupersteps) and a Go soft
+// heap cap in bytes (0 = none).
+type cell struct {
+	arts     *artifacts
+	algo     Algo
+	system   System
+	cfg      core.Config
+	cores    int
+	memLimit int64
+}
+
+// measure is the runner: it runs every cell opts.Runs times, in order,
+// and returns one row per cell averaging its runs (§VI-B).
+func measure(cells []cell, opts Options) ([]Row, error) {
+	rows := make([]Row, 0, len(cells))
+	for _, c := range cells {
+		row := Row{Shape: c.arts.name, Algo: c.algo, System: c.system, Cores: c.cores}
+		for r := 0; r < opts.Runs; r++ {
+			out, err := c.run(r, opts.Supersteps)
 			if err != nil {
-				return nil, fmt.Errorf("bench: %s/%s: %w", sys, alg, err)
+				return nil, fmt.Errorf("bench: %s/%s/%s: %w", row.Shape, c.system, c.algo, err)
 			}
-			res.Cells = append(res.Cells, cell)
+			row.Seconds += out.sample.Wall.Seconds()
+			row.CPUPercent += out.sample.Percent
+			row.AllocBytes += out.alloc
+			row.Supersteps = out.supersteps
+			if res := out.gpsa; res != nil {
+				row.Messages = res.Messages
+				row.Dispatchers, row.Computers = len(res.DispatcherMessages), len(res.ComputerUpdates)
+			}
 		}
+		row.Seconds /= float64(opts.Runs)
+		row.CPUPercent /= float64(opts.Runs)
+		row.AllocBytes /= uint64(opts.Runs)
+		if row.Seconds > 0 {
+			row.MsgsPerSec = float64(row.Messages) / row.Seconds
+		}
+		rows = append(rows, row)
 	}
-	return res, nil
+	return rows, nil
 }
 
-// MeasureCell runs one (system, algorithm) measurement, averaging
-// opts.Runs runs.
-func MeasureCell(a *Artifacts, sys System, alg Algo, opts Options) (Cell, error) {
-	opts = opts.withDefaults()
-	cell := Cell{System: sys, Algo: alg, Runs: opts.Runs}
-	for r := 0; r < opts.Runs; r++ {
-		var steps int
-		var err error
-		sample := metrics.CPUSample{}
-		run := func() error {
-			switch sys {
-			case SysGPSA:
-				prog, path := gpsaProgram(a, alg)
-				vpath := filepath.Join(a.Dir, fmt.Sprintf("values-%d.gpvf", r))
-				cfg := core.Config{MaxSupersteps: opts.Supersteps, Dispatchers: opts.Dispatchers, Computers: opts.Computers}
-				var res *core.Result
-				if res, sample, _, err = runGPSA(prog, path, vpath, cfg, 0); err == nil {
-					steps = res.Supersteps
-				}
-			case SysGraphChi:
-				steps, err = runGraphChi(a, alg, opts, r, &sample)
-			case SysXStream:
-				steps, err = runXStream(a, alg, opts, r, &sample)
-			default:
-				err = fmt.Errorf("unknown system %q", sys)
-			}
-			return err
-		}
-		if err := run(); err != nil {
-			return cell, err
-		}
-		cell.Seconds += sample.Wall.Seconds()
-		cell.CPUPercent += sample.Percent
-		cell.Supersteps = steps
-	}
-	cell.Seconds /= float64(opts.Runs)
-	cell.CPUPercent /= float64(opts.Runs)
-	if cell.Supersteps > 0 {
-		cell.PerStep = cell.Seconds / float64(cell.Supersteps)
-	}
-	return cell, nil
+// outcome is what one measured engine run reports.
+type outcome struct {
+	sample     metrics.CPUSample
+	supersteps int
+	gpsa       *core.Result // GPSA runs only
+	alloc      uint64       // GPSA runs only: heap bytes the run allocated
 }
 
-func gpsaProgram(a *Artifacts, alg Algo) (core.Program, string) {
+// run is the r-th measured run of c (r names its scratch files).
+func (c cell) run(r, supersteps int) (outcome, error) {
+	if c.cores > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.cores))
+	}
+	switch c.system {
+	case SysGPSA:
+		cfg := c.cfg
+		cfg.MaxSupersteps = supersteps
+		prog, path := c.arts.gpsaProgram(c.algo)
+		return runGPSA(prog, path, filepath.Join(c.arts.dir, fmt.Sprintf("values-%d.gpvf", r)), cfg, c.memLimit)
+	case SysGraphChi:
+		return runGraphChi(c.arts, c.algo, supersteps, r)
+	default:
+		return runXStream(c.arts, c.algo, supersteps)
+	}
+}
+
+func (a *artifacts) gpsaProgram(alg Algo) (core.Program, string) {
 	switch alg {
 	case AlgoPageRank:
-		return algorithms.PageRank{}, a.CSRPath
+		return algorithms.PageRank{}, a.csr
 	case AlgoCC:
-		return algorithms.ConnectedComponents{}, a.CSRSym
+		return algorithms.ConnectedComponents{}, a.csrS
 	default:
-		return algorithms.BFS{Root: a.BFSRoot}, a.CSRPath
+		return algorithms.BFS{Root: a.bfsRoot}, a.csr
 	}
 }
 
 // runGPSA is the one measured GPSA run: the CSR at csr opened from
 // disk, values in a fresh on-disk file at vpath (removed afterwards),
-// the engine run under a soft heap cap of memLimit bytes (0 = none). It
-// returns the result, the run's wall and CPU sample, and the heap bytes
-// the run allocated.
-func runGPSA(prog core.Program, csr, vpath string, cfg core.Config, memLimit int64) (res *core.Result, sample metrics.CPUSample, alloc uint64, err error) {
+// the engine run under a soft heap cap of memLimit bytes (0 = none).
+func runGPSA(prog core.Program, csr, vpath string, cfg core.Config, memLimit int64) (outcome, error) {
 	gf, err := graph.OpenFile(csr, mmap.ModeAuto)
 	if err != nil {
-		return nil, sample, 0, err
+		return outcome{}, err
 	}
 	defer gf.Close() //lint:syncerr benchmark harness teardown of scratch files; no durability contract
 	vf, err := vertexfile.Create(vpath, gf.NumVertices, prog.Init)
 	if err != nil {
-		return nil, sample, 0, err
+		return outcome{}, err
 	}
 	defer os.Remove(vpath)
 	defer vf.Close() //lint:syncerr benchmark harness teardown of scratch files; no durability contract
 	eng, err := core.New(gf, vf, prog, cfg)
 	if err != nil {
-		return nil, sample, 0, err
+		return outcome{}, err
 	}
 	if memLimit > 0 {
 		defer debug.SetMemoryLimit(debug.SetMemoryLimit(memLimit))
 		runtime.GC() // start the capped run from a collected heap
 	}
 	var before, after runtime.MemStats
+	var res *core.Result
 	runtime.ReadMemStats(&before)
-	sample = metrics.MeasureCPU(func() {
+	sample := metrics.MeasureCPU(func() {
 		res, err = eng.Run()
 	})
 	runtime.ReadMemStats(&after)
 	if err != nil {
-		return nil, sample, 0, err
+		return outcome{}, err
 	}
-	return res, sample, after.TotalAlloc - before.TotalAlloc, nil
+	return outcome{sample: sample, supersteps: res.Supersteps, gpsa: res, alloc: after.TotalAlloc - before.TotalAlloc}, nil
 }
 
-func runGraphChi(a *Artifacts, alg Algo, opts Options, r int, sample *metrics.CPUSample) (int, error) {
+func runGraphChi(a *artifacts, alg Algo, supersteps, r int) (outcome, error) {
 	// Shards carry mutable per-program edge values, so each run reshards
 	// (untimed, like the paper's excluded preprocessing).
-	dir := filepath.Join(a.Dir, fmt.Sprintf("chi-%s-%d", alg, r))
+	dir := filepath.Join(a.dir, fmt.Sprintf("chi-%s-%d", alg, r))
 	var prog graphchi.Program
 	var init graphchi.EdgeInit
-	g := a.G
+	g := a.g
 	switch alg {
 	case AlgoPageRank:
 		p := algorithms.ChiPageRank{}
@@ -320,54 +323,54 @@ func runGraphChi(a *Artifacts, alg Algo, opts Options, r int, sample *metrics.CP
 	case AlgoCC:
 		p := algorithms.ChiCC{}
 		prog, init = p, p.EdgeInit
-		g = a.GSym
+		g = a.gsym
 	default:
-		p := algorithms.ChiBFS{Root: a.BFSRoot}
+		p := algorithms.ChiBFS{Root: a.bfsRoot}
 		prog, init = p, p.EdgeInit
 	}
-	layout, err := graphchi.Shard(g, dir, opts.Shards, init)
+	layout, err := graphchi.Shard(g, dir, shards, init)
 	if err != nil {
-		return 0, err
+		return outcome{}, err
 	}
 	defer os.RemoveAll(dir)
-	eng, err := graphchi.NewEngine(layout, prog, graphchi.Config{MaxSupersteps: opts.Supersteps})
+	eng, err := graphchi.NewEngine(layout, prog, graphchi.Config{MaxSupersteps: supersteps})
 	if err != nil {
-		return 0, err
+		return outcome{}, err
 	}
 	defer eng.Close() //lint:syncerr benchmark harness teardown of scratch files; no durability contract
 	var res *graphchi.Result
-	*sample = metrics.MeasureCPU(func() {
+	sample := metrics.MeasureCPU(func() {
 		res, err = eng.Run()
 	})
 	if err != nil {
-		return 0, err
+		return outcome{}, err
 	}
-	return res.Supersteps, nil
+	return outcome{sample: sample, supersteps: res.Supersteps}, nil
 }
 
-func runXStream(a *Artifacts, alg Algo, opts Options, r int, sample *metrics.CPUSample) (int, error) {
+func runXStream(a *artifacts, alg Algo, supersteps int) (outcome, error) {
 	var prog core.Program
-	layout := a.XS
+	layout := a.xs
 	switch alg {
 	case AlgoPageRank:
 		prog = algorithms.PageRank{}
 	case AlgoCC:
 		prog = algorithms.ConnectedComponents{}
-		layout = a.XSSym
+		layout = a.xsS
 	default:
-		prog = algorithms.BFS{Root: a.BFSRoot}
+		prog = algorithms.BFS{Root: a.bfsRoot}
 	}
-	eng, err := xstream.NewEngine(layout, prog, xstream.Config{MaxSupersteps: opts.Supersteps})
+	eng, err := xstream.NewEngine(layout, prog, xstream.Config{MaxSupersteps: supersteps})
 	if err != nil {
-		return 0, err
+		return outcome{}, err
 	}
 	defer eng.Close() //lint:syncerr benchmark harness teardown of scratch files; no durability contract
 	var res *xstream.Result
-	*sample = metrics.MeasureCPU(func() {
+	sample := metrics.MeasureCPU(func() {
 		res, err = eng.Run()
 	})
 	if err != nil {
-		return 0, err
+		return outcome{}, err
 	}
-	return res.Supersteps, nil
+	return outcome{sample: sample, supersteps: res.Supersteps}, nil
 }

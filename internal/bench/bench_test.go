@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -9,28 +8,22 @@ import (
 	"repro/internal/gen"
 )
 
-// tinyOpts keeps unit-test runs fast: the google dataset at 1/512 scale
-// is ~1.7k vertices and ~10k edges.
+// tinyOpts keeps unit-test runs fast: one run per cell, and the google
+// dataset at 1/512 scale is ~1.7k vertices and ~10k edges.
 func tinyOpts(t *testing.T) Options {
 	t.Helper()
-	return Options{
-		Dataset: gen.Google,
-		Scale:   512,
-		Seed:    1,
-		Runs:    1,
-		WorkDir: t.TempDir(),
-	}
+	return Options{Seed: 1, Runs: 1, WorkDir: t.TempDir()}
 }
 
 func TestRunFigureProducesAllCells(t *testing.T) {
-	res, err := RunFigure(tinyOpts(t))
+	res, err := RunFigure(gen.Google, 512, tinyOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells) != len(AllSystems)*len(AllAlgos) {
-		t.Fatalf("%d cells, want %d", len(res.Cells), len(AllSystems)*len(AllAlgos))
+	if len(res.Rows) != len(AllSystems)*len(AllAlgos) {
+		t.Fatalf("%d rows, want %d", len(res.Rows), len(AllSystems)*len(AllAlgos))
 	}
-	for _, c := range res.Cells {
+	for _, c := range res.Rows {
 		if c.Seconds <= 0 {
 			t.Fatalf("cell %s/%s has non-positive time %g", c.System, c.Algo, c.Seconds)
 		}
@@ -51,14 +44,18 @@ func TestRunFigureProducesAllCells(t *testing.T) {
 
 func TestRunFigureSubsetSelection(t *testing.T) {
 	opts := tinyOpts(t)
-	opts.Systems = []System{SysGPSA}
 	opts.Algos = []Algo{AlgoBFS}
-	res, err := RunFigure(opts)
+	res, err := RunFigure(gen.Google, 512, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells) != 1 || res.Cells[0].System != SysGPSA || res.Cells[0].Algo != AlgoBFS {
-		t.Fatalf("cells = %+v", res.Cells)
+	if len(res.Rows) != len(AllSystems) {
+		t.Fatalf("rows = %+v", res.Rows)
+	}
+	for i, r := range res.Rows {
+		if r.System != AllSystems[i] || r.Algo != AlgoBFS {
+			t.Fatalf("row %d = %+v, want %s/%s", i, r, AllSystems[i], AlgoBFS)
+		}
 	}
 }
 
@@ -85,30 +82,27 @@ func TestRunTable1(t *testing.T) {
 }
 
 func TestRunScalability(t *testing.T) {
-	pts, err := RunScalability(ScalabilityOptions{
-		Dataset: gen.Google,
-		Scale:   512,
-		Seed:    1,
-		Runs:    1,
-		Actors:  []int{2, 8, 128},
-		WorkDir: t.TempDir(),
-	})
+	actors := []int{2, 8, 128}
+	rows, err := RunScalability(gen.Google, 512, actors, tinyOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 3 {
-		t.Fatalf("%d points, want 3", len(pts))
+	if len(rows) != len(actors) {
+		t.Fatalf("%d rows, want %d", len(rows), len(actors))
 	}
-	for _, p := range pts {
-		if p.Seconds <= 0 || p.Speedup <= 0 {
-			t.Fatalf("degenerate point %+v", p)
+	// The engine may run fewer dispatchers than asked (no more than the
+	// graph's intervals), never fewer computers.
+	for i, r := range rows {
+		if n := actors[i]; r.Seconds <= 0 || r.Computers != n-n/2 || r.Dispatchers < 1 || r.Dispatchers > n/2 {
+			t.Fatalf("degenerate row %+v for %d actors", r, n)
 		}
 	}
-	if pts[0].Speedup != 1 {
-		t.Fatalf("baseline speedup = %g, want 1", pts[0].Speedup)
+	lines := strings.Split(FormatScalability(rows), "\n")
+	if !strings.Contains(lines[0], "Actors") {
+		t.Fatalf("format missing header:\n%s", lines[0])
 	}
-	if out := FormatScalability(pts); !strings.Contains(out, "Actors") {
-		t.Fatalf("format missing header:\n%s", out)
+	if f := strings.Fields(lines[1]); f[2] != "1.00x" {
+		t.Fatalf("baseline speedup = %s, want 1.00x", f[2])
 	}
 }
 
@@ -125,7 +119,7 @@ func TestPaperFiguresCatalog(t *testing.T) {
 }
 
 func TestSpeedupComputation(t *testing.T) {
-	r := &FigureResult{Cells: []Cell{
+	r := &FigureResult{Rows: []Row{
 		{System: SysGPSA, Algo: AlgoCC, Seconds: 2},
 		{System: SysXStream, Algo: AlgoCC, Seconds: 12},
 	}}
@@ -139,21 +133,25 @@ func TestSpeedupComputation(t *testing.T) {
 }
 
 // TestScaleRunsDefaultPool pins the COST sweep to the pool a user gets:
-// a scale cell at c cores runs core.DefaultPool(c), not a fraction of it.
+// a scale cell at c cores runs core.DefaultPool(c), not a fraction of it,
+// while the references run single-threaded.
 func TestScaleRunsDefaultPool(t *testing.T) {
-	a, err := BuildArtifacts(gen.Google, 512, 1, t.TempDir())
+	const cores = 2
+	rep, err := RunScale([]gen.Dataset{gen.Google.Scaled(512)}, []int{cores}, tinyOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const cores = 2
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cores))
-	res, _, err := scaleRun(a, AlgoPageRank, ScaleOptions{}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
+	if want := len(AllAlgos) * 3; len(rep.Cells) != want {
+		t.Fatalf("%d cells, want %d", len(rep.Cells), want)
 	}
 	d, c := core.DefaultPool(cores)
-	if len(res.DispatcherMessages) != d || len(res.ComputerUpdates) != c {
-		t.Fatalf("scale run at %d cores ran %d×%d, want core.DefaultPool's %d×%d",
-			cores, len(res.DispatcherMessages), len(res.ComputerUpdates), d, c)
+	for _, r := range rep.Cells {
+		switch {
+		case r.System != SysGPSA && r.Cores != 1:
+			t.Fatalf("reference %s/%s ran at %d cores, want 1", r.System, r.Algo, r.Cores)
+		case r.System == SysGPSA && (r.Cores != cores || r.Dispatchers != d || r.Computers != c):
+			t.Fatalf("scale run at %d cores ran %d×%d, want core.DefaultPool's %d×%d",
+				r.Cores, r.Dispatchers, r.Computers, d, c)
+		}
 	}
 }

@@ -9,9 +9,10 @@ import (
 func sampleFigure() *FigureResult {
 	return &FigureResult{
 		Scale: 4,
-		Cells: []Cell{
-			{System: SysGPSA, Algo: AlgoCC, Seconds: 1.5, PerStep: 0.3, Supersteps: 5, CPUPercent: 80, Runs: 3},
-			{System: SysXStream, Algo: AlgoCC, Seconds: 3, PerStep: 0.6, Supersteps: 5, CPUPercent: 99, Runs: 3},
+		Runs:  3,
+		Rows: []Row{
+			{System: SysGPSA, Algo: AlgoCC, Seconds: 1.5, Supersteps: 5, CPUPercent: 80},
+			{System: SysXStream, Algo: AlgoCC, Seconds: 3, Supersteps: 5, CPUPercent: 99},
 		},
 	}
 }

@@ -3,7 +3,64 @@ package bench
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
 )
+
+// FigureResult is a comparison: every workload on the three systems over
+// one graph, as in one of the paper's Figures 7–10.
+type FigureResult struct {
+	Dataset gen.Dataset // the graph's name and size (a figure's scaled dimensions)
+	Scale   int64       // a figure's scale denominator (1 for a user's graph)
+	Runs    int
+	BFSRoot graph.VertexID
+	Rows    []Row
+}
+
+// RunFigure measures one of Figures 7–10: the R-MAT graph shaped like ds
+// at 1/scale.
+func RunFigure(ds gen.Dataset, scale int64, opts Options) (*FigureResult, error) {
+	scaled := ds.Scaled(scale)
+	g, err := scaled.Generate(opts.Seed)
+	if err != nil {
+		return nil, err
+	}
+	res, err := RunGraph(scaled.Name, g, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Dataset, res.Scale = scaled, max(scale, 1)
+	return res, nil
+}
+
+// RunGraph measures opts.Algos on the three systems over g, named name.
+func RunGraph(name string, g *graph.CSR, opts Options) (*FigureResult, error) {
+	opts = opts.withDefaults()
+	dir, cleanup, err := workDir(opts.WorkDir)
+	if err != nil {
+		return nil, err
+	}
+	defer cleanup()
+	a, err := newArtifacts(name, g, dir)
+	if err != nil {
+		return nil, err
+	}
+	var cells []cell
+	for _, alg := range opts.Algos {
+		for _, sys := range AllSystems {
+			cells = append(cells, cell{arts: a, algo: alg, system: sys})
+		}
+	}
+	rows, err := measure(cells, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &FigureResult{
+		Dataset: gen.Dataset{Name: name, Vertices: g.NumVertices, Edges: g.NumEdges},
+		Scale:   1, Runs: opts.Runs, BFSRoot: a.bfsRoot, Rows: rows,
+	}, nil
+}
 
 // PaperFigure describes what the paper reports for one figure, so runs
 // can print expectation next to measurement.
@@ -32,21 +89,20 @@ func FigureForDataset(name string) (PaperFigure, bool) {
 	return PaperFigure{}, false
 }
 
-// cell lookup helper.
-func (r *FigureResult) cell(sys System, alg Algo) (Cell, bool) {
-	for _, c := range r.Cells {
+func (r *FigureResult) row(sys System, alg Algo) (Row, bool) {
+	for _, c := range r.Rows {
 		if c.System == sys && c.Algo == alg {
 			return c, true
 		}
 	}
-	return Cell{}, false
+	return Row{}, false
 }
 
 // Speedup returns how many times faster GPSA is than sys on alg
 // (values < 1 mean GPSA is slower).
 func (r *FigureResult) Speedup(sys System, alg Algo) (float64, bool) {
-	g, ok1 := r.cell(SysGPSA, alg)
-	o, ok2 := r.cell(sys, alg)
+	g, ok1 := r.row(SysGPSA, alg)
+	o, ok2 := r.row(sys, alg)
 	if !ok1 || !ok2 || g.Seconds == 0 {
 		return 0, false
 	}
@@ -68,12 +124,12 @@ func FormatFigure(id string, r *FigureResult) string {
 	fmt.Fprintf(&b, "%-10s %-10s %12s %12s %8s %8s\n", "Algo", "System", "Seconds", "Sec/Step", "Steps", "CPU%")
 	for _, alg := range AllAlgos {
 		for _, sys := range AllSystems {
-			c, ok := r.cell(sys, alg)
+			c, ok := r.row(sys, alg)
 			if !ok {
 				continue
 			}
 			fmt.Fprintf(&b, "%-10s %-10s %12.4f %12.4f %8d %7.1f%%\n",
-				alg, sys, c.Seconds, c.PerStep, c.Supersteps, c.CPUPercent)
+				alg, sys, c.Seconds, c.PerStep(), c.Supersteps, c.CPUPercent)
 		}
 		if su1, ok := r.Speedup(SysGraphChi, alg); ok {
 			su2, _ := r.Speedup(SysXStream, alg)

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/diskio"
 	"repro/internal/gen"
 )
@@ -24,67 +23,9 @@ import (
 // GraphChi and X-Stream reference engines on the same inputs. The crossover core
 // count per algorithm is the COST metric, recorded in COST_<rev>.json.
 
-// ScaleOptions configures the scale sweep.
-type ScaleOptions struct {
-	// Shapes are the dataset shapes to sweep, in increasing size; the
-	// crossover summary is computed on the last (largest) one.
-	Shapes []gen.Dataset
-	Seed   int64
-	// Supersteps per measured run (default 5, the paper's).
-	Supersteps int
-	// Runs per cell; the best run counts (default 1 — the sweep is
-	// large and disk-bound, re-run for error bars instead).
-	Runs    int
-	WorkDir string
-	// Cores is the GPSA core sweep (default: powers of two up to
-	// NumCPU, NumCPU included). Each entry bounds GOMAXPROCS for the
-	// run; references always run single-threaded.
-	Cores []int
-	// MemLimit is the Go soft heap cap in bytes enforced on the
-	// measured GPSA runs (default 1 GiB): the explicit memory cap
-	// that keeps the sweep out-of-core honest — graph data must come
-	// from the disk mappings, not a heap-resident copy. References
-	// run uncapped, which only flatters them (a conservative COST).
-	MemLimit int64
-	Algos    []Algo
-	Rev      string
-}
-
-func (o ScaleOptions) withDefaults() ScaleOptions {
-	if len(o.Shapes) == 0 {
-		o.Shapes = DefaultScaleShapes()
-	}
-	if o.Supersteps <= 0 {
-		o.Supersteps = 5
-	}
-	if o.Runs <= 0 {
-		o.Runs = 1
-	}
-	if len(o.Cores) == 0 {
-		o.Cores = DefaultCoreSweep()
-	}
-	if o.MemLimit <= 0 {
-		o.MemLimit = 1 << 30
-	}
-	if len(o.Algos) == 0 {
-		o.Algos = AllAlgos
-	}
-	return o
-}
-
 // BaselineShape is the smallest rung of the sweep: an R-MAT graph of
 // 131k vertices and 2M edges.
 var BaselineShape = gen.Dataset{Name: "rmat-131k", Vertices: 131072, Edges: 2097152}
-
-// DefaultScaleShapes is the issue's ladder: baseline, paper-scale
-// soc-LiveJournal (4.8M/69M), and twitter-2010 at 1/16 (2.6M/91.8M).
-func DefaultScaleShapes() []gen.Dataset {
-	return []gen.Dataset{
-		BaselineShape,
-		gen.LiveJournal,
-		gen.Twitter2010.Scaled(16),
-	}
-}
 
 // DefaultCoreSweep returns 1, 2, 4, ... capped at NumCPU, with NumCPU
 // itself always included.
@@ -95,21 +36,6 @@ func DefaultCoreSweep() []int {
 		cores = append(cores, c)
 	}
 	return append(cores, n)
-}
-
-// ScaleCell is one measured run of the sweep. Reference systems run
-// single-threaded (Cores 1); GPSA cells carry the core count and the
-// heap bytes the measured run allocated.
-type ScaleCell struct {
-	Shape      string  `json:"shape"`
-	Algo       string  `json:"algo"`
-	System     string  `json:"system"`
-	Cores      int     `json:"cores"`
-	Seconds    float64 `json:"seconds"`
-	Supersteps int     `json:"supersteps"`
-	Messages   int64   `json:"messages,omitempty"`     // GPSA: messages generated
-	MsgsPerSec float64 `json:"msgs_per_sec,omitempty"` // GPSA
-	AllocBytes uint64  `json:"alloc_bytes,omitempty"`  // GPSA: heap allocated during the run
 }
 
 // CostReport is the machine-readable artifact (COST_<rev>.json).
@@ -124,7 +50,7 @@ type CostReport struct {
 	MemLimit   int64         `json:"mem_limit_bytes"`
 	Shapes     []gen.Dataset `json:"shapes"`
 	Cores      []int         `json:"cores"`
-	Cells      []ScaleCell   `json:"cells"`
+	Cells      []Row         `json:"cells"`
 	// Reference maps "<shape>/<algo>" to the faster of the two
 	// single-threaded baselines, in seconds.
 	Reference map[string]float64 `json:"reference_seconds"`
@@ -144,29 +70,20 @@ func (r *CostReport) WriteJSON(path string) error {
 	return diskio.WriteFileAtomic(path, append(data, '\n'), 0o644)
 }
 
-// scaleRun is one out-of-core GPSA run of the sweep. The engine
-// resolves its own pool from the GOMAXPROCS RunScale set for the cell,
-// so each core count runs the pool a user gets on that many CPUs.
-func scaleRun(a *Artifacts, alg Algo, opts ScaleOptions) (*core.Result, uint64, error) {
-	prog, path := gpsaProgram(a, alg)
-	vpath := filepath.Join(a.Dir, "scale-values.gpvf")
-	res, _, alloc, err := runGPSA(prog, path, vpath, core.Config{MaxSupersteps: opts.Supersteps}, opts.MemLimit)
-	return res, alloc, err
-}
-
-// RunScale executes the full sweep and assembles the COST report.
-func RunScale(opts ScaleOptions) (*CostReport, error) {
+// RunScale executes the sweep over shapes, in increasing size, and
+// assembles the COST report (its Rev is the caller's to set). Per shape
+// it measures the single-threaded references, then GPSA at each entry of
+// cores — the GOMAXPROCS of the run, at whose default pool the engine
+// runs — under the opts.MemLimit heap cap. References run uncapped,
+// which only flatters them (a conservative COST).
+func RunScale(shapes []gen.Dataset, cores []int, opts Options) (*CostReport, error) {
 	opts = opts.withDefaults()
-	if opts.WorkDir == "" {
-		dir, err := os.MkdirTemp("", "gpsa-scale-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		opts.WorkDir = dir
+	dir, cleanup, err := workDir(opts.WorkDir)
+	if err != nil {
+		return nil, err
 	}
+	defer cleanup()
 	rep := &CostReport{
-		Rev:        opts.Rev,
 		GoVersion:  runtime.Version(),
 		CPUs:       runtime.NumCPU(),
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
@@ -174,87 +91,56 @@ func RunScale(opts ScaleOptions) (*CostReport, error) {
 		Supersteps: opts.Supersteps,
 		Runs:       opts.Runs,
 		MemLimit:   opts.MemLimit,
-		Shapes:     opts.Shapes,
-		Cores:      opts.Cores,
+		Shapes:     shapes,
+		Cores:      cores,
 		Reference:  map[string]float64{},
 		Crossover:  map[string]int{},
 	}
-	refOpts := Options{Supersteps: opts.Supersteps, Runs: opts.Runs, Seed: opts.Seed}
-
-	for si, shape := range opts.Shapes {
-		dir := filepath.Join(opts.WorkDir, fmt.Sprintf("shape-%d", si))
-		g, err := shape.Generate(opts.Seed)
+	for si, shape := range shapes {
+		sdir := filepath.Join(dir, fmt.Sprintf("shape-%d", si))
+		a, err := generated(shape, opts.Seed, sdir)
 		if err != nil {
-			return nil, fmt.Errorf("bench: generating %s: %w", shape.Name, err)
+			return nil, err
 		}
-		a, err := BuildArtifactsFromCSR(g, dir, 4)
-		if err != nil {
-			return nil, fmt.Errorf("bench: preprocessing %s: %w", shape.Name, err)
-		}
-		largest := si == len(opts.Shapes)-1
-
-		// Single-threaded references first: GraphChi resharding wants
-		// the in-memory CSR (untimed preprocessing, as the paper
-		// excludes it).
-		ref := map[Algo]float64{}
+		var refs, sweep []cell
 		for _, alg := range opts.Algos {
 			for _, sys := range []System{SysGraphChi, SysXStream} {
-				cell, err := MeasureCell(a, sys, alg, refOpts)
-				if err != nil {
-					return nil, fmt.Errorf("bench: %s/%s/%s: %w", shape.Name, sys, alg, err)
-				}
-				rep.Cells = append(rep.Cells, ScaleCell{
-					Shape: shape.Name, Algo: string(alg), System: string(sys),
-					Cores: 1, Seconds: cell.Seconds, Supersteps: cell.Supersteps,
-				})
-				if ref[alg] == 0 || cell.Seconds < ref[alg] {
-					ref[alg] = cell.Seconds
-				}
+				refs = append(refs, cell{arts: a, algo: alg, system: sys, cores: 1})
 			}
-			rep.Reference[shape.Name+"/"+string(alg)] = ref[alg]
+			for _, c := range cores {
+				sweep = append(sweep, cell{arts: a, algo: alg, system: SysGPSA, cores: c, memLimit: opts.MemLimit})
+			}
 		}
-
-		// Out-of-core GPSA sweep: drop the heap-resident CSR copies so
-		// the measured runs stream from the disk mappings under the
-		// cap instead of leaning on a warm heap image.
-		a.G, a.GSym = nil, nil
+		refRows, err := measure(refs, opts)
+		if err != nil {
+			return nil, err
+		}
+		// Out-of-core GPSA sweep: drop the heap-resident CSR copies
+		// GraphChi resharded from, so the measured runs stream from the
+		// disk mappings under the cap instead of leaning on a warm heap
+		// image.
+		a.g, a.gsym = nil, nil
 		runtime.GC()
-		for _, alg := range opts.Algos {
-			for _, cores := range opts.Cores {
-				prev := runtime.GOMAXPROCS(cores)
-				best := ScaleCell{Shape: shape.Name, Algo: string(alg), System: string(SysGPSA), Cores: cores}
-				var runErr error
-				for r := 0; r < opts.Runs; r++ {
-					start := time.Now()
-					res, alloc, err := scaleRun(a, alg, opts)
-					wall := time.Since(start).Seconds()
-					if err != nil {
-						runErr = err
-						break
-					}
-					if best.Seconds == 0 || wall < best.Seconds {
-						best.Seconds = wall
-						best.Supersteps = res.Supersteps
-						best.Messages = res.Messages
-						best.AllocBytes = alloc
-					}
-				}
-				runtime.GOMAXPROCS(prev)
-				if runErr != nil {
-					return nil, fmt.Errorf("bench: %s/GPSA@%d/%s: %w", shape.Name, cores, alg, runErr)
-				}
-				if best.Seconds > 0 {
-					best.MsgsPerSec = float64(best.Messages) / best.Seconds
-				}
-				rep.Cells = append(rep.Cells, best)
-				if largest && best.Seconds <= ref[alg] && rep.Crossover[string(alg)] == 0 {
-					rep.Crossover[string(alg)] = cores
-				}
+		sweepRows, err := measure(sweep, opts)
+		if err != nil {
+			return nil, err
+		}
+		ref := map[Algo]float64{}
+		for _, r := range refRows {
+			if ref[r.Algo] == 0 || r.Seconds < ref[r.Algo] {
+				ref[r.Algo] = r.Seconds
+			}
+			rep.Reference[shape.Name+"/"+string(r.Algo)] = ref[r.Algo]
+		}
+		for _, r := range sweepRows {
+			if si == len(shapes)-1 && r.Seconds <= ref[r.Algo] && rep.Crossover[string(r.Algo)] == 0 {
+				rep.Crossover[string(r.Algo)] = r.Cores
 			}
 		}
+		rep.Cells = append(append(rep.Cells, refRows...), sweepRows...)
 		// Each shape's artifacts can be gigabytes; reclaim before the
 		// next rung.
-		os.RemoveAll(dir)
+		os.RemoveAll(sdir)
 	}
 	return rep, nil
 }
@@ -266,7 +152,7 @@ func FormatScale(rep *CostReport) string {
 		"Shape", "Algo", "System", "cores", "seconds", "msgs/sec", "alloc")
 	for _, c := range rep.Cells {
 		alloc := ""
-		if c.System == string(SysGPSA) {
+		if c.System == SysGPSA {
 			alloc = fmt.Sprintf("%.1fMB", float64(c.AllocBytes)/(1<<20))
 		}
 		fmt.Fprintf(&b, "%-22s %-10s %-10s %6d %10.3f %14.0f %12s\n",

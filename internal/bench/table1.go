@@ -25,18 +25,15 @@ type Table1Row struct {
 
 // RunTable1 generates every paper dataset at the given scale and measures
 // its properties.
-func RunTable1(scale, seed int64, workDir string) ([]Table1Row, error) {
+func RunTable1(scale, seed int64, dir string) ([]Table1Row, error) {
 	if scale <= 0 {
 		scale = 1
 	}
-	if workDir == "" {
-		dir, err := os.MkdirTemp("", "gpsa-table1-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		workDir = dir
+	dir, cleanup, err := workDir(dir)
+	if err != nil {
+		return nil, err
 	}
+	defer cleanup()
 	rows := make([]Table1Row, 0, len(gen.PaperDatasets))
 	for _, ds := range gen.PaperDatasets {
 		scaled := ds.Scaled(scale)
@@ -44,7 +41,7 @@ func RunTable1(scale, seed int64, workDir string) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		path := filepath.Join(workDir, ds.Name+".gpsa")
+		path := filepath.Join(dir, ds.Name+".gpsa")
 		if err := graph.WriteFile(path, g); err != nil {
 			return nil, err
 		}
@@ -52,7 +49,7 @@ func RunTable1(scale, seed int64, workDir string) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		cpath := filepath.Join(workDir, ds.Name+".c.gpsa")
+		cpath := filepath.Join(dir, ds.Name+".c.gpsa")
 		if err := graph.WriteFileCompact(cpath, g); err != nil {
 			return nil, err
 		}
@@ -71,11 +68,7 @@ func RunTable1(scale, seed int64, workDir string) ([]Table1Row, error) {
 			CSRFileMB:  float64(st.Size()) / (1 << 20),
 			CompactMB:  float64(cst.Size()) / (1 << 20),
 		}
-		for v := int64(0); v < g.NumVertices; v++ {
-			if d := g.OutDegree(graph.VertexID(v)); d > row.MaxOutDegree {
-				row.MaxOutDegree = d
-			}
-		}
+		row.MaxOutDegree = g.OutDegree(maxDegreeVertex(g))
 		rows = append(rows, row)
 		os.Remove(path)
 		os.Remove(path + ".idx")

@@ -671,3 +671,23 @@ func DecodeEdge(edges []uint32, i int, weighted bool) (dst VertexID, w float32) 
 	}
 	return edges[i], 0
 }
+
+// CSR decodes the whole file, of either format, into an in-memory graph.
+func (f *File) CSR() (*CSR, error) {
+	edges := make([]Edge, 0, f.NumEdges)
+	c := f.Cursor(f.WholeInterval())
+	for {
+		v, deg, raw, ok := c.Next()
+		if !ok {
+			break
+		}
+		for i := 0; i < int(deg); i++ {
+			d, w := DecodeEdge(raw, i, f.weighted)
+			edges = append(edges, Edge{Src: VertexID(v), Dst: d, Weight: w})
+		}
+	}
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	return FromEdges(edges, f.NumVertices, f.weighted)
+}

@@ -94,6 +94,47 @@ func TestFileWeightedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFileCSRRoundTrip decodes plain, compact and weighted files back
+// into the graph that was written. Neighbors are in ascending order, the
+// order the compact writer stores them in.
+func TestFileCSRRoundTrip(t *testing.T) {
+	weighted, err := FromEdges([]Edge{
+		{Src: 0, Dst: 1, Weight: 0.5}, {Src: 0, Dst: 2, Weight: 1.25}, {Src: 2, Dst: 0, Weight: -3}, {Src: 3, Dst: 3, Weight: 7},
+	}, 5, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		g     *CSR
+		write func(string, *CSR) error
+	}{
+		{"plain", paperExample(t), WriteFile},
+		{"compact", paperExample(t), WriteFileCompact},
+		{"weighted", weighted, WriteFile},
+		{"compact-weighted", weighted, WriteFileCompact},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "g.gpsa")
+			if err := tc.write(path, tc.g); err != nil {
+				t.Fatal(err)
+			}
+			f, err := OpenFile(path, mmap.ModeAuto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			got, err := f.CSR()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.g) {
+				t.Fatalf("decoded %+v, wrote %+v", got, tc.g)
+			}
+		})
+	}
+}
+
 func TestFileRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.gpsa")
