@@ -123,10 +123,12 @@ func TestCLIEndToEnd(t *testing.T) {
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Fatalf("gpsa with unknown algorithm succeeded: %s", out)
 	}
-	// An unknown gpsa-bench experiment id, workload or core count and a
-	// cluster size past the bound are usage errors: exit 2 before any
-	// work, gpsa-bench names the valid ids or the flag and gpsa-cluster
-	// the flag.
+	// An unknown gpsa-bench experiment id, workload or core count, a
+	// cluster size past the bound and a negative or too large
+	// gpsa-preprocess count are usage errors: exit 2 before any work
+	// (the preprocess rows name an input that does not exist, which
+	// would exit 1 if it were opened), gpsa-bench names the valid ids or
+	// the flag and the others the flag.
 	gpath := filepath.Join(work, "g.gpsa")
 	for _, bad := range []struct {
 		args []string
@@ -137,6 +139,9 @@ func TestCLIEndToEnd(t *testing.T) {
 		{[]string{"gpsa-bench", "-graph", gpath, "-algo", "nope"}, "pagerank, cc, bfs, all"},
 		{[]string{"gpsa-bench", "-exp", "scale", "-cores", "0"}, "-cores"},
 		{[]string{"gpsa-cluster", "-graph", gpath, "-nodes", "4", "-splits", "2000000000"}, "-splits 2000000000"},
+		{[]string{"gpsa-preprocess", "-in", "missing.txt", "-out", "x.gpsa", "-vertices", "-5"}, "-vertices -5"},
+		{[]string{"gpsa-preprocess", "-in", "missing.txt", "-out", "x.gpsa", "-vertices", "4294967296"}, "-vertices 4294967296"},
+		{[]string{"gpsa-preprocess", "-in", "missing.txt", "-out", "x.gpsa", "-chunk", "-1"}, "-chunk -1"},
 	} {
 		out, err := exec.Command(filepath.Join(bin, bad.args[0]), bad.args[1:]...).CombinedOutput()
 		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {

@@ -39,10 +39,22 @@ func main() {
 		fmt.Println("gpsa-preprocess", buildinfo.Version())
 		return
 	}
+	// Every flag value is checked before the input is opened: a usage
+	// error exits 2 having read nothing.
 	if *in == "" || *out == "" {
 		fmt.Fprintln(os.Stderr, "gpsa-preprocess: -in and -out are required")
 		flag.Usage()
 		os.Exit(2)
+	}
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "gpsa-preprocess: "+format+"\n", args...)
+		os.Exit(2)
+	}
+	if *vertices < 0 || *vertices > graph.MaxVertices {
+		usage("-vertices %d: want 0 (infer) through %d", *vertices, graph.MaxVertices)
+	}
+	if *chunk < 0 {
+		usage("-chunk %d: want 0 (the default) or a positive edge count", *chunk)
 	}
 
 	start := time.Now()

@@ -64,7 +64,10 @@ func BuildWeightedGraph(edges []Edge, numVertices int64) (*CSR, error) {
 }
 
 // LoadEdgeList reads a text edge-list file ("src dst [weight]" lines,
-// '#' comments — the SNAP format).
+// '#' or '%' comments — the SNAP format) through the parser
+// gpsa-preprocess uses. Fields are separated by spaces, tabs and
+// carriage returns only: a vertical tab, form feed or Unicode space,
+// which earlier versions also accepted, makes the line an error.
 func LoadEdgeList(path string) ([]Edge, error) {
 	return graph.LoadEdgeListFile(path)
 }

@@ -3,6 +3,7 @@ package algorithms_test
 import (
 	"fmt"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -18,15 +19,32 @@ import (
 // engine runs it on the per-edge path.
 type perEdge struct{ core.Program }
 
+// counted counts GenMsg calls and keeps the wrapped program's Fold, so
+// the engine still runs its kernel.
+type counted struct {
+	core.Program
+	calls *atomic.Int64
+}
+
+func (c counted) GenMsg(src int64, payload uint64, deg uint32, dst graph.VertexID, w float32) (uint64, bool) {
+	c.calls.Add(1)
+	return c.Program.GenMsg(src, payload, deg, dst, w)
+}
+
+func (c counted) Fold() core.Fold { return c.Program.(interface{ Fold() core.Fold }).Fold() }
+
 // TestFoldKernelMatchesPerEdge runs every program that declares a Fold
 // as is (GenMsg once per vertex, the kernel's loop) and behind perEdge
 // (GenMsg and CombineMsg per edge), on plain, compact and weighted CSR
 // at several pools, and requires equal values and per-superstep
 // digests: the kernel path is an optimisation, never a result. 4×4 is
 // the masked route with more than one computer, 3×2 the plain one.
-// Once more per CSR, the declaring program runs with the dispatcher
-// message site armed once: armed injection takes the per-edge path, so
-// the site fires, the superstep retries, and the result is unchanged.
+// Once more per CSR, the declaring program runs under a plan armed on a
+// site core never consults and must call GenMsg as often as unarmed: an
+// armed plan does not move it off its kernel. Then it runs with the
+// dispatcher message site armed once: the kernel books a hit per
+// message, so the site fires, the superstep retries, and the result is
+// unchanged.
 func TestFoldKernelMatchesPerEdge(t *testing.T) {
 	programs := []struct {
 		name  string
@@ -65,6 +83,15 @@ func TestFoldKernelMatchesPerEdge(t *testing.T) {
 				sameRun(t, what, got, gotDig, want, wantDig)
 				if pool != [2]int{3, 2} {
 					continue
+				}
+				var calls [2]atomic.Int64
+				runFold(t, path, counted{p.prog, &calls[0]}, cfg)
+				fault.Activate(fault.NewPlan(0, fault.Injection{Site: fault.SiteServeJobFail}))
+				got, gotDig, _ = runFold(t, path, counted{p.prog, &calls[1]}, cfg)
+				fault.Deactivate()
+				sameRun(t, what+" armed elsewhere", got, gotDig, want, wantDig)
+				if calls[1].Load() != calls[0].Load() {
+					t.Fatalf("%s armed elsewhere: %d GenMsg calls, %d unarmed", what, calls[1].Load(), calls[0].Load())
 				}
 				plan := fault.NewPlan(0, fault.Injection{Site: fault.SiteDispatcherMsg, After: 50})
 				fault.Activate(plan)

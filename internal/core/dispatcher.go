@@ -115,12 +115,12 @@ func (d *dispatcher) scan(step int64) (sent int64, err error) {
 			continue
 		}
 		payload := vertexfile.Payload(slot)
-		if d.kernel != FoldPerEdge && deg > 0 && !fault.Enabled() {
-			// One message for every out-edge (Program's Fold). Armed
-			// fault injection takes the per-edge path below, so the
-			// message site's hits still count messages.
+		if d.kernel != FoldPerEdge && deg > 0 {
+			// One message for every out-edge (Program's Fold); the
+			// message site books a hit per message, as below.
 			dst, w := graph.DecodeEdge(edges, 0, weighted)
 			if msgVal, send := d.prog.GenMsg(v, payload, deg, dst, w); send {
+				fault.PanicN(fault.SiteDispatcherMsg, int(deg))
 				d.foldAll(edges, stride, msgVal)
 				sent += int64(deg)
 			}

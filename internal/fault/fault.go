@@ -5,9 +5,9 @@
 // paper's failure model bites — an actor dying mid-message, an mmap sync
 // failing, a vertex-file commit tearing, a cluster connection dropping —
 // and consults them through the cheap helpers below (Error, Panic,
-// Stall). When no Plan is active each of those inlines into its caller as
-// one atomic flag load and a return, so the sites cost nothing in normal
-// operation — not even a call.
+// PanicN, Stall). When no Plan is active each of those inlines into its
+// caller as one atomic flag load and a return, so the sites cost nothing
+// in normal operation — not even a call.
 //
 // Tests and examples arm a Plan: a set of Injections, each naming a
 // site, the hit index at which it starts firing, how many hits fire, and
@@ -34,8 +34,10 @@ const (
 	// actor's Execute runs (including restarts): an injected panic there
 	// simulates an actor that dies the moment it is scheduled.
 	SiteActorExecute = "actor.execute.panic"
-	// SiteDispatcherMsg fires once per message a dispatcher generates;
-	// Panic simulates a dispatcher actor dying on its Nth message.
+	// SiteDispatcherMsg fires once per message a dispatcher generates,
+	// on the per-edge path (Panic) and the fold kernels (PanicN, one
+	// hit per out-edge) alike: it simulates a dispatcher actor dying on
+	// its Nth message.
 	SiteDispatcherMsg = "core.dispatcher.panic"
 	// SiteComputerMsg fires once per message a computing worker applies;
 	// Panic simulates a computing actor dying on its Nth message.
@@ -403,6 +405,25 @@ func Panic(site string) {
 func panicSlow(site string) {
 	if f := Hit(site); f != nil {
 		panic(PanicValue{Site: site})
+	}
+}
+
+// PanicN makes n consecutive Panic hits on site, stopping at the first
+// that fires: a dispatcher sending one message along n edges books one
+// hit per message, so a plan's hit index names the same message ordinal
+// whether the messages were generated one by one or at once. Like Panic,
+// it inlines to one flag test when no plan is armed.
+func PanicN(site string, n int) {
+	if !enabled.Load() {
+		return
+	}
+	panicNSlow(site, n)
+}
+
+//go:noinline
+func panicNSlow(site string, n int) {
+	for range n {
+		panicSlow(site)
 	}
 }
 

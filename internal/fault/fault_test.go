@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -17,8 +18,9 @@ func TestDisabledIsNoop(t *testing.T) {
 	if err := Error(SiteMmapSync); err != nil {
 		t.Fatalf("Error fired with no plan: %v", err)
 	}
-	Panic(SiteActorExecute) // must not panic
-	Stall(SiteConnStall)    // must not sleep
+	Panic(SiteActorExecute)       // must not panic
+	PanicN(SiteDispatcherMsg, 64) // nor this
+	Stall(SiteConnStall)          // must not sleep
 }
 
 func TestAfterAndCount(t *testing.T) {
@@ -125,5 +127,64 @@ func TestSeededProbabilityIsDeterministic(t *testing.T) {
 	}
 	if fired == 0 || fired == len(a) {
 		t.Fatalf("Prob=0.5 fired %d/%d times; expected a mix", fired, len(a))
+	}
+}
+
+// PanicN(site, n) is n Panic calls that stop at the first panic: twin
+// plans with one seed, one consulted through PanicN per span and one
+// through a loop of Panic, panic in the same spans at the same hit
+// ordinal and end with the same Hits and Fired.
+func TestPanicNMatchesPanic(t *testing.T) {
+	const site = "s"
+	defer Deactivate()
+	// span makes n hits through PanicN or n Panic calls and returns the
+	// hit ordinal that panicked, 0 if none did.
+	span := func(p *Plan, n int, each bool) (at int64) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(PanicValue); !ok {
+					panic(r)
+				}
+				at = p.Hits(site)
+			}
+		}()
+		if !each {
+			PanicN(site, n)
+			return 0
+		}
+		for range n {
+			Panic(site)
+		}
+		return 0
+	}
+	for _, c := range []struct {
+		name  string
+		in    Injection
+		spans []int
+	}{
+		{"after inside one span", Injection{After: 3}, []int{5, 5}},
+		{"after straddling two spans", Injection{After: 4}, []int{3, 3, 3}},
+		{"count 2", Injection{After: 2, Count: 2}, []int{3, 3, 3}},
+		{"count -1", Injection{After: 2, Count: -1}, []int{1, 3, 3, 0, 2}},
+		{"prob 0.5", Injection{Count: -1, Prob: 0.5}, []int{4, 4, 4, 4, 4, 4, 4, 4}},
+	} {
+		c.in.Site = site
+		var at [2][]int64
+		var plans [2]*Plan
+		for i, each := range []bool{false, true} {
+			plans[i] = NewPlan(7, c.in)
+			Activate(plans[i])
+			for _, n := range c.spans {
+				at[i] = append(at[i], span(plans[i], n, each))
+			}
+			Deactivate()
+		}
+		if !slices.Equal(at[0], at[1]) {
+			t.Errorf("%s: PanicN panicked at hits %v, Panic at %v", c.name, at[0], at[1])
+		}
+		if h, f := plans[0].Hits(site), plans[0].Fired(site); h != plans[1].Hits(site) || f != plans[1].Fired(site) || f == 0 {
+			t.Errorf("%s: PanicN left Hits %d Fired %d, Panic %d and %d; want equal, some fired",
+				c.name, h, f, plans[1].Hits(site), plans[1].Fired(site))
+		}
 	}
 }

@@ -6,50 +6,124 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 )
 
-// ParseEdgeList reads a text edge list (the SNAP dataset format used for
-// the paper's inputs): one "src dst [weight]" pair per line, fields
-// separated by spaces or tabs, lines beginning with '#' or '%' ignored.
-// Vertex ids must be non-negative integers.
-func ParseEdgeList(r io.Reader) ([]Edge, error) {
+// EdgeListReader parses a text edge list (the SNAP dataset format used
+// for the paper's inputs) one edge at a time: one "src dst [weight]"
+// line per edge, fields separated by spaces, tabs or carriage returns,
+// blank lines and lines beginning with '#' or '%' ignored. Ids are
+// decimal integers below 2^32; the optional weight is parsed as a
+// float32 by strconv.ParseFloat, and later fields are ignored. It is the
+// one text parser: ParseEdgeList and internal/preprocess both read
+// through it.
+type EdgeListReader struct {
+	sc   *bufio.Scanner
+	line int
+}
+
+// NewEdgeListReader returns a reader of the edge list r holds. Lines
+// longer than 1 MiB are rejected.
+func NewEdgeListReader(r io.Reader) *EdgeListReader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	var edges []Edge
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text[0] == '#' || text[0] == '%' {
+	return &EdgeListReader{sc: sc}
+}
+
+// Next returns the next edge; io.EOF ends the list. Any other error
+// begins "line N: ", for the caller to prefix with its own name.
+func (t *EdgeListReader) Next() (Edge, error) {
+	for t.sc.Scan() {
+		t.line++
+		b := skipSpace(t.sc.Bytes())
+		if len(b) == 0 || b[0] == '#' || b[0] == '%' {
 			continue
 		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: edge list line %d: %q: want 'src dst [weight]'", line, text)
-		}
-		src, err := strconv.ParseUint(fields[0], 10, 32)
+		e, err := parseEdgeLine(b)
 		if err != nil {
-			return nil, fmt.Errorf("graph: edge list line %d: bad source %q: %v", line, fields[0], err)
+			return Edge{}, fmt.Errorf("line %d: %w", t.line, err)
 		}
-		dst, err := strconv.ParseUint(fields[1], 10, 32)
+		return e, nil
+	}
+	if err := t.sc.Err(); err != nil {
+		return Edge{}, fmt.Errorf("line %d: %w", t.line+1, err)
+	}
+	return Edge{}, io.EOF
+}
+
+// Line is the 1-based line number of the edge Next returned last.
+func (t *EdgeListReader) Line() int { return t.line }
+
+func parseEdgeLine(b []byte) (Edge, error) {
+	src, rest, err := parseUint(b)
+	if err != nil {
+		return Edge{}, fmt.Errorf("bad source: %v", err)
+	}
+	dst, rest, err := parseUint(rest)
+	if err != nil {
+		return Edge{}, fmt.Errorf("bad destination: %v", err)
+	}
+	e := Edge{Src: VertexID(src), Dst: VertexID(dst)}
+	if rest = skipSpace(rest); len(rest) > 0 {
+		f := rest[:fieldEnd(rest)]
+		w, err := strconv.ParseFloat(string(f), 32)
 		if err != nil {
-			return nil, fmt.Errorf("graph: edge list line %d: bad destination %q: %v", line, fields[1], err)
+			return Edge{}, fmt.Errorf("bad weight %q: %v", f, err)
 		}
-		e := Edge{Src: VertexID(src), Dst: VertexID(dst)}
-		if len(fields) >= 3 {
-			w, err := strconv.ParseFloat(fields[2], 32)
-			if err != nil {
-				return nil, fmt.Errorf("graph: edge list line %d: bad weight %q: %v", line, fields[2], err)
-			}
-			e.Weight = float32(w)
+		e.Weight = float32(w)
+	}
+	return e, nil
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
+
+func skipSpace(b []byte) []byte {
+	for len(b) > 0 && isSpace(b[0]) {
+		b = b[1:]
+	}
+	return b
+}
+
+func fieldEnd(b []byte) int {
+	i := 0
+	for i < len(b) && !isSpace(b[i]) {
+		i++
+	}
+	return i
+}
+
+// parseUint reads one decimal field; it must end at a separator or at
+// the end of the line.
+func parseUint(b []byte) (uint64, []byte, error) {
+	b = skipSpace(b)
+	i := 0
+	var x uint64
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		x = x*10 + uint64(b[i]-'0')
+		if x > uint64(MaxVertices) {
+			return 0, nil, fmt.Errorf("id overflows 32 bits")
+		}
+		i++
+	}
+	if i == 0 || i < len(b) && !isSpace(b[i]) {
+		return 0, nil, fmt.Errorf("expected integer in %q", b)
+	}
+	return x, b[i:], nil
+}
+
+// ParseEdgeList reads a whole text edge list through EdgeListReader.
+func ParseEdgeList(r io.Reader) ([]Edge, error) {
+	er := NewEdgeListReader(r)
+	var edges []Edge
+	for {
+		e, err := er.Next()
+		if err == io.EOF {
+			return edges, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("graph: edge list %w", err)
 		}
 		edges = append(edges, e)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: edge list: %w", err)
-	}
-	return edges, nil
 }
 
 // LoadEdgeListFile reads a text edge-list file.
@@ -60,48 +134,6 @@ func LoadEdgeListFile(path string) ([]Edge, error) {
 	}
 	defer f.Close() //lint:syncerr read-only handle; no durability contract on close
 	return ParseEdgeList(f)
-}
-
-// ParseAdjacency reads the adjacency format (paper §V-A: "text-based edge
-// list or adjacency graph"): each line is "src n dst1 dst2 ... dstn".
-func ParseAdjacency(r io.Reader) ([]Edge, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	var edges []Edge
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text[0] == '#' || text[0] == '%' {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: adjacency line %d: %q: want 'src n dst...'", line, text)
-		}
-		src, err := strconv.ParseUint(fields[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: adjacency line %d: bad source %q: %v", line, fields[0], err)
-		}
-		n, err := strconv.Atoi(fields[1])
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("graph: adjacency line %d: bad count %q", line, fields[1])
-		}
-		if len(fields) != 2+n {
-			return nil, fmt.Errorf("graph: adjacency line %d: %d destinations listed, %d declared", line, len(fields)-2, n)
-		}
-		for _, f := range fields[2:] {
-			dst, err := strconv.ParseUint(f, 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("graph: adjacency line %d: bad destination %q: %v", line, f, err)
-			}
-			edges = append(edges, Edge{Src: VertexID(src), Dst: VertexID(dst)})
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: adjacency: %w", err)
-	}
-	return edges, nil
 }
 
 // WriteEdgeList writes edges in the text format ParseEdgeList accepts.

@@ -1,55 +1,10 @@
 package preprocess
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/graph"
 )
-
-// FuzzTextEdgeReader checks the text parser never panics and that any
-// input it accepts parses to the same edges under graph.ParseEdgeList.
-func FuzzTextEdgeReader(f *testing.F) {
-	f.Add("0 1\n2 3\n")
-	f.Add("# comment\n\n5\t7\t0.5\n")
-	f.Add("% note\n 1 2 \n")
-	f.Add("a b\n")
-	f.Add("4294967295 0\n")
-	f.Add("1 2 3 4 5\n")
-	f.Add("0 1 2.5x\n")
-	f.Add("0 1 1e40\n")
-	f.Add("0 1.5\n")
-	f.Add("0 1\r2\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		got, err := readAllText(input)
-		if err != nil {
-			return // rejecting is fine; panicking is not
-		}
-		want, err := graph.ParseEdgeList(strings.NewReader(input))
-		if err != nil {
-			t.Fatalf("reader accepted %q, ParseEdgeList rejects it: %v", input, err)
-		}
-		if !sameEdges(got, want) {
-			t.Fatalf("%q: reader %v, ParseEdgeList %v", input, got, want)
-		}
-	})
-}
-
-// FuzzAdjacencyReader does the same for the adjacency parser.
-func FuzzAdjacencyReader(f *testing.F) {
-	f.Add("0 2 1 2\n")
-	f.Add("0 0\n1 1 0\n")
-	f.Add("# c\n3 1 0 trailing\n")
-	f.Add("0 65535 1\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		r := newAdjacencyReader(strings.NewReader(input))
-		for i := 0; i < 10000; i++ {
-			if _, err := r.ReadEdge(); err != nil {
-				return
-			}
-		}
-	})
-}
 
 // FuzzConvertRoundTrip feeds arbitrary small edge lists through the full
 // external-sort pipeline at arbitrary chunk sizes and requires the bytes
@@ -68,7 +23,7 @@ func FuzzConvertRoundTrip(f *testing.F) {
 		}
 		dir := t.TempDir()
 		out, ref := dir+"/g.gpsa", dir+"/ref.gpsa"
-		st, err := EdgesToCSR(edges, out, Options{ChunkEdges: int(chunkRaw%32) + 1})
+		st, err := convertEdges(t, edges, out, Options{ChunkEdges: int(chunkRaw%32) + 1})
 		if err != nil {
 			t.Fatalf("conversion of valid edges failed: %v", err)
 		}
@@ -76,6 +31,6 @@ func FuzzConvertRoundTrip(f *testing.F) {
 			t.Fatalf("edge count %d, want %d", st.NumEdges, len(edges))
 		}
 		writeReference(t, ref, edges, false, false)
-		sameCSR(t, "EdgesToCSR", out, ref)
+		sameCSR(t, "EdgeListToCSR", out, ref)
 	})
 }

@@ -1,6 +1,8 @@
-// Package preprocess converts raw edge-list inputs into the on-disk CSR
-// format GPSA streams (paper §V-B). Edge-list inputs are not grouped by
-// source vertex, so conversion groups them with a bounded-memory external
+// Package preprocess converts a text edge list into the on-disk CSR
+// format GPSA streams (paper §V-B). The SNAP text edge list is its only
+// input, read edge by edge through graph.EdgeListReader, the parser
+// graph.ParseEdgeList also uses. An edge list is not grouped by source
+// vertex, so conversion groups it with a bounded-memory external
 // counting sort:
 //
 //   - Placement. Edges are read into a chunk of at most Options.ChunkEdges
@@ -35,7 +37,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 
 	"repro/internal/diskio"
 	"repro/internal/graph"
@@ -77,147 +78,11 @@ const (
 	maxChunkEdges = math.MaxInt32
 )
 
-// EdgeListToCSR converts the text edge list at inputPath into a CSR file
-// at outputPath (plus sidecar index).
+// EdgeListToCSR converts the text edge list at inputPath (read by
+// graph.EdgeListReader) into a CSR file at outputPath plus its sidecars:
+// pass 1 places every chunk and spills all but the last, pass 2 merges
+// the runs into the CSR writer.
 func EdgeListToCSR(inputPath, outputPath string, opt Options) (*Stats, error) {
-	in, err := os.Open(inputPath)
-	if err != nil {
-		return nil, fmt.Errorf("preprocess: %w", err)
-	}
-	defer in.Close() //lint:syncerr read-only handle; no durability contract on close
-	return ConvertEdgeStream(newTextEdgeReader(in), outputPath, opt)
-}
-
-// EdgesToCSR converts an in-memory edge list (convenience path for tests
-// and small graphs).
-func EdgesToCSR(edges []graph.Edge, outputPath string, opt Options) (*Stats, error) {
-	return ConvertEdgeStream(&sliceEdgeReader{edges: edges}, outputPath, opt)
-}
-
-// EdgeReader yields edges one at a time; io.EOF terminates the stream.
-type EdgeReader interface {
-	ReadEdge() (graph.Edge, error)
-}
-
-// positioner is implemented by readers that can name where in their
-// input the edge they returned last came from; errors about other
-// readers' edges name the edge's ordinal instead.
-type positioner interface {
-	position() string
-}
-
-type sliceEdgeReader struct {
-	edges []graph.Edge
-	i     int
-}
-
-func (r *sliceEdgeReader) ReadEdge() (graph.Edge, error) {
-	if r.i >= len(r.edges) {
-		return graph.Edge{}, io.EOF
-	}
-	e := r.edges[r.i]
-	r.i++
-	return e, nil
-}
-
-// textEdgeReader parses the SNAP text format incrementally. It accepts a
-// subset of what graph.ParseEdgeList accepts (fields separated by spaces,
-// tabs or carriage returns only) and yields the same edges for it.
-type textEdgeReader struct {
-	sc   *bufio.Scanner
-	line int
-}
-
-func newTextEdgeReader(r io.Reader) *textEdgeReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	return &textEdgeReader{sc: sc}
-}
-
-func (t *textEdgeReader) ReadEdge() (graph.Edge, error) {
-	for t.sc.Scan() {
-		t.line++
-		b := skipSpace(t.sc.Bytes())
-		if len(b) == 0 || b[0] == '#' || b[0] == '%' {
-			continue
-		}
-		e, err := parseEdgeLine(b)
-		if err != nil {
-			return graph.Edge{}, fmt.Errorf("preprocess: line %d: %w", t.line, err)
-		}
-		return e, nil
-	}
-	if err := t.sc.Err(); err != nil {
-		return graph.Edge{}, err
-	}
-	return graph.Edge{}, io.EOF
-}
-
-func (t *textEdgeReader) position() string { return fmt.Sprintf("line %d", t.line) }
-
-func parseEdgeLine(b []byte) (graph.Edge, error) {
-	src, rest, err := parseUint(b)
-	if err != nil {
-		return graph.Edge{}, fmt.Errorf("bad source: %v", err)
-	}
-	dst, rest, err := parseUint(rest)
-	if err != nil {
-		return graph.Edge{}, fmt.Errorf("bad destination: %v", err)
-	}
-	e := graph.Edge{Src: graph.VertexID(src), Dst: graph.VertexID(dst)}
-	// Optional weight: the third field, parsed as graph.ParseEdgeList
-	// parses it; later fields are ignored there and here.
-	if rest = skipSpace(rest); len(rest) > 0 {
-		f := rest[:fieldEnd(rest)]
-		w, err := strconv.ParseFloat(string(f), 32)
-		if err != nil {
-			return graph.Edge{}, fmt.Errorf("bad weight %q: %v", f, err)
-		}
-		e.Weight = float32(w)
-	}
-	return e, nil
-}
-
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
-
-func skipSpace(b []byte) []byte {
-	for len(b) > 0 && isSpace(b[0]) {
-		b = b[1:]
-	}
-	return b
-}
-
-func fieldEnd(b []byte) int {
-	i := 0
-	for i < len(b) && !isSpace(b[i]) {
-		i++
-	}
-	return i
-}
-
-// parseUint reads one decimal field; it must end at a separator or at
-// the end of the line.
-func parseUint(b []byte) (uint64, []byte, error) {
-	b = skipSpace(b)
-	i := 0
-	var x uint64
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		x = x*10 + uint64(b[i]-'0')
-		if x > uint64(graph.MaxVertices) {
-			return 0, nil, fmt.Errorf("id overflows 32 bits")
-		}
-		i++
-	}
-	if i == 0 || i < len(b) && !isSpace(b[i]) {
-		return 0, nil, fmt.Errorf("expected integer in %q", b)
-	}
-	return x, b[i:], nil
-}
-
-// ConvertEdgeStream drives the full conversion: pass 1 places every
-// chunk and spills all but the last, pass 2 merges the runs into the CSR
-// writer.
-func ConvertEdgeStream(r EdgeReader, outputPath string, opt Options) (*Stats, error) {
 	if opt.ChunkEdges <= 0 {
 		opt.ChunkEdges = defaultChunkEdges
 	}
@@ -228,13 +93,18 @@ func ConvertEdgeStream(r EdgeReader, outputPath string, opt Options) (*Stats, er
 	if opt.NumVertices > graph.MaxVertices {
 		return nil, fmt.Errorf("preprocess: NumVertices %d exceeds the maximum %d", opt.NumVertices, graph.MaxVertices)
 	}
+	in, err := os.Open(inputPath)
+	if err != nil {
+		return nil, fmt.Errorf("preprocess: %w", err)
+	}
+	defer in.Close() //lint:syncerr read-only handle; no durability contract on close
 
 	s := &sorter{opt: opt, limit: graph.MaxVertices}
 	if opt.NumVertices > 0 {
 		s.limit = opt.NumVertices
 	}
 	defer s.removeRuns()
-	if err := s.read(r); err != nil {
+	if err := s.read(graph.NewEdgeListReader(in)); err != nil {
 		return nil, err
 	}
 	numVertices := opt.NumVertices
@@ -246,7 +116,6 @@ func ConvertEdgeStream(r EdgeReader, outputPath string, opt Options) (*Stats, er
 	}
 
 	var w recordWriter
-	var err error
 	if opt.Compact {
 		w, err = graph.NewCompactWriter(outputPath, numVertices, s.numEdges, opt.Weighted)
 	} else {
@@ -295,7 +164,7 @@ type chunk struct {
 
 // read is pass 1: it checks every id, spills each full chunk once the
 // next edge arrives, and places the last chunk in memory.
-func (s *sorter) read(r EdgeReader) error {
+func (s *sorter) read(r *graph.EdgeListReader) error {
 	s.maxID = -1
 	s.src = make([]graph.VertexID, 0, s.opt.ChunkEdges)
 	s.dst = make([]graph.VertexID, 0, s.opt.ChunkEdges)
@@ -303,18 +172,18 @@ func (s *sorter) read(r EdgeReader) error {
 		s.wts = make([]float32, 0, s.opt.ChunkEdges)
 	}
 	for {
-		e, err := r.ReadEdge()
+		e, err := r.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return err
+			return fmt.Errorf("preprocess: %w", err)
 		}
 		if int64(e.Src) >= s.limit || int64(e.Dst) >= s.limit {
-			return s.rangeError(r, e)
+			return s.rangeError(r.Line(), e)
 		}
 		if s.opt.Weighted && math.IsNaN(float64(e.Weight)) {
-			return fmt.Errorf("preprocess: %s: %w", s.where(r), graph.ErrNaNWeight)
+			return fmt.Errorf("preprocess: line %d: %w", r.Line(), graph.ErrNaNWeight)
 		}
 		if len(s.src) == s.opt.ChunkEdges {
 			if err := s.spill(); err != nil {
@@ -336,8 +205,9 @@ func (s *sorter) read(r EdgeReader) error {
 	return nil
 }
 
-// rangeError reports an edge carrying an id at or above s.limit.
-func (s *sorter) rangeError(r EdgeReader, e graph.Edge) error {
+// rangeError reports the edge on line carrying an id at or above
+// s.limit.
+func (s *sorter) rangeError(line int, e graph.Edge) error {
 	which, id := "source", e.Src
 	if int64(e.Src) < s.limit {
 		which, id = "destination", e.Dst
@@ -346,16 +216,7 @@ func (s *sorter) rangeError(r EdgeReader, e graph.Edge) error {
 	if s.opt.NumVertices > 0 {
 		bound = fmt.Sprintf("NumVertices %d", s.opt.NumVertices)
 	}
-	return fmt.Errorf("preprocess: %s: %s id %d is not below %s", s.where(r), which, id, bound)
-}
-
-// where names the edge r returned last: its line, or its ordinal (for a
-// binary edge list, its record).
-func (s *sorter) where(r EdgeReader) string {
-	if p, ok := r.(positioner); ok {
-		return p.position()
-	}
-	return fmt.Sprintf("edge %d", s.numEdges+1)
+	return fmt.Errorf("preprocess: line %d: %s id %d is not below %s", line, which, id, bound)
 }
 
 // place groups the chunk by source into s.placed, keeping input order

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"math"
 	"math/rand"
@@ -50,12 +49,21 @@ func readBack(t *testing.T, path string, weighted bool) (map[int64][]graph.Verte
 	return adj, wts, f.NumVertices, f.NumEdges
 }
 
-func TestEdgesToCSRSmall(t *testing.T) {
+// convertEdges writes edges as a text edge list (with weights when
+// opt.Weighted) beside out and converts it to out.
+func convertEdges(t testing.TB, edges []graph.Edge, out string, opt Options) (*Stats, error) {
+	t.Helper()
+	in := out + ".txt"
+	writeFile(t, in, func(f *os.File) error { return graph.WriteEdgeList(f, edges, opt.Weighted) })
+	return EdgeListToCSR(in, out, opt)
+}
+
+func TestConvertSmall(t *testing.T) {
 	edges := []graph.Edge{
 		{Src: 3, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3}, {Src: 3, Dst: 0},
 	}
 	out := filepath.Join(t.TempDir(), "g.gpsa")
-	st, err := EdgesToCSR(edges, out, Options{})
+	st, err := convertEdges(t, edges, out, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,14 +154,14 @@ func TestEmptyInputYieldsValidFile(t *testing.T) {
 
 func TestForcedVertexCount(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "g.gpsa")
-	st, err := EdgesToCSR([]graph.Edge{{Src: 0, Dst: 1}}, out, Options{NumVertices: 10})
+	st, err := convertEdges(t, []graph.Edge{{Src: 0, Dst: 1}}, out, Options{NumVertices: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.NumVertices != 10 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if _, err := EdgesToCSR([]graph.Edge{{Src: 0, Dst: 9}}, out, Options{NumVertices: 5}); err == nil {
+	if _, err := convertEdges(t, []graph.Edge{{Src: 0, Dst: 9}}, out, Options{NumVertices: 5}); err == nil {
 		t.Fatal("too-small forced vertex count accepted")
 	}
 }
@@ -165,7 +173,7 @@ func TestMultiRunExternalSort(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(t.TempDir(), "g.gpsa")
-	st, err := EdgesToCSR(edges, out, Options{ChunkEdges: 128})
+	st, err := convertEdges(t, edges, out, Options{ChunkEdges: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +221,7 @@ func TestConversionEquivalenceProperty(t *testing.T) {
 			edges[i] = graph.Edge{Src: graph.VertexID(rng.Int63n(v)), Dst: graph.VertexID(rng.Int63n(v))}
 		}
 		out := filepath.Join(dir, "p.gpsa")
-		_, err := EdgesToCSR(edges, out, Options{ChunkEdges: int(chunkRaw%64) + 1, NumVertices: v})
+		_, err := convertEdges(t, edges, out, Options{ChunkEdges: int(chunkRaw%64) + 1, NumVertices: v})
 		if err != nil {
 			t.Logf("convert: %v", err)
 			return false
@@ -259,10 +267,10 @@ func TestCompactOutputMatchesPlain(t *testing.T) {
 	}
 	dir := t.TempDir()
 	plain, compact := filepath.Join(dir, "p.gpsa"), filepath.Join(dir, "c.gpsa")
-	if _, err := EdgesToCSR(edges, plain, Options{ChunkEdges: 256}); err != nil {
+	if _, err := convertEdges(t, edges, plain, Options{ChunkEdges: 256}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EdgesToCSR(edges, compact, Options{ChunkEdges: 256, Compact: true}); err != nil {
+	if _, err := convertEdges(t, edges, compact, Options{ChunkEdges: 256, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	pa, _, pv, pe := readBack(t, plain, false)
@@ -332,7 +340,7 @@ func writeReference(t testing.TB, path string, edges []graph.Edge, weighted, com
 	}
 }
 
-func writeFile(t *testing.T, path string, write func(f *os.File) error) {
+func writeFile(t testing.TB, path string, write func(f *os.File) error) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
@@ -343,41 +351,8 @@ func writeFile(t *testing.T, path string, write func(f *os.File) error) {
 	}
 }
 
-// writeAdjacency writes edges as an adjacency file whose lines are out of
-// vertex order and split each vertex's list in two, and returns the edges
-// in the order the file lists them.
-func writeAdjacency(t *testing.T, path string, edges []graph.Edge) []graph.Edge {
-	g, err := graph.FromEdges(edges, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var text strings.Builder
-	var listed []graph.Edge
-	line := func(v int64, dsts []graph.VertexID) {
-		if len(dsts) == 0 {
-			return
-		}
-		fmt.Fprintf(&text, "%d %d", v, len(dsts))
-		for _, d := range dsts {
-			fmt.Fprintf(&text, " %d", d)
-			listed = append(listed, graph.Edge{Src: graph.VertexID(v), Dst: d})
-		}
-		text.WriteString("\n")
-	}
-	for v := g.NumVertices - 1; v >= 0; v-- {
-		nb := g.Neighbors(graph.VertexID(v))
-		line(v, nb[:len(nb)/2])
-	}
-	for v := int64(0); v < g.NumVertices; v++ {
-		nb := g.Neighbors(graph.VertexID(v))
-		line(v, nb[len(nb)/2:])
-	}
-	writeFile(t, path, func(f *os.File) error { _, err := f.WriteString(text.String()); return err })
-	return listed
-}
-
-// TestOutputMatchesWriteFile pins the conversion contract: every reader,
-// at every chunk size, plain or compact, weighted or not, writes the
+// TestOutputMatchesWriteFile pins the conversion contract: at every
+// chunk size, plain or compact, weighted or not, conversion writes the
 // bytes graph.WriteFile (or WriteFileCompact) writes for graph.FromEdges
 // of the input edges — each vertex's edges in input order.
 func TestOutputMatchesWriteFile(t *testing.T) {
@@ -386,48 +361,28 @@ func TestOutputMatchesWriteFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	adjPath := filepath.Join(dir, "adj.txt")
-	adjEdges := writeAdjacency(t, adjPath, edges)
 	e := len(edges)
-	type reader struct {
-		name  string
-		edges []graph.Edge
-		conv  func(out string, opt Options) (*Stats, error)
-	}
 	for _, weighted := range []bool{false, true} {
-		text, bin := filepath.Join(dir, "edges.txt"), filepath.Join(dir, "edges.bin")
+		text := filepath.Join(dir, "edges.txt")
 		writeFile(t, text, func(f *os.File) error { return graph.WriteEdgeList(f, edges, weighted) })
-		writeFile(t, bin, func(f *os.File) error { return WriteBinaryEdgeList(f, edges, weighted) })
-		readers := []reader{
-			{"EdgesToCSR", edges, func(out string, opt Options) (*Stats, error) { return EdgesToCSR(edges, out, opt) }},
-			{"text", edges, func(out string, opt Options) (*Stats, error) { return EdgeListToCSR(text, out, opt) }},
-			{"binary", edges, func(out string, opt Options) (*Stats, error) { return BinaryEdgeListToCSR(bin, out, opt) }},
-		}
-		if !weighted {
-			readers = append(readers, reader{"adjacency", adjEdges, func(out string, opt Options) (*Stats, error) {
-				return AdjacencyToCSR(adjPath, out, opt)
-			}})
-		}
 		for _, compact := range []bool{false, true} {
-			for _, rd := range readers {
-				ref := filepath.Join(dir, "ref.gpsa")
-				writeReference(t, ref, rd.edges, weighted, compact)
-				for _, chunk := range []int{1, 7, 128, e - 1, e, e + 1, 0} {
-					name := fmt.Sprintf("%s weighted=%v compact=%v chunk=%d", rd.name, weighted, compact, chunk)
-					out := filepath.Join(dir, "out.gpsa")
-					st, err := rd.conv(out, Options{ChunkEdges: chunk, Weighted: weighted, Compact: compact})
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					per := chunk
-					if per == 0 {
-						per = defaultChunkEdges
-					}
-					if want := (e + per - 1) / per; st.Runs != want {
-						t.Errorf("%s: %d runs, want %d", name, st.Runs, want)
-					}
-					sameCSR(t, name, out, ref)
+			ref := filepath.Join(dir, "ref.gpsa")
+			writeReference(t, ref, edges, weighted, compact)
+			for _, chunk := range []int{1, 7, 128, e - 1, e, e + 1, 0} {
+				name := fmt.Sprintf("text weighted=%v compact=%v chunk=%d", weighted, compact, chunk)
+				out := filepath.Join(dir, "out.gpsa")
+				st, err := EdgeListToCSR(text, out, Options{ChunkEdges: chunk, Weighted: weighted, Compact: compact})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
+				per := chunk
+				if per == 0 {
+					per = defaultChunkEdges
+				}
+				if want := (e + per - 1) / per; st.Runs != want {
+					t.Errorf("%s: %d runs, want %d", name, st.Runs, want)
+				}
+				sameCSR(t, name, out, ref)
 			}
 		}
 	}
@@ -444,145 +399,107 @@ func TestNoSpillAtChunkBound(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "g.gpsa")
 	opt := Options{ChunkEdges: len(edges), TempDir: filepath.Join(dir, "missing")}
-	st, err := EdgesToCSR(edges, out, opt)
+	st, err := convertEdges(t, edges, out, opt)
 	if err != nil {
 		t.Fatalf("%d edges at ChunkEdges %d: %v", len(edges), opt.ChunkEdges, err)
 	}
 	if st.Runs != 1 {
 		t.Fatalf("%d runs, want the one in-memory run", st.Runs)
 	}
-	_, err = EdgesToCSR(append(edges, graph.Edge{Src: 1, Dst: 2}), out, opt)
+	_, err = convertEdges(t, append(edges, graph.Edge{Src: 1, Dst: 2}), out, opt)
 	if !errors.Is(err, diskio.ErrIOFailure) || !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("ChunkEdges+1 edges with TempDir missing: err = %v, want a typed create failure", err)
 	}
 }
 
 // Ids at or above the limit — graph.MaxVertices, the format's sentinel,
-// or a forced NumVertices — fail as they are read, naming where. Before
-// the check, the first line grew the degree table toward 2^32 entries and
-// the adjacency line preallocated 16 GiB from its declared count.
+// or a forced NumVertices — fail as they are read, naming the line.
+// Before the check, the first line grew the degree table toward 2^32
+// entries.
 func TestRejectsOutOfRangeIDs(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "g.gpsa")
-	write := func(content string) string {
-		path := filepath.Join(dir, "in")
-		writeFile(t, path, func(f *os.File) error { _, err := f.WriteString(content); return err })
-		return path
-	}
-	text := func(content string, opt Options) func() (*Stats, error) {
-		return func() (*Stats, error) { return EdgeListToCSR(write(content), out, opt) }
-	}
-	adjacency := func(content string) func() (*Stats, error) {
-		return func() (*Stats, error) { return AdjacencyToCSR(write(content), out, Options{}) }
-	}
-	slice := func(edges []graph.Edge, opt Options) func() (*Stats, error) {
-		return func() (*Stats, error) { return EdgesToCSR(edges, out, opt) }
-	}
-	binaryIn := func() (*Stats, error) {
-		var buf bytes.Buffer
-		if err := WriteBinaryEdgeList(&buf, []graph.Edge{{Src: graph.Sentinel, Dst: 0}}, false); err != nil {
-			return nil, err
-		}
-		return BinaryEdgeListToCSR(write(buf.String()), out, Options{})
-	}
+	in := filepath.Join(dir, "in")
 	for _, c := range []struct {
-		name string
-		conv func() (*Stats, error)
-		want string
+		name, text string
+		opt        Options
+		want       string
 	}{
-		{"text source", text("0 1\n4294967295 0\n", Options{}), "line 2: source id 4294967295"},
-		{"text destination", text("0 4294967295\n", Options{}), "line 1: destination id 4294967295"},
-		{"text forced count", text("# c\n0 1\n1 5\n", Options{NumVertices: 5}), "line 3: destination id 5 is not below NumVertices 5"},
-		{"adjacency declared count", adjacency("0 4294967295\n"), "adjacency line 1"},
-		{"adjacency destination", adjacency("0 1 4294967295\n"), "adjacency line 1: destination id 4294967295"},
-		{"binary", binaryIn, "edge 1: source id 4294967295"},
-		{"EdgesToCSR", slice([]graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: graph.Sentinel}}, Options{}), "edge 2: destination id 4294967295"},
-		{"EdgesToCSR forced count", slice([]graph.Edge{{Src: 9, Dst: 0}}, Options{NumVertices: 5}), "edge 1: source id 9"},
-		{"NumVertices too large", slice(nil, Options{NumVertices: graph.MaxVertices + 1}), "exceeds the maximum"},
+		{"text source", "0 1\n4294967295 0\n", Options{}, "line 2: source id 4294967295"},
+		{"text destination", "0 4294967295\n", Options{}, "line 1: destination id 4294967295"},
+		{"text forced count", "# c\n0 1\n1 5\n", Options{NumVertices: 5}, "line 3: destination id 5 is not below NumVertices 5"},
+		{"NumVertices too large", "", Options{NumVertices: graph.MaxVertices + 1}, "exceeds the maximum"},
 	} {
-		_, err := c.conv()
+		writeFile(t, in, func(f *os.File) error { _, err := f.WriteString(c.text); return err })
+		_, err := EdgeListToCSR(in, out, c.opt)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
 		}
 	}
 }
 
-// A NaN weight is rejected on every weighted ingest path, naming its
-// line or record: SSSP's min folds NaN order-dependently, so the graph
-// below ran vertex 3 to +Inf at one dispatcher and to 2 at two. ±Inf
-// stays accepted, and an unweighted conversion drops the column unread.
+// A NaN weight is rejected by a weighted conversion, naming its line:
+// SSSP's min folds NaN order-dependently, so the graph below ran vertex
+// 3 to +Inf at one dispatcher and to 2 at two. ±Inf stays accepted, and
+// an unweighted conversion drops the column unread.
 func TestRejectsNaNWeights(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "g.gpsa")
 	in := filepath.Join(dir, "in")
 	const text = "0 1 1\n0 2 1\n1 3 1\n1 4 1\n1 5 1\n2 3 NaN\n2 6 1\n2 7 1\n"
 	writeFile(t, in, func(f *os.File) error { _, err := f.WriteString(text); return err })
-	edges, err := readAllText(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := filepath.Join(dir, "in.bin")
-	writeFile(t, bin, func(f *os.File) error { return WriteBinaryEdgeList(f, edges, true) })
 	weighted := Options{Weighted: true}
-	for _, c := range []struct {
-		name string
-		conv func() (*Stats, error)
-		want string
-	}{
-		{"text", func() (*Stats, error) { return EdgeListToCSR(in, out, weighted) }, "line 6"},
-		{"binary", func() (*Stats, error) { return BinaryEdgeListToCSR(bin, out, weighted) }, "edge 6"},
-		{"EdgesToCSR", func() (*Stats, error) { return EdgesToCSR(edges, out, weighted) }, "edge 6"},
-	} {
-		if _, err := c.conv(); !errors.Is(err, graph.ErrNaNWeight) || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want graph.ErrNaNWeight naming %q", c.name, err, c.want)
-		}
+	if _, err := EdgeListToCSR(in, out, weighted); !errors.Is(err, graph.ErrNaNWeight) || !strings.Contains(err.Error(), "line 6") {
+		t.Errorf("text: err = %v, want graph.ErrNaNWeight naming %q", err, "line 6")
 	}
 	if _, err := EdgeListToCSR(in, out, Options{}); err != nil {
 		t.Errorf("unweighted conversion: %v", err)
 	}
 	inf := []graph.Edge{{Src: 0, Dst: 1, Weight: float32(math.Inf(1))}, {Src: 1, Dst: 0, Weight: float32(math.Inf(-1))}}
-	if _, err := EdgesToCSR(inf, out, weighted); err != nil {
+	if _, err := convertEdges(t, inf, out, weighted); err != nil {
 		t.Errorf("±Inf weights: %v", err)
 	}
 }
 
-func readAllText(input string) ([]graph.Edge, error) {
-	r := newTextEdgeReader(strings.NewReader(input))
-	var edges []graph.Edge
-	for {
-		e, err := r.ReadEdge()
-		if err == io.EOF {
-			return edges, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		edges = append(edges, e)
-	}
-}
-
-func sameEdges(a, b []graph.Edge) bool {
-	return slices.EqualFunc(a, b, func(x, y graph.Edge) bool {
-		return x.Src == y.Src && x.Dst == y.Dst && math.Float32bits(x.Weight) == math.Float32bits(y.Weight)
-	})
-}
-
-// The text reader and graph.ParseEdgeList make the same accept/reject
-// decision on each line and, on accepting, yield the same edge, weight
-// bits included.
+// A weighted conversion reads each text line as graph.ParseEdgeList
+// does: the same accept/reject decision and, on accepting, the same edge
+// in the CSR file, weight bits included. Conversion alone also rejects
+// what the CSR format cannot hold: an id at or above graph.MaxVertices,
+// or a NaN weight.
 func TestTextReaderMatchesParseEdgeList(t *testing.T) {
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "in"), filepath.Join(dir, "g.gpsa")
 	for _, line := range []string{
 		"0 1", "0 1 2.5", "0\t1\t0.25\r", "  7 8  ", "0 1 -3", "0 1 2 junk", "0 1\r2",
 		"0 1 nan", "0 1 0x1p-2", "4294967295 0",
 		"0 1 2.5x", "0 1 1e40", "0 1.5", "0 1x", "0 -1", "4294967296 0", "1", "a b",
 	} {
-		got, gotErr := readAllText(line + "\n")
-		want, wantErr := graph.ParseEdgeList(strings.NewReader(line + "\n"))
-		switch {
-		case (gotErr == nil) != (wantErr == nil):
-			t.Errorf("%q: reader err = %v, ParseEdgeList err = %v", line, gotErr, wantErr)
-		case !sameEdges(got, want):
-			t.Errorf("%q: reader %v, ParseEdgeList %v", line, got, want)
+		want, parseErr := graph.ParseEdgeList(strings.NewReader(line + "\n"))
+		wantErr := parseErr != nil
+		for _, e := range want {
+			wantErr = wantErr || int64(e.Src) >= graph.MaxVertices || int64(e.Dst) >= graph.MaxVertices ||
+				math.IsNaN(float64(e.Weight))
+		}
+		writeFile(t, in, func(f *os.File) error { _, err := f.WriteString(line + "\n"); return err })
+		_, err := EdgeListToCSR(in, out, Options{Weighted: true})
+		if (err != nil) != wantErr {
+			t.Errorf("%q: conversion err = %v, ParseEdgeList err = %v, edges %v", line, err, parseErr, want)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		adj, wts, nv, _ := readBack(t, out, true)
+		var got []graph.Edge
+		for v := int64(0); v < nv; v++ {
+			for i, d := range adj[v] {
+				got = append(got, graph.Edge{Src: graph.VertexID(v), Dst: d, Weight: wts[v][i]})
+			}
+		}
+		if !slices.EqualFunc(got, want, func(x, y graph.Edge) bool {
+			return x.Src == y.Src && x.Dst == y.Dst && math.Float32bits(x.Weight) == math.Float32bits(y.Weight)
+		}) {
+			t.Errorf("%q: converted %v, ParseEdgeList %v", line, got, want)
 		}
 	}
 }
